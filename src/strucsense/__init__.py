@@ -41,6 +41,7 @@ from .wdn import (
     incidence,
     parse_edge_list,
     parse_inp,
+    structured_pattern,
     structured_state_labels,
     to_pattern,
 )

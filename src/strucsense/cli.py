@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import dot
 from .forcing import build_observability_graph, certify_sso
 from .netgraph import (
@@ -45,11 +43,11 @@ from .spanning import spanning_tree_dfs
 from .wdn import (
     ParseError,
     WdnNetwork,
-    build_structured_wdn,
     incidence,
     incidence_csv,
     parse_edge_list,
     parse_inp,
+    structured_pattern,
     structured_state_labels,
     to_pattern,
 )
@@ -71,7 +69,6 @@ class InputBundle:
     pattern: PatternMatrix
     labels: list
     net: WdnNetwork | None = None
-    inc: np.ndarray | None = None
 
     @property
     def flow_count(self) -> int | None:
@@ -93,8 +90,7 @@ def load_input(path: str) -> InputBundle:
             labels=[str(i) for i in range(graph.n)],
         )
     net = parse_inp(text)
-    inc = incidence(net)
-    pattern = build_structured_wdn(inc)
+    pattern = structured_pattern(net)
     return InputBundle(
         path=path,
         kind="wdn",
@@ -102,7 +98,6 @@ def load_input(path: str) -> InputBundle:
         pattern=pattern,
         labels=structured_state_labels(net),
         net=net,
-        inc=inc,
     )
 
 
@@ -119,7 +114,7 @@ def _dump_json(payload, out: str | None) -> None:
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
-def _resolve_sensors(sensor_text: str, bundle: InputBundle) -> list:
+def _resolve_sensors(sensor_text: str, bundle: InputBundle) -> SensorPlacement:
     """Sensor tokens may be state indices or input labels; order is kept."""
     by_label = {label: i for i, label in enumerate(bundle.labels)}
     measured = []
@@ -138,17 +133,7 @@ def _resolve_sensors(sensor_text: str, bundle: InputBundle) -> list:
             measured.append(idx)
     if len(set(measured)) != len(measured):
         raise ValueError("duplicate sensors in request")
-    return measured
-
-
-def _output_pattern_for(measured: list, n: int) -> PatternMatrix:
-    return PatternMatrix(
-        len(measured), n, frozenset((row, s) for row, s in enumerate(measured)), frozenset()
-    )
-
-
-def _certificate_payload(cert) -> dict:
-    return json.loads(cert.to_json())
+    return SensorPlacement(tuple(measured), bundle.graph.n, "given")
 
 
 def _placement_payload(p: SensorPlacement, bundle: InputBundle) -> dict:
@@ -177,9 +162,9 @@ def cmd_info(args) -> int:
         "preconditions": pre.as_dict(),
     }
     if args.dump_incidence:
-        if bundle.inc is None:
+        if bundle.net is None:
             raise ValueError("incidence export needs a water-network input")
-        Path(args.dump_incidence).write_text(incidence_csv(bundle.inc))
+        Path(args.dump_incidence).write_text(incidence_csv(incidence(bundle.net)))
     if args.dump_pattern:
         Path(args.dump_pattern).write_text(bundle.pattern.to_json() + "\n")
     if args.format == "json":
@@ -252,7 +237,7 @@ def cmd_place(args) -> int:
         payload = {
             "placement": _placement_payload(p, bundle),
             "counts": counts,
-            "certificate": _certificate_payload(cert),
+            "certificate": cert.as_dict(),
         }
         _dump_json(payload, args.out)
     return EXIT_OK
@@ -260,12 +245,13 @@ def cmd_place(args) -> int:
 
 def cmd_certify(args) -> int:
     bundle = load_input(args.path)
-    measured = _resolve_sensors(args.sensors, bundle)
-    cert = certify_sso(bundle.pattern, _output_pattern_for(measured, bundle.graph.n))
+    p = _resolve_sensors(args.sensors, bundle)
+    cert = certify_sso(bundle.pattern, build_output_pattern(p, bundle.graph.n))
+    measured = list(p.measured)
     payload = {
         "sensors": measured,
         "labels": [bundle.labels[i] for i in measured],
-        "certificate": _certificate_payload(cert),
+        "certificate": cert.as_dict(),
     }
     if args.format == "text":
         verdict = "strongly structurally observable" if cert.sso else "NOT strongly structurally observable"
@@ -278,18 +264,17 @@ def cmd_certify(args) -> int:
 def cmd_oracle(args) -> int:
     bundle = load_input(args.path)
     if args.sensors:
-        measured = _resolve_sensors(args.sensors, bundle)
+        p = _resolve_sensors(args.sensors, bundle)
     else:
         _, p = _run_placement(bundle, "cyclic")
-        measured = list(p.measured)
     report = sample_and_check(
         bundle.pattern,
-        _output_pattern_for(measured, bundle.graph.n),
+        build_output_pattern(p, bundle.graph.n),
         trials=args.trials,
         seed=args.seed,
         c_mode=args.c_mode,
     )
-    payload = {"sensors": measured, **report.as_dict()}
+    payload = {"sensors": list(p.measured), **report.as_dict()}
     _dump_json(payload, args.out)
     return EXIT_OK
 

@@ -22,8 +22,10 @@ def _node_label(i: int, labels) -> str:
     return labels[i] if labels is not None else str(i)
 
 
-def _node_decls(g: StateGraph, labels, flow_count) -> list:
-    lines = []
+def _render(g: StateGraph, labels, flow_count, name, styles=None, sensors=()) -> str:
+    """Header, node declarations, sensor hexagons, then edges."""
+    keyword, connector = ("graph", "--") if g.is_symmetric() else ("digraph", "->")
+    lines = [f"{keyword} {_quote(name)} {{"]
     for v in range(g.n):
         attrs = []
         if flow_count is not None:
@@ -35,51 +37,36 @@ def _node_decls(g: StateGraph, labels, flow_count) -> list:
         if attrs:
             decl += " [" + ", ".join(attrs) + "]"
         lines.append(decl + ";")
-    return lines
+    for k, state in enumerate(sensors):
+        sensor = f"s{k}"
+        lines.append(f"  {_quote(sensor)} [shape=hexagon, color=red, label={_quote(sensor)}];")
+        lines.append(f"  {_quote(sensor)} {connector} {_quote(state)} [style=solid, color=red];")
+    lines += _edge_lines(g, connector, styles)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
-def _edge_lines(g: StateGraph, connector: str, style_overrides=None) -> list:
+def _edge_lines(g: StateGraph, connector: str, styles=None) -> list:
     """One line per undirected pair (or per arc when directed)."""
-    style_overrides = style_overrides or {}
+    styles = styles or {}
     lines = []
-    emitted = set()
-    for kind, edges, default_style in (("star", g.star_edges, "solid"), ("unknown", g.unknown_edges, "dashed")):
+    for edges, default_style in ((g.star_edges, "solid"), (g.unknown_edges, "dashed")):
         for (i, j) in sorted(edges):
-            if connector == "--":
-                key = (min(i, j), max(i, j), kind)
-                if key in emitted:
-                    continue
-                emitted.add(key)
-                pair = (min(i, j), max(i, j))
-            else:
-                pair = (i, j)
-            style = style_overrides.get((min(i, j), max(i, j)), default_style)
-            lines.append(f"  {_quote(pair[0])} {connector} {_quote(pair[1])} [style={style}];")
+            if connector == "--" and i > j:
+                continue  # undirected means symmetric: arc (j, i) stands for the pair
+            style = styles.get((min(i, j), max(i, j)), default_style)
+            lines.append(f"  {_quote(i)} {connector} {_quote(j)} [style={style}];")
     return lines
 
 
 def graph_dot(g: StateGraph, labels=None, flow_count=None, name="network") -> str:
     """Render a state graph; solid star edges, dashed unknown edges."""
-    undirected = g.is_symmetric()
-    keyword, connector = ("graph", "--") if undirected else ("digraph", "->")
-    lines = [f"{keyword} {_quote(name)} {{"]
-    lines += _node_decls(g, labels, flow_count)
-    lines += _edge_lines(g, connector)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _render(g, labels, flow_count, name)
 
 
 def tree_dot(g: StateGraph, t: SpanningTree, labels=None, flow_count=None, name="spanning_tree") -> str:
     """Render the graph with dropped chords dotted, kept tree edges solid."""
-    chords = removed_chords(g, t)
-    overrides = {pair: "dotted" for pair in chords}
-    undirected = g.is_symmetric()
-    keyword, connector = ("graph", "--") if undirected else ("digraph", "->")
-    lines = [f"{keyword} {_quote(name)} {{"]
-    lines += _node_decls(g, labels, flow_count)
-    lines += _edge_lines(g, connector, overrides)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _render(g, labels, flow_count, name, styles={pair: "dotted" for pair in removed_chords(g, t)})
 
 
 def placement_dot(
@@ -90,17 +77,7 @@ def placement_dot(
     name="placement",
 ) -> str:
     """Render the graph plus one red hexagon sensor per measured state."""
-    undirected = g.is_symmetric()
-    keyword, connector = ("graph", "--") if undirected else ("digraph", "->")
-    lines = [f"{keyword} {_quote(name)} {{"]
-    lines += _node_decls(g, labels, flow_count)
-    for k, state in enumerate(placement.measured):
-        sensor = f"s{k}"
-        lines.append(f"  {_quote(sensor)} [shape=hexagon, color=red, label={_quote(sensor)}];")
-        lines.append(f"  {_quote(sensor)} {connector} {_quote(state)} [style=solid, color=red];")
-    lines += _edge_lines(g, connector)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _render(g, labels, flow_count, name, sensors=placement.measured)
 
 
 def trace_dot(g: ObservabilityGraph, trace, labels=None, name="forcing_trace") -> str:

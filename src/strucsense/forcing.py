@@ -64,8 +64,8 @@ class Certificate:
     def sso(self) -> bool:
         return self.colorable_a and self.colorable_abar
 
-    def to_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "sso": self.sso,
             "graphs": [
                 {
@@ -80,7 +80,9 @@ class Certificate:
                 },
             ],
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> ObservabilityGraph:
@@ -119,13 +121,15 @@ def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> Observabili
     )
 
 
-def force_closure(g: ObservabilityGraph) -> ColoringState:
-    """Run the color-change rule to fixpoint, ascending (forcer, forced) first.
+def _closure(g: ObservabilityGraph, rng: random.Random | None) -> ColoringState:
+    """Run the color-change rule to fixpoint over a worklist of candidates.
 
     Worklist keyed by white-out-neighbor counters: a node becomes a
     candidate when exactly one of its out-neighbors is still white and the
     edge to it is a star. Each application is O(in-degree of the forced
-    node), so the whole closure is near-linear in edges.
+    node), so the whole closure is near-linear in edges. Without ``rng`` the
+    ascending (forcer, forced) pair is applied first; with it, a uniformly
+    random candidate.
     """
     total = g.n_nodes
     star_sets = [set(g.star_out[v]) for v in range(total)]
@@ -135,50 +139,16 @@ def force_closure(g: ObservabilityGraph) -> ColoringState:
         for u in out_all[v]:
             in_nbrs[u].append(v)
 
-    white_out = [len(out_all[v]) for v in range(total)]
-    black = [False] * total
-    heap = []
+    if rng is None:
+        push, pop = heapq.heappush, heapq.heappop
+    else:
+        push = list.append
 
-    def push_candidate(v: int) -> None:
-        u = next((w for w in out_all[v] if not black[w]), None)
-        if u is not None and u in star_sets[v]:
-            heapq.heappush(heap, (v, u))
+        def pop(pool: list) -> tuple:
+            idx = rng.randrange(len(pool))
+            pool[idx], pool[-1] = pool[-1], pool[idx]
+            return pool.pop()
 
-    for v in range(total):
-        if white_out[v] == 1:
-            push_candidate(v)
-
-    trace = []
-    while heap:
-        v, u = heapq.heappop(heap)
-        if black[u]:
-            continue  # stale: someone else forced u first
-        black[u] = True
-        trace.append((v, u))
-        for w in in_nbrs[u]:
-            white_out[w] -= 1
-            if white_out[w] == 1:
-                push_candidate(w)
-
-    return ColoringState(frozenset(i for i in range(total) if black[i]), tuple(trace))
-
-
-def force_closure_randomized(g: ObservabilityGraph, seed: int) -> ColoringState:
-    """Closure applying a uniformly random eligible forcing at each step.
-
-    Same counter machinery as the deterministic engine, but the next step
-    is drawn at random from all currently valid candidates. Used to check
-    that the final black set never depends on forcing order.
-    """
-    total = g.n_nodes
-    star_sets = [set(g.star_out[v]) for v in range(total)]
-    out_all = [sorted(star_sets[v] | set(g.unknown_out[v])) for v in range(total)]
-    in_nbrs = [[] for _ in range(total)]
-    for v in range(total):
-        for u in out_all[v]:
-            in_nbrs[u].append(v)
-
-    rng = random.Random(seed)
     white_out = [len(out_all[v]) for v in range(total)]
     black = [False] * total
     pool = []
@@ -186,7 +156,7 @@ def force_closure_randomized(g: ObservabilityGraph, seed: int) -> ColoringState:
     def add_candidate(v: int) -> None:
         u = next((w for w in out_all[v] if not black[w]), None)
         if u is not None and u in star_sets[v]:
-            pool.append((v, u))
+            push(pool, (v, u))
 
     for v in range(total):
         if white_out[v] == 1:
@@ -194,11 +164,9 @@ def force_closure_randomized(g: ObservabilityGraph, seed: int) -> ColoringState:
 
     trace = []
     while pool:
-        idx = rng.randrange(len(pool))
-        pool[idx], pool[-1] = pool[-1], pool[idx]
-        v, u = pool.pop()
+        v, u = pop(pool)
         if black[u]:
-            continue
+            continue  # stale: someone else forced u first
         black[u] = True
         trace.append((v, u))
         for w in in_nbrs[u]:
@@ -207,6 +175,19 @@ def force_closure_randomized(g: ObservabilityGraph, seed: int) -> ColoringState:
                 add_candidate(w)
 
     return ColoringState(frozenset(i for i in range(total) if black[i]), tuple(trace))
+
+
+def force_closure(g: ObservabilityGraph) -> ColoringState:
+    """Run the color-change rule to fixpoint, ascending (forcer, forced) first."""
+    return _closure(g, None)
+
+
+def force_closure_randomized(g: ObservabilityGraph, seed: int) -> ColoringState:
+    """Closure applying a uniformly random eligible forcing at each step.
+
+    Used to check that the final black set never depends on forcing order.
+    """
+    return _closure(g, random.Random(seed))
 
 
 def force_closure_reference(g: ObservabilityGraph, order: random.Random | None = None) -> ColoringState:
@@ -264,12 +245,9 @@ def certify_sso(a: PatternMatrix, c: PatternMatrix) -> Certificate:
     its nonzero-diagonal companion. Both traces are kept so a verdict can
     be replayed and rendered step by step.
     """
-    graph_a = build_observability_graph(a, c)
-    closure_a = force_closure(graph_a)
-    ok_a = all(v in closure_a.black for v in range(graph_a.n_states))
-
-    graph_abar = build_observability_graph(make_abar(a), c)
-    closure_abar = force_closure(graph_abar)
-    ok_abar = all(v in closure_abar.black for v in range(graph_abar.n_states))
-
-    return Certificate(ok_a, closure_a.trace, ok_abar, closure_abar.trace)
+    verdicts = []
+    for pattern in (a, make_abar(a)):
+        graph = build_observability_graph(pattern, c)
+        closure = force_closure(graph)
+        verdicts += [all(v in closure.black for v in range(graph.n_states)), closure.trace]
+    return Certificate(*verdicts)

@@ -13,16 +13,24 @@ from dataclasses import dataclass, field
 from .pattern import PatternMatrix
 
 
-def _adjacency(n: int, edges: frozenset) -> tuple:
-    out = [[] for _ in range(n)]
+def _undirected(n: int, edges) -> tuple:
+    """Sorted neighbor tuple per node, edges read both ways, self-loops dropped."""
+    out = [set() for _ in range(n)]
     for (i, j) in edges:
-        out[i].append(j)
+        if i != j:
+            out[i].add(j)
+            out[j].add(i)
     return tuple(tuple(sorted(nbrs)) for nbrs in out)
 
 
 @dataclass(frozen=True)
 class StateGraph:
-    """Sparse bidirected graph with two edge kinds, immutable after build."""
+    """Sparse bidirected graph with two edge kinds, immutable after build.
+
+    ``star_nbrs`` and ``nbrs`` are the undirected adjacencies over star
+    edges and over both edge kinds, built once with the graph; in-edges
+    count too, so asymmetric inputs are still classified sensibly.
+    """
 
     n: int
     star_edges: frozenset = field(default_factory=frozenset)
@@ -38,31 +46,16 @@ class StateGraph:
             raise ValueError("an edge cannot be both star and unknown")
         object.__setattr__(self, "star_edges", star)
         object.__setattr__(self, "unknown_edges", unknown)
-        object.__setattr__(self, "star_adj", _adjacency(self.n, star))
-        object.__setattr__(self, "unknown_adj", _adjacency(self.n, unknown))
+        object.__setattr__(self, "star_nbrs", _undirected(self.n, star))
+        object.__setattr__(self, "nbrs", _undirected(self.n, star | unknown))
 
     def neighbors(self, i: int) -> list:
         """Distinct neighbors of node i over both edge kinds, self excluded."""
-        nbrs = set(self.star_adj[i]) | set(self.unknown_adj[i])
-        # in-neighbors too, so asymmetric inputs are still classified sensibly
-        nbrs.update(self._in_adj[i])
-        nbrs.discard(i)
-        return sorted(nbrs)
-
-    @property
-    def _in_adj(self):
-        cached = getattr(self, "_in_adj_cache", None)
-        if cached is None:
-            ins = [[] for _ in range(self.n)]
-            for (i, j) in self.star_edges | self.unknown_edges:
-                ins[j].append(i)
-            cached = tuple(tuple(sorted(x)) for x in ins)
-            object.__setattr__(self, "_in_adj_cache", cached)
-        return cached
+        return list(self.nbrs[i])
 
     def undirected_star_pairs(self) -> set:
         """Unordered star edges {i, j} with i != j (self-loops dropped)."""
-        return {(min(i, j), max(i, j)) for (i, j) in self.star_edges if i != j}
+        return {(v, u) for v in range(self.n) for u in self.star_nbrs[v] if v < u}
 
     def is_symmetric(self) -> bool:
         return all((j, i) in self.star_edges for (i, j) in self.star_edges) and all(
@@ -122,7 +115,7 @@ def from_pattern(a: PatternMatrix, transpose: bool = False) -> StateGraph:
     """Graph of a square pattern; with ``transpose`` edges follow entry (j, i)."""
     if not a.is_square:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
-    if transpose:
+    if transpose and not a.symmetric:
         star = frozenset((j, i) for (i, j) in a.star)
         unknown = frozenset((j, i) for (i, j) in a.unknown)
     else:
@@ -133,7 +126,7 @@ def from_pattern(a: PatternMatrix, transpose: bool = False) -> StateGraph:
 def classify_nodes(g: StateGraph) -> NodeClassification:
     extreme, intersection, isolated = [], [], []
     for v in range(g.n):
-        d = len(g.neighbors(v))
+        d = len(g.nbrs[v])
         if d == 1:
             extreme.append(v)
         elif d >= 3:
@@ -145,11 +138,6 @@ def classify_nodes(g: StateGraph) -> NodeClassification:
 
 def connected_components_star(g: StateGraph) -> list:
     """Partition of all nodes by reachability over star edges (both directions)."""
-    adj = [set() for _ in range(g.n)]
-    for (i, j) in g.star_edges:
-        if i != j:
-            adj[i].add(j)
-            adj[j].add(i)
     seen = [False] * g.n
     components = []
     for root in range(g.n):
@@ -159,7 +147,7 @@ def connected_components_star(g: StateGraph) -> list:
         comp, stack = [root], [root]
         while stack:
             v = stack.pop()
-            for u in adj[v]:
+            for u in g.star_nbrs[v]:
                 if not seen[u]:
                     seen[u] = True
                     comp.append(u)
@@ -174,7 +162,7 @@ def cycle_count(g: StateGraph) -> int:
     Self-loops are excluded. This equals the number of edges a spanning
     forest removes.
     """
-    m = len(g.undirected_star_pairs())
+    m = sum(len(nbrs) for nbrs in g.star_nbrs) // 2
     return m - g.n + len(connected_components_star(g))
 
 
@@ -187,11 +175,10 @@ def check_preconditions(a: PatternMatrix) -> PreconditionReport:
     """
     if not a.is_square:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
-    asymmetric_at = None
-    for (i, j) in sorted(a.star | a.unknown):
-        if a.entry(i, j) is not a.entry(j, i):
-            asymmetric_at = (i, j)
-            break
+    # smallest position whose transpose holds a different entry
+    unmirrored = [(i, j) for (i, j) in a.star if (j, i) not in a.star]
+    unmirrored += [(i, j) for (i, j) in a.unknown if (j, i) not in a.unknown]
+    asymmetric_at = min(unmirrored, default=None)
     g = from_pattern(a, transpose=True)
     components = connected_components_star(g)
     classification = classify_nodes(g)

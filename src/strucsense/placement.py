@@ -22,7 +22,7 @@ class SensorPlacement:
 
     measured: tuple
     n_states: int
-    mode: str  # "tree" or "cyclic"
+    mode: str  # "tree", "cyclic", or "given" (user-proposed sensors)
 
     def __post_init__(self):
         if len(set(self.measured)) != len(self.measured):

@@ -51,13 +51,7 @@ def spanning_tree_dfs(g: StateGraph) -> SpanningTree:
     node, so the output is acyclic and spans every star component.
     Disconnected inputs are allowed and produce a forest.
     """
-    undirected = [set() for _ in range(g.n)]
-    for (i, j) in g.star_edges:
-        if i != j:
-            undirected[i].add(j)
-            undirected[j].add(i)
-    adj = [sorted(nbrs) for nbrs in undirected]
-
+    adj = g.star_nbrs
     parent: list = [None] * g.n
     visited = [False] * g.n
     roots = []

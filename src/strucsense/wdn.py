@@ -1,12 +1,12 @@
 """Water-network ingestion and the structured state pattern it induces.
 
 Reads the topology subset of the EPANET INP dialect (junctions, reservoirs,
-tanks, pipes, pumps, valves, optional coordinates), builds the node-by-link
-incidence matrix, and assembles the block pattern whose states are one flow
-per link followed by one head per hydraulic node: star self-loops on flows,
-unknown self-loops on heads, and star couplings wherever a link meets a
-node. Hydraulic parameters are never parsed; only topology shapes the
-pattern.
+tanks, pipes, pumps, valves, optional coordinates) and assembles, straight
+from the link list, the block pattern whose states are one flow per link
+followed by one head per hydraulic node: star self-loops on flows, unknown
+self-loops on heads, and star couplings wherever a link meets a node. The
+dense node-by-link incidence matrix is built only on request. Hydraulic
+parameters are never parsed; only topology shapes the pattern.
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ def parse_inp(text: str) -> WdnNetwork:
             label, from_label, to_label = tokens[0], tokens[1], tokens[2]
             if label in link_lines:
                 raise ParseError(f"duplicate link label {label!r}", lineno)
+            if from_label == to_label:
+                raise ParseError(f"link {label!r} connects node {from_label!r} to itself", lineno)
             link_lines[label] = lineno
             links.append(Link(label, _LINK_SECTIONS[section], from_label, to_label))
         elif section == "COORDINATES":
@@ -171,8 +173,6 @@ def incidence(net: WdnNetwork) -> np.ndarray:
     """Node-by-link incidence: +1 at a link's from-node, -1 at its to-node."""
     mat = np.zeros((net.n_nodes, net.n_links))
     for j, link in enumerate(net.links):
-        if link.from_label == link.to_label:
-            raise ValueError(f"link {link.label!r} connects node {link.from_label!r} to itself")
         mat[net.node_index(link.from_label), j] = 1.0
         mat[net.node_index(link.to_label), j] = -1.0
     return mat
@@ -183,25 +183,39 @@ def incidence_csv(mat: np.ndarray) -> str:
     return "\n".join(",".join(f"{v:g}" for v in row) for row in np.asarray(mat)) + "\n"
 
 
-def build_structured_wdn(inc: np.ndarray) -> PatternMatrix:
+def _structured(n_nodes: int, n_links: int, couplings) -> PatternMatrix:
     """Block pattern of the linearized network: flows first, heads after.
 
     Flows carry star self-loops (friction), heads carry unknown self-loops
-    (local hydraulic effects may or may not be present), and each link
-    couples its flow state to both endpoint heads with mirrored stars. The
-    result is symmetric by construction.
+    (local hydraulic effects may or may not be present), and each
+    ``(link, node)`` coupling joins that link's flow state to the node's
+    head with mirrored stars. The result is symmetric by construction.
     """
+    m = n_links
+    star = {(k, k) for k in range(m)}
+    unknown = {(m + i, m + i) for i in range(n_nodes)}
+    for j, i in couplings:
+        star.add((j, m + i))
+        star.add((m + i, j))
+    return PatternMatrix(m + n_nodes, m + n_nodes, frozenset(star), frozenset(unknown), symmetric=True)
+
+
+def structured_pattern(net: WdnNetwork) -> PatternMatrix:
+    """Structured pattern of a network, read off its links (no dense matrix)."""
+    node = net.node_index
+    couplings = (
+        (j, node(end)) for j, link in enumerate(net.links) for end in (link.from_label, link.to_label)
+    )
+    return _structured(net.n_nodes, net.n_links, couplings)
+
+
+def build_structured_wdn(inc: np.ndarray) -> PatternMatrix:
+    """Structured pattern of a node-by-link incidence (any nonzero couples)."""
     inc = np.asarray(inc, dtype=float)
     if inc.ndim != 2:
         raise ValueError("incidence matrix must be two-dimensional")
-    n, m = inc.shape
-    star = {(k, k) for k in range(m)}
-    unknown = {(m + i, m + i) for i in range(n)}
     rows, cols = np.nonzero(inc)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        star.add((j, m + i))
-        star.add((m + i, j))
-    return PatternMatrix(m + n, m + n, frozenset(star), frozenset(unknown), symmetric=True)
+    return _structured(*inc.shape, zip(cols.tolist(), rows.tolist()))
 
 
 def structured_state_labels(net: WdnNetwork) -> list:

@@ -60,6 +60,14 @@ class TestInfo:
         assert code == 1
         assert "undeclared" in err
 
+    def test_self_loop_link_is_input_error_with_line(self, capsys, tmp_path):
+        bad = tmp_path / "loop.inp"
+        bad.write_text("[JUNCTIONS]\n a 1\n b 1\n[PIPES]\n p1 a b 1\n p2 b b 1\n")
+        code, _, err = run_cli(capsys, "info", str(bad))
+        assert code == 1
+        assert "itself" in err
+        assert "(line 6)" in err
+
     def test_incidence_and_pattern_dumps(self, capsys, fixtures_dir, tmp_path):
         inc_path = tmp_path / "inc.csv"
         pat_path = tmp_path / "pattern.json"
