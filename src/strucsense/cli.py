@@ -146,8 +146,8 @@ def _placement_payload(p: SensorPlacement, bundle: InputBundle) -> dict:
 
 def cmd_info(args) -> int:
     bundle = load_input(args.path)
-    cls = classify_nodes(bundle.graph)
-    pre = check_preconditions(bundle.pattern)
+    pre = check_preconditions(bundle.pattern, bundle.graph)
+    cls = pre.classification
     payload = {
         "path": bundle.path,
         "kind": bundle.kind,
@@ -192,17 +192,20 @@ def cmd_info(args) -> int:
 
 
 def _run_placement(bundle: InputBundle, mode: str):
-    tree = spanning_tree_dfs(bundle.graph)
+    """The placement for ``mode`` and the spanning forest it read (None in tree mode)."""
     if mode == "tree":
-        p = place_tree(bundle.graph)
-    else:
-        p = place_cyclic(bundle.graph, tree)
-    return tree, p
+        return None, place_tree(bundle.graph)
+    tree = spanning_tree_dfs(bundle.graph)
+    return tree, place_cyclic(bundle.graph, tree)
 
 
 def cmd_place(args) -> int:
     bundle = load_input(args.path)
-    tree, p = _run_placement(bundle, args.mode)
+    if args.mode == "tree":
+        cls = classify_nodes(bundle.graph)
+        tree, p = None, place_tree(bundle.graph, cls)
+    else:
+        tree, p = _run_placement(bundle, "cyclic")
     c_pat = build_output_pattern(p, bundle.graph.n)
     cert = certify_sso(bundle.pattern, c_pat)
     if not cert.sso:
@@ -211,7 +214,7 @@ def cmd_place(args) -> int:
         return EXIT_CERT
     if p.mode == "tree":
         # the tree rule measures all extreme nodes but one
-        n_e = classify_nodes(bundle.graph).n_e
+        n_e = cls.n_e
         expected = 1 if bundle.graph.n == 1 else n_e - 1
         counts = {
             "extreme_nodes": n_e,

@@ -11,14 +11,20 @@ The certificate runs this closure on the graph of the state pattern and on
 the graph of its nonzero-diagonal companion; the system is strongly
 structurally observable exactly when both are colorable, i.e. every numeric
 realization of the pattern pair is observable.
+
+The state part of that graph never depends on the sensors, so it is
+compiled once per pattern (``compile_pattern``) and each sensor set is a
+run against it; the exhaustive search closes thousands of sensor sets on
+one compiled pair. ``force_closure`` compiles a whole observability graph
+and runs the same engine with no extra sensors.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .pattern import PatternMatrix, make_abar
 
@@ -85,11 +91,11 @@ class Certificate:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> ObservabilityGraph:
-    """Join the transposed state pattern with one sensor node per output row.
+def sensor_states(a: PatternMatrix, c: PatternMatrix) -> tuple:
+    """State measured by each output row, in row order.
 
-    Sensor nodes carry exactly one out-edge (a star to their measured state)
-    and no in-edges, so each is eligible to force immediately.
+    Raises unless the state pattern is square, the output pattern has one
+    column per state, only stars, and exactly one star per row.
     """
     if not a.is_square:
         raise ValueError(f"square state pattern required, got {a.rows}x{a.cols}")
@@ -97,23 +103,39 @@ def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> Observabili
         raise ValueError(f"output pattern has {c.cols} columns, expected {a.rows}")
     if c.unknown:
         raise ValueError("output pattern must contain only zeros and stars")
-    n, p = a.rows, c.rows
+    measured = [None] * c.rows
+    stars_per_row = [0] * c.rows
+    for (k, j) in c.star:
+        stars_per_row[k] += 1
+        measured[k] = j
+    for k, count in enumerate(stars_per_row):
+        if count != 1:
+            raise ValueError(f"output row {k} has {count} stars, needs exactly 1")
+    return tuple(measured)
 
-    star_out = [[] for _ in range(n + p)]
-    unknown_out = [[] for _ in range(n + p)]
+
+def _out_lists(a: PatternMatrix, extra: int = 0) -> tuple:
+    """Star and unknown out-lists of the transposed pattern, plus ``extra`` empty nodes."""
+    star_out = [[] for _ in range(a.rows + extra)]
+    unknown_out = [[] for _ in range(a.rows + extra)]
     for (i, j) in a.star:  # transposed: column index becomes the source
         star_out[j].append(i)
     for (i, j) in a.unknown:
         unknown_out[j].append(i)
+    return star_out, unknown_out
 
-    stars_per_row = [0] * p
-    for (k, j) in c.star:
-        stars_per_row[k] += 1
+
+def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> ObservabilityGraph:
+    """Join the transposed state pattern with one sensor node per output row.
+
+    Sensor nodes carry exactly one out-edge (a star to their measured state)
+    and no in-edges, so each is eligible to force immediately.
+    """
+    measured = sensor_states(a, c)
+    n, p = a.rows, len(measured)
+    star_out, unknown_out = _out_lists(a, p)
+    for k, j in enumerate(measured):
         star_out[n + k].append(j)
-    for k, count in enumerate(stars_per_row):
-        if count != 1:
-            raise ValueError(f"output row {k} has {count} stars, needs exactly 1")
-
     return ObservabilityGraph(
         n, p,
         tuple(tuple(sorted(x)) for x in star_out),
@@ -121,65 +143,102 @@ def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> Observabili
     )
 
 
-def _closure(g: ObservabilityGraph, rng: random.Random | None) -> ColoringState:
-    """Run the color-change rule to fixpoint over a worklist of candidates.
+@dataclass(frozen=True)
+class ClosureGraph:
+    """A color-change graph compiled once, then closed for any sensor set.
 
-    Worklist keyed by white-out-neighbor counters: a node becomes a
-    candidate when exactly one of its out-neighbors is still white and the
-    edge to it is a star. Each application is O(in-degree of the forced
-    node), so the whole closure is near-linear in edges. Without ``rng`` the
-    ascending (forcer, forced) pair is applied first; with it, a uniformly
-    random candidate.
+    ``star_out`` holds each node's star out-neighbors as a set, ``out_all``
+    its out-neighbors over both edge kinds in ascending order, ``in_nbrs``
+    its in-neighbors in ascending order, and ``seeds`` the forcings that are
+    eligible from all-white. A run measuring states ``measured`` adds sensor
+    k as the virtual node ``n + k``, with one star out-edge to
+    ``measured[k]`` and no in-edges: exactly the sensor nodes of
+    ``build_observability_graph``, so a run pops and traces what a closure
+    of that graph does.
     """
-    total = g.n_nodes
-    star_sets = [set(g.star_out[v]) for v in range(total)]
-    out_all = [sorted(star_sets[v] | set(g.unknown_out[v])) for v in range(total)]
-    in_nbrs = [[] for _ in range(total)]
-    for v in range(total):
-        for u in out_all[v]:
-            in_nbrs[u].append(v)
 
-    if rng is None:
-        push, pop = heapq.heappush, heapq.heappop
-    else:
-        push = list.append
+    n: int
+    star_out: tuple
+    out_all: tuple
+    in_nbrs: tuple
+    out_degree: tuple
+    seeds: tuple
 
-        def pop(pool: list) -> tuple:
-            idx = rng.randrange(len(pool))
-            pool[idx], pool[-1] = pool[-1], pool[idx]
-            return pool.pop()
+    @classmethod
+    def from_out_lists(cls, star_out, unknown_out) -> "ClosureGraph":
+        """Compile per-node out-lists: a pattern's states, or a whole observability graph."""
+        n = len(star_out)
+        stars = tuple(frozenset(x) for x in star_out)
+        out_all = tuple(sorted(stars[v].union(unknown_out[v])) for v in range(n))
+        in_nbrs = [[] for _ in range(n)]
+        for v in range(n):
+            for u in out_all[v]:
+                in_nbrs[u].append(v)
+        seeds = tuple((v, out[0]) for v, out in enumerate(out_all) if len(out) == 1 and out[0] in stars[v])
+        return cls(n, stars, out_all, tuple(in_nbrs), tuple(map(len, out_all)), seeds)
 
-    white_out = [len(out_all[v]) for v in range(total)]
-    black = [False] * total
-    pool = []
+    def run(self, measured=(), rng: random.Random | None = None) -> tuple:
+        """Run the color-change rule to fixpoint; return black flags and the trace.
 
-    def add_candidate(v: int) -> None:
-        u = next((w for w in out_all[v] if not black[w]), None)
-        if u is not None and u in star_sets[v]:
-            push(pool, (v, u))
+        Worklist keyed by white-out-neighbor counters: a node becomes a
+        candidate when exactly one of its out-neighbors is still white and
+        the edge to it is a star. Each application is O(in-degree of the
+        forced node), so the whole closure is near-linear in edges. Without
+        ``rng`` the ascending (forcer, forced) pair is applied first; with
+        it, a uniformly random candidate. Sensor nodes are never forced (no
+        in-edges), so the flags cover the compiled nodes only.
+        """
+        star_out, out_all, in_nbrs = self.star_out, self.out_all, self.in_nbrs
+        white_out = list(self.out_degree)
+        black = [False] * self.n
+        # candidates in the order a scan of all nodes, sensors last, finds them
+        pool = [*self.seeds, *((self.n + k, s) for k, s in enumerate(measured))]
+        if rng is None:
+            heapify(pool)
+            push, pop = heappush, heappop
+        else:
+            push = list.append
 
-    for v in range(total):
-        if white_out[v] == 1:
-            add_candidate(v)
+            def pop(pool: list) -> tuple:
+                idx = rng.randrange(len(pool))
+                pool[idx], pool[-1] = pool[-1], pool[idx]
+                return pool.pop()
 
-    trace = []
-    while pool:
-        v, u = pop(pool)
-        if black[u]:
-            continue  # stale: someone else forced u first
-        black[u] = True
-        trace.append((v, u))
-        for w in in_nbrs[u]:
-            white_out[w] -= 1
-            if white_out[w] == 1:
-                add_candidate(w)
+        trace = []
+        while pool:
+            v, u = pop(pool)
+            if black[u]:
+                continue  # stale: someone else forced u first
+            black[u] = True
+            trace.append((v, u))
+            for w in in_nbrs[u]:
+                white_out[w] -= 1
+                if white_out[w] == 1:
+                    last = next(x for x in out_all[w] if not black[x])
+                    if last in star_out[w]:
+                        push(pool, (w, last))
+        return black, trace
 
-    return ColoringState(frozenset(i for i in range(total) if black[i]), tuple(trace))
+    def colors_all(self, measured) -> bool:
+        """True iff measuring ``measured`` blackens every compiled node."""
+        return len(self.run(measured)[1]) == self.n
+
+
+def compile_pattern(a: PatternMatrix) -> ClosureGraph:
+    """The state part of the observability graph of ``a``, ready for any sensor set."""
+    if not a.is_square:
+        raise ValueError(f"square state pattern required, got {a.rows}x{a.cols}")
+    return ClosureGraph.from_out_lists(*_out_lists(a))
+
+
+def _coloring(g: ObservabilityGraph, rng: random.Random | None) -> ColoringState:
+    black, trace = ClosureGraph.from_out_lists(g.star_out, g.unknown_out).run((), rng)
+    return ColoringState(frozenset(v for v, b in enumerate(black) if b), tuple(trace))
 
 
 def force_closure(g: ObservabilityGraph) -> ColoringState:
     """Run the color-change rule to fixpoint, ascending (forcer, forced) first."""
-    return _closure(g, None)
+    return _coloring(g, None)
 
 
 def force_closure_randomized(g: ObservabilityGraph, seed: int) -> ColoringState:
@@ -187,7 +246,7 @@ def force_closure_randomized(g: ObservabilityGraph, seed: int) -> ColoringState:
 
     Used to check that the final black set never depends on forcing order.
     """
-    return _closure(g, random.Random(seed))
+    return _coloring(g, random.Random(seed))
 
 
 def force_closure_reference(g: ObservabilityGraph, order: random.Random | None = None) -> ColoringState:
@@ -245,9 +304,10 @@ def certify_sso(a: PatternMatrix, c: PatternMatrix) -> Certificate:
     its nonzero-diagonal companion. Both traces are kept so a verdict can
     be replayed and rendered step by step.
     """
+    abar = make_abar(a)
+    measured = sensor_states(a, c)
     verdicts = []
-    for pattern in (a, make_abar(a)):
-        graph = build_observability_graph(pattern, c)
-        closure = force_closure(graph)
-        verdicts += [all(v in closure.black for v in range(graph.n_states)), closure.trace]
+    for pattern in (a, abar):
+        black, trace = compile_pattern(pattern).run(measured)
+        verdicts += [all(black), tuple(trace)]
     return Certificate(*verdicts)

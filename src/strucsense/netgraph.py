@@ -94,7 +94,11 @@ class PreconditionReport:
     has_extreme: bool
     asymmetric_at: tuple | None
     components: tuple
-    extreme_nodes: tuple
+    classification: NodeClassification
+
+    @property
+    def extreme_nodes(self) -> tuple:
+        return self.classification.extreme
 
     @property
     def all_ok(self) -> bool:
@@ -166,12 +170,14 @@ def cycle_count(g: StateGraph) -> int:
     return m - g.n + len(connected_components_star(g))
 
 
-def check_preconditions(a: PatternMatrix) -> PreconditionReport:
+def check_preconditions(a: PatternMatrix, g: StateGraph | None = None) -> PreconditionReport:
     """Report whether a square pattern meets the placement prerequisites.
 
     Checks symmetry of the pattern, full connectivity through star edges,
     and the presence of at least one extreme node. Report-only; callers
-    decide what to do with violations.
+    decide what to do with violations. ``g`` is the pattern's transposed
+    graph, ``from_pattern(a, transpose=True)``, when the caller holds it
+    already; the report carries the node classification it computed.
     """
     if not a.is_square:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
@@ -179,7 +185,8 @@ def check_preconditions(a: PatternMatrix) -> PreconditionReport:
     unmirrored = [(i, j) for (i, j) in a.star if (j, i) not in a.star]
     unmirrored += [(i, j) for (i, j) in a.unknown if (j, i) not in a.unknown]
     asymmetric_at = min(unmirrored, default=None)
-    g = from_pattern(a, transpose=True)
+    if g is None:
+        g = from_pattern(a, transpose=True)
     components = connected_components_star(g)
     classification = classify_nodes(g)
     return PreconditionReport(
@@ -188,5 +195,5 @@ def check_preconditions(a: PatternMatrix) -> PreconditionReport:
         has_extreme=classification.n_e >= 1,
         asymmetric_at=asymmetric_at,
         components=tuple(tuple(c) for c in components),
-        extreme_nodes=tuple(classification.extreme),
+        classification=classification,
     )

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .forcing import build_observability_graph, certify_sso, force_closure
+from .forcing import compile_pattern, sensor_states
 from .pattern import Entry, PatternMatrix, SampleConfig, make_abar, sample_realization
 
 DEFAULT_RANK_TOL = 1e-9
@@ -221,21 +221,19 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
     if not a_pat.is_square:
         raise ValueError(f"square state pattern required, got {a_pat.rows}x{a_pat.cols}")
     n = a_pat.rows
-    measured = {j for (_, j) in c_pat.star}
+    measured = sensor_states(a_pat, c_pat)
 
-    plain_white = [
-        v for v in range(n)
-        if v not in force_closure(build_observability_graph(a_pat, c_pat)).black
-    ]
+    def white_states(pattern: PatternMatrix) -> list:
+        black, _ = compile_pattern(pattern).run(measured)
+        return [v for v in range(n) if not black[v]]
+
+    plain_white = white_states(a_pat)
     if plain_white:
         mode = ("plain", a_pat, 0.0, {})
         whites = plain_white
     else:
         abar = make_abar(a_pat)
-        shifted_white = [
-            v for v in range(n)
-            if v not in force_closure(build_observability_graph(abar, c_pat)).black
-        ]
+        shifted_white = white_states(abar)
         if not shifted_white:
             return None
         lam = 1.0
@@ -243,7 +241,7 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
         mode = ("shifted", abar, lam, pins)
         whites = shifted_white
     kind, pattern, lam, pins = mode
-    if measured & set(whites):
+    if set(measured) & set(whites):
         raise AssertionError("measured state left white; closure is broken")
 
     rng = np.random.default_rng(seed)
@@ -280,7 +278,10 @@ def exhaustive_min_sensors(
     Subsets are enumerated by increasing cardinality, lexicographic within
     each size; every subset is certified until a size produces witnesses,
     then the rest of that size is swept so all witnesses (up to the cap)
-    are reported. Refuses patterns whose configuration count would explode.
+    are counted. The closure graphs of the pattern and of its companion are
+    compiled once; a subset is closed on the companion only when the
+    pattern's own graph colors fully, and not at all once the witness cap
+    is reached. Refuses patterns whose configuration count would explode.
     """
     if not a_pat.is_square:
         raise ValueError(f"square state pattern required, got {a_pat.rows}x{a_pat.cols}")
@@ -290,15 +291,13 @@ def exhaustive_min_sensors(
             f"{n} states means {2 ** n - 1} sensor configurations; "
             f"refusing beyond the cap of {max_states} states"
         )
+    graph_a, graph_abar = compile_pattern(a_pat), compile_pattern(make_abar(a_pat))
     checked = 0
     for size in range(n + 1):
         witnesses = []
         for combo in combinations(range(n), size):
-            c_pat = PatternMatrix(
-                size, n, frozenset((row, state) for row, state in enumerate(combo)), frozenset()
-            )
             checked += 1
-            if certify_sso(a_pat, c_pat).sso and len(witnesses) < witness_cap:
+            if len(witnesses) < witness_cap and graph_a.colors_all(combo) and graph_abar.colors_all(combo):
                 witnesses.append(combo)
         if progress is not None:
             progress({"size": size, "checked": checked, "witnesses": len(witnesses)})

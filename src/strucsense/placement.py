@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .netgraph import StateGraph, classify_nodes, connected_components_star, cycle_count
+from .netgraph import NodeClassification, StateGraph, classify_nodes, connected_components_star, cycle_count
 from .pattern import PatternMatrix
 from .spanning import SpanningTree, removed_chords, spanning_tree_dfs
 
@@ -60,12 +60,13 @@ class SensorCountReport:
         }
 
 
-def place_tree(g: StateGraph) -> SensorPlacement:
+def place_tree(g: StateGraph, classification: NodeClassification | None = None) -> SensorPlacement:
     """Measure all extreme nodes except the highest-indexed one.
 
     Requires an acyclic, single-component graph. Any omitted extreme node
     would do; dropping the highest index keeps the result deterministic.
     A single-node graph gets one sensor on its only state.
+    ``classification`` is ``classify_nodes(g)`` when the caller holds it.
     """
     cycles = cycle_count(g)
     if cycles > 0:
@@ -76,7 +77,7 @@ def place_tree(g: StateGraph) -> SensorPlacement:
         raise ValueError(f"graph has {len(components)} star components; tree placement needs one")
     if g.n == 1:
         return SensorPlacement((0,), 1, "tree")
-    extreme = classify_nodes(g).extreme
+    extreme = (classification or classify_nodes(g)).extreme
     if not extreme:
         raise ValueError("no extreme node to anchor the placement")
     return SensorPlacement(tuple(extreme[:-1]), g.n, "tree")

@@ -17,6 +17,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_calls(monkeypatch, *names) -> dict:
+    """Count calls of library functions wherever the CLI's modules look them up."""
+    counts = dict.fromkeys(names, 0)
+    for module in (strucsense.cli, strucsense.netgraph, strucsense.placement):
+        for name in names:
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    return counts
+
+
 def dot_is_well_formed(text: str) -> bool:
     """Minimal structural check of DOT output: header, one statement per line."""
     lines = [l for l in text.strip().splitlines()]
@@ -52,6 +69,12 @@ class TestInfo:
         assert payload["hydraulic_nodes"] is None
         assert payload["state_nodes"] == 9
         assert payload["cycles"] == 2
+
+    def test_state_graph_built_and_classified_once(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "from_pattern", "classify_nodes")
+        code, _, _ = run_cli(capsys, "info", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
+        assert code == 0
+        assert counts == {"from_pattern": 1, "classify_nodes": 1}
 
     def test_malformed_file_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "broken.inp"
@@ -119,6 +142,12 @@ class TestPlace:
             "sensors": 1,
             "bound_ok": True,
         }
+
+    def test_tree_mode_builds_no_forest_and_classifies_once(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "spanning_tree_dfs", "classify_nodes")
+        code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "path4.inp"), "--mode", "tree")
+        assert code == 0
+        assert counts == {"spanning_tree_dfs": 0, "classify_nodes": 1}
 
     def test_tree_mode_rejects_cyclic_input(self, capsys, fixtures_dir):
         code, _, err = run_cli(

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strucsense import (
     PatternMatrix,
@@ -10,10 +12,12 @@ from strucsense import (
     build_output_pattern,
     certify_sso,
     is_member,
+    make_abar,
     observability_rank_test,
 )
 from strucsense.forcing import (
     build_observability_graph,
+    compile_pattern,
     force_closure,
     force_closure_randomized,
     force_closure_reference,
@@ -174,6 +178,59 @@ class TestClosureConfluence:
             assert fast.trace == slow.trace  # same ascending-pair schedule
             shuffled = force_closure_reference(g, order=random.Random(seed))
             assert shuffled.black == fast.black
+
+
+@st.composite
+def patterns_with_sensors(draw):
+    """A pattern of at most 10 states, symmetric or not, any diagonal, and sensors.
+
+    Sensor tuples come in any order and may measure a state twice; both are
+    legal output patterns.
+    """
+    n = draw(st.integers(1, 10))
+    cells = draw(st.lists(st.sampled_from("000*?"), min_size=n * n, max_size=n * n))
+    symmetric = draw(st.booleans())
+    star, unknown = set(), set()
+    for i in range(n):
+        for j in range(n):
+            cell = cells[min(i, j) * n + max(i, j)] if symmetric else cells[i * n + j]
+            if cell == "*":
+                star.add((i, j))
+            elif cell == "?":
+                unknown.add((i, j))
+    a = PatternMatrix(n, n, frozenset(star), frozenset(unknown), symmetric)
+    measured = tuple(draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    return a, measured
+
+
+class TestCompiledEngine:
+    @settings(max_examples=300, deadline=None)
+    @given(patterns_with_sensors(), st.integers(0, 2**32 - 1))
+    def test_agrees_with_independent_checks(self, case, seed):
+        a, measured = case
+        for pattern in (a, make_abar(a)):
+            compiled = compile_pattern(pattern)
+            black, trace = compiled.run(measured)
+            g = build_observability_graph(pattern, sensors(measured, a.rows))
+            black_set = frozenset(v for v, b in enumerate(black) if b)
+            reference = force_closure_reference(g)
+            assert black_set == reference.black
+            assert tuple(trace) == force_closure(g).trace == reference.trace
+            assert replay_trace(g, trace) == black_set
+            assert compiled.colors_all(measured) == (len(black_set) == a.rows)
+            _, shuffled = compiled.run(measured, random.Random(seed))
+            assert tuple(shuffled) == force_closure_randomized(g, seed).trace
+            assert replay_trace(g, shuffled) == black_set
+
+    def test_compiled_graph_is_reused_across_sensor_sets(self):
+        compiled = compile_pattern(CYCLIC9)
+        assert compiled.colors_all((0, 2, 6))
+        assert not compiled.colors_all(())
+        assert compiled.colors_all((0, 2, 6))  # a run leaves the compiled graph as it was
+
+    def test_non_square_pattern_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            compile_pattern(PatternMatrix(2, 3))
 
 
 class TestCertificate:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,13 +13,17 @@ from strucsense import (
     find_unobservable_realization,
     from_pattern,
     is_member,
+    make_abar,
     observability_rank_test,
     place_cyclic,
     sample_and_check,
     spanning_tree_dfs,
 )
+import strucsense.forcing
+import strucsense.oracle
+from strucsense.forcing import build_observability_graph, force_closure_reference
 from strucsense.oracle import realize_unit_output
-from generators import random_connected_pattern
+from generators import random_connected_pattern, random_symmetric_pattern
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
 
@@ -161,6 +166,56 @@ class TestExhaustiveMinimum:
         result = exhaustive_min_sensors(pat, witness_cap=1)
         assert len(result.witnesses) == 1
         assert result.minimum_size == 2
+
+
+def naive_min_sensors(a: PatternMatrix, witness_cap: int = 64) -> tuple:
+    """The exhaustive search's contract, certifying every subset from scratch."""
+    n = a.rows
+    checked = 0
+    for size in range(n + 1):
+        witnesses = []
+        for combo in combinations(range(n), size):
+            checked += 1
+            c = PatternMatrix(size, n, frozenset(enumerate(combo)), frozenset())
+            certified = all(
+                len(force_closure_reference(build_observability_graph(p, c)).black) == n
+                for p in (a, make_abar(a))
+            )
+            if certified and len(witnesses) < witness_cap:
+                witnesses.append(combo)
+        if witnesses:
+            return size, tuple(witnesses), checked
+    return n, (), checked
+
+
+class TestExhaustiveAgainstNaiveSearch:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("generator", [random_connected_pattern, random_symmetric_pattern])
+    def test_same_result_as_certifying_each_subset(self, generator, seed):
+        pat = generator(seed, n_max=10)
+        for cap in (64, 2):
+            result = exhaustive_min_sensors(pat, witness_cap=cap)
+            got = (result.minimum_size, result.witnesses, result.configurations_checked)
+            assert got == naive_min_sensors(pat, cap)
+
+    def test_asymmetric_pattern(self):
+        pat = PatternMatrix.from_rows(["?*00", "0?*0", "00?*", "*00*"])
+        result = exhaustive_min_sensors(pat)
+        got = (result.minimum_size, result.witnesses, result.configurations_checked)
+        assert got == naive_min_sensors(pat)
+
+    def test_companion_built_once_per_search(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return make_abar(a)
+
+        monkeypatch.setattr(strucsense.oracle, "make_abar", counting)
+        monkeypatch.setattr(strucsense.forcing, "make_abar", counting)
+        result = exhaustive_min_sensors(random_connected_pattern(3, n_min=8, n_max=10))
+        assert result.configurations_checked > 1
+        assert len(calls) == 1
 
 
 class TestUnobservableWitness:
