@@ -26,6 +26,7 @@ from .oracle import (
 )
 from .pattern import Entry, PatternMatrix, SampleConfig, is_member, make_abar, sample_realization
 from .placement import (
+    PipelineRun,
     SensorPlacement,
     build_output_pattern,
     count_bounds_ok,

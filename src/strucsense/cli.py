@@ -22,24 +22,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dot
-from .forcing import build_observability_graph, certify_sso
-from .netgraph import (
-    StateGraph,
-    check_preconditions,
-    classify_nodes,
-    cycle_count,
-    from_pattern,
-)
+from .forcing import build_observability_graph
+from .netgraph import StateGraph, check_preconditions, cycle_count, from_pattern
 from .oracle import exhaustive_min_sensors, sample_and_check
 from .pattern import PatternMatrix
-from .placement import (
-    SensorPlacement,
-    build_output_pattern,
-    place_cyclic,
-    place_tree,
-    sensor_count_report,
-)
-from .spanning import spanning_tree_dfs
+from .placement import PipelineRun, SensorPlacement
 from .wdn import (
     ParseError,
     WdnNetwork,
@@ -136,14 +123,6 @@ def _resolve_sensors(sensor_text: str, bundle: InputBundle) -> SensorPlacement:
     return SensorPlacement(tuple(measured), bundle.graph.n, "given")
 
 
-def _placement_payload(p: SensorPlacement, bundle: InputBundle) -> dict:
-    return {
-        "mode": p.mode,
-        "measured": list(p.measured),
-        "labels": [bundle.labels[i] for i in p.measured],
-    }
-
-
 def cmd_info(args) -> int:
     bundle = load_input(args.path)
     pre = check_preconditions(bundle.pattern, bundle.graph)
@@ -154,7 +133,7 @@ def cmd_info(args) -> int:
         "hydraulic_nodes": bundle.net.n_nodes if bundle.net else None,
         "links": bundle.net.n_links if bundle.net else None,
         "state_nodes": bundle.graph.n,
-        "cycles": cycle_count(bundle.graph),
+        "cycles": cycle_count(bundle.graph, pre.components),
         "extreme": [bundle.labels[i] for i in cls.extreme],
         "extreme_count": cls.n_e,
         "intersection": [bundle.labels[i] for i in cls.intersection],
@@ -191,39 +170,15 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _run_placement(bundle: InputBundle, mode: str):
-    """The placement for ``mode`` and the spanning forest it read (None in tree mode)."""
-    if mode == "tree":
-        return None, place_tree(bundle.graph)
-    tree = spanning_tree_dfs(bundle.graph)
-    return tree, place_cyclic(bundle.graph, tree)
-
-
 def cmd_place(args) -> int:
     bundle = load_input(args.path)
-    if args.mode == "tree":
-        cls = classify_nodes(bundle.graph)
-        tree, p = None, place_tree(bundle.graph, cls)
-    else:
-        tree, p = _run_placement(bundle, "cyclic")
-    c_pat = build_output_pattern(p, bundle.graph.n)
-    cert = certify_sso(bundle.pattern, c_pat)
+    run = PipelineRun(bundle.pattern, bundle.graph, args.mode)
+    p, cert = run.placement, run.certificate
     if not cert.sso:
         sys.stderr.write("internal error: pipeline placement failed certification\n")
         sys.stderr.write(cert.to_json() + "\n")
         return EXIT_CERT
-    if p.mode == "tree":
-        # the tree rule measures all extreme nodes but one
-        n_e = cls.n_e
-        expected = 1 if bundle.graph.n == 1 else n_e - 1
-        counts = {
-            "extreme_nodes": n_e,
-            "cycles": 0,
-            "sensors": p.n_y,
-            "bound_ok": p.n_y == expected,
-        }
-    else:
-        counts = sensor_count_report(bundle.graph, tree, p).as_dict()
+    counts = run.counts.as_dict()
     if args.format == "csv":
         rows = ["sensor,state_index,label"]
         rows += [f"{k},{s},{bundle.labels[s]}" for k, s in enumerate(p.measured)]
@@ -238,7 +193,7 @@ def cmd_place(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
     else:
         payload = {
-            "placement": _placement_payload(p, bundle),
+            "placement": p.as_dict(bundle.labels),
             "counts": counts,
             "certificate": cert.as_dict(),
         }
@@ -248,9 +203,8 @@ def cmd_place(args) -> int:
 
 def cmd_certify(args) -> int:
     bundle = load_input(args.path)
-    p = _resolve_sensors(args.sensors, bundle)
-    cert = certify_sso(bundle.pattern, build_output_pattern(p, bundle.graph.n))
-    measured = list(p.measured)
+    run = PipelineRun(bundle.pattern, bundle.graph, given=_resolve_sensors(args.sensors, bundle))
+    cert, measured = run.certificate, list(run.placement.measured)
     payload = {
         "sensors": measured,
         "labels": [bundle.labels[i] for i in measured],
@@ -266,18 +220,12 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle(args) -> int:
     bundle = load_input(args.path)
-    if args.sensors:
-        p = _resolve_sensors(args.sensors, bundle)
-    else:
-        _, p = _run_placement(bundle, "cyclic")
+    given = _resolve_sensors(args.sensors, bundle) if args.sensors else None
+    run = PipelineRun(bundle.pattern, bundle.graph, given=given)
     report = sample_and_check(
-        bundle.pattern,
-        build_output_pattern(p, bundle.graph.n),
-        trials=args.trials,
-        seed=args.seed,
-        c_mode=args.c_mode,
+        bundle.pattern, run.output, trials=args.trials, seed=args.seed, c_mode=args.c_mode
     )
-    payload = {"sensors": list(p.measured), **report.as_dict()}
+    payload = {"sensors": list(run.placement.measured), **report.as_dict()}
     _dump_json(payload, args.out)
     return EXIT_OK
 
@@ -289,53 +237,46 @@ def cmd_minimize(args) -> int:
         def progress(update):
             sys.stderr.write(json.dumps(update, sort_keys=True) + "\n")
     result = exhaustive_min_sensors(bundle.pattern, progress=progress)
-    _, p = _run_placement(bundle, "cyclic")
-    payload = {**result.as_dict(), "heuristic_sensors": p.n_y}
+    heuristic = PipelineRun(bundle.pattern, bundle.graph).placement
+    payload = {**result.as_dict(), "heuristic_sensors": heuristic.n_y}
     _dump_json(payload, args.out)
     return EXIT_OK
 
 
 def cmd_export_dot(args) -> int:
     bundle = load_input(args.path)
+    # the tree stage draws the spanning forest whatever --mode says
+    run = PipelineRun(bundle.pattern, bundle.graph, "cyclic" if args.stage == "tree" else args.mode)
     if args.stage == "graph":
         text = dot.graph_dot(bundle.graph, bundle.labels, bundle.flow_count)
     elif args.stage == "tree":
-        tree = spanning_tree_dfs(bundle.graph)
-        text = dot.tree_dot(bundle.graph, tree, bundle.labels, bundle.flow_count)
+        text = dot.tree_dot(bundle.graph, run.tree, bundle.labels, bundle.flow_count)
     elif args.stage == "placement":
-        _, p = _run_placement(bundle, args.mode)
-        text = dot.placement_dot(bundle.graph, p, bundle.labels, bundle.flow_count)
+        text = dot.placement_dot(bundle.graph, run.placement, bundle.labels, bundle.flow_count)
     else:  # trace
-        _, p = _run_placement(bundle, args.mode)
-        c_pat = build_output_pattern(p, bundle.graph.n)
-        cert = certify_sso(bundle.pattern, c_pat)
-        obs = build_observability_graph(bundle.pattern, c_pat)
-        text = dot.trace_dot(obs, cert.trace_a, bundle.labels)
+        obs = build_observability_graph(bundle.pattern, run.output)
+        text = dot.trace_dot(obs, run.certificate.trace_a, bundle.labels)
     _emit(text, args.out)
     return EXIT_OK
 
 
 def _bench_one(path: str, repeats: int = 5) -> dict:
     bundle = load_input(path)
-    g = bundle.graph
     timings = []
-    tree = p = None
     for _ in range(repeats):
+        run = PipelineRun(bundle.pattern, bundle.graph)
         start = time.perf_counter()
-        tree = spanning_tree_dfs(g)
-        p = place_cyclic(g, tree)
-        build_output_pattern(p, g.n)
+        run.output  # spanning forest, placement, output pattern: the paper-timed stages
         timings.append(time.perf_counter() - start)
-    cert = certify_sso(bundle.pattern, build_output_pattern(p, g.n))
-    if not cert.sso:
+    if not run.certificate.sso:
         raise RuntimeError(f"placement for {path} failed certification")
-    cls = classify_nodes(g)
+    counts = run.counts
     return {
         "name": Path(path).stem,
-        "state_nodes": g.n,
-        "cycles": cycle_count(g),
-        "extreme_nodes": cls.n_e,
-        "sensors": p.n_y,
+        "state_nodes": bundle.graph.n,
+        "cycles": counts.cycles,
+        "extreme_nodes": counts.n_e_graph,
+        "sensors": counts.sensors,
         "elapsed_seconds": round(statistics.median(timings), 6),
     }
 

@@ -160,14 +160,17 @@ def connected_components_star(g: StateGraph) -> list:
     return components
 
 
-def cycle_count(g: StateGraph) -> int:
+def cycle_count(g: StateGraph, components=None) -> int:
     """Independent cycles over star edges: edges - nodes + components.
 
     Self-loops are excluded. This equals the number of edges a spanning
-    forest removes.
+    forest removes. ``components`` is ``connected_components_star(g)``
+    when the caller holds it already.
     """
+    if components is None:
+        components = connected_components_star(g)
     m = sum(len(nbrs) for nbrs in g.star_nbrs) // 2
-    return m - g.n + len(connected_components_star(g))
+    return m - g.n + len(components)
 
 
 def check_preconditions(a: PatternMatrix, g: StateGraph | None = None) -> PreconditionReport:

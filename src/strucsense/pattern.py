@@ -139,14 +139,11 @@ def make_abar(a: PatternMatrix) -> PatternMatrix:
     """
     if not a.is_square:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
-    star = {(i, j) for (i, j) in a.star if i != j}
-    unknown = {(i, j) for (i, j) in a.unknown if i != j}
-    for i in range(a.rows):
-        if a.entry(i, i) is Entry.ZERO:
-            star.add((i, i))
-        else:
-            unknown.add((i, i))
-    return PatternMatrix(a.rows, a.cols, frozenset(star), frozenset(unknown), a.symmetric)
+    diag = frozenset((i, i) for i in range(a.rows))
+    nonzero = (diag & a.star) | (diag & a.unknown)
+    star = (a.star - diag) | (diag - nonzero)
+    unknown = (a.unknown - diag) | nonzero
+    return PatternMatrix(a.rows, a.cols, star, unknown, a.symmetric)
 
 
 def is_member(x: np.ndarray, a: PatternMatrix) -> bool:

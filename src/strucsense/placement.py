@@ -4,13 +4,16 @@ Two strategies: for trees, measure every extreme node but one; for general
 graphs, extract a spanning forest and measure every node whose tree degree
 is below two (leaves and isolated nodes). Both produce an output pattern
 with exactly one star per row, which downstream certification consumes.
+``PipelineRun`` chains these stages and the certificate for one input.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
+from .forcing import Certificate, certify_sso
 from .netgraph import NodeClassification, StateGraph, classify_nodes, connected_components_star, cycle_count
 from .pattern import PatternMatrix
 from .spanning import SpanningTree, removed_chords, spanning_tree_dfs
@@ -35,11 +38,14 @@ class SensorPlacement:
     def n_y(self) -> int:
         return len(self.measured)
 
-    def to_json(self, labels: list | None = None) -> str:
+    def as_dict(self, labels: list | None = None) -> dict:
         payload = {"mode": self.mode, "measured": list(self.measured)}
         if labels is not None:
             payload["labels"] = [labels[i] for i in self.measured]
-        return json.dumps(payload, sort_keys=True)
+        return payload
+
+    def to_json(self, labels: list | None = None) -> str:
+        return json.dumps(self.as_dict(labels), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -68,11 +74,11 @@ def place_tree(g: StateGraph, classification: NodeClassification | None = None) 
     A single-node graph gets one sensor on its only state.
     ``classification`` is ``classify_nodes(g)`` when the caller holds it.
     """
-    cycles = cycle_count(g)
+    components = connected_components_star(g)
+    cycles = cycle_count(g, components)
     if cycles > 0:
         chord = min(removed_chords(g, spanning_tree_dfs(g)))
         raise ValueError(f"graph is cyclic ({cycles} cycles; e.g. chord {chord}); use cyclic placement")
-    components = connected_components_star(g)
     if len(components) > 1:
         raise ValueError(f"graph has {len(components)} star components; tree placement needs one")
     if g.n == 1:
@@ -102,8 +108,6 @@ def build_output_pattern(p: SensorPlacement, n_states: int) -> PatternMatrix:
     No column carries two stars, so every numeric realization with unit
     stars has full row rank.
     """
-    if len(set(p.measured)) != len(p.measured):
-        raise ValueError("duplicate measured indices")
     star = frozenset((row, state) for row, state in enumerate(p.measured))
     for i in p.measured:
         if not (0 <= i < n_states):
@@ -129,3 +133,52 @@ def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> S
     n_e = classify_nodes(g).n_e
     cycles = cycle_count(g)
     return SensorCountReport(n_e, cycles, p.n_y, count_bounds_ok(n_e, cycles, p.n_y))
+
+
+@dataclass(frozen=True)
+class PipelineRun:
+    """One input's forest, placement, output pattern, certificate and counts.
+
+    Each stage is computed on first read and kept, so a caller pays only for
+    what it reads. ``mode`` is "cyclic" or "tree" (no forest: ``tree`` is
+    None); a ``given`` placement, e.g. a user's proposal, replaces both rules.
+    """
+
+    pattern: PatternMatrix
+    graph: StateGraph
+    mode: str = "cyclic"
+    given: SensorPlacement | None = None
+
+    @cached_property
+    def classification(self) -> NodeClassification:
+        return classify_nodes(self.graph)
+
+    @cached_property
+    def tree(self) -> SpanningTree | None:
+        if self.given is not None or self.mode == "tree":
+            return None
+        return spanning_tree_dfs(self.graph)
+
+    @cached_property
+    def placement(self) -> SensorPlacement:
+        if self.given is not None:
+            return self.given
+        if self.mode == "tree":
+            return place_tree(self.graph, self.classification)
+        return place_cyclic(self.graph, self.tree)
+
+    @cached_property
+    def output(self) -> PatternMatrix:
+        return build_output_pattern(self.placement, self.graph.n)
+
+    @cached_property
+    def certificate(self) -> Certificate:
+        return certify_sso(self.pattern, self.output)
+
+    @cached_property
+    def counts(self) -> SensorCountReport:
+        p = self.placement
+        if p.mode != "tree":
+            return sensor_count_report(self.graph, self.tree, p)
+        n_e = self.classification.n_e  # the tree rule measures all extreme nodes but one
+        return SensorCountReport(n_e, 0, p.n_y, p.n_y == (1 if self.graph.n == 1 else n_e - 1))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from strucsense import (
+    PipelineRun,
     build_output_pattern,
     build_structured_wdn,
     certify_sso,
@@ -79,11 +80,9 @@ def load_fixture_pattern(path):
 
 
 def run_pipeline(pattern):
-    g = from_pattern(pattern, transpose=True)
-    t = spanning_tree_dfs(g)
-    p = place_cyclic(g, t)
-    c = build_output_pattern(p, g.n)
-    return g, t, p, c
+    """Graph, forest, placement and output pattern, read off the pipeline record the CLI runs."""
+    run = PipelineRun(pattern, from_pattern(pattern, transpose=True))
+    return run.graph, run.tree, run.placement, run.output
 
 
 @pytest.mark.parametrize("name", list(BENCHMARKS))

@@ -76,6 +76,12 @@ class TestInfo:
         assert code == 0
         assert counts == {"from_pattern": 1, "classify_nodes": 1}
 
+    def test_star_components_computed_once(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "connected_components_star")
+        code, _, _ = run_cli(capsys, "info", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
+        assert code == 0
+        assert counts == {"connected_components_star": 1}
+
     def test_malformed_file_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "broken.inp"
         bad.write_text("[JUNCTIONS]\n a 1\n[PIPES]\n p a zz 1\n")
@@ -148,6 +154,18 @@ class TestPlace:
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "path4.inp"), "--mode", "tree")
         assert code == 0
         assert counts == {"spanning_tree_dfs": 0, "classify_nodes": 1}
+
+    def test_tree_mode_computes_star_components_once(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "connected_components_star")
+        code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "path4.inp"), "--mode", "tree")
+        assert code == 0
+        assert counts == {"connected_components_star": 1}
+
+    def test_cyclic_mode_runs_each_stage_once(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "spanning_tree_dfs", "certify_sso", "classify_nodes")
+        code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
+        assert code == 0
+        assert counts == {"spanning_tree_dfs": 1, "certify_sso": 1, "classify_nodes": 1}
 
     def test_tree_mode_rejects_cyclic_input(self, capsys, fixtures_dir):
         code, _, err = run_cli(
@@ -306,6 +324,12 @@ class TestMinimize:
         assert payload["minimum_size"] == 2
         assert payload["heuristic_sensors"] == 3
 
+    def test_heuristic_count_certifies_and_classifies_nothing(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "certify_sso", "classify_nodes", "spanning_tree_dfs")
+        code, _, _ = run_cli(capsys, "minimize", str(fixtures_dir / "triangle3.json"))
+        assert code == 0
+        assert counts == {"certify_sso": 0, "classify_nodes": 0, "spanning_tree_dfs": 1}
+
 
 class TestExportDot:
     @pytest.mark.parametrize("stage", ["graph", "tree", "placement", "trace"])
@@ -335,6 +359,14 @@ class TestExportDot:
             capsys, "export-dot", str(fixtures_dir / "triangle_wdn.inp"), "--stage", "placement"
         )
         assert "shape=hexagon" in out and "color=red" in out
+
+    def test_placement_stage_certifies_nothing(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "certify_sso")
+        code, _, _ = run_cli(
+            capsys, "export-dot", str(fixtures_dir / "triangle_wdn.inp"), "--stage", "placement"
+        )
+        assert code == 0
+        assert counts == {"certify_sso": 0}
 
     def test_trace_stage_numbers_steps(self, capsys, fixtures_dir):
         _, out, _ = run_cli(
@@ -376,6 +408,22 @@ class TestBench:
         assert triangle["sensors"] == 2
         assert 0 <= triangle["elapsed_seconds"] < 0.5
 
+    def test_counts_match_place(self, capsys, fixtures_dir):
+        paths = sorted(str(p) for p in fixtures_dir.iterdir() if p.suffix in (".inp", ".json"))
+        _, out, _ = run_cli(capsys, "bench", *paths, "--format", "json")
+        rows = {row["name"]: row for row in json.loads(out)}
+        assert rows
+        for path in paths:
+            if Path(path).stem not in rows:
+                continue  # bench refused it, as place does
+            code, placed, _ = run_cli(capsys, "place", path, "--format", "json")
+            assert code == 0
+            counts = json.loads(placed)["counts"]
+            row = rows[Path(path).stem]
+            assert {k: row[k] for k in ("cycles", "extreme_nodes", "sensors")} == {
+                k: counts[k] for k in ("cycles", "extreme_nodes", "sensors")
+            }
+
     def test_empty_path_list(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--format", "csv")
         assert code == 0
@@ -398,21 +446,30 @@ class TestBench:
         assert out.splitlines()[0].startswith("| name |")
 
 
+def source_pythonpath() -> str:
+    """``PYTHONPATH`` that makes a child process import the package under test.
+
+    pytest's ``pythonpath`` setting reaches only this process, so a child
+    is pointed at the directory holding the imported ``strucsense``, ahead
+    of any inherited entries.
+    """
+    package_root = str(Path(strucsense.__file__).resolve().parent.parent)
+    return os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, fixtures_dir):
         proc = subprocess.run(
             [sys.executable, "-m", "strucsense.cli", "info", str(fixtures_dir / "path4.inp")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": source_pythonpath()},
         )
         assert proc.returncode == 0, proc.stderr
         assert "state nodes: 7" in proc.stdout
 
     def test_verbose_minimize_streams_progress(self, fixtures_dir):
-        # The environment is otherwise empty, so point the child at the
-        # package this process imported: it runs the source tree under test.
-        package_root = str(Path(strucsense.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        # the environment is otherwise empty: no inherited settings leak in
         proc = subprocess.run(
             [
                 sys.executable,
@@ -423,7 +480,7 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
-            env={"PATH": "", "PYTHONPATH": pythonpath, "STRUCSENSE_LOG": "info"},
+            env={"PATH": "", "PYTHONPATH": source_pythonpath(), "STRUCSENSE_LOG": "info"},
         )
         assert proc.returncode == 0, proc.stderr
         progress = [json.loads(line) for line in proc.stderr.strip().splitlines() if line.startswith("{")]

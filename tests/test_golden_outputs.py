@@ -3,7 +3,8 @@
 ``golden_outputs.json`` maps each command line to the stdout, stderr and
 exit code it produced when the file was written. The commands cover every
 fixture through ``info`` and both ``place`` modes in every format, plus
-``certify``, ``oracle``, ``minimize`` and each ``export-dot`` stage, so a
+``certify``, ``oracle`` (computed and given sensors), ``minimize`` and each
+``export-dot`` stage (the placement and trace stages in both modes), so a
 refactor that changes any emitted byte fails here, not only a rerun of the
 same version (``test_byte_identical_reruns``).
 
@@ -42,9 +43,12 @@ def commands() -> list:
         for fmt in ("json", "text"):
             out.append(["certify", path, "--sensors", "0,1", "--format", fmt])
         out.append(["oracle", path, "--trials", "5"])
+        out.append(["oracle", path, "--sensors", "0,1", "--trials", "5"])
         out.append(["minimize", path])
         for stage in ("graph", "tree", "placement", "trace"):
             out.append(["export-dot", path, "--stage", stage])
+        for stage in ("placement", "trace"):
+            out.append(["export-dot", path, "--stage", stage, "--mode", "tree"])
     return out
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strucsense import (
     Entry,
@@ -81,6 +83,29 @@ class TestMakeAbar:
             # a second application turns the whole diagonal unknown
             qq = make_abar(q)
             assert all(qq.entry(i, i) is Entry.UNKNOWN for i in range(q.rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_entry_matches_definition(self, data):
+        n = data.draw(st.integers(1, 8))
+        symmetric = data.draw(st.booleans())
+        cells = data.draw(st.lists(st.sampled_from("00*?"), min_size=n * n, max_size=n * n))
+        rows = [
+            "".join(cells[min(i, j) * n + max(i, j)] if symmetric else cells[i * n + j] for j in range(n))
+            for i in range(n)
+        ]
+        p = PatternMatrix.from_rows(rows, symmetric=symmetric)
+        q = make_abar(p)
+        assert (q.rows, q.cols, q.symmetric) == (n, n, symmetric)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    expected = p.entry(i, j)
+                elif p.entry(i, i) is Entry.ZERO:
+                    expected = Entry.STAR
+                else:
+                    expected = Entry.UNKNOWN
+                assert q.entry(i, j) is expected
 
     def test_symmetric_in_symmetric_out(self):
         q = make_abar(TRIANGLE)
