@@ -15,18 +15,19 @@ realization of the pattern pair is observable.
 The state part of that graph never depends on the sensors, so it is
 compiled once per pattern (``compile_pattern``) and each sensor set is a
 run against it; the exhaustive search closes thousands of sensor sets on
-one compiled pair. ``force_closure`` compiles a whole observability graph
-and runs the same engine with no extra sensors.
+one compiled pair; the companion's graph moves A's self-loops only
+(``ClosureGraph.companion``). ``force_closure`` compiles a whole
+observability graph and runs the same engine with no extra sensors.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 
-from .pattern import PatternMatrix, make_abar
+from .pattern import PatternMatrix, make_abar  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -165,17 +166,33 @@ class ClosureGraph:
     seeds: tuple
 
     @classmethod
-    def from_out_lists(cls, star_out, unknown_out) -> "ClosureGraph":
+    def from_out_lists(cls, star_out, unknown_out, symmetric: bool = False) -> "ClosureGraph":
         """Compile per-node out-lists: a pattern's states, or a whole observability graph."""
         n = len(star_out)
         stars = tuple(frozenset(x) for x in star_out)
         out_all = tuple(sorted(stars[v].union(unknown_out[v])) for v in range(n))
-        in_nbrs = [[] for _ in range(n)]
-        for v in range(n):
-            for u in out_all[v]:
-                in_nbrs[u].append(v)
+        in_nbrs = out_all  # a symmetric pattern's edges run both ways
+        if not symmetric:
+            in_nbrs = [[] for _ in range(n)]
+            for v in range(n):
+                for u in out_all[v]:
+                    in_nbrs[u].append(v)
+            in_nbrs = tuple(in_nbrs)
         seeds = tuple((v, out[0]) for v, out in enumerate(out_all) if len(out) == 1 and out[0] in stars[v])
-        return cls(n, stars, out_all, tuple(in_nbrs), tuple(map(len, out_all)), seeds)
+        return cls(n, stars, out_all, in_nbrs, tuple(map(len, out_all)), seeds)
+
+    def companion(self) -> "ClosureGraph":
+        """The compiled graph of ``make_abar`` of this graph's pattern.
+
+        Only self-loops differ: a star one becomes unknown, a missing one a
+        star. If every state has one, as in every water-network pattern, the
+        lists are shared and all loops are unknown, so nothing forces first.
+        """
+        star_out = tuple(s ^ {v} if v in s or v not in out else s
+                         for v, (s, out) in enumerate(zip(self.star_out, self.out_all)))
+        if all(v in out for v, out in enumerate(self.out_all)):
+            return replace(self, star_out=star_out, seeds=())
+        return ClosureGraph.from_out_lists(star_out, self.out_all, self.in_nbrs is self.out_all)
 
     def run(self, measured=(), rng: random.Random | None = None) -> tuple:
         """Run the color-change rule to fixpoint; return black flags and the trace.
@@ -228,7 +245,7 @@ def compile_pattern(a: PatternMatrix) -> ClosureGraph:
     """The state part of the observability graph of ``a``, ready for any sensor set."""
     if not a.is_square:
         raise ValueError(f"square state pattern required, got {a.rows}x{a.cols}")
-    return ClosureGraph.from_out_lists(*_out_lists(a))
+    return ClosureGraph.from_out_lists(*_out_lists(a), symmetric=a.symmetric)
 
 
 def _coloring(g: ObservabilityGraph, rng: random.Random | None) -> ColoringState:
@@ -301,13 +318,14 @@ def certify_sso(a: PatternMatrix, c: PatternMatrix) -> Certificate:
     """Certify strong structural observability of a pattern pair.
 
     Runs the closure on the observability graph of the state pattern and of
-    its nonzero-diagonal companion. Both traces are kept so a verdict can
-    be replayed and rendered step by step.
+    its nonzero-diagonal companion, whose graph is derived from the first
+    one's. Both traces are kept so a verdict can be replayed and rendered
+    step by step.
     """
-    abar = make_abar(a)
     measured = sensor_states(a, c)
+    graph = compile_pattern(a)
     verdicts = []
-    for pattern in (a, abar):
-        black, trace = compile_pattern(pattern).run(measured)
+    for g in (graph, graph.companion()):
+        black, trace = g.run(measured)
         verdicts += [all(black), tuple(trace)]
     return Certificate(*verdicts)

@@ -14,13 +14,17 @@ from .pattern import PatternMatrix
 
 
 def _undirected(n: int, edges) -> tuple:
-    """Sorted neighbor tuple per node, edges read both ways, self-loops dropped."""
-    out = [set() for _ in range(n)]
+    """Sorted neighbor tuple per node of edges listing each pair both ways, self-loops dropped."""
+    out = [[] for _ in range(n)]
     for (i, j) in edges:
         if i != j:
-            out[i].add(j)
-            out[j].add(i)
+            out[i].append(j)
     return tuple(tuple(sorted(nbrs)) for nbrs in out)
+
+
+def _mirror(edges: frozenset) -> frozenset:
+    """The edges plus their reversals."""
+    return edges | {(j, i) for (i, j) in edges}
 
 
 @dataclass(frozen=True)
@@ -46,8 +50,8 @@ class StateGraph:
             raise ValueError("an edge cannot be both star and unknown")
         object.__setattr__(self, "star_edges", star)
         object.__setattr__(self, "unknown_edges", unknown)
-        object.__setattr__(self, "star_nbrs", _undirected(self.n, star))
-        object.__setattr__(self, "nbrs", _undirected(self.n, star | unknown))
+        object.__setattr__(self, "star_nbrs", _undirected(self.n, _mirror(star)))
+        object.__setattr__(self, "nbrs", _undirected(self.n, _mirror(star | unknown)))
 
     def neighbors(self, i: int) -> list:
         """Distinct neighbors of node i over both edge kinds, self excluded."""
@@ -119,7 +123,15 @@ def from_pattern(a: PatternMatrix, transpose: bool = False) -> StateGraph:
     """Graph of a square pattern; with ``transpose`` edges follow entry (j, i)."""
     if not a.is_square:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
-    if transpose and not a.symmetric:
+    if a.symmetric:  # entries range- and mirror-checked when ``a`` was built: skip StateGraph's checks
+        g = object.__new__(StateGraph)
+        star_nbrs = _undirected(a.rows, a.star)
+        off_diagonal = any(i != j for (i, j) in a.unknown)
+        nbrs = _undirected(a.rows, a.star | a.unknown) if off_diagonal else star_nbrs
+        g.__dict__.update(n=a.rows, star_edges=a.star, unknown_edges=a.unknown)
+        g.__dict__.update(star_nbrs=star_nbrs, nbrs=nbrs)
+        return g
+    if transpose:
         star = frozenset((j, i) for (i, j) in a.star)
         unknown = frozenset((j, i) for (i, j) in a.unknown)
     else:
@@ -184,10 +196,12 @@ def check_preconditions(a: PatternMatrix, g: StateGraph | None = None) -> Precon
     """
     if not a.is_square:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
-    # smallest position whose transpose holds a different entry
-    unmirrored = [(i, j) for (i, j) in a.star if (j, i) not in a.star]
-    unmirrored += [(i, j) for (i, j) in a.unknown if (j, i) not in a.unknown]
-    asymmetric_at = min(unmirrored, default=None)
+    asymmetric_at = None  # a pattern flagged symmetric was verified when built
+    if not a.symmetric:
+        # smallest position whose transpose holds a different entry
+        unmirrored = [(i, j) for (i, j) in a.star if (j, i) not in a.star]
+        unmirrored += [(i, j) for (i, j) in a.unknown if (j, i) not in a.unknown]
+        asymmetric_at = min(unmirrored, default=None)
     if g is None:
         g = from_pattern(a, transpose=True)
     components = connected_components_star(g)

@@ -20,7 +20,7 @@ def run_cli(capsys, *argv):
 def count_calls(monkeypatch, *names) -> dict:
     """Count calls of library functions wherever the CLI's modules look them up."""
     counts = dict.fromkeys(names, 0)
-    for module in (strucsense.cli, strucsense.netgraph, strucsense.placement):
+    for module in (strucsense.cli, strucsense.netgraph, strucsense.placement, strucsense.forcing):
         for name in names:
             fn = getattr(module, name, None)
             if fn is None:
@@ -133,6 +133,28 @@ class TestPlace:
             "sensors": 2,
             "bound_ok": True,
         }
+
+    def test_one_compiled_graph_and_no_companion_pattern(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "make_abar", "compile_pattern")
+        code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
+        assert code == 0
+        assert counts == {"make_abar": 0, "compile_pattern": 1}
+
+    def test_companion_graph_shares_the_compiled_lists(self, capsys, fixtures_dir, monkeypatch):
+        derive, graphs = strucsense.forcing.ClosureGraph.companion, []
+
+        def recording(graph):
+            graphs.extend((graph, derive(graph)))
+            return graphs[-1]
+
+        monkeypatch.setattr(strucsense.forcing.ClosureGraph, "companion", recording)
+        code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
+        assert code == 0
+        a_graph, abar_graph = graphs
+        assert a_graph.in_nbrs is a_graph.out_all  # the WDN pattern is symmetric
+        assert abar_graph.out_all is a_graph.out_all
+        assert abar_graph.in_nbrs is a_graph.in_nbrs
+        assert abar_graph.out_degree is a_graph.out_degree
 
     def test_tree_mode_on_path_network(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
@@ -272,6 +294,16 @@ class TestCertify:
         )
         assert code == 1
         assert "unknown sensor label" in err
+
+    @pytest.mark.parametrize(
+        "sensors, message",
+        [("0,0", "duplicate measured indices"), ("99", "measured index 99 outside 0..8")],
+    )
+    def test_invalid_sensor_indices_rejected_by_placement(self, capsys, fixtures_dir, sensors, message):
+        code, out, err = run_cli(capsys, "certify", str(fixtures_dir / "cyclic9.json"), "--sensors", sensors)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestOracleCommand:

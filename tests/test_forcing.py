@@ -233,6 +233,29 @@ class TestCompiledEngine:
             compile_pattern(PatternMatrix(2, 3))
 
 
+class TestCompanion:
+    @settings(max_examples=300, deadline=None)
+    @given(patterns_with_sensors())
+    def test_matches_compiled_abar_and_reference(self, case):
+        a, measured = case
+        derived, compiled = compile_pattern(a).companion(), compile_pattern(make_abar(a))
+        for name in ("star_out", "out_all", "in_nbrs", "out_degree", "seeds"):
+            assert getattr(derived, name) == getattr(compiled, name), name
+        c = sensors(measured, a.rows)
+        cert = certify_sso(a, c)
+        assert cert.trace_a == force_closure_reference(build_observability_graph(a, c)).trace
+        assert cert.trace_abar == force_closure_reference(build_observability_graph(make_abar(a), c)).trace
+
+    def test_self_looped_pattern_shares_lists(self):
+        a = sym([(0, 1), (1, 2)], 3, diag="*?*")
+        graph = compile_pattern(a)
+        companion = graph.companion()
+        assert graph.in_nbrs is graph.out_all
+        assert companion.out_all is graph.out_all and companion.in_nbrs is graph.in_nbrs
+        assert companion.star_out == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
+        assert companion.seeds == ()
+
+
 class TestCertificate:
     def test_scalar_star_without_sensors(self):
         cert = certify_sso(PatternMatrix.from_rows(["*"]), sensors([], 1))

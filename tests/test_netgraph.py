@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strucsense import (
     Entry,
@@ -61,6 +63,29 @@ class TestFromPattern:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             from_pattern(PatternMatrix(2, 3))
+
+
+@st.composite
+def symmetric_patterns(draw):
+    """A symmetric pattern of at most 10 states, any diagonal, zeros included."""
+    n = draw(st.integers(1, 10))
+    cells = draw(st.lists(st.sampled_from("000*?"), min_size=n * n, max_size=n * n))
+    entry = {(i, j): cells[min(i, j) * n + max(i, j)] for i in range(n) for j in range(n)}
+    star = frozenset(p for p, cell in entry.items() if cell == "*")
+    unknown = frozenset(p for p, cell in entry.items() if cell == "?")
+    return PatternMatrix(n, n, star, unknown, symmetric=True)
+
+
+class TestFromPatternAgreesWithValidatingConstructor:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_patterns())
+    def test_same_graph(self, a):
+        fast, checked = from_pattern(a, transpose=True), StateGraph(a.rows, a.star, a.unknown)
+        assert fast.n == checked.n
+        assert (fast.star_edges, fast.unknown_edges) == (checked.star_edges, checked.unknown_edges)
+        assert fast.star_nbrs == checked.star_nbrs
+        assert fast.nbrs == checked.nbrs
+        assert all(type(nbrs) is tuple and list(nbrs) == sorted(nbrs) for nbrs in fast.star_nbrs)
 
 
 class TestClassifyNodes:
