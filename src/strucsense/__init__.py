@@ -6,7 +6,7 @@ graph come with a graph-coloring certificate that every numeric realization
 of the pattern is observable, cross-checked by a sampling rank-test oracle.
 """
 
-from .forcing import Certificate, certify_sso, force_closure, is_colorable
+from .forcing import Certificate, certify_sso
 from .netgraph import (
     NodeClassification,
     StateGraph,

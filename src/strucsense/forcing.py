@@ -15,9 +15,10 @@ realization of the pattern pair is observable.
 The state part of that graph never depends on the sensors, so it is
 compiled once per pattern (``compile_pattern``) and each sensor set is a
 run against it; the exhaustive search closes thousands of sensor sets on
-one compiled pair; the companion's graph moves A's self-loops only
-(``ClosureGraph.companion``). ``force_closure`` compiles a whole
-observability graph and runs the same engine with no extra sensors.
+one compiled graph. The companion's graph moves A's self-loops only
+(``ClosureGraph.companion``). Every closure runs this one engine;
+``force_closure_reference`` and ``replay_trace`` are the slow independent
+checks on an explicit ``ObservabilityGraph``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 
-from .pattern import PatternMatrix, make_abar  # noqa: F401  (re-exported)
+from .pattern import PatternMatrix
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,6 @@ class ObservabilityGraph:
     def n_nodes(self) -> int:
         return self.n_states + self.n_sensors
 
-    def out_degree(self, v: int) -> int:
-        return len(self.star_out[v]) + len(self.unknown_out[v])
-
 
 @dataclass(frozen=True)
 class ColoringState:
@@ -53,9 +51,6 @@ class ColoringState:
 
     black: frozenset
     trace: tuple  # ordered (forcer, forced) pairs
-
-    def forced_order(self) -> list:
-        return [u for (_, u) in self.trace]
 
 
 @dataclass(frozen=True)
@@ -167,7 +162,7 @@ class ClosureGraph:
 
     @classmethod
     def from_out_lists(cls, star_out, unknown_out, symmetric: bool = False) -> "ClosureGraph":
-        """Compile per-node out-lists: a pattern's states, or a whole observability graph."""
+        """Compile per-node star and unknown out-lists of a pattern's states."""
         n = len(star_out)
         stars = tuple(frozenset(x) for x in star_out)
         out_all = tuple(sorted(stars[v].union(unknown_out[v])) for v in range(n))
@@ -248,24 +243,6 @@ def compile_pattern(a: PatternMatrix) -> ClosureGraph:
     return ClosureGraph.from_out_lists(*_out_lists(a), symmetric=a.symmetric)
 
 
-def _coloring(g: ObservabilityGraph, rng: random.Random | None) -> ColoringState:
-    black, trace = ClosureGraph.from_out_lists(g.star_out, g.unknown_out).run((), rng)
-    return ColoringState(frozenset(v for v, b in enumerate(black) if b), tuple(trace))
-
-
-def force_closure(g: ObservabilityGraph) -> ColoringState:
-    """Run the color-change rule to fixpoint, ascending (forcer, forced) first."""
-    return _coloring(g, None)
-
-
-def force_closure_randomized(g: ObservabilityGraph, seed: int) -> ColoringState:
-    """Closure applying a uniformly random eligible forcing at each step.
-
-    Used to check that the final black set never depends on forcing order.
-    """
-    return _coloring(g, random.Random(seed))
-
-
 def force_closure_reference(g: ObservabilityGraph, order: random.Random | None = None) -> ColoringState:
     """Slow from-scratch closure: rescan every node for eligibility per step.
 
@@ -306,12 +283,6 @@ def replay_trace(g: ObservabilityGraph, trace) -> frozenset:
             raise ValueError(f"step ({v}, {u}) applied while {others_white[0]} is white")
         black[u] = True
     return frozenset(i for i in range(total) if black[i])
-
-
-def is_colorable(g: ObservabilityGraph) -> bool:
-    """True iff the closure blackens every state node; sensors are exempt."""
-    black = force_closure(g).black
-    return all(v in black for v in range(g.n_states))
 
 
 def certify_sso(a: PatternMatrix, c: PatternMatrix) -> Certificate:

@@ -145,6 +145,8 @@ def sample_and_check(
         raise ValueError(f"output pattern has {c_pat.cols} columns, expected {a_pat.rows}")
     if c_mode not in ("unit", "sampled"):
         raise ValueError(f"unknown c_mode {c_mode!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     n = a_pat.rows
     if n > max_states:
         raise ValueError(f"{n} states exceed the rank-test cap of {max_states}")
@@ -222,25 +224,22 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
         raise ValueError(f"square state pattern required, got {a_pat.rows}x{a_pat.cols}")
     n = a_pat.rows
     measured = sensor_states(a_pat, c_pat)
+    graph = compile_pattern(a_pat)
 
-    def white_states(pattern: PatternMatrix) -> list:
-        black, _ = compile_pattern(pattern).run(measured)
+    def white_states(g) -> list:
+        black, _ = g.run(measured)
         return [v for v in range(n) if not black[v]]
 
-    plain_white = white_states(a_pat)
-    if plain_white:
-        mode = ("plain", a_pat, 0.0, {})
-        whites = plain_white
+    whites = white_states(graph)
+    if whites:
+        kind, pattern, lam, pins = "plain", a_pat, 0.0, {}
     else:
-        abar = make_abar(a_pat)
-        shifted_white = white_states(abar)
-        if not shifted_white:
+        whites = white_states(graph.companion())
+        if not whites:
             return None
         lam = 1.0
         pins = {(i, i): -lam for i in range(n) if a_pat.entry(i, i) is Entry.ZERO}
-        mode = ("shifted", abar, lam, pins)
-        whites = shifted_white
-    kind, pattern, lam, pins = mode
+        kind, pattern = "shifted", make_abar(a_pat)
     if set(measured) & set(whites):
         raise AssertionError("measured state left white; closure is broken")
 
@@ -278,10 +277,11 @@ def exhaustive_min_sensors(
     Subsets are enumerated by increasing cardinality, lexicographic within
     each size; every subset is certified until a size produces witnesses,
     then the rest of that size is swept so all witnesses (up to the cap)
-    are counted. The closure graphs of the pattern and of its companion are
-    compiled once; a subset is closed on the companion only when the
-    pattern's own graph colors fully, and not at all once the witness cap
-    is reached. Refuses patterns whose configuration count would explode.
+    are counted. The pattern's closure graph is compiled once and its
+    companion derived from it; a subset is closed on the companion only
+    when the pattern's own graph colors fully, and not at all once the
+    witness cap is reached. Refuses patterns whose configuration count
+    would explode.
     """
     if not a_pat.is_square:
         raise ValueError(f"square state pattern required, got {a_pat.rows}x{a_pat.cols}")
@@ -291,7 +291,8 @@ def exhaustive_min_sensors(
             f"{n} states means {2 ** n - 1} sensor configurations; "
             f"refusing beyond the cap of {max_states} states"
         )
-    graph_a, graph_abar = compile_pattern(a_pat), compile_pattern(make_abar(a_pat))
+    graph_a = compile_pattern(a_pat)
+    graph_abar = graph_a.companion()
     checked = 0
     for size in range(n + 1):
         witnesses = []

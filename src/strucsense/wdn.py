@@ -223,18 +223,34 @@ def structured_state_labels(net: WdnNetwork) -> list:
     return [f"q:{link.label}" for link in net.links] + [f"h:{node.label}" for node in net.nodes]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_edge_list(text: str) -> StateGraph:
     """Build a state graph from JSON ``{"n": N, "star": [[i, j], ...], "unknown": ...}``.
 
     Pairs are symmetrized automatically, so any symmetric network can feed
     the placement pipeline without going through a water-network file.
+    Raises ``ValueError`` naming the first malformed part.
     """
     data = json.loads(text)
-    n = int(data["n"])
+    if not isinstance(data, dict):
+        raise ValueError('edge list must be a JSON object with an integer "n"')
+    if "n" not in data:
+        raise ValueError('edge list has no "n"')
+    n = data["n"]
+    if not _is_int(n):
+        raise ValueError(f'"n" must be an integer, got {json.dumps(n)}')
     star, unknown = set(), set()
     for key, bucket in (("star", star), ("unknown", unknown)):
-        for pair in data.get(key, []):
-            i, j = int(pair[0]), int(pair[1])
+        pairs = data.get(key, [])
+        if not isinstance(pairs, list):
+            raise ValueError(f'"{key}" must be a list of [i, j] pairs, got {json.dumps(pairs)}')
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+                raise ValueError(f"{key} entry {json.dumps(pair)} is not a pair of integers")
+            i, j = pair
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"{key} pair ({i}, {j}) outside 0..{n - 1}")
             bucket.add((i, j))

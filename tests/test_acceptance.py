@@ -37,8 +37,9 @@ from strucsense import (
 )
 from strucsense.forcing import (
     build_observability_graph,
-    force_closure,
-    force_closure_randomized,
+    compile_pattern,
+    force_closure_reference,
+    sensor_states,
 )
 from strucsense.oracle import realize_unit_output
 from strucsense.pattern import Entry, PatternMatrix
@@ -203,10 +204,12 @@ def test_criterion_6_forcing_closure_confluence():
         rng = random.Random(seed)
         pattern = random_symmetric_pattern(seed, n_max=60)
         sensors = random_sensor_rows(rng, pattern.rows)
-        graph = build_observability_graph(pattern, sensors)
-        expected = force_closure(graph).black
+        graph, measured = compile_pattern(pattern), sensor_states(pattern, sensors)
+        expected = graph.run(measured)[0]
+        reference = force_closure_reference(build_observability_graph(pattern, sensors))
+        assert {v for v, b in enumerate(expected) if b} == reference.black, f"seed {seed}"
         for order_seed in range(100):
-            got = force_closure_randomized(graph, order_seed).black
+            got = graph.run(measured, random.Random(order_seed))[0]
             assert got == expected, f"seed {seed}, order {order_seed}"
         checked += 1
     assert checked == 100

@@ -89,6 +89,27 @@ class TestInfo:
         assert code == 1
         assert "undeclared" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"star": [[0, 1]]}', 'no "n"'),
+            ('{"n": "3"}', '"n" must be an integer'),
+            ("[1, 2]", "must be a JSON object"),
+            ('{"n": 3, "star": 5}', '"star" must be a list'),
+            ('{"n": 3, "unknown": null}', '"unknown" must be a list'),
+            ('{"n": 3, "star": [[0]]}', "star entry [0] is not a pair of integers"),
+            ('{"n": 3, "star": [[0, null]]}', "star entry [0, null] is not a pair"),
+        ],
+    )
+    def test_malformed_edge_list_is_input_error(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "broken.json"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "info", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_self_loop_link_is_input_error_with_line(self, capsys, tmp_path):
         bad = tmp_path / "loop.inp"
         bad.write_text("[JUNCTIONS]\n a 1\n b 1\n[PIPES]\n p1 a b 1\n p2 b b 1\n")
@@ -337,6 +358,18 @@ class TestOracleCommand:
         )
         assert code == 0
         assert json.loads(out)["sensors"] == [0]
+
+    def test_negative_trials_is_input_error(self, capsys, fixtures_dir):
+        code, out, err = run_cli(capsys, "oracle", str(fixtures_dir / "triangle3.json"), "--trials", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: trials must be non-negative, got -1\n"
+
+    def test_zero_trials_reports_empty_sample(self, capsys, fixtures_dir):
+        code, out, _ = run_cli(capsys, "oracle", str(fixtures_dir / "triangle3.json"), "--trials", "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["trials"], payload["passes"], payload["min_sigma_ratio"]) == (0, 0, 0.0)
 
 
 class TestMinimize:

@@ -18,11 +18,9 @@ from strucsense import (
 from strucsense.forcing import (
     build_observability_graph,
     compile_pattern,
-    force_closure,
-    force_closure_randomized,
     force_closure_reference,
-    is_colorable,
     replay_trace,
+    sensor_states,
 )
 from generators import random_sensor_rows, random_symmetric_pattern
 
@@ -44,6 +42,16 @@ def sensors(measured, n):
     return PatternMatrix(
         len(measured), n, frozenset((r, s) for r, s in enumerate(measured)), frozenset()
     )
+
+
+def close(a, c, rng=None):
+    """Black states and trace of the compiled closure of ``a`` measured by ``c``."""
+    black, trace = compile_pattern(a).run(sensor_states(a, c), rng)
+    return frozenset(v for v, b in enumerate(black) if b), tuple(trace)
+
+
+def colorable(a, c):
+    return compile_pattern(a).colors_all(sensor_states(a, c))
 
 
 # branched 9-node tree with leaves 0, 2, 6 and junction node 4
@@ -100,42 +108,37 @@ class TestBuildObservabilityGraph:
 class TestForceClosure:
     def test_star_self_loop_forces_itself(self):
         a = PatternMatrix.from_rows(["*"])
-        g = build_observability_graph(a, sensors([], 1))
-        state = force_closure(g)
-        assert state.black == frozenset({0})
-        assert state.trace == ((0, 0),)
+        black, trace = close(a, sensors([], 1))
+        assert black == frozenset({0})
+        assert trace == ((0, 0),)
 
     def test_unknown_self_loop_stays_white(self):
         a = PatternMatrix.from_rows(["?"])
-        g = build_observability_graph(a, sensors([], 1))
-        assert force_closure(g).black == frozenset()
+        assert close(a, sensors([], 1))[0] == frozenset()
 
     def test_sensor_chain_colors_path(self):
         path = sym([(0, 1), (1, 2)], 3)
-        g = build_observability_graph(path, sensors([0], 3))
-        assert is_colorable(g)
+        assert colorable(path, sensors([0], 3))
 
     def test_no_sensors_unknown_diagonal_stuck(self):
         a = sym([(0, 1), (1, 2)], 3, diag="???")
-        g = build_observability_graph(a, sensors([], 3))
-        assert not is_colorable(g)
+        assert not colorable(a, sensors([], 3))
 
     def test_branched_tree_with_two_leaf_sensors(self):
         # sensors at two of the three leaves suffice: branches fill in and
         # the junction node unlocks the unmeasured branch
-        g = build_observability_graph(TREE9, sensors([0, 6], 9))
-        state = force_closure(g)
-        assert is_colorable(g)
-        assert replay_trace(g, state.trace) == state.black
+        c = sensors([0, 6], 9)
+        black, trace = close(TREE9, c)
+        assert colorable(TREE9, c)
+        assert replay_trace(build_observability_graph(TREE9, c), trace) == black
         # the sensors are load-bearing: without them the tree stays white
-        bare = build_observability_graph(TREE9, sensors([], 9))
-        assert not is_colorable(bare)
+        assert not colorable(TREE9, sensors([], 9))
 
     def test_cyclic_with_three_sensors_colors_fully(self):
-        g = build_observability_graph(CYCLIC9, sensors([0, 2, 6], 9))
-        state = force_closure(g)
-        assert is_colorable(g)
-        assert len(state.forced_order()) == 9  # every state forced exactly once
+        c = sensors([0, 2, 6], 9)
+        _, trace = close(CYCLIC9, c)
+        assert colorable(CYCLIC9, c)
+        assert len(trace) == 9  # every state forced exactly once
         # a lone sensor passes the plain graph but not the full certificate
         for lone in (0, 2, 6):
             assert not certify_sso(CYCLIC9, sensors([lone], 9)).sso
@@ -145,13 +148,11 @@ class TestForceClosure:
             rng = random.Random(seed)
             a = random_symmetric_pattern(seed, n_max=30)
             c = random_sensor_rows(rng, a.rows)
-            g = build_observability_graph(a, c)
-            state = force_closure(g)
-            assert replay_trace(g, state.trace) == state.black
+            black, trace = close(a, c)
+            assert replay_trace(build_observability_graph(a, c), trace) == black
 
     def test_each_node_forced_at_most_once(self):
-        g = build_observability_graph(CYCLIC9, sensors([0, 2, 6], 9))
-        forced = force_closure(g).forced_order()
+        forced = [u for (_, u) in close(CYCLIC9, sensors([0, 2, 6], 9))[1]]
         assert len(forced) == len(set(forced))
 
 
@@ -161,10 +162,9 @@ class TestClosureConfluence:
             rng = random.Random(seed)
             a = random_symmetric_pattern(seed, n_max=25)
             c = random_sensor_rows(rng, a.rows)
-            g = build_observability_graph(a, c)
-            expected = force_closure(g).black
+            expected = close(a, c)[0]
             for k in range(5):
-                assert force_closure_randomized(g, seed * 100 + k).black == expected
+                assert close(a, c, random.Random(seed * 100 + k))[0] == expected
 
     def test_worklist_matches_slow_reference(self):
         for seed in range(15):
@@ -172,12 +172,12 @@ class TestClosureConfluence:
             a = random_symmetric_pattern(seed, n_max=20)
             c = random_sensor_rows(rng, a.rows)
             g = build_observability_graph(a, c)
-            fast = force_closure(g)
+            black, trace = close(a, c)
             slow = force_closure_reference(g)
-            assert fast.black == slow.black
-            assert fast.trace == slow.trace  # same ascending-pair schedule
+            assert black == slow.black
+            assert trace == slow.trace  # same ascending-pair schedule
             shuffled = force_closure_reference(g, order=random.Random(seed))
-            assert shuffled.black == fast.black
+            assert shuffled.black == black
 
 
 @st.composite
@@ -215,11 +215,10 @@ class TestCompiledEngine:
             black_set = frozenset(v for v, b in enumerate(black) if b)
             reference = force_closure_reference(g)
             assert black_set == reference.black
-            assert tuple(trace) == force_closure(g).trace == reference.trace
+            assert tuple(trace) == reference.trace
             assert replay_trace(g, trace) == black_set
             assert compiled.colors_all(measured) == (len(black_set) == a.rows)
             _, shuffled = compiled.run(measured, random.Random(seed))
-            assert tuple(shuffled) == force_closure_randomized(g, seed).trace
             assert replay_trace(g, shuffled) == black_set
 
     def test_compiled_graph_is_reused_across_sensor_sets(self):

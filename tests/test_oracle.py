@@ -19,7 +19,6 @@ from strucsense import (
     sample_and_check,
     spanning_tree_dfs,
 )
-import strucsense.forcing
 import strucsense.oracle
 from strucsense.forcing import build_observability_graph, force_closure_reference
 from strucsense.oracle import realize_unit_output
@@ -188,6 +187,18 @@ def naive_min_sensors(a: PatternMatrix, witness_cap: int = 64) -> tuple:
     return n, (), checked
 
 
+def count_oracle_calls(monkeypatch, *names) -> dict:
+    """Count calls of the named functions as ``strucsense.oracle`` looks them up."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _fn=getattr(strucsense.oracle, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(strucsense.oracle, name, counting)
+    return counts
+
+
 class TestExhaustiveAgainstNaiveSearch:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("generator", [random_connected_pattern, random_symmetric_pattern])
@@ -205,17 +216,10 @@ class TestExhaustiveAgainstNaiveSearch:
         assert got == naive_min_sensors(pat)
 
     def test_companion_built_once_per_search(self, monkeypatch):
-        calls = []
-
-        def counting(a):
-            calls.append(a)
-            return make_abar(a)
-
-        monkeypatch.setattr(strucsense.oracle, "make_abar", counting)
-        monkeypatch.setattr(strucsense.forcing, "make_abar", counting)
+        counts = count_oracle_calls(monkeypatch, "make_abar", "compile_pattern")
         result = exhaustive_min_sensors(random_connected_pattern(3, n_min=8, n_max=10))
         assert result.configurations_checked > 1
-        assert len(calls) == 1
+        assert counts == {"make_abar": 0, "compile_pattern": 1}
 
 
 class TestUnobservableWitness:
@@ -227,6 +231,22 @@ class TestUnobservableWitness:
         assert np.allclose(realization @ vector, lam * vector)
         assert vector[0] == 0.0  # invisible to the sensor on state 0
         assert not observability_rank_test(realization, realize_unit_output(c))
+
+    @pytest.mark.parametrize(
+        "rows, measured, lam",
+        [
+            (["?*0", "*?*", "0*?"], (), 0.0),  # A leaves every state white: plain mode
+            (["0**", "*0*", "**0"], (0,), 1.0),  # A colours, Abar does not: shifted mode
+        ],
+    )
+    def test_pattern_compiled_once(self, monkeypatch, rows, measured, lam):
+        a = PatternMatrix.from_rows(rows, symmetric=True)
+        c = PatternMatrix(len(measured), 3, frozenset(enumerate(measured)), frozenset())
+        counts = count_oracle_calls(monkeypatch, "compile_pattern")
+        realization, vector, got_lam = find_unobservable_realization(a, c)
+        assert got_lam == lam
+        assert np.allclose(realization @ vector, lam * vector)
+        assert counts == {"compile_pattern": 1}
 
     def test_certified_placement_has_no_witness(self):
         pat = build_structured_wdn(TRIANGLE_WDN_INC)
