@@ -30,13 +30,12 @@ from .placement import PipelineRun, SensorPlacement
 from .wdn import (
     ParseError,
     WdnNetwork,
-    incidence,
-    incidence_csv,
     parse_edge_list,
     parse_inp,
     structured_pattern,
     structured_state_labels,
     to_pattern,
+    write_incidence_csv,
 )
 
 logger = logging.getLogger("strucsense")
@@ -138,7 +137,7 @@ def cmd_info(args) -> int:
     if args.dump_incidence:
         if bundle.net is None:
             raise ValueError("incidence export needs a water-network input")
-        Path(args.dump_incidence).write_text(incidence_csv(incidence(bundle.net)))
+        write_incidence_csv(bundle.net, args.dump_incidence)
     if args.dump_pattern:
         Path(args.dump_pattern).write_text(bundle.pattern.to_json() + "\n")
     if args.format == "json":
@@ -171,6 +170,7 @@ def cmd_place(args) -> int:
     p, cert = run.placement, run.certificate
     if not cert.sso:
         sys.stderr.write("internal error: pipeline placement failed certification\n")
+        sys.stderr.write(_white_states_line(cert, bundle.labels) + "\n")
         sys.stderr.write(cert.to_json() + "\n")
         return EXIT_CERT
     counts = run.counts.as_dict()
@@ -194,6 +194,17 @@ def cmd_place(args) -> int:
         }
         _dump_json(payload, args.out)
     return EXIT_OK
+
+
+def _white_states_line(cert, labels: list, shown: int = 10) -> str:
+    """Each uncolorable graph's white-state count and first labels: the states its trace never forces."""
+    parts = []
+    for name, colorable, trace in cert.graphs:
+        if not colorable:
+            forced = {u for (_, u) in trace}
+            whites = [label for v, label in enumerate(labels) if v not in forced]
+            parts.append(f"{name} has {len(whites)} (first: {', '.join(whites[:shown])})")
+    return "white states: " + "; ".join(parts)
 
 
 def cmd_certify(args) -> int:

@@ -15,20 +15,21 @@ realization of the pattern pair is observable.
 The state part of that graph never depends on the sensors, so it is
 compiled once per pattern (``compile_pattern``) and each sensor set is a
 run against it; the exhaustive search closes thousands of sensor sets on
-one compiled graph. The companion's graph moves A's self-loops only
-(``ClosureGraph.companion``). Every closure runs this one engine;
-``force_closure_reference`` and ``replay_trace`` are the slow independent
-checks on an explicit ``ObservabilityGraph``.
+one compiled graph, which runs on ``StateGraph``'s own neighbour lists;
+the companion's graph rewrites its self-loop flags only. Every closure
+runs this one engine; ``force_closure_reference`` and ``replay_trace`` are
+the slow independent checks on an explicit ``ObservabilityGraph``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
-from .pattern import PatternMatrix
+from .netgraph import from_pattern
+from .pattern import Entry, PatternMatrix
 
 
 @dataclass(frozen=True)
@@ -66,22 +67,15 @@ class Certificate:
     def sso(self) -> bool:
         return self.colorable_a and self.colorable_abar
 
+    @property
+    def graphs(self) -> tuple:
+        """(name, colorable, trace) of the check on A, then on Abar."""
+        return ("A", self.colorable_a, self.trace_a), ("Abar", self.colorable_abar, self.trace_abar)
+
     def as_dict(self) -> dict:
-        return {
-            "sso": self.sso,
-            "graphs": [
-                {
-                    "name": "A",
-                    "colorable": self.colorable_a,
-                    "trace": [[v, u] for (v, u) in self.trace_a],
-                },
-                {
-                    "name": "Abar",
-                    "colorable": self.colorable_abar,
-                    "trace": [[v, u] for (v, u) in self.trace_abar],
-                },
-            ],
-        }
+        graphs = [{"name": name, "colorable": ok, "trace": [[v, u] for (v, u) in trace]}
+                  for name, ok, trace in self.graphs]
+        return {"sso": self.sso, "graphs": graphs}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
@@ -110,17 +104,6 @@ def sensor_states(a: PatternMatrix, c: PatternMatrix) -> tuple:
     return tuple(measured)
 
 
-def _out_lists(a: PatternMatrix, extra: int = 0) -> tuple:
-    """Star and unknown out-lists of the transposed pattern, plus ``extra`` empty nodes."""
-    star_out = [[] for _ in range(a.rows + extra)]
-    unknown_out = [[] for _ in range(a.rows + extra)]
-    for (i, j) in a.star:  # transposed: column index becomes the source
-        star_out[j].append(i)
-    for (i, j) in a.unknown:
-        unknown_out[j].append(i)
-    return star_out, unknown_out
-
-
 def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> ObservabilityGraph:
     """Join the transposed state pattern with one sensor node per output row.
 
@@ -129,7 +112,12 @@ def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> Observabili
     """
     measured = sensor_states(a, c)
     n, p = a.rows, len(measured)
-    star_out, unknown_out = _out_lists(a, p)
+    star_out = [[] for _ in range(n + p)]
+    unknown_out = [[] for _ in range(n + p)]
+    for (i, j) in a.star:  # transposed: column index becomes the source
+        star_out[j].append(i)
+    for (i, j) in a.unknown:
+        unknown_out[j].append(i)
     for k, j in enumerate(measured):
         star_out[n + k].append(j)
     return ObservabilityGraph(
@@ -143,51 +131,40 @@ def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> Observabili
 class ClosureGraph:
     """A color-change graph compiled once, then closed for any sensor set.
 
-    ``star_out`` holds each node's star out-neighbors as a set, ``out_all``
-    its out-neighbors over both edge kinds in ascending order, ``in_nbrs``
-    its in-neighbors in ascending order, and ``seeds`` the forcings that are
-    eligible from all-white. A run measuring states ``measured`` adds sensor
-    k as the virtual node ``n + k``, with one star out-edge to
+    ``star_out``, ``out``, ``inn`` and ``loops`` are a ``StateGraph``'s own
+    directed lists and self-loop flags, shared; compiling adds only
+    ``out_degree`` (out-neighbours, self-loop included) and ``seeds`` (the
+    forcings eligible from all-white). A run measuring states ``measured``
+    adds sensor k as the virtual node ``n + k``, with one star out-edge to
     ``measured[k]`` and no in-edges: exactly the sensor nodes of
     ``build_observability_graph``, so a run pops and traces what a closure
     of that graph does.
     """
 
-    n: int
     star_out: tuple
-    out_all: tuple
-    in_nbrs: tuple
-    out_degree: tuple
-    seeds: tuple
+    out: tuple
+    inn: tuple
+    loops: tuple
+    n: int = field(init=False)
+    out_degree: tuple = field(init=False)
+    seeds: tuple = field(init=False)
 
-    @classmethod
-    def from_out_lists(cls, star_out, unknown_out, symmetric: bool = False) -> "ClosureGraph":
-        """Compile per-node star and unknown out-lists of a pattern's states."""
-        n = len(star_out)
-        stars = tuple(frozenset(x) for x in star_out)
-        out_all = tuple(sorted(stars[v].union(unknown_out[v])) for v in range(n))
-        in_nbrs = out_all  # a symmetric pattern's edges run both ways
-        if not symmetric:
-            in_nbrs = [[] for _ in range(n)]
-            for v in range(n):
-                for u in out_all[v]:
-                    in_nbrs[u].append(v)
-            in_nbrs = tuple(in_nbrs)
-        seeds = tuple((v, out[0]) for v, out in enumerate(out_all) if len(out) == 1 and out[0] in stars[v])
-        return cls(n, stars, out_all, in_nbrs, tuple(map(len, out_all)), seeds)
+    def __post_init__(self):
+        none, loops, star_out = Entry.ZERO, self.loops, self.star_out
+        out_degree = tuple([len(out) + (loop is not none) for out, loop in zip(self.out, loops)])
+        # out-degree 1: the one out-neighbour is the loop, or else the only off-diagonal one
+        seeds = tuple((v, v) if loops[v] is not none else (v, star_out[v][0])
+                      for v, d in enumerate(out_degree)
+                      if d == 1 and (loops[v] is Entry.STAR or loops[v] is none and star_out[v]))
+        self.__dict__.update(n=len(self.out), out_degree=out_degree, seeds=seeds)
 
     def companion(self) -> "ClosureGraph":
         """The compiled graph of ``make_abar`` of this graph's pattern.
 
-        Only self-loops differ: a star one becomes unknown, a missing one a
-        star. If every state has one, as in every water-network pattern, the
-        lists are shared and all loops are unknown, so nothing forces first.
+        Same lists; a missing self-loop becomes a star, a star or unknown one unknown.
         """
-        star_out = tuple(s ^ {v} if v in s or v not in out else s
-                         for v, (s, out) in enumerate(zip(self.star_out, self.out_all)))
-        if all(v in out for v, out in enumerate(self.out_all)):
-            return replace(self, star_out=star_out, seeds=())
-        return ClosureGraph.from_out_lists(star_out, self.out_all, self.in_nbrs is self.out_all)
+        none, star, unknown = Entry.ZERO, Entry.STAR, Entry.UNKNOWN
+        return replace(self, loops=tuple([star if loop is none else unknown for loop in self.loops]))
 
     def run(self, measured=(), rng: random.Random | None = None) -> tuple:
         """Run the color-change rule to fixpoint; return black flags and the trace.
@@ -200,7 +177,8 @@ class ClosureGraph:
         it, a uniformly random candidate. Sensor nodes are never forced (no
         in-edges), so the flags cover the compiled nodes only.
         """
-        star_out, out_all, in_nbrs = self.star_out, self.out_all, self.in_nbrs
+        star_out, out, inn, loops = self.star_out, self.out, self.inn, self.loops
+        none, star = Entry.ZERO, Entry.STAR
         white_out = list(self.out_degree)
         black = [False] * self.n
         # candidates in the order a scan of all nodes, sensors last, finds them
@@ -223,11 +201,17 @@ class ClosureGraph:
                 continue  # stale: someone else forced u first
             black[u] = True
             trace.append((v, u))
-            for w in in_nbrs[u]:
+            if loops[u] is not none:  # u's own loop just turned black (apart: no tuple per step)
+                white_out[u] -= 1
+                if white_out[u] == 1:
+                    last = next(x for x in out[u] if not black[x])
+                    if last in star_out[u]:
+                        push(pool, (u, last))
+            for w in inn[u]:
                 white_out[w] -= 1
                 if white_out[w] == 1:
-                    last = next(x for x in out_all[w] if not black[x])
-                    if last in star_out[w]:
+                    last = next((x for x in out[w] if not black[x]), w)  # w itself: its own loop
+                    if (loops[w] is star) if last == w else (last in star_out[w]):
                         push(pool, (w, last))
         return black, trace
 
@@ -237,10 +221,11 @@ class ClosureGraph:
 
 
 def compile_pattern(a: PatternMatrix) -> ClosureGraph:
-    """The state part of the observability graph of ``a``, ready for any sensor set."""
+    """The state part of the observability graph of ``a``, read off ``from_pattern(a, transpose=True)``."""
     if not a.is_square:
         raise ValueError(f"square state pattern required, got {a.rows}x{a.cols}")
-    return ClosureGraph.from_out_lists(*_out_lists(a), symmetric=a.symmetric)
+    g = from_pattern(a, transpose=True)
+    return ClosureGraph(g.star_out, g.out, g.inn, g.loops)
 
 
 def force_closure_reference(g: ObservabilityGraph, order: random.Random | None = None) -> ColoringState:

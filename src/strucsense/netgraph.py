@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pattern import PatternMatrix
+from .pattern import Entry, PatternMatrix
 
 
-def _undirected(n: int, edges) -> tuple:
-    """Sorted neighbor tuple per node of edges listing each pair both ways, self-loops dropped."""
+def _lists(n: int, edges) -> tuple:
+    """Ascending off-diagonal neighbour tuple per node: (i, j) puts j in i's list."""
     out = [[] for _ in range(n)]
     for (i, j) in edges:
         if i != j:
@@ -22,18 +22,29 @@ def _undirected(n: int, edges) -> tuple:
     return tuple(tuple(sorted(nbrs)) for nbrs in out)
 
 
-def _mirror(edges: frozenset) -> frozenset:
-    """The edges plus their reversals."""
-    return edges | {(j, i) for (i, j) in edges}
+def _adjacency(n: int, star: frozenset, unknown: frozenset, symmetric: bool) -> dict:
+    """Every neighbour list and self-loop flag of a graph, keyed by ``StateGraph`` field."""
+    is_star, is_unknown, none = Entry.STAR, Entry.UNKNOWN, Entry.ZERO
+    loops = tuple([is_star if p in star else is_unknown if p in unknown else none for p in zip(range(n), range(n))])
+    both = star | unknown if any(i != j for (i, j) in unknown) else star  # loops never enter a list
+    if symmetric:  # edges run both ways: the directed lists are the undirected ones
+        star_nbrs = _lists(n, star)
+        nbrs = _lists(n, both) if both is not star else star_nbrs
+        return dict(star_nbrs=star_nbrs, nbrs=nbrs, star_out=star_nbrs, out=nbrs, inn=nbrs, loops=loops)
+    star_rev, both_rev = ({(j, i) for (i, j) in edges} for edges in (star, both))
+    return dict(star_nbrs=_lists(n, star | star_rev), nbrs=_lists(n, both | both_rev),
+                star_out=_lists(n, star), out=_lists(n, both), inn=_lists(n, both_rev), loops=loops)
 
 
 @dataclass(frozen=True)
 class StateGraph:
-    """Sparse bidirected graph with two edge kinds, immutable after build.
+    """Sparse graph with two edge kinds and its adjacency, immutable after build.
 
-    ``star_nbrs`` and ``nbrs`` are the undirected adjacencies over star
-    edges and over both edge kinds, built once with the graph; in-edges
-    count too, so asymmetric inputs are still classified sensibly.
+    Per node, ascending off-diagonal neighbours: undirected over star edges
+    and over both kinds (``star_nbrs``, ``nbrs``; in-edges count, so
+    asymmetric inputs still classify sensibly), directed (``star_out``,
+    ``out``, ``inn``), the same tuples when the graph is symmetric; and
+    ``loops``, the diagonal ``Entry`` (ZERO: no self-loop).
     """
 
     n: int
@@ -50,12 +61,7 @@ class StateGraph:
             raise ValueError("an edge cannot be both star and unknown")
         object.__setattr__(self, "star_edges", star)
         object.__setattr__(self, "unknown_edges", unknown)
-        object.__setattr__(self, "star_nbrs", _undirected(self.n, _mirror(star)))
-        object.__setattr__(self, "nbrs", _undirected(self.n, _mirror(star | unknown)))
-
-    def neighbors(self, i: int) -> list:
-        """Distinct neighbors of node i over both edge kinds, self excluded."""
-        return list(self.nbrs[i])
+        self.__dict__.update(_adjacency(self.n, star, unknown, self.is_symmetric()))
 
     def undirected_star_pairs(self) -> set:
         """Unordered star edges {i, j} with i != j (self-loops dropped)."""
@@ -125,11 +131,8 @@ def from_pattern(a: PatternMatrix, transpose: bool = False) -> StateGraph:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
     if a.symmetric:  # entries range- and mirror-checked when ``a`` was built: skip StateGraph's checks
         g = object.__new__(StateGraph)
-        star_nbrs = _undirected(a.rows, a.star)
-        off_diagonal = any(i != j for (i, j) in a.unknown)
-        nbrs = _undirected(a.rows, a.star | a.unknown) if off_diagonal else star_nbrs
         g.__dict__.update(n=a.rows, star_edges=a.star, unknown_edges=a.unknown)
-        g.__dict__.update(star_nbrs=star_nbrs, nbrs=nbrs)
+        g.__dict__.update(_adjacency(a.rows, a.star, a.unknown, symmetric=True))
         return g
     if transpose:
         star = frozenset((j, i) for (i, j) in a.star)

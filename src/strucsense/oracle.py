@@ -12,7 +12,7 @@ size until a certified one appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -35,12 +35,7 @@ class OracleReport:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "passes": self.passes,
-            "min_sigma_ratio": self.min_sigma_ratio,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

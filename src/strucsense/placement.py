@@ -129,9 +129,9 @@ def count_bounds_ok(n_e: int, cycles: int, sensors: int) -> bool:
 
 
 def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> SensorCountReport:
-    """Check the placement size against its structural bounds."""
+    """Check the placement size against its structural bounds; ``t`` drops one star pair per cycle."""
     n_e = classify_nodes(g).n_e
-    cycles = cycle_count(g)
+    cycles = sum(map(len, g.star_nbrs)) // 2 - len(t.tree_edges)
     return SensorCountReport(n_e, cycles, p.n_y, count_bounds_ok(n_e, cycles, p.n_y))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,13 +66,9 @@ class WdnNetwork:
     def node_index(self, label: str) -> int:
         return self._node_lookup[label]
 
-    @property
+    @cached_property
     def _node_lookup(self) -> dict:
-        cached = getattr(self, "_node_lookup_cache", None)
-        if cached is None:
-            cached = {node.label: i for i, node in enumerate(self.nodes)}
-            object.__setattr__(self, "_node_lookup_cache", cached)
-        return cached
+        return {node.label: i for i, node in enumerate(self.nodes)}
 
 
 def parse_inp(text: str) -> WdnNetwork:
@@ -124,10 +121,9 @@ def parse_inp(text: str) -> WdnNetwork:
 
     if not seen_link_section:
         raise ParseError("no link section ([PIPES], [PUMPS] or [VALVES]) found")
-    declared = {node.label for node in nodes}
     for link in links:
         for endpoint in (link.from_label, link.to_label):
-            if endpoint not in declared:
+            if endpoint not in node_lines:
                 raise ParseError(
                     f"link {link.label!r} references undeclared node {endpoint!r}",
                     link_lines[link.label],
@@ -178,9 +174,20 @@ def incidence(net: WdnNetwork) -> np.ndarray:
     return mat
 
 
-def incidence_csv(mat: np.ndarray) -> str:
-    """Comma-separated rows of an incidence (or any numeric) matrix."""
-    return "\n".join(",".join(f"{v:g}" for v in row) for row in np.asarray(mat)) + "\n"
+def write_incidence_csv(net: WdnNetwork, path) -> None:
+    """Write ``incidence(net)`` as CSV (entries ``{:g}``), one row at a time, read off the link list."""
+    ends = [[] for _ in range(net.n_nodes)]  # (link, entry) pairs per node
+    for j, link in enumerate(net.links):
+        ends[net.node_index(link.from_label)].append((j, "1"))
+        ends[net.node_index(link.to_label)].append((j, "-1"))
+    with open(path, "w") as f:
+        for entries in ends:
+            row = ["0"] * net.n_links
+            for j, text in entries:
+                row[j] = text
+            f.write(",".join(row) + "\n")
+        if not ends:
+            f.write("\n")  # the empty matrix's CSV is one newline
 
 
 def _structured(n_nodes: int, n_links: int, couplings) -> PatternMatrix:

@@ -34,6 +34,21 @@ def count_calls(monkeypatch, *names) -> dict:
     return counts
 
 
+def _gap14() -> dict:
+    """Edge list whose leaf placement is provably not observable (the known heuristic gap)."""
+    pairs = [
+        [0, 1], [0, 2], [0, 3], [0, 6], [2, 4], [2, 5], [2, 9], [3, 5],
+        [3, 9], [3, 11], [4, 7], [4, 8], [4, 12], [5, 13], [7, 11], [9, 10],
+    ]
+    diag = "******??????**"
+    star = pairs + [[i, i] for i, ch in enumerate(diag) if ch == "*"]
+    unknown = [[i, i] for i, ch in enumerate(diag) if ch == "?"]
+    return {"n": 14, "star": star, "unknown": unknown}
+
+
+GAP14 = _gap14()
+
+
 def dot_is_well_formed(text: str) -> bool:
     """Minimal structural check of DOT output: header, one statement per line."""
     lines = [l for l in text.strip().splitlines()]
@@ -172,10 +187,11 @@ class TestPlace:
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
         assert code == 0
         a_graph, abar_graph = graphs
-        assert a_graph.in_nbrs is a_graph.out_all  # the WDN pattern is symmetric
-        assert abar_graph.out_all is a_graph.out_all
-        assert abar_graph.in_nbrs is a_graph.in_nbrs
-        assert abar_graph.out_degree is a_graph.out_degree
+        assert a_graph.inn is a_graph.out  # the WDN pattern is symmetric
+        assert abar_graph.out is a_graph.out
+        assert abar_graph.inn is a_graph.inn
+        assert abar_graph.star_out is a_graph.star_out
+        assert abar_graph.out_degree == a_graph.out_degree  # every WDN state has a self-loop
 
     def test_tree_mode_on_path_network(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
@@ -210,6 +226,13 @@ class TestPlace:
         assert code == 0
         assert counts == {"spanning_tree_dfs": 1, "certify_sso": 1, "classify_nodes": 1}
 
+    def test_cyclic_mode_reads_the_cycle_count_off_the_forest(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "connected_components_star")
+        code, out, _ = run_cli(capsys, "place", str(fixtures_dir / "two_loop.inp"), "--format", "json")
+        assert code == 0
+        assert counts == {"connected_components_star": 0}
+        assert json.loads(out)["counts"]["cycles"] == 2
+
     def test_tree_mode_rejects_cyclic_input(self, capsys, fixtures_dir):
         code, _, err = run_cli(
             capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--mode", "tree"
@@ -235,22 +258,25 @@ class TestPlace:
         assert first == second
 
     def test_uncertifiable_placement_exits_2_with_trace(self, capsys, tmp_path):
-        # graph whose leaf placement is provably not observable (the known
-        # heuristic gap); the pipeline must refuse to emit it
-        pairs = [
-            [0, 1], [0, 2], [0, 3], [0, 6], [2, 4], [2, 5], [2, 9], [3, 5],
-            [3, 9], [3, 11], [4, 7], [4, 8], [4, 12], [5, 13], [7, 11], [9, 10],
-        ]
-        diag = "******??????**"
-        star = pairs + [[i, i] for i, ch in enumerate(diag) if ch == "*"]
-        unknown = [[i, i] for i, ch in enumerate(diag) if ch == "?"]
+        # the pipeline must refuse to emit a leaf placement it cannot certify
         path = tmp_path / "gap.json"
-        path.write_text(json.dumps({"n": 14, "star": star, "unknown": unknown}))
+        path.write_text(json.dumps(GAP14))
         code, out, err = run_cli(capsys, "place", str(path), "--format", "json")
         assert code == 2
         assert out == ""
         assert "failed certification" in err
         assert '"sso": false' in err
+
+    def test_refusal_names_the_white_states_before_the_certificate(self, capsys, tmp_path):
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(GAP14))
+        code, _, err = run_cli(capsys, "place", str(path), "--format", "json")
+        assert code == 2
+        *_, whites, certificate = err.splitlines()
+        assert whites == "white states: Abar has 4 (first: 2, 3, 7, 11)"
+        assert json.loads(certificate)["sso"] is False
+        abar = json.loads(certificate)["graphs"][1]
+        assert sorted(set(range(14)) - {u for _, u in abar["trace"]}) == [2, 3, 7, 11]
 
 
 class TestCertify:

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strucsense.forcing
 from strucsense import (
+    Entry,
     PatternMatrix,
     SensorPlacement,
     build_output_pattern,
     certify_sso,
+    from_pattern,
     is_member,
     make_abar,
     observability_rank_test,
@@ -238,7 +241,7 @@ class TestCompanion:
     def test_matches_compiled_abar_and_reference(self, case):
         a, measured = case
         derived, compiled = compile_pattern(a).companion(), compile_pattern(make_abar(a))
-        for name in ("star_out", "out_all", "in_nbrs", "out_degree", "seeds"):
+        for name in ("star_out", "out", "inn", "loops", "out_degree", "seeds"):
             assert getattr(derived, name) == getattr(compiled, name), name
         c = sensors(measured, a.rows)
         cert = certify_sso(a, c)
@@ -249,10 +252,33 @@ class TestCompanion:
         a = sym([(0, 1), (1, 2)], 3, diag="*?*")
         graph = compile_pattern(a)
         companion = graph.companion()
-        assert graph.in_nbrs is graph.out_all
-        assert companion.out_all is graph.out_all and companion.in_nbrs is graph.in_nbrs
-        assert companion.star_out == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
+        assert graph.inn is graph.out
+        assert companion.out is graph.out and companion.inn is graph.inn
+        assert companion.star_out is graph.star_out == ((1,), (0, 2), (1,))
+        assert companion.loops == (Entry.UNKNOWN,) * 3
         assert companion.seeds == ()
+
+    def test_partly_looped_pattern_shares_every_list(self):
+        for a in (sym([(0, 1), (1, 2)], 3, diag="*0?"), PatternMatrix.from_rows(["*0*", "*00", "0*?"])):
+            graph = compile_pattern(a)
+            companion = graph.companion()
+            for name in ("star_out", "out", "inn"):
+                assert getattr(companion, name) is getattr(graph, name), name
+            assert companion.loops == (Entry.UNKNOWN, Entry.STAR, Entry.UNKNOWN)
+            assert companion.out_degree == tuple(len(out) + 1 for out in graph.out)
+
+    def test_symmetric_pattern_runs_on_its_state_graph_lists(self, monkeypatch):
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(from_pattern(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(strucsense.forcing, "from_pattern", recording)
+        compiled = compile_pattern(sym([(0, 1), (1, 2), (0, 2)], 3, diag="*0?"))
+        (g,) = built
+        assert compiled.star_out is g.star_nbrs and compiled.out is g.nbrs and compiled.inn is g.nbrs
+        assert compiled.loops is g.loops == (Entry.STAR, Entry.ZERO, Entry.UNKNOWN)
 
 
 class TestCertificate:

@@ -85,7 +85,21 @@ class TestFromPatternAgreesWithValidatingConstructor:
         assert (fast.star_edges, fast.unknown_edges) == (checked.star_edges, checked.unknown_edges)
         assert fast.star_nbrs == checked.star_nbrs
         assert fast.nbrs == checked.nbrs
+        assert fast.loops == checked.loops
         assert all(type(nbrs) is tuple and list(nbrs) == sorted(nbrs) for nbrs in fast.star_nbrs)
+        for g in (fast, checked):  # symmetric: the directed lists are the undirected tuples
+            assert g.star_out is g.star_nbrs and g.out is g.nbrs and g.inn is g.nbrs
+
+
+class TestDirectedLists:
+    def test_asymmetric_graph(self):
+        g = StateGraph(3, frozenset({(0, 1), (0, 0)}), frozenset({(1, 2), (2, 2)}))
+        assert g.star_out == ((1,), (), ())
+        assert g.out == ((1,), (2,), ())
+        assert g.inn == ((), (0,), (1,))
+        assert g.star_nbrs == ((1,), (0,), ())
+        assert g.nbrs == ((1,), (0, 2), (1,))
+        assert g.loops == (Entry.STAR, Entry.ZERO, Entry.UNKNOWN)
 
 
 class TestClassifyNodes:
@@ -116,7 +130,7 @@ class TestClassifyNodes:
             p = random_symmetric_pattern(seed, n_max=30)
             g = from_pattern(p)
             cls = classify_nodes(g)
-            degree_two = sum(1 for v in range(g.n) if len(g.neighbors(v)) == 2)
+            degree_two = sum(1 for v in range(g.n) if len(g.nbrs[v]) == 2)
             assert cls.n_e + cls.n_i + degree_two + len(cls.isolated) == g.n
 
 

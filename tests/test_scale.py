@@ -23,6 +23,7 @@ from strucsense import (
     spanning_tree_dfs,
 )
 from strucsense.cli import load_input
+from strucsense.wdn import parse_inp, write_incidence_csv
 
 
 def big_tree_network(n_h: int, seed: int = 0) -> np.ndarray:
@@ -73,3 +74,24 @@ def test_load_path_holds_no_dense_matrix(tmp_path):
         tracemalloc.stop()
     assert bundle.graph.n == 7999
     assert peak < 48 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_incidence_export_holds_no_dense_matrix(tmp_path):
+    """Exporting a 2000-node tree's incidence never holds its 2000 x 1999 float matrix (32 MB)."""
+    rng = random.Random(0)
+    n_h = 2000
+    lines = ["[JUNCTIONS]"] + [f" J{i} 0" for i in range(n_h)] + ["[PIPES]"]
+    lines += [f" P{i} J{rng.randrange(i)} J{i} 100 300 100" for i in range(1, n_h)]
+    net = parse_inp("\n".join(lines) + "\n")
+    path = tmp_path / "incidence.csv"
+
+    tracemalloc.start()
+    try:
+        write_incidence_csv(net, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with path.open() as f:
+        rows = sum(1 for _ in f)
+    assert rows == n_h
+    assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"

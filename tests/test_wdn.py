@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from strucsense import (
     parse_inp,
     structured_state_labels,
 )
-from strucsense.wdn import to_inp_text
+from strucsense.wdn import to_inp_text, write_incidence_csv
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 MINIMAL = """
 [JUNCTIONS]
@@ -129,6 +133,29 @@ class TestIncidence:
     def test_self_connecting_link_rejected(self):
         with pytest.raises(ValueError, match="itself"):
             incidence(parse_inp(MINIMAL.replace(" p1  a  b", " p1  a  a")))
+
+
+class TestWriteIncidenceCsv:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *(path.read_text() for path in sorted(FIXTURES.glob("*.inp"))),
+            MINIMAL,
+            "[JUNCTIONS]\n a 0\n b 0\n[PIPES]\n",  # nodes without links
+            "[PIPES]\n",  # no nodes at all
+        ],
+    )
+    def test_matches_the_dense_matrix_csv(self, text, tmp_path):
+        net = parse_inp(text)
+        path = tmp_path / "incidence.csv"
+        write_incidence_csv(net, path)
+        dense = "\n".join(",".join(f"{v:g}" for v in row) for row in incidence(net)) + "\n"
+        assert path.read_text() == dense
+
+    def test_node_lookup_is_built_once(self):
+        net = parse_inp(MINIMAL)
+        assert net.node_index("b") == 1
+        assert net._node_lookup is net._node_lookup == {"a": 0, "b": 1}
 
 
 class TestStructuredPattern:
