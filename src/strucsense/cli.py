@@ -196,14 +196,14 @@ def cmd_place(args) -> int:
     return EXIT_OK
 
 
-def _white_states_line(cert, labels: list, shown: int = 10) -> str:
+def _white_states_line(cert, labels: list) -> str:
     """Each uncolorable graph's white-state count and first labels: the states its trace never forces."""
     parts = []
     for name, colorable, trace in cert.graphs:
         if not colorable:
             forced = {u for (_, u) in trace}
             whites = [label for v, label in enumerate(labels) if v not in forced]
-            parts.append(f"{name} has {len(whites)} (first: {', '.join(whites[:shown])})")
+            parts.append(f"{name} has {len(whites)} (first: {', '.join(whites[:10])})")
     return "white states: " + "; ".join(parts)
 
 

@@ -12,7 +12,7 @@ size until a certified one appears.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -35,7 +35,12 @@ class OracleReport:
     seed: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "trials": self.trials,
+            "passes": self.passes,
+            "min_sigma_ratio": self.min_sigma_ratio,
+            "seed": self.seed,
+        }
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,12 @@ class PatternMatrix:
         if self.symmetric:
             if self.rows != self.cols:
                 raise ValueError("symmetric flag on a non-square matrix")
-            for kind, cells in (("star", self.star), ("unknown", self.unknown)):
-                for (i, j) in cells:
-                    if (j, i) not in cells:
-                        raise ValueError(f"symmetric flag set but {kind} ({i}, {j}) unmirrored")
+            for (i, j) in self.star:
+                if (j, i) not in self.star:
+                    raise ValueError(f"symmetric flag set but star ({i}, {j}) unmirrored")
+            for (i, j) in self.unknown:
+                if (j, i) not in self.unknown:
+                    raise ValueError(f"symmetric flag set but unknown ({i}, {j}) unmirrored")
 
     @property
     def is_square(self) -> bool:

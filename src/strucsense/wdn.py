@@ -121,9 +121,10 @@ def parse_inp(text: str) -> WdnNetwork:
 
     if not seen_link_section:
         raise ParseError("no link section ([PIPES], [PUMPS] or [VALVES]) found")
+    declared = {node.label for node in nodes}
     for link in links:
         for endpoint in (link.from_label, link.to_label):
-            if endpoint not in node_lines:
+            if endpoint not in declared:
                 raise ParseError(
                     f"link {link.label!r} references undeclared node {endpoint!r}",
                     link_lines[link.label],
