@@ -226,7 +226,7 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle(args) -> int:
     bundle = load_input(args.path)
-    given = _resolve_sensors(args.sensors, bundle) if args.sensors else None
+    given = _resolve_sensors(args.sensors, bundle) if args.sensors is not None else None
     run = PipelineRun(bundle.pattern, bundle.graph, given=given)
     report = sample_and_check(
         bundle.pattern, run.output, trials=args.trials, seed=args.seed, c_mode=args.c_mode

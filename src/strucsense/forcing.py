@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
-from .netgraph import from_pattern
+from .netgraph import StateGraph, from_pattern
 from .pattern import Entry, PatternMatrix
 
 # self-loop flags ``run`` compares against, bound once: an Enum attribute lookup costs
@@ -229,9 +229,15 @@ class ClosureGraph:
         return len(self.run(measured)[1]) == self.n
 
 
-def compile_pattern(a: PatternMatrix) -> ClosureGraph:
-    """The state part of the observability graph of ``a``, read off ``from_pattern(a, transpose=True)``."""
-    g = from_pattern(a, transpose=True)
+def compile_pattern(a: PatternMatrix, g: StateGraph | None = None) -> ClosureGraph:
+    """The state part of the observability graph of ``a``, read off ``from_pattern(a, transpose=True)``.
+
+    ``g`` is that graph when the caller holds it already.
+    """
+    if g is None:
+        g = from_pattern(a, transpose=True)
+    elif g.n != a.rows:
+        raise ValueError(f"graph over {g.n} states does not match the {a.rows}-state pattern")
     return ClosureGraph(g.star_out, g.out, g.inn, g.loops)
 
 
@@ -277,18 +283,19 @@ def replay_trace(g: ObservabilityGraph, trace) -> frozenset:
     return frozenset(i for i in range(total) if black[i])
 
 
-def certify_sso(a: PatternMatrix, c: PatternMatrix) -> Certificate:
+def certify_sso(a: PatternMatrix, c: PatternMatrix, g: StateGraph | None = None) -> Certificate:
     """Certify strong structural observability of a pattern pair.
 
     Runs the closure on the observability graph of the state pattern and of
     its nonzero-diagonal companion, whose graph is derived from the first
     one's. Both traces are kept so a verdict can be replayed and rendered
-    step by step.
+    step by step. ``g`` is ``from_pattern(a, transpose=True)`` when the
+    caller holds it already.
     """
     measured = sensor_states(a, c)
-    graph = compile_pattern(a)
+    graph = compile_pattern(a, g)
     verdicts = []
-    for g in (graph, graph.companion()):
-        black, trace = g.run(measured)
+    for closure in (graph, graph.companion()):
+        black, trace = closure.run(measured)
         verdicts += [all(black), tuple(trace)]
     return Certificate(*verdicts)

@@ -18,11 +18,13 @@ from itertools import combinations
 import numpy as np
 
 from .forcing import compile_pattern, sensor_states
-from .pattern import Entry, PatternMatrix, SampleConfig, make_abar, sample_realization
+from .pattern import Entry, PatternMatrix, SampleConfig, make_abar, sample_realizations
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_STATE_CAP = 30
 DEFAULT_EXHAUSTIVE_CAP = 16
+# doubles one batch of oracle trials may hold in A, C and the stacked matrix (4 MiB)
+CHUNK_DOUBLES = 2**19
 
 
 @dataclass(frozen=True)
@@ -60,25 +62,42 @@ class MinimalPlacementResult:
 
 
 def _observability_singular_values(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Singular values of the stacked observability matrix.
+    """Singular values of each trial's stacked observability matrix.
 
-    Each power's rows are rescaled to unit max-abs before stacking and
-    before the next multiplication; row scaling by nonzero factors leaves
-    the rank untouched but keeps entries from overflowing as powers grow.
+    ``a`` is a ``(T, n, n)`` and ``c`` a ``(T, p, n)`` stack, n and p positive;
+    returns ``(T, n)``, descending per trial. Each power's rows are rescaled
+    to unit max-abs before stacking and before the next multiplication; row
+    scaling by nonzero factors leaves the rank untouched but keeps entries
+    from overflowing as powers grow.
     """
-    n = a.shape[0]
-    blocks = []
+    t, p, n = c.shape
+    stacked = np.empty((t, n * p, n))
     cur = np.array(c, dtype=float, copy=True)
-    for _ in range(n):
-        scale = np.max(np.abs(cur), axis=1, keepdims=True)
+    for k in range(n):
+        scale = np.max(np.abs(cur), axis=2, keepdims=True)
         scale[scale == 0.0] = 1.0
-        cur = cur / scale
-        blocks.append(cur)
-        cur = cur @ a
-    stacked = np.vstack(blocks)
-    if stacked.size == 0:
-        return np.zeros(0)
+        block = stacked[:, k * p:(k + 1) * p]
+        np.divide(cur, scale, out=block)
+        cur = block @ a
     return np.linalg.svd(stacked, compute_uv=False)
+
+
+def _sigma_ratios(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per trial, smallest over largest singular value of the observability matrix.
+
+    A trial passes the rank test when its ratio exceeds the tolerance. With
+    no states the ratio is 1.0: the empty state space is observable from any
+    outputs, as the certificate says of a 0-state pattern. With no outputs,
+    or an all-zero stack, it is 0.0.
+    """
+    t, p, n = c.shape
+    if n == 0:
+        return np.ones(t)
+    if p == 0:
+        return np.zeros(t)
+    sigmas = _observability_singular_values(a, c)
+    top = sigmas[:, 0]
+    return np.divide(sigmas[:, n - 1], top, out=np.zeros(t), where=top != 0.0)
 
 
 def observability_rank_test(
@@ -89,9 +108,9 @@ def observability_rank_test(
 ) -> bool:
     """Kalman-style test: does [C; CA; ...; CA^(n-1)] have full column rank?
 
-    Rank counts singular values above ``tol`` times the largest one. The
-    state cap keeps the test inside the regime where this threshold is
-    trustworthy.
+    Full rank means the n-th singular value over the largest exceeds
+    ``tol``. The state cap keeps the test inside the regime where this
+    threshold is trustworthy.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -104,15 +123,7 @@ def observability_rank_test(
         raise ValueError(f"{n} states exceed the rank-test cap of {max_states}")
     if not (np.isfinite(a).all() and np.isfinite(c).all()):
         raise ValueError("non-finite entries in input matrices")
-    if n == 0:
-        return True
-    if c.shape[0] == 0:
-        return False
-    sigmas = _observability_singular_values(a, c)
-    if sigmas.size == 0 or sigmas[0] == 0.0:
-        return False
-    rank = int(np.count_nonzero(sigmas > tol * sigmas[0]))
-    return rank == n
+    return bool(_sigma_ratios(a[None], c[None])[0] > tol)
 
 
 def realize_unit_output(c_pat: PatternMatrix) -> np.ndarray:
@@ -121,6 +132,11 @@ def realize_unit_output(c_pat: PatternMatrix) -> np.ndarray:
     for (i, j) in c_pat.star:
         mat[i, j] = 1.0
     return mat
+
+
+def _chunk_trials(n: int, p: int) -> int:
+    """Trials per batch: as many as keep A, C and the stacked matrix within ``CHUNK_DOUBLES``."""
+    return max(1, CHUNK_DOUBLES // max(1, n * n + p * n + n * p * n))
 
 
 def sample_and_check(
@@ -137,7 +153,11 @@ def sample_and_check(
 
     ``c_mode="unit"`` realizes output stars as exactly 1 (single-state
     sensors); ``c_mode="sampled"`` draws arbitrary nonzero output gains as
-    a robustness variant. Deterministic for a fixed seed.
+    a robustness variant. Deterministic for a fixed seed: ``seed`` draws
+    two seeds per trial, the first for A and the second for a sampled C.
+    Trials run as stacked arrays, in batches of ``_chunk_trials`` so memory
+    stays bounded whatever ``trials`` is. A 0-state pattern passes every
+    trial with ratio 1.0, as it certifies; zero trials report ratio 0.0.
     """
     if not a_pat.is_square:
         raise ValueError(f"square state pattern required, got {a_pat.rows}x{a_pat.cols}")
@@ -151,30 +171,21 @@ def sample_and_check(
     if n > max_states:
         raise ValueError(f"{n} states exceed the rank-test cap of {max_states}")
 
-    master = np.random.default_rng(seed)
-    trial_seeds = master.integers(0, 2**63 - 1, size=2 * max(trials, 1))
+    trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=2 * trials)
+    unit_c = realize_unit_output(c_pat)
     passes = 0
-    min_ratio = float("inf")
-    for t in range(trials):
-        a = sample_realization(a_pat, int(trial_seeds[2 * t]), cfg)
+    min_ratio = float("inf") if trials else 0.0
+    chunk = _chunk_trials(n, c_pat.rows)
+    for start in range(0, trials, chunk):
+        seeds = trial_seeds[2 * start:2 * (start + chunk)].tolist()
+        a = sample_realizations(a_pat, seeds[0::2], cfg)
         if c_mode == "unit":
-            c = realize_unit_output(c_pat)
+            c = np.broadcast_to(unit_c, (len(a), *unit_c.shape))
         else:
-            c = sample_realization(c_pat, int(trial_seeds[2 * t + 1]), cfg)
-        if c.shape[0] == 0:
-            ratio = 0.0
-            ok = False
-        else:
-            sigmas = _observability_singular_values(a, c)
-            if sigmas.size == 0 or sigmas[0] == 0.0:
-                ratio, ok = 0.0, False
-            else:
-                ratio = float(sigmas[n - 1] / sigmas[0]) if sigmas.size >= n else 0.0
-                ok = ratio > tol
-        passes += int(ok)
-        min_ratio = min(min_ratio, ratio)
-    if trials == 0:
-        min_ratio = 0.0
+            c = sample_realizations(c_pat, seeds[1::2], cfg)
+        ratios = _sigma_ratios(a, c)
+        passes += int(np.count_nonzero(ratios > tol))
+        min_ratio = min(min_ratio, float(ratios.min()))
     return OracleReport(trials, passes, min_ratio, seed)
 
 

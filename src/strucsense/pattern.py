@@ -161,22 +161,48 @@ def is_member(x: np.ndarray, a: PatternMatrix) -> bool:
     return bool(np.all(x[~free] == 0.0))
 
 
-def sample_realization(a: PatternMatrix, seed: int, cfg: SampleConfig | None = None) -> np.ndarray:
-    """Draw a member of the pattern class, deterministically for a fixed seed."""
+def sample_realizations(a: PatternMatrix, seeds, cfg: SampleConfig | None = None) -> np.ndarray:
+    """Draw one member of the pattern class per seed, stacked ``(len(seeds), rows, cols)``.
+
+    Each seed drives its own ``default_rng``. Stars come first, in sorted
+    position order, each taking a magnitude draw ``lo + (hi - lo) * u`` and a
+    sign draw; then each unknown, in sorted order, takes a draw that keeps it
+    zero with probability ``zero_prob`` and, when it takes a value, a
+    magnitude and a sign like a star. A realization's doubles come from one
+    ``random(K)`` call, K the most it can use, in that order: the same
+    doubles, and so the same matrix, that one ``random()`` or
+    ``uniform(lo, hi)`` call per draw would give. Stars are filled for all
+    seeds at once; the unknowns are walked in order, since whether one takes
+    a value decides where the next one's draws start.
+    """
     cfg = cfg or SampleConfig()
     lo, hi = cfg.star_range
     if not (0.0 < lo <= hi):
         raise ValueError(f"star_range must satisfy 0 < lo <= hi, got {cfg.star_range}")
-    rng = np.random.default_rng(seed)
-    x = np.zeros((a.rows, a.cols))
+    lo, hi = float(lo), float(hi)
+    star, unknown = sorted(a.star), sorted(a.unknown)
+    seeds = list(seeds)
+    u = np.empty((len(seeds), 2 * len(star) + 3 * len(unknown)))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).random(out=row)
+    x = np.zeros((len(seeds), a.rows, a.cols))
 
-    def draw() -> float:
-        mag = rng.uniform(lo, hi)
-        return mag if rng.random() < 0.5 else -mag
+    def signed(mag: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        mag = lo + (hi - lo) * mag
+        return np.where(sign < 0.5, mag, -mag)
 
-    for (i, j) in sorted(a.star):
-        x[i, j] = draw()
-    for (i, j) in sorted(a.unknown):
-        if rng.random() >= cfg.zero_prob:
-            x[i, j] = draw()
+    if star:
+        rows, cols = zip(*star)
+        x[:, rows, cols] = signed(u[:, 0:2 * len(star):2], u[:, 1:2 * len(star):2])
+    trials = np.arange(len(seeds))
+    at = np.full(len(seeds), 2 * len(star))
+    for (i, j) in unknown:
+        takes = u[trials, at] >= cfg.zero_prob
+        x[:, i, j] = np.where(takes, signed(u[trials, at + 1], u[trials, at + 2]), 0.0)
+        at += 1 + 2 * takes
     return x
+
+
+def sample_realization(a: PatternMatrix, seed: int, cfg: SampleConfig | None = None) -> np.ndarray:
+    """Draw a member of the pattern class, deterministically for a fixed seed."""
+    return sample_realizations(a, [seed], cfg)[0]

@@ -140,8 +140,10 @@ class PipelineRun:
     """One input's forest, placement, output pattern, certificate and counts.
 
     Each stage is computed on first read and kept, so a caller pays only for
-    what it reads. ``mode`` is "cyclic" or "tree" (no forest: ``tree`` is
-    None); a ``given`` placement, e.g. a user's proposal, replaces both rules.
+    what it reads. ``graph`` is ``from_pattern(pattern, transpose=True)``;
+    the certificate closes it rather than building it again. ``mode`` is
+    "cyclic" or "tree" (no forest: ``tree`` is None); a ``given`` placement,
+    e.g. a user's proposal, replaces both rules.
     """
 
     pattern: PatternMatrix
@@ -173,7 +175,7 @@ class PipelineRun:
 
     @cached_property
     def certificate(self) -> Certificate:
-        return certify_sso(self.pattern, self.output)
+        return certify_sso(self.pattern, self.output, self.graph)
 
     @cached_property
     def counts(self) -> SensorCountReport:

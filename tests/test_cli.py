@@ -171,10 +171,11 @@ class TestPlace:
         }
 
     def test_one_compiled_graph_and_no_companion_pattern(self, capsys, fixtures_dir, monkeypatch):
-        counts = count_calls(monkeypatch, "make_abar", "compile_pattern")
+        counts = count_calls(monkeypatch, "make_abar", "compile_pattern", "from_pattern")
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
         assert code == 0
-        assert counts == {"make_abar": 0, "compile_pattern": 1}
+        # the certificate closes the graph the input was loaded into
+        assert counts == {"make_abar": 0, "compile_pattern": 1, "from_pattern": 1}
 
     def test_companion_graph_shares_the_compiled_lists(self, capsys, fixtures_dir, monkeypatch):
         derive, graphs = strucsense.forcing.ClosureGraph.companion, []
@@ -384,6 +385,12 @@ class TestOracleCommand:
         )
         assert code == 0
         assert json.loads(out)["sensors"] == [0]
+
+    def test_empty_sensor_list_tests_no_sensors(self, capsys, fixtures_dir):
+        code, out, _ = run_cli(capsys, "oracle", str(fixtures_dir / "triangle3.json"), "--sensors", "", "--trials", "5")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["sensors"], payload["passes"], payload["min_sigma_ratio"]) == ([], 0, 0.0)
 
     def test_negative_trials_is_input_error(self, capsys, fixtures_dir):
         code, out, err = run_cli(capsys, "oracle", str(fixtures_dir / "triangle3.json"), "--trials", "-1")

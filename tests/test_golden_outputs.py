@@ -3,7 +3,8 @@
 ``golden_outputs.json`` maps each command line to the stdout, stderr and
 exit code it produced when the file was written. The commands cover every
 fixture through ``info`` and both ``place`` modes in every format, plus
-``certify``, ``oracle`` (computed and given sensors), ``minimize`` and each
+``certify``, ``oracle`` (computed and given sensors, sampled output gains,
+and a trial count past the oracle's batch size), ``minimize`` and each
 ``export-dot`` stage (the placement and trace stages in both modes), so a
 refactor that changes any emitted byte fails here, not only a rerun of the
 same version (``test_byte_identical_reruns``).
@@ -44,6 +45,8 @@ def commands() -> list:
             out.append(["certify", path, "--sensors", "0,1", "--format", fmt])
         out.append(["oracle", path, "--trials", "5"])
         out.append(["oracle", path, "--sensors", "0,1", "--trials", "5"])
+        out.append(["oracle", path, "--trials", "16000"])  # more than one batch of trials on every fixture
+        out.append(["oracle", path, "--c-mode", "sampled", "--trials", "5"])
         out.append(["minimize", path])
         for stage in ("graph", "tree", "placement", "trace"):
             out.append(["export-dot", path, "--stage", stage])

@@ -3,9 +3,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strucsense import (
+    OracleReport,
     PatternMatrix,
+    SampleConfig,
     build_output_pattern,
     build_structured_wdn,
     certify_sso,
@@ -17,11 +21,12 @@ from strucsense import (
     observability_rank_test,
     place_cyclic,
     sample_and_check,
+    sample_realization,
     spanning_tree_dfs,
 )
 import strucsense.oracle
 from strucsense.forcing import build_observability_graph, force_closure_reference
-from strucsense.oracle import realize_unit_output
+from strucsense.oracle import DEFAULT_RANK_TOL, _chunk_trials, realize_unit_output
 from generators import random_connected_pattern, random_symmetric_pattern
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
@@ -101,6 +106,15 @@ class TestSampleAndCheck:
         c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
         report = sample_and_check(pat, c, trials=50, seed=5, c_mode="sampled")
         assert report.passes == 50  # nonzero gains keep observability intact
+
+    def test_zero_states_pass_as_they_certify(self):
+        a = PatternMatrix(0, 0)
+        c = PatternMatrix(0, 0, frozenset(), frozenset())
+        assert certify_sso(a, c).sso
+        assert observability_rank_test(np.zeros((0, 0)), np.zeros((0, 0)))
+        for c_mode in ("unit", "sampled"):
+            report = sample_and_check(a, c, trials=5, seed=3, c_mode=c_mode)
+            assert (report.passes, report.min_sigma_ratio) == (5, 1.0)
 
     def test_unknown_c_mode_rejected(self):
         c = PatternMatrix(1, 3, frozenset({(0, 0)}), frozenset())
@@ -291,3 +305,114 @@ class TestCertificateOracleAgreement:
             assert report.passes == 40, f"seed {seed - 1}"
             confirmed += 1
         assert confirmed == 10
+
+
+def sample_realization_reference(a: PatternMatrix, seed: int, cfg: SampleConfig | None = None) -> np.ndarray:
+    """The sampler's contract one draw at a time: scalar ``uniform`` and ``random`` calls."""
+    cfg = cfg or SampleConfig()
+    lo, hi = cfg.star_range
+    rng = np.random.default_rng(seed)
+    x = np.zeros((a.rows, a.cols))
+
+    def draw() -> float:
+        mag = rng.uniform(lo, hi)
+        return mag if rng.random() < 0.5 else -mag
+
+    for (i, j) in sorted(a.star):
+        x[i, j] = draw()
+    for (i, j) in sorted(a.unknown):
+        if rng.random() >= cfg.zero_prob:
+            x[i, j] = draw()
+    return x
+
+
+def sample_and_check_reference(a_pat, c_pat, trials, seed, cfg=None, c_mode="unit", tol=DEFAULT_RANK_TOL):
+    """The oracle's contract one trial at a time: scalar draws and one SVD per trial."""
+    n = a_pat.rows
+    trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=2 * trials)
+    passes, min_ratio = 0, float("inf")
+    for t in range(trials):
+        a = sample_realization_reference(a_pat, int(trial_seeds[2 * t]), cfg)
+        if c_mode == "unit":
+            c = realize_unit_output(c_pat)
+        else:
+            c = sample_realization_reference(c_pat, int(trial_seeds[2 * t + 1]), cfg)
+        if n == 0:
+            ratio = 1.0
+        elif c.shape[0] == 0:
+            ratio = 0.0
+        else:
+            blocks, cur = [], c
+            for _ in range(n):
+                scale = np.max(np.abs(cur), axis=1, keepdims=True)
+                scale[scale == 0.0] = 1.0
+                cur = cur / scale
+                blocks.append(cur)
+                cur = cur @ a
+            sigmas = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+            ratio = float(sigmas[n - 1] / sigmas[0]) if sigmas[0] != 0.0 else 0.0
+        passes += ratio > tol
+        min_ratio = min(min_ratio, ratio)
+    return OracleReport(trials, passes, min_ratio if trials else 0.0, seed)
+
+
+CONFIGS = [None, SampleConfig((1, 3), 0.2), SampleConfig((0.5, 0.5), 0.9)]
+
+
+@st.composite
+def oracle_cases(draw):
+    """A state pattern (sometimes with a row of unknowns only), sensor rows and sampling knobs."""
+    n = draw(st.integers(0, 6))
+    rows = [draw(st.text("0*?", min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = "?" * n
+    measured = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)) if n else []
+    star = frozenset(enumerate(measured))
+    # sampled mode draws every output entry: let some rows carry unknowns too
+    unknown = frozenset(
+        (r, j) for r in range(len(measured)) for j in draw(st.sets(st.integers(0, n - 1), max_size=2))
+        if (r, j) not in star
+    ) if n and draw(st.booleans()) else frozenset()
+    c_pat = PatternMatrix(len(measured), n, star, unknown)
+    a_pat = PatternMatrix.from_rows(rows) if n else PatternMatrix(0, 0)
+    return a_pat, c_pat, draw(st.sampled_from(CONFIGS))
+
+
+class TestBatchedAgainstPerTrialReference:
+    """The batched oracle gives the per-trial loop's report exactly, no tolerance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        oracle_cases(),
+        st.sampled_from(["unit", "sampled"]),
+        # (chunks, extra): 0 or 1 trials, or one chunk minus one, exactly one, plus one
+        st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_report(self, case, c_mode, size, seed):
+        a_pat, c_pat, cfg = case
+        chunks, extra = size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strucsense.oracle, "CHUNK_DOUBLES", 200)  # chunks of a few to 200 trials
+            trials = chunks * _chunk_trials(a_pat.rows, c_pat.rows) + extra
+            got = sample_and_check(a_pat, c_pat, trials, seed, cfg=cfg, c_mode=c_mode)
+        assert got == sample_and_check_reference(a_pat, c_pat, trials, seed, cfg=cfg, c_mode=c_mode)
+
+    @pytest.mark.parametrize("c_mode", ["unit", "sampled"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_thirty_states_across_the_real_chunk(self, c_mode, offset):
+        a_pat = random_symmetric_pattern(4, n_min=30, n_max=30)
+        c_pat = PatternMatrix(30, 30, frozenset((i, i) for i in range(30)), frozenset())
+        trials = _chunk_trials(30, 30) + offset
+        got = sample_and_check(a_pat, c_pat, trials, 8, c_mode=c_mode)
+        assert got == sample_and_check_reference(a_pat, c_pat, trials, 8, c_mode=c_mode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sampler_matches_scalar_draws(self, data):
+        rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        cells = [data.draw(st.text("0*?", min_size=cols, max_size=cols)) for _ in range(rows)]
+        pat = PatternMatrix.from_rows(cells) if rows else PatternMatrix(0, cols)
+        seed, cfg = data.draw(st.integers(0, 2**63 - 2)), data.draw(st.sampled_from(CONFIGS))
+        got = sample_realization(pat, seed, cfg)
+        assert got.tobytes() == sample_realization_reference(pat, seed, cfg).tobytes()

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 
 from strucsense import (
+    PatternMatrix,
     build_output_pattern,
     build_structured_wdn,
     certify_sso,
@@ -20,10 +21,12 @@ from strucsense import (
     cycle_count,
     from_pattern,
     place_cyclic,
+    sample_and_check,
     spanning_tree_dfs,
 )
 from strucsense.cli import load_input
 from strucsense.wdn import parse_inp, write_incidence_csv
+from generators import random_symmetric_pattern
 
 
 def big_tree_network(n_h: int, seed: int = 0) -> np.ndarray:
@@ -95,3 +98,18 @@ def test_incidence_export_holds_no_dense_matrix(tmp_path):
         rows = sum(1 for _ in f)
     assert rows == n_h
     assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_oracle_holds_one_batch_of_trials():
+    """2000 trials on 30 states with 30 sensors never hold every stacked 900 x 30 matrix (432 MB)."""
+    a = random_symmetric_pattern(0, n_min=30, n_max=30)
+    c = PatternMatrix(30, 30, frozenset((i, i) for i in range(30)), frozenset())
+
+    tracemalloc.start()
+    try:
+        report = sample_and_check(a, c, trials=2000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passes == 2000  # every state measured
+    assert peak < 24 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
