@@ -42,6 +42,7 @@ from .wdn import (
     incidence,
     parse_edge_list,
     parse_inp,
+    state_graph,
     structured_pattern,
     structured_state_labels,
     to_pattern,

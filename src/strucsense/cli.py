@@ -19,11 +19,12 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import dot
 from .forcing import build_observability_graph
-from .netgraph import StateGraph, check_preconditions, cycle_count, from_pattern
+from .netgraph import StateGraph, check_preconditions, cycle_count
 from .oracle import exhaustive_min_sensors, sample_and_check
 from .pattern import PatternMatrix
 from .placement import PipelineRun, SensorPlacement
@@ -32,7 +33,7 @@ from .wdn import (
     WdnNetwork,
     parse_edge_list,
     parse_inp,
-    structured_pattern,
+    state_graph,
     structured_state_labels,
     to_pattern,
     write_incidence_csv,
@@ -52,13 +53,17 @@ class InputBundle:
     path: str
     kind: str  # "wdn" or "edge_list"
     graph: StateGraph
-    pattern: PatternMatrix
     labels: list
     net: WdnNetwork | None = None
 
     @property
     def flow_count(self) -> int | None:
         return self.net.n_links if self.net is not None else None
+
+    @cached_property
+    def pattern(self) -> PatternMatrix:
+        """The state pattern, built on first read: only the commands that need its entries pay for it."""
+        return to_pattern(self.graph)
 
 
 def load_input(path: str) -> InputBundle:
@@ -68,23 +73,9 @@ def load_input(path: str) -> InputBundle:
     as_json = path.endswith(".json") or stripped.startswith("{")
     if as_json:
         graph = parse_edge_list(text)
-        return InputBundle(
-            path=path,
-            kind="edge_list",
-            graph=graph,
-            pattern=to_pattern(graph),
-            labels=[str(i) for i in range(graph.n)],
-        )
+        return InputBundle(path=path, kind="edge_list", graph=graph, labels=[str(i) for i in range(graph.n)])
     net = parse_inp(text)
-    pattern = structured_pattern(net)
-    return InputBundle(
-        path=path,
-        kind="wdn",
-        graph=from_pattern(pattern, transpose=True),
-        pattern=pattern,
-        labels=structured_state_labels(net),
-        net=net,
-    )
+    return InputBundle(path=path, kind="wdn", graph=state_graph(net), labels=structured_state_labels(net), net=net)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -119,7 +110,7 @@ def _resolve_sensors(sensor_text: str, bundle: InputBundle) -> SensorPlacement:
 
 def cmd_info(args) -> int:
     bundle = load_input(args.path)
-    pre = check_preconditions(bundle.pattern, bundle.graph)
+    pre = check_preconditions(None, bundle.graph)
     cls = pre.classification
     payload = {
         "path": bundle.path,
@@ -166,7 +157,7 @@ def cmd_info(args) -> int:
 
 def cmd_place(args) -> int:
     bundle = load_input(args.path)
-    run = PipelineRun(bundle.pattern, bundle.graph, args.mode)
+    run = PipelineRun(bundle.graph, args.mode)
     p, cert = run.placement, run.certificate
     if not cert.sso:
         sys.stderr.write("internal error: pipeline placement failed certification\n")
@@ -209,7 +200,7 @@ def _white_states_line(cert, labels: list) -> str:
 
 def cmd_certify(args) -> int:
     bundle = load_input(args.path)
-    run = PipelineRun(bundle.pattern, bundle.graph, given=_resolve_sensors(args.sensors, bundle))
+    run = PipelineRun(bundle.graph, given=_resolve_sensors(args.sensors, bundle))
     cert, measured = run.certificate, list(run.placement.measured)
     payload = {
         "sensors": measured,
@@ -227,7 +218,7 @@ def cmd_certify(args) -> int:
 def cmd_oracle(args) -> int:
     bundle = load_input(args.path)
     given = _resolve_sensors(args.sensors, bundle) if args.sensors is not None else None
-    run = PipelineRun(bundle.pattern, bundle.graph, given=given)
+    run = PipelineRun(bundle.graph, given=given)
     report = sample_and_check(
         bundle.pattern, run.output, trials=args.trials, seed=args.seed, c_mode=args.c_mode
     )
@@ -243,7 +234,7 @@ def cmd_minimize(args) -> int:
         def progress(update):
             sys.stderr.write(json.dumps(update, sort_keys=True) + "\n")
     result = exhaustive_min_sensors(bundle.pattern, progress=progress)
-    heuristic = PipelineRun(bundle.pattern, bundle.graph).placement
+    heuristic = PipelineRun(bundle.graph).placement
     payload = {**result.as_dict(), "heuristic_sensors": heuristic.n_y}
     _dump_json(payload, args.out)
     return EXIT_OK
@@ -252,7 +243,7 @@ def cmd_minimize(args) -> int:
 def cmd_export_dot(args) -> int:
     bundle = load_input(args.path)
     # the tree stage draws the spanning forest whatever --mode says
-    run = PipelineRun(bundle.pattern, bundle.graph, "cyclic" if args.stage == "tree" else args.mode)
+    run = PipelineRun(bundle.graph, "cyclic" if args.stage == "tree" else args.mode)
     if args.stage == "graph":
         text = dot.graph_dot(bundle.graph, bundle.labels, bundle.flow_count)
     elif args.stage == "tree":
@@ -270,7 +261,7 @@ def _bench_one(path: str, repeats: int = 5) -> dict:
     bundle = load_input(path)
     timings = []
     for _ in range(repeats):
-        run = PipelineRun(bundle.pattern, bundle.graph)
+        run = PipelineRun(bundle.graph)
         start = time.perf_counter()
         run.output  # spanning forest, placement, output pattern: the paper-timed stages
         timings.append(time.perf_counter() - start)

@@ -85,16 +85,19 @@ class Certificate:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def sensor_states(a: PatternMatrix, c: PatternMatrix) -> tuple:
+def sensor_states(a: PatternMatrix | None, c: PatternMatrix, n: int | None = None) -> tuple:
     """State measured by each output row, in row order.
 
     Raises unless the state pattern is square, the output pattern has one
-    column per state, only stars, and exactly one star per row.
+    column per state, only stars, and exactly one star per row. ``a`` may
+    be None when ``n`` gives the state count.
     """
-    if not a.is_square:
-        raise ValueError(f"square state pattern required, got {a.rows}x{a.cols}")
-    if c.cols != a.rows:
-        raise ValueError(f"output pattern has {c.cols} columns, expected {a.rows}")
+    if a is not None:
+        if not a.is_square:
+            raise ValueError(f"square state pattern required, got {a.rows}x{a.cols}")
+        n = a.rows
+    if c.cols != n:
+        raise ValueError(f"output pattern has {c.cols} columns, expected {n}")
     if c.unknown:
         raise ValueError("output pattern must contain only zeros and stars")
     measured = [None] * c.rows
@@ -229,14 +232,14 @@ class ClosureGraph:
         return len(self.run(measured)[1]) == self.n
 
 
-def compile_pattern(a: PatternMatrix, g: StateGraph | None = None) -> ClosureGraph:
+def compile_pattern(a: PatternMatrix | None, g: StateGraph | None = None) -> ClosureGraph:
     """The state part of the observability graph of ``a``, read off ``from_pattern(a, transpose=True)``.
 
-    ``g`` is that graph when the caller holds it already.
+    ``g`` is that graph when the caller holds it already, and then ``a`` may be None.
     """
     if g is None:
         g = from_pattern(a, transpose=True)
-    elif g.n != a.rows:
+    elif a is not None and g.n != a.rows:
         raise ValueError(f"graph over {g.n} states does not match the {a.rows}-state pattern")
     return ClosureGraph(g.star_out, g.out, g.inn, g.loops)
 
@@ -283,16 +286,17 @@ def replay_trace(g: ObservabilityGraph, trace) -> frozenset:
     return frozenset(i for i in range(total) if black[i])
 
 
-def certify_sso(a: PatternMatrix, c: PatternMatrix, g: StateGraph | None = None) -> Certificate:
+def certify_sso(a: PatternMatrix | None, c: PatternMatrix, g: StateGraph | None = None) -> Certificate:
     """Certify strong structural observability of a pattern pair.
 
     Runs the closure on the observability graph of the state pattern and of
     its nonzero-diagonal companion, whose graph is derived from the first
     one's. Both traces are kept so a verdict can be replayed and rendered
     step by step. ``g`` is ``from_pattern(a, transpose=True)`` when the
-    caller holds it already.
+    caller holds it already, and then ``a`` may be None: the graph is all
+    the closures read.
     """
-    measured = sensor_states(a, c)
+    measured = sensor_states(a, c, None if g is None else g.n)
     graph = compile_pattern(a, g)
     verdicts = []
     for closure in (graph, graph.companion()):

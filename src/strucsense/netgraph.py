@@ -44,7 +44,8 @@ class StateGraph:
     and over both kinds (``star_nbrs``, ``nbrs``; in-edges count, so
     asymmetric inputs still classify sensibly), directed (``star_out``,
     ``out``, ``inn``), the same tuples when the graph is symmetric; and
-    ``loops``, the diagonal ``Entry`` (ZERO: no self-loop).
+    ``loops``, the diagonal ``Entry`` (ZERO: no self-loop). A graph built
+    from its lists (``star_graph``) reads its edge sets off them on first use.
     """
 
     n: int
@@ -61,16 +62,29 @@ class StateGraph:
             raise ValueError("an edge cannot be both star and unknown")
         object.__setattr__(self, "star_edges", star)
         object.__setattr__(self, "unknown_edges", unknown)
-        self.__dict__.update(_adjacency(self.n, star, unknown, self.is_symmetric()))
+        symmetric = all((j, i) in star for (i, j) in star) and all((j, i) in unknown for (i, j) in unknown)
+        self.__dict__.update(_adjacency(self.n, star, unknown, symmetric))
+
+    def __getattr__(self, name: str):
+        """Edge sets of a graph built from its lists, read off the lists on first use and kept."""
+        if name not in ("star_edges", "unknown_edges"):
+            raise AttributeError(name)
+        lists = self.__dict__
+        star = {(v, u) for v, nbrs in enumerate(lists["star_out"]) for u in nbrs}
+        unknown = {(v, u) for v, nbrs in enumerate(lists["out"]) for u in nbrs} - star
+        for v, loop in enumerate(lists["loops"]):
+            if loop is not Entry.ZERO:
+                (star if loop is Entry.STAR else unknown).add((v, v))
+        lists.update(star_edges=frozenset(star), unknown_edges=frozenset(unknown))
+        return lists[name]
 
     def undirected_star_pairs(self) -> set:
         """Unordered star edges {i, j} with i != j (self-loops dropped)."""
         return {(v, u) for v in range(self.n) for u in self.star_nbrs[v] if v < u}
 
     def is_symmetric(self) -> bool:
-        return all((j, i) in self.star_edges for (i, j) in self.star_edges) and all(
-            (j, i) in self.unknown_edges for (i, j) in self.unknown_edges
-        )
+        """Every edge mirrored by one of its kind: each directed list is its undirected one."""
+        return self.star_out == self.star_nbrs and self.out == self.nbrs
 
 
 @dataclass(frozen=True)
@@ -125,15 +139,30 @@ class PreconditionReport:
         }
 
 
+def _unchecked(n: int, **fields) -> StateGraph:
+    """A ``StateGraph`` of fields already checked by its caller, skipping ``__post_init__``."""
+    g = object.__new__(StateGraph)
+    g.__dict__.update(n=n, **fields)
+    return g
+
+
+def star_graph(nbrs: tuple, loops: tuple) -> StateGraph:
+    """The symmetric graph whose off-diagonal edges are all stars, from its lists.
+
+    ``nbrs`` holds each node's ascending, mirrored off-diagonal neighbours
+    and serves as every list; ``loops`` the self-loop flags. Nothing is
+    re-checked or re-sorted, and the edge sets are derived only if read.
+    """
+    return _unchecked(len(nbrs), star_nbrs=nbrs, nbrs=nbrs, star_out=nbrs, out=nbrs, inn=nbrs, loops=loops)
+
+
 def from_pattern(a: PatternMatrix, transpose: bool = False) -> StateGraph:
     """Graph of a square pattern; with ``transpose`` edges follow entry (j, i)."""
     if not a.is_square:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
     if a.symmetric:  # entries range- and mirror-checked when ``a`` was built: skip StateGraph's checks
-        g = object.__new__(StateGraph)
-        g.__dict__.update(n=a.rows, star_edges=a.star, unknown_edges=a.unknown)
-        g.__dict__.update(_adjacency(a.rows, a.star, a.unknown, symmetric=True))
-        return g
+        adjacency = _adjacency(a.rows, a.star, a.unknown, symmetric=True)
+        return _unchecked(a.rows, star_edges=a.star, unknown_edges=a.unknown, **adjacency)
     if transpose:
         star = frozenset((j, i) for (i, j) in a.star)
         unknown = frozenset((j, i) for (i, j) in a.unknown)
@@ -188,25 +217,28 @@ def cycle_count(g: StateGraph, components=None) -> int:
     return m - g.n + len(components)
 
 
-def check_preconditions(a: PatternMatrix, g: StateGraph | None = None) -> PreconditionReport:
+def check_preconditions(a: PatternMatrix | None, g: StateGraph | None = None) -> PreconditionReport:
     """Report whether a square pattern meets the placement prerequisites.
 
     Checks symmetry of the pattern, full connectivity through star edges,
     and the presence of at least one extreme node. Report-only; callers
     decide what to do with violations. ``g`` is the pattern's transposed
     graph, ``from_pattern(a, transpose=True)``, when the caller holds it
-    already; the report carries the node classification it computed.
+    already, and then ``a`` may be None: the graph's edges are the
+    pattern's entries transposed, so it holds the pattern's symmetry. The
+    report carries the node classification it computed.
     """
-    if not a.is_square:
+    if a is not None and not a.is_square:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
-    asymmetric_at = None  # a pattern flagged symmetric was verified when built
-    if not a.symmetric:
-        # smallest position whose transpose holds a different entry
-        unmirrored = [(i, j) for (i, j) in a.star if (j, i) not in a.star]
-        unmirrored += [(i, j) for (i, j) in a.unknown if (j, i) not in a.unknown]
-        asymmetric_at = min(unmirrored, default=None)
     if g is None:
         g = from_pattern(a, transpose=True)
+    asymmetric_at = None  # a pattern flagged symmetric was verified when built
+    if not (a is not None and a.symmetric or g.is_symmetric()):
+        # smallest pattern position whose transpose holds a different entry; edge (i, j) is entry (j, i)
+        star, unknown = g.star_edges, g.unknown_edges
+        unmirrored = [(j, i) for (i, j) in star if (j, i) not in star]
+        unmirrored += [(j, i) for (i, j) in unknown if (j, i) not in unknown]
+        asymmetric_at = min(unmirrored)
     components = connected_components_star(g)
     classification = classify_nodes(g)
     return PreconditionReport(

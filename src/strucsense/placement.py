@@ -140,13 +140,13 @@ class PipelineRun:
     """One input's forest, placement, output pattern, certificate and counts.
 
     Each stage is computed on first read and kept, so a caller pays only for
-    what it reads. ``graph`` is ``from_pattern(pattern, transpose=True)``;
-    the certificate closes it rather than building it again. ``mode`` is
-    "cyclic" or "tree" (no forest: ``tree`` is None); a ``given`` placement,
-    e.g. a user's proposal, replaces both rules.
+    what it reads. ``graph`` is the state pattern's graph,
+    ``from_pattern(a, transpose=True)`` or ``wdn.state_graph(net)``; every
+    stage, the certificate included, reads the graph and never the pattern.
+    ``mode`` is "cyclic" or "tree" (no forest: ``tree`` is None); a
+    ``given`` placement, e.g. a user's proposal, replaces both rules.
     """
 
-    pattern: PatternMatrix
     graph: StateGraph
     mode: str = "cyclic"
     given: SensorPlacement | None = None
@@ -175,7 +175,7 @@ class PipelineRun:
 
     @cached_property
     def certificate(self) -> Certificate:
-        return certify_sso(self.pattern, self.output, self.graph)
+        return certify_sso(None, self.output, self.graph)
 
     @cached_property
     def counts(self) -> SensorCountReport:

@@ -55,34 +55,28 @@ def spanning_tree_dfs(g: StateGraph) -> SpanningTree:
     parent: list = [None] * g.n
     visited = [False] * g.n
     roots = []
-    tree_edges = set()
 
     for root in range(g.n):
         if visited[root]:
             continue
         visited[root] = True
         roots.append(root)
-        # stack of (node, next position in its adjacency list)
-        stack = [(root, 0)]
-        while stack:
-            v, pos = stack[-1]
-            advanced = False
-            nbrs = adj[v]
-            while pos < len(nbrs):
-                u = nbrs[pos]
-                pos += 1
+        # one frame per open node: the node and the iterator over its unexplored neighbours
+        path, frames = [root], [iter(adj[root])]
+        while frames:
+            for u in frames[-1]:
                 if not visited[u]:
                     visited[u] = True
-                    parent[u] = v
-                    tree_edges.add((min(v, u), max(v, u)))
-                    stack[-1] = (v, pos)
-                    stack.append((u, 0))
-                    advanced = True
+                    parent[u] = path[-1]
+                    path.append(u)
+                    frames.append(iter(adj[u]))
                     break
-            if not advanced:
-                stack.pop()
+            else:
+                path.pop()
+                frames.pop()
 
-    return SpanningTree(tuple(parent), tuple(roots), frozenset(tree_edges), tuple(visited))
+    tree_edges = frozenset((p, v) if p < v else (v, p) for v, p in enumerate(parent) if p is not None)
+    return SpanningTree(tuple(parent), tuple(roots), tree_edges, tuple(visited))
 
 
 def removed_chords(g: StateGraph, t: SpanningTree) -> set:

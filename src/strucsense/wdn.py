@@ -1,12 +1,13 @@
 """Water-network ingestion and the structured state pattern it induces.
 
 Reads the topology subset of the EPANET INP dialect (junctions, reservoirs,
-tanks, pipes, pumps, valves, optional coordinates) and assembles, straight
-from the link list, the block pattern whose states are one flow per link
-followed by one head per hydraulic node: star self-loops on flows, unknown
-self-loops on heads, and star couplings wherever a link meets a node. The
-dense node-by-link incidence matrix is built only on request. Hydraulic
-parameters are never parsed; only topology shapes the pattern.
+tanks, pipes, pumps, valves, optional coordinates) and builds, in one pass
+over the link list, the state graph of the block pattern whose states are
+one flow per link followed by one head per hydraulic node: star self-loops
+on flows, unknown self-loops on heads, and star couplings wherever a link
+meets a node. The pattern itself and the dense node-by-link incidence
+matrix are built only on request. Hydraulic parameters are never parsed;
+only topology shapes the pattern.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .netgraph import StateGraph
-from .pattern import PatternMatrix
+from .netgraph import StateGraph, star_graph
+from .pattern import Entry, PatternMatrix
 
 _NODE_SECTIONS = {"JUNCTIONS": "junction", "RESERVOIRS": "reservoir", "TANKS": "tank"}
 _LINK_SECTIONS = {"PIPES": "pipe", "PUMPS": "pump", "VALVES": "valve"}
@@ -191,39 +192,55 @@ def write_incidence_csv(net: WdnNetwork, path) -> None:
             f.write("\n")  # the empty matrix's CSV is one newline
 
 
-def _structured(n_nodes: int, n_links: int, couplings) -> PatternMatrix:
-    """Block pattern of the linearized network: flows first, heads after.
+def _walk(n_nodes: int, flows: list) -> StateGraph:
+    """State graph of the linearized network: flows first, heads after.
 
+    ``flows[j]`` holds, ascending, the head states link ``j`` couples (node
+    ``i``'s head is state ``len(flows) + i``): flow ``j``'s neighbours.
     Flows carry star self-loops (friction), heads carry unknown self-loops
-    (local hydraulic effects may or may not be present), and each
-    ``(link, node)`` coupling joins that link's flow state to the node's
-    head with mirrored stars. The result is symmetric by construction.
+    (local hydraulic effects may or may not be present), and each coupling
+    joins the link's flow state to the node's head with mirrored stars. One
+    pass over the links fills each head's list in ascending link order, so
+    nothing is hashed or sorted.
     """
-    m = n_links
-    star = {(k, k) for k in range(m)}
-    unknown = {(m + i, m + i) for i in range(n_nodes)}
-    for j, i in couplings:
-        star.add((j, m + i))
-        star.add((m + i, j))
-    return PatternMatrix(m + n_nodes, m + n_nodes, frozenset(star), frozenset(unknown), symmetric=True)
+    m = len(flows)
+    heads = [[] for _ in range(n_nodes)]
+    for j, states in enumerate(flows):
+        for s in states:
+            heads[s - m].append(j)
+    loops = (Entry.STAR,) * m + (Entry.UNKNOWN,) * n_nodes
+    return star_graph(tuple(flows) + tuple([tuple(h) for h in heads]), loops)
+
+
+def state_graph(net: WdnNetwork) -> StateGraph:
+    """The structured pattern's graph, read off the links in one pass.
+
+    Equals ``from_pattern(structured_pattern(net), transpose=True)``
+    without building the pattern or its edge sets.
+    """
+    m, node = net.n_links, net._node_lookup
+    flows = []
+    for link in net.links:
+        a, b = m + node[link.from_label], m + node[link.to_label]
+        flows.append((a, b) if a < b else (b, a))
+    return _walk(net.n_nodes, flows)
 
 
 def structured_pattern(net: WdnNetwork) -> PatternMatrix:
-    """Structured pattern of a network, read off its links (no dense matrix)."""
-    node = net.node_index
-    couplings = (
-        (j, node(end)) for j, link in enumerate(net.links) for end in (link.from_label, link.to_label)
-    )
-    return _structured(net.n_nodes, net.n_links, couplings)
+    """Structured pattern of a network: the pattern view of ``state_graph(net)`` (no dense matrix)."""
+    return to_pattern(state_graph(net))
 
 
 def build_structured_wdn(inc: np.ndarray) -> PatternMatrix:
-    """Structured pattern of a node-by-link incidence (any nonzero couples)."""
+    """Structured pattern of a node-by-link incidence (any nonzero couples), through ``state_graph``'s walk."""
     inc = np.asarray(inc, dtype=float)
     if inc.ndim != 2:
         raise ValueError("incidence matrix must be two-dimensional")
-    rows, cols = np.nonzero(inc)
-    return _structured(*inc.shape, zip(cols.tolist(), rows.tolist()))
+    n_nodes, m = inc.shape
+    flows = [[] for _ in range(m)]
+    for j, i in zip(*(axis.tolist() for axis in np.nonzero(inc.T))):  # ascending nodes per link
+        flows[j].append(m + i)
+    return to_pattern(_walk(n_nodes, [tuple(states) for states in flows]))
 
 
 def structured_state_labels(net: WdnNetwork) -> list:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from strucsense import PatternMatrix, build_structured_wdn
+from strucsense.wdn import HydraulicNode, Link, WdnNetwork
 
 
 def random_tree_pattern(seed: int, n_min: int = 2, n_max: int = 50) -> PatternMatrix:
@@ -116,3 +118,33 @@ def random_sensor_rows(rng: random.Random, n: int, max_sensors: int | None = Non
     measured = sorted(rng.sample(range(n), k)) if k else []
     star = frozenset((row, s) for row, s in enumerate(measured))
     return PatternMatrix(len(measured), n, star, frozenset())
+
+
+NODE_KINDS = ("junction", "reservoir", "tank")  # INP section order
+LINK_KINDS = ("pipe", "pump", "valve")
+_LABELS = st.text(alphabet="abxyz019_-.", min_size=1, max_size=3)
+
+
+@st.composite
+def wdn_networks(draw, max_nodes: int = 8, max_links: int = 12) -> WdnNetwork:
+    """A water network in INP section order, as ``parse_inp`` reads one back.
+
+    Few nodes and many links, so parallel links between one pair and nodes
+    with no link are common; every node and link kind occurs; some nodes
+    carry coordinates.
+    """
+    labels = draw(st.lists(_LABELS, max_size=max_nodes, unique=True))
+    kinds = [draw(st.sampled_from(NODE_KINDS)) for _ in labels]
+    nodes = sorted((HydraulicNode(label, kind) for label, kind in zip(labels, kinds)),
+                   key=lambda node: NODE_KINDS.index(node.kind))
+    links = []
+    if len(nodes) >= 2:
+        ends = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda pair: pair[0] != pair[1])
+        pairs = draw(st.lists(ends, max_size=max_links))
+        link_labels = draw(st.lists(_LABELS, min_size=len(pairs), max_size=len(pairs), unique=True))
+        links = [Link(label, draw(st.sampled_from(LINK_KINDS)), a.label, b.label)
+                 for label, (a, b) in zip(link_labels, pairs)]
+        links.sort(key=lambda link: LINK_KINDS.index(link.kind))
+    point = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2)
+    coordinates = {node.label: draw(point) for node in nodes if draw(st.booleans())}
+    return WdnNetwork(tuple(nodes), tuple(links), coordinates)

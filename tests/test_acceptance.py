@@ -82,7 +82,7 @@ def load_fixture_pattern(path):
 
 def run_pipeline(pattern):
     """Graph, forest, placement and output pattern, read off the pipeline record the CLI runs."""
-    run = PipelineRun(pattern, from_pattern(pattern, transpose=True))
+    run = PipelineRun(from_pattern(pattern, transpose=True))
     return run.graph, run.tree, run.placement, run.output
 
 

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import strucsense
 from strucsense.cli import main
+from strucsense.pattern import PatternMatrix
+from strucsense.wdn import to_inp_text
+from generators import wdn_networks
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +39,33 @@ def count_calls(monkeypatch, *names) -> dict:
 
             monkeypatch.setattr(module, name, counting)
     return counts
+
+
+def record_loads_and_patterns(monkeypatch) -> tuple:
+    """Keep every input bundle the CLI loads and the shape of every ``PatternMatrix`` built."""
+    bundles, shapes = [], []
+    load, validate = strucsense.cli.load_input, PatternMatrix.__post_init__
+
+    def loading(path):
+        bundles.append(load(path))
+        return bundles[-1]
+
+    def validating(self):
+        shapes.append((self.rows, self.cols))
+        validate(self)
+
+    monkeypatch.setattr(strucsense.cli, "load_input", loading)
+    monkeypatch.setattr(PatternMatrix, "__post_init__", validating)
+    return bundles, shapes
+
+
+def assert_no_state_pattern(bundles: list, shapes: list) -> None:
+    """The loaded graph's state pattern was never built, nor its edge sets."""
+    (bundle,) = bundles
+    n = bundle.graph.n
+    assert (n, n) not in shapes
+    assert "pattern" not in vars(bundle)
+    assert "star_edges" not in vars(bundle.graph) and "unknown_edges" not in vars(bundle.graph)
 
 
 def _gap14() -> dict:
@@ -86,10 +120,14 @@ class TestInfo:
         assert payload["cycles"] == 2
 
     def test_state_graph_built_and_classified_once(self, capsys, fixtures_dir, monkeypatch):
-        counts = count_calls(monkeypatch, "from_pattern", "classify_nodes")
+        counts = count_calls(monkeypatch, "state_graph", "to_pattern", "from_pattern", "classify_nodes")
+        bundles, shapes = record_loads_and_patterns(monkeypatch)
         code, _, _ = run_cli(capsys, "info", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
         assert code == 0
-        assert counts == {"from_pattern": 1, "classify_nodes": 1}
+        # the graph is read off the links; no state pattern is built
+        assert counts == {"state_graph": 1, "to_pattern": 0, "from_pattern": 0, "classify_nodes": 1}
+        assert_no_state_pattern(bundles, shapes)
+        assert shapes == []
 
     def test_star_components_computed_once(self, capsys, fixtures_dir, monkeypatch):
         counts = count_calls(monkeypatch, "connected_components_star")
@@ -171,11 +209,15 @@ class TestPlace:
         }
 
     def test_one_compiled_graph_and_no_companion_pattern(self, capsys, fixtures_dir, monkeypatch):
-        counts = count_calls(monkeypatch, "make_abar", "compile_pattern", "from_pattern")
+        names = ("make_abar", "compile_pattern", "state_graph", "to_pattern", "from_pattern")
+        counts = count_calls(monkeypatch, *names)
+        bundles, shapes = record_loads_and_patterns(monkeypatch)
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
         assert code == 0
-        # the certificate closes the graph the input was loaded into
-        assert counts == {"make_abar": 0, "compile_pattern": 1, "from_pattern": 1}
+        # the certificate closes the graph the input was loaded into, and no state pattern is built
+        assert counts == dict(zip(names, (0, 1, 1, 0, 0)))
+        assert_no_state_pattern(bundles, shapes)
+        assert shapes == [(2, 8)]  # the output pattern only
 
     def test_companion_graph_shares_the_compiled_lists(self, capsys, fixtures_dir, monkeypatch):
         derive, graphs = strucsense.forcing.ClosureGraph.companion, []
@@ -278,6 +320,34 @@ class TestPlace:
         assert json.loads(certificate)["sso"] is False
         abar = json.loads(certificate)["graphs"][1]
         assert sorted(set(range(14)) - {u for _, u in abar["trace"]}) == [2, 3, 7, 11]
+
+
+class TestStatePatternOnDemand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "--dump-pattern", "{tmp}/pattern.json"],
+            ["oracle", "--trials", "3"],
+            ["minimize"],
+            ["export-dot", "--stage", "trace"],
+        ],
+        ids=["info-dump-pattern", "oracle", "minimize", "export-dot-trace"],
+    )
+    def test_commands_reading_the_pattern_build_it_once(self, argv, capsys, fixtures_dir, monkeypatch, tmp_path):
+        counts = count_calls(monkeypatch, "state_graph", "to_pattern")
+        bundles, shapes = record_loads_and_patterns(monkeypatch)
+        path = str(fixtures_dir / "triangle_wdn.inp")
+        code, _, _ = run_cli(capsys, argv[0], path, *(arg.format(tmp=tmp_path) for arg in argv[1:]))
+        assert code == 0
+        assert counts == {"state_graph": 1, "to_pattern": 1}
+        assert shapes.count((8, 8)) == 1
+        assert "pattern" in vars(bundles[0])
+
+    def test_certify_builds_no_state_pattern(self, capsys, fixtures_dir, monkeypatch):
+        bundles, shapes = record_loads_and_patterns(monkeypatch)
+        code, _, _ = run_cli(capsys, "certify", str(fixtures_dir / "triangle_wdn.inp"), "--sensors", "2,7")
+        assert code == 0
+        assert_no_state_pattern(bundles, shapes)
 
 
 class TestCertify:
@@ -542,6 +612,27 @@ class TestBench:
         code, out, _ = run_cli(capsys, "bench", str(fixtures_dir / "path4.inp"))
         assert code == 0
         assert out.splitlines()[0].startswith("| name |")
+
+
+def captured_main(*argv) -> tuple:
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDeterminism:
+    @settings(max_examples=60, deadline=None)
+    @given(wdn_networks())
+    def test_info_and_place_json_identical_across_runs(self, net):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "net.inp")
+            Path(path).write_text(to_inp_text(net))
+            for command in ("info", "place"):
+                first = captured_main(command, path, "--format", "json")
+                assert first[0] in (0, 2), first[2]  # place may refuse an uncertified placement
+                assert captured_main(command, path, "--format", "json") == first
 
 
 def source_pythonpath() -> str:

@@ -91,6 +91,36 @@ class TestFromPatternAgreesWithValidatingConstructor:
             assert g.star_out is g.star_nbrs and g.out is g.nbrs and g.inn is g.nbrs
 
 
+@st.composite
+def square_patterns(draw):
+    """A square pattern of at most 8 states, symmetric or not, unflagged."""
+    n = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.sampled_from("000*?"), min_size=n * n, max_size=n * n))
+    if draw(st.booleans()):  # mirror the upper triangle: symmetric but not flagged
+        cells = [cells[min(i, j) * n + max(i, j)] for i in range(n) for j in range(n)]
+    star = frozenset(divmod(k, n) for k, cell in enumerate(cells) if cell == "*")
+    unknown = frozenset(divmod(k, n) for k, cell in enumerate(cells) if cell == "?")
+    return PatternMatrix(n, n, star, unknown)
+
+
+class TestSymmetryFromTheGraph:
+    @settings(max_examples=300, deadline=None)
+    @given(square_patterns())
+    def test_lists_give_the_edge_sets_symmetry(self, a):
+        g = from_pattern(a, transpose=True)
+        mirrored = all((j, i) in a.star for (i, j) in a.star) and all((j, i) in a.unknown for (i, j) in a.unknown)
+        assert g.is_symmetric() == mirrored
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_patterns())
+    def test_graph_alone_gives_the_pattern_report(self, a):
+        report = check_preconditions(None, from_pattern(a, transpose=True))
+        unmirrored = [(i, j) for (i, j) in a.star if (j, i) not in a.star]
+        unmirrored += [(i, j) for (i, j) in a.unknown if (j, i) not in a.unknown]
+        assert report.asymmetric_at == min(unmirrored, default=None)
+        assert report == check_preconditions(a)
+
+
 class TestDirectedLists:
     def test_asymmetric_graph(self):
         g = StateGraph(3, frozenset({(0, 1), (0, 0)}), frozenset({(1, 2), (2, 2)}))

@@ -60,32 +60,47 @@ def test_pipeline_at_benchmark_scale():
     assert placement.n_y == classify_nodes(g).n_e
 
 
-def test_load_path_holds_no_dense_matrix(tmp_path):
-    """Loading a 4000-node network stays sparse: no 4000 x 3999 float matrix (128 MB)."""
-    rng = random.Random(0)
-    n_h = 4000
+def tree_inp_text(n_h: int, seed: int = 0) -> str:
+    """INP text of a random tree network on ``n_h`` junctions."""
+    rng = random.Random(seed)
     lines = ["[JUNCTIONS]"] + [f" J{i} 0" for i in range(n_h)] + ["[PIPES]"]
     lines += [f" P{i} J{rng.randrange(i)} J{i} 100 300 100" for i in range(1, n_h)]
-    path = tmp_path / "tree4000.inp"
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
+
+def traced_load(path) -> tuple:
+    """``load_input(path)`` and its traced peak in bytes."""
     tracemalloc.start()
     try:
         bundle = load_input(str(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return bundle, peak
+
+
+def test_load_path_holds_no_dense_matrix(tmp_path):
+    """Loading a 4000-node network stays sparse: no 4000 x 3999 float matrix (128 MB)."""
+    path = tmp_path / "tree4000.inp"
+    path.write_text(tree_inp_text(4000))
+    bundle, peak = traced_load(path)
     assert bundle.graph.n == 7999
     assert peak < 48 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_load_path_builds_no_state_pattern(tmp_path):
+    """Loading reads the graph off the links: no pattern, no edge sets (10.6 MiB when both were built)."""
+    path = tmp_path / "tree4000.inp"
+    path.write_text(tree_inp_text(4000))
+    bundle, peak = traced_load(path)
+    assert bundle.graph.n == 7999
+    assert peak < 6 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 def test_incidence_export_holds_no_dense_matrix(tmp_path):
     """Exporting a 2000-node tree's incidence never holds its 2000 x 1999 float matrix (32 MB)."""
-    rng = random.Random(0)
     n_h = 2000
-    lines = ["[JUNCTIONS]"] + [f" J{i} 0" for i in range(n_h)] + ["[PIPES]"]
-    lines += [f" P{i} J{rng.randrange(i)} J{i} 100 300 100" for i in range(1, n_h)]
-    net = parse_inp("\n".join(lines) + "\n")
+    net = parse_inp(tree_inp_text(n_h))
     path = tmp_path / "incidence.csv"
 
     tracemalloc.start()

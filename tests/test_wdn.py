@@ -2,10 +2,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from strucsense import (
     Entry,
     ParseError,
+    PatternMatrix,
     build_structured_wdn,
     check_preconditions,
     classify_nodes,
@@ -13,9 +15,13 @@ from strucsense import (
     incidence,
     parse_edge_list,
     parse_inp,
+    state_graph,
+    structured_pattern,
     structured_state_labels,
+    to_pattern,
 )
 from strucsense.wdn import to_inp_text, write_incidence_csv
+from generators import wdn_networks
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -25,6 +31,27 @@ MINIMAL = """
  b  10
 [PIPES]
  p1  a  b  100 300 100
+[END]
+"""
+
+# every node and link kind, two parallel links (p1, v1), a pump reversing a pipe, an unlinked node
+MIXED = """
+[JUNCTIONS]
+ a 0
+ b 0
+ lone 0
+[RESERVOIRS]
+ r 0
+[TANKS]
+ t 0 10 0 20 50 0
+[PIPES]
+ p1 a b 100 300 100
+ p2 r a 100 300 100
+[PUMPS]
+ pm b t HEAD 1
+ pr t b HEAD 1
+[VALVES]
+ v1 b a 300 PRV 0
 [END]
 """
 
@@ -89,6 +116,11 @@ class TestParseInp:
 """
         net = parse_inp(text)
         assert [l.kind for l in net.links] == ["pipe", "pump", "valve"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(wdn_networks())
+    def test_round_trip_on_generated_networks(self, net):
+        assert parse_inp(to_inp_text(net)) == net
 
     def test_round_trip_preserves_labels_in_order(self, fixtures_dir):
         net = parse_inp((fixtures_dir / "triangle_wdn.inp").read_text())
@@ -195,6 +227,57 @@ class TestStructuredPattern:
         cls = classify_nodes(g)
         assert cls.extreme == (7,)
         assert cls.intersection == (4,)
+
+
+def reference_pattern(net) -> PatternMatrix:
+    """The structured pattern written out entry by entry, independently of the library's walk."""
+    m = net.n_links
+    star = {(k, k) for k in range(m)}
+    unknown = {(m + i, m + i) for i in range(net.n_nodes)}
+    for j, link in enumerate(net.links):
+        for end in (link.from_label, link.to_label):
+            i = m + net.node_index(end)
+            star |= {(j, i), (i, j)}
+    return PatternMatrix(m + net.n_nodes, m + net.n_nodes, frozenset(star), frozenset(unknown), symmetric=True)
+
+
+def assert_link_built_graph_matches(net) -> None:
+    """``state_graph`` equals the graph of the reference pattern, and its pattern view is that pattern."""
+    g, expected = state_graph(net), reference_pattern(net)
+    assert "star_edges" not in vars(g) and "unknown_edges" not in vars(g)  # derived only on first read
+    ref = from_pattern(expected, transpose=True)
+    assert g.n == ref.n
+    for name in ("star_nbrs", "nbrs", "star_out", "out", "inn", "loops"):
+        assert getattr(g, name) == getattr(ref, name), name
+    assert g.star_edges == ref.star_edges and g.unknown_edges == ref.unknown_edges
+    assert g == ref and g.is_symmetric()
+    assert to_pattern(g) == structured_pattern(net) == expected
+    assert build_structured_wdn(incidence(net)) == expected
+
+
+class TestStateGraph:
+    @pytest.mark.parametrize(
+        "text", [*(path.read_text() for path in sorted(FIXTURES.glob("*.inp"))), MINIMAL, MIXED],
+    )
+    def test_matches_the_pattern_graph_on_fixtures(self, text):
+        assert_link_built_graph_matches(parse_inp(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(wdn_networks())
+    def test_matches_the_pattern_graph_on_generated_networks(self, net):
+        assert_link_built_graph_matches(net)
+
+    def test_parallel_links_and_unlinked_node(self):
+        net = parse_inp(MIXED)
+        g = state_graph(net)
+        m = net.n_links  # flows p1 p2 pm pr v1, then heads a b lone r t
+        assert g.nbrs[:m] == ((m, m + 1), (m, m + 3), (m + 1, m + 4), (m + 1, m + 4), (m, m + 1))
+        assert g.nbrs[m:] == ((0, 1, 4), (0, 2, 3, 4), (), (1,), (2, 3))
+        assert g.loops == (Entry.STAR,) * m + (Entry.UNKNOWN,) * net.n_nodes
+
+    def test_empty_network(self):
+        g = state_graph(parse_inp("[PIPES]\n"))
+        assert g.n == 0 and g.star_edges == frozenset() and g.unknown_edges == frozenset()
 
 
 class TestParseEdgeList:
