@@ -15,6 +15,7 @@ from .netgraph import (
     connected_components_star,
     cycle_count,
     from_pattern,
+    to_pattern,
 )
 from .oracle import (
     MinimalPlacementResult,
@@ -43,9 +44,7 @@ from .wdn import (
     parse_edge_list,
     parse_inp,
     state_graph,
-    structured_pattern,
     structured_state_labels,
-    to_pattern,
 )
 
 __version__ = "0.1.0"

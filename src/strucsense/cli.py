@@ -23,8 +23,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import dot
-from .forcing import build_observability_graph
-from .netgraph import StateGraph, check_preconditions, cycle_count
+from .netgraph import StateGraph, check_preconditions, cycle_count, to_pattern
 from .oracle import exhaustive_min_sensors, sample_and_check
 from .pattern import PatternMatrix
 from .placement import PipelineRun, SensorPlacement
@@ -35,7 +34,6 @@ from .wdn import (
     parse_inp,
     state_graph,
     structured_state_labels,
-    to_pattern,
     write_incidence_csv,
 )
 
@@ -110,7 +108,7 @@ def _resolve_sensors(sensor_text: str, bundle: InputBundle) -> SensorPlacement:
 
 def cmd_info(args) -> int:
     bundle = load_input(args.path)
-    pre = check_preconditions(None, bundle.graph)
+    pre = check_preconditions(bundle.graph)
     cls = pre.classification
     payload = {
         "path": bundle.path,
@@ -233,7 +231,7 @@ def cmd_minimize(args) -> int:
     if logger.isEnabledFor(logging.INFO):
         def progress(update):
             sys.stderr.write(json.dumps(update, sort_keys=True) + "\n")
-    result = exhaustive_min_sensors(bundle.pattern, progress=progress)
+    result = exhaustive_min_sensors(bundle.graph, progress=progress)
     heuristic = PipelineRun(bundle.graph).placement
     payload = {**result.as_dict(), "heuristic_sensors": heuristic.n_y}
     _dump_json(payload, args.out)
@@ -251,8 +249,7 @@ def cmd_export_dot(args) -> int:
     elif args.stage == "placement":
         text = dot.placement_dot(bundle.graph, run.placement, bundle.labels, bundle.flow_count)
     else:  # trace
-        obs = build_observability_graph(bundle.pattern, run.output)
-        text = dot.trace_dot(obs, run.certificate.trace_a, bundle.labels)
+        text = dot.trace_dot(bundle.graph, run.placement.measured, run.certificate.trace_a, bundle.labels)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -7,8 +7,8 @@ graphs render undirected; anything else falls back to a digraph.
 
 from __future__ import annotations
 
-from .forcing import ObservabilityGraph
 from .netgraph import StateGraph
+from .pattern import Entry
 from .placement import SensorPlacement
 from .spanning import SpanningTree, removed_chords
 
@@ -80,28 +80,31 @@ def placement_dot(
     return _render(g, labels, flow_count, name, sensors=placement.measured)
 
 
-def trace_dot(g: ObservabilityGraph, trace, labels=None, name="forcing_trace") -> str:
-    """Render an observability graph with forcing step numbers on the nodes.
+def trace_dot(g: StateGraph, measured, trace, labels=None, name="forcing_trace") -> str:
+    """Render the observability graph of ``g`` measured at ``measured``, with forcing step numbers.
 
-    Forced nodes show the 1-based step at which they turned black and the
-    forcing edges are drawn bold, so the closure can be replayed visually.
+    Each state points at its out-neighbours in ``g`` (self-loops included)
+    and sensor k, node ``g.n + k``, at its measured state. Forced nodes show
+    the 1-based step at which they turned black and the forcing edges are
+    drawn bold, so the closure can be replayed visually.
     """
     step_of = {u: k + 1 for k, (_, u) in enumerate(trace)}
     forcing_edges = {(v, u) for (v, u) in trace}
     lines = [f"digraph {_quote(name)} {{"]
-    for v in range(g.n_states):
+    for v in range(g.n):
         label = _node_label(v, labels)
         step = f"#{step_of[v]}" if v in step_of else "white"
         fill = ", style=filled, fillcolor=gray80" if v in step_of else ""
         lines.append(f"  {_quote(v)} [label={_quote(f'{label}|{step}')}{fill}];")
-    for k in range(g.n_sensors):
-        v = g.n_states + k
-        lines.append(f"  {_quote(v)} [shape=hexagon, color=red, label={_quote(f's{k}')}];")
-    for v in range(g.n_nodes):
-        for kind, targets in (("star", g.star_out[v]), ("unknown", g.unknown_out[v])):
-            style = "solid" if kind == "star" else "dashed"
-            for u in targets:
-                extra = ", penwidth=2.5, color=black" if (v, u) in forcing_edges else ""
-                lines.append(f"  {_quote(v)} -> {_quote(u)} [style={style}{extra}];")
+    for k in range(len(measured)):
+        lines.append(f"  {_quote(g.n + k)} [shape=hexagon, color=red, label={_quote(f's{k}')}];")
+    # per node, its star arcs then its unknown ones (kind 0, then 1), ascending; sensors last
+    arcs = [(v, 0, u) for v, nbrs in enumerate(g.star_out) for u in nbrs]
+    arcs += [(v, 1, u) for v, nbrs in enumerate(g.out) for u in nbrs if u not in g.star_out[v]]
+    arcs += [(v, 0 if loop is Entry.STAR else 1, v) for v, loop in enumerate(g.loops) if loop is not Entry.ZERO]
+    arcs += [(g.n + k, 0, u) for k, u in enumerate(measured)]
+    for v, kind, u in sorted(arcs):
+        extra = ", penwidth=2.5, color=black" if (v, u) in forcing_edges else ""
+        lines.append(f"  {_quote(v)} -> {_quote(u)} [style={('solid', 'dashed')[kind]}{extra}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,12 +13,15 @@ structurally observable exactly when both are colorable, i.e. every numeric
 realization of the pattern pair is observable.
 
 The state part of that graph never depends on the sensors, so it is
-compiled once per pattern (``compile_pattern``) and each sensor set is a
-run against it; the exhaustive search closes thousands of sensor sets on
+compiled once per state graph (``compile_graph``) and each sensor set is
+a run against it; the exhaustive search closes thousands of sensor sets on
 one compiled graph, which runs on ``StateGraph``'s own neighbour lists;
 the companion's graph rewrites its self-loop flags only. Every closure
-runs this one engine; ``force_closure_reference`` and ``replay_trace`` are
-the slow independent checks on an explicit ``ObservabilityGraph``.
+runs this one engine. ``build_observability_graph``,
+``force_closure_reference`` and ``replay_trace`` are the slow independent
+checks: they build and close an explicit ``ObservabilityGraph`` from the
+pattern itself, and nothing in this package calls them; the tests and the
+benchmark's output checks do.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import random
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
-from .netgraph import StateGraph, from_pattern
+from .netgraph import StateGraph
 from .pattern import Entry, PatternMatrix
 
 # self-loop flags ``run`` compares against, bound once: an Enum attribute lookup costs
@@ -85,17 +88,12 @@ class Certificate:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def sensor_states(a: PatternMatrix | None, c: PatternMatrix, n: int | None = None) -> tuple:
+def sensor_states(c: PatternMatrix, n: int) -> tuple:
     """State measured by each output row, in row order.
 
-    Raises unless the state pattern is square, the output pattern has one
-    column per state, only stars, and exactly one star per row. ``a`` may
-    be None when ``n`` gives the state count.
+    Raises unless the output pattern has one column per state (``n``), only
+    stars, and exactly one star per row.
     """
-    if a is not None:
-        if not a.is_square:
-            raise ValueError(f"square state pattern required, got {a.rows}x{a.cols}")
-        n = a.rows
     if c.cols != n:
         raise ValueError(f"output pattern has {c.cols} columns, expected {n}")
     if c.unknown:
@@ -117,7 +115,9 @@ def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> Observabili
     Sensor nodes carry exactly one out-edge (a star to their measured state)
     and no in-edges, so each is eligible to force immediately.
     """
-    measured = sensor_states(a, c)
+    if not a.is_square:
+        raise ValueError(f"square state pattern required, got {a.rows}x{a.cols}")
+    measured = sensor_states(c, a.rows)
     n, p = a.rows, len(measured)
     star_out = [[] for _ in range(n + p)]
     unknown_out = [[] for _ in range(n + p)]
@@ -232,15 +232,8 @@ class ClosureGraph:
         return len(self.run(measured)[1]) == self.n
 
 
-def compile_pattern(a: PatternMatrix | None, g: StateGraph | None = None) -> ClosureGraph:
-    """The state part of the observability graph of ``a``, read off ``from_pattern(a, transpose=True)``.
-
-    ``g`` is that graph when the caller holds it already, and then ``a`` may be None.
-    """
-    if g is None:
-        g = from_pattern(a, transpose=True)
-    elif a is not None and g.n != a.rows:
-        raise ValueError(f"graph over {g.n} states does not match the {a.rows}-state pattern")
+def compile_graph(g: StateGraph) -> ClosureGraph:
+    """The state part of the observability graph whose states are ``g``'s nodes."""
     return ClosureGraph(g.star_out, g.out, g.inn, g.loops)
 
 
@@ -286,18 +279,16 @@ def replay_trace(g: ObservabilityGraph, trace) -> frozenset:
     return frozenset(i for i in range(total) if black[i])
 
 
-def certify_sso(a: PatternMatrix | None, c: PatternMatrix, g: StateGraph | None = None) -> Certificate:
-    """Certify strong structural observability of a pattern pair.
+def certify_sso(g: StateGraph, c: PatternMatrix) -> Certificate:
+    """Certify strong structural observability of a state graph measured by ``c``.
 
     Runs the closure on the observability graph of the state pattern and of
     its nonzero-diagonal companion, whose graph is derived from the first
     one's. Both traces are kept so a verdict can be replayed and rendered
-    step by step. ``g`` is ``from_pattern(a, transpose=True)`` when the
-    caller holds it already, and then ``a`` may be None: the graph is all
-    the closures read.
+    step by step.
     """
-    measured = sensor_states(a, c, None if g is None else g.n)
-    graph = compile_pattern(a, g)
+    measured = sensor_states(c, g.n)
+    graph = compile_graph(g)
     verdicts = []
     for closure in (graph, graph.companion()):
         black, trace = closure.run(measured)

@@ -1,9 +1,10 @@
-"""Graph view of a square pattern matrix.
+"""Graph view of a square pattern matrix, the one structural input of every stage.
 
 Nodes are state indices; a star edge (i, j) means the (possibly transposed)
 pattern holds a star at that position, an unknown edge means it holds an
-unknown. Node classification, star-edge connectivity, and independent-cycle
-counting all live here.
+unknown. ``from_pattern(a, transpose=True)`` and ``to_pattern`` cross
+between a state pattern and its state graph, exactly. Node classification,
+star-edge connectivity, and independent-cycle counting all live here.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class StateGraph:
     unknown_edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"negative state count {self.n}")
         star = frozenset(tuple(e) for e in self.star_edges)
         unknown = frozenset(tuple(e) for e in self.unknown_edges)
         for (i, j) in star | unknown:
@@ -157,18 +160,28 @@ def star_graph(nbrs: tuple, loops: tuple) -> StateGraph:
 
 
 def from_pattern(a: PatternMatrix, transpose: bool = False) -> StateGraph:
-    """Graph of a square pattern; with ``transpose`` edges follow entry (j, i)."""
+    """Graph of a square pattern; with ``transpose`` edges follow entry (j, i).
+
+    ``to_pattern`` inverts the transposed graph: ``to_pattern(from_pattern(a, transpose=True)) == a``.
+    """
     if not a.is_square:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
     if a.symmetric:  # entries range- and mirror-checked when ``a`` was built: skip StateGraph's checks
         adjacency = _adjacency(a.rows, a.star, a.unknown, symmetric=True)
         return _unchecked(a.rows, star_edges=a.star, unknown_edges=a.unknown, **adjacency)
-    if transpose:
-        star = frozenset((j, i) for (i, j) in a.star)
-        unknown = frozenset((j, i) for (i, j) in a.unknown)
-    else:
-        star, unknown = a.star, a.unknown
+    star, unknown = (_transposed(a.star), _transposed(a.unknown)) if transpose else (a.star, a.unknown)
     return StateGraph(a.rows, star, unknown)
+
+
+def to_pattern(g: StateGraph) -> PatternMatrix:
+    """The square pattern whose transposed graph is ``g``: edge (i, j) becomes entry (j, i)."""
+    if g.is_symmetric():  # its own transpose
+        return PatternMatrix(g.n, g.n, g.star_edges, g.unknown_edges, symmetric=True)
+    return PatternMatrix(g.n, g.n, _transposed(g.star_edges), _transposed(g.unknown_edges))
+
+
+def _transposed(pairs: frozenset) -> frozenset:
+    return frozenset((j, i) for (i, j) in pairs)
 
 
 def classify_nodes(g: StateGraph) -> NodeClassification:
@@ -217,23 +230,17 @@ def cycle_count(g: StateGraph, components=None) -> int:
     return m - g.n + len(components)
 
 
-def check_preconditions(a: PatternMatrix | None, g: StateGraph | None = None) -> PreconditionReport:
-    """Report whether a square pattern meets the placement prerequisites.
+def check_preconditions(g: StateGraph) -> PreconditionReport:
+    """Report whether a state graph meets the placement prerequisites.
 
-    Checks symmetry of the pattern, full connectivity through star edges,
-    and the presence of at least one extreme node. Report-only; callers
-    decide what to do with violations. ``g`` is the pattern's transposed
-    graph, ``from_pattern(a, transpose=True)``, when the caller holds it
-    already, and then ``a`` may be None: the graph's edges are the
-    pattern's entries transposed, so it holds the pattern's symmetry. The
-    report carries the node classification it computed.
+    Checks symmetry, full connectivity through star edges, and the presence
+    of at least one extreme node. Report-only; callers decide what to do
+    with violations. The asymmetry witness is a pattern position, the
+    graph being the transposed pattern's. The report carries the node
+    classification it computed.
     """
-    if a is not None and not a.is_square:
-        raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
-    if g is None:
-        g = from_pattern(a, transpose=True)
-    asymmetric_at = None  # a pattern flagged symmetric was verified when built
-    if not (a is not None and a.symmetric or g.is_symmetric()):
+    asymmetric_at = None
+    if not g.is_symmetric():
         # smallest pattern position whose transpose holds a different entry; edge (i, j) is entry (j, i)
         star, unknown = g.star_edges, g.unknown_edges
         unmirrored = [(j, i) for (i, j) in star if (j, i) not in star]

@@ -17,7 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .forcing import compile_pattern, sensor_states
+from .forcing import compile_graph, sensor_states
+from .netgraph import StateGraph, from_pattern
 from .pattern import Entry, PatternMatrix, SampleConfig, make_abar, sample_realizations
 
 DEFAULT_RANK_TOL = 1e-9
@@ -231,11 +232,9 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
     eigenvalue lam, where x vanishes on every measured state. Returns None
     when the certificate holds. Symmetric state patterns only.
     """
-    if not a_pat.is_square:
-        raise ValueError(f"square state pattern required, got {a_pat.rows}x{a_pat.cols}")
+    graph = compile_graph(from_pattern(a_pat, transpose=True))  # raises unless a_pat is square
     n = a_pat.rows
-    measured = sensor_states(a_pat, c_pat)
-    graph = compile_pattern(a_pat)
+    measured = sensor_states(c_pat, n)
 
     def white_states(g) -> list:
         black, _ = g.run(measured)
@@ -278,7 +277,7 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
 
 
 def exhaustive_min_sensors(
-    a_pat: PatternMatrix,
+    g: StateGraph,
     max_states: int = DEFAULT_EXHAUSTIVE_CAP,
     witness_cap: int = 64,
     progress=None,
@@ -288,21 +287,18 @@ def exhaustive_min_sensors(
     Subsets are enumerated by increasing cardinality, lexicographic within
     each size; every subset is certified until a size produces witnesses,
     then the rest of that size is swept so all witnesses (up to the cap)
-    are counted. The pattern's closure graph is compiled once and its
-    companion derived from it; a subset is closed on the companion only
-    when the pattern's own graph colors fully, and not at all once the
-    witness cap is reached. Refuses patterns whose configuration count
-    would explode.
+    are counted. ``g`` is compiled once and its companion derived from
+    it; a subset is closed on the companion only when ``g``'s own closure
+    colors fully, and not at all once the witness cap is reached. Refuses
+    graphs whose configuration count would explode.
     """
-    if not a_pat.is_square:
-        raise ValueError(f"square state pattern required, got {a_pat.rows}x{a_pat.cols}")
-    n = a_pat.rows
+    n = g.n
     if n > max_states:
         raise ValueError(
             f"{n} states means {2 ** n - 1} sensor configurations; "
             f"refusing beyond the cap of {max_states} states"
         )
-    graph_a = compile_pattern(a_pat)
+    graph_a = compile_graph(g)
     graph_abar = graph_a.companion()
     checked = 0
     for size in range(n + 1):

@@ -175,7 +175,7 @@ class PipelineRun:
 
     @cached_property
     def certificate(self) -> Certificate:
-        return certify_sso(None, self.output, self.graph)
+        return certify_sso(self.graph, self.output)
 
     @cached_property
     def counts(self) -> SensorCountReport:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netgraph import StateGraph, star_graph
+from .netgraph import StateGraph, star_graph, to_pattern
 from .pattern import Entry, PatternMatrix
 
 _NODE_SECTIONS = {"JUNCTIONS": "junction", "RESERVOIRS": "reservoir", "TANKS": "tank"}
@@ -86,7 +86,9 @@ def parse_inp(text: str) -> WdnNetwork:
     seen_link_section = False
     section = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" alone (a trailing "\r" is whitespace): str.splitlines would also
+    # break at form feeds and other separators that may sit inside a comment
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split(";", 1)[0].strip()
         if not line:
             continue
@@ -215,8 +217,8 @@ def _walk(n_nodes: int, flows: list) -> StateGraph:
 def state_graph(net: WdnNetwork) -> StateGraph:
     """The structured pattern's graph, read off the links in one pass.
 
-    Equals ``from_pattern(structured_pattern(net), transpose=True)``
-    without building the pattern or its edge sets.
+    ``to_pattern`` of it is the structured pattern; the pattern and the
+    graph's edge sets are built only if read.
     """
     m, node = net.n_links, net._node_lookup
     flows = []
@@ -224,11 +226,6 @@ def state_graph(net: WdnNetwork) -> StateGraph:
         a, b = m + node[link.from_label], m + node[link.to_label]
         flows.append((a, b) if a < b else (b, a))
     return _walk(net.n_nodes, flows)
-
-
-def structured_pattern(net: WdnNetwork) -> PatternMatrix:
-    """Structured pattern of a network: the pattern view of ``state_graph(net)`` (no dense matrix)."""
-    return to_pattern(state_graph(net))
 
 
 def build_structured_wdn(inc: np.ndarray) -> PatternMatrix:
@@ -267,6 +264,8 @@ def parse_edge_list(text: str) -> StateGraph:
     n = data["n"]
     if not _is_int(n):
         raise ValueError(f'"n" must be an integer, got {json.dumps(n)}')
+    if n < 0:
+        raise ValueError(f'"n" must be non-negative, got {n}')
     star, unknown = set(), set()
     for key, bucket in (("star", star), ("unknown", unknown)):
         pairs = data.get(key, [])
@@ -281,8 +280,3 @@ def parse_edge_list(text: str) -> StateGraph:
             bucket.add((i, j))
             bucket.add((j, i))
     return StateGraph(n, frozenset(star), frozenset(unknown))
-
-
-def to_pattern(g: StateGraph) -> PatternMatrix:
-    """Square pattern whose graph is ``g`` (edges become entries one-to-one)."""
-    return PatternMatrix(g.n, g.n, g.star_edges, g.unknown_edges, symmetric=g.is_symmetric())

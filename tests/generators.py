@@ -7,8 +7,13 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from strucsense import PatternMatrix, build_structured_wdn
+from strucsense import PatternMatrix, StateGraph, build_structured_wdn, from_pattern
 from strucsense.wdn import HydraulicNode, Link, WdnNetwork
+
+
+def graph_of(a: PatternMatrix) -> StateGraph:
+    """The state graph of a square pattern, the only structural input of every stage."""
+    return from_pattern(a, transpose=True)
 
 
 def random_tree_pattern(seed: int, n_min: int = 2, n_max: int = 50) -> PatternMatrix:

@@ -37,13 +37,14 @@ from strucsense import (
 )
 from strucsense.forcing import (
     build_observability_graph,
-    compile_pattern,
+    compile_graph,
     force_closure_reference,
     sensor_states,
 )
 from strucsense.oracle import realize_unit_output
 from strucsense.pattern import Entry, PatternMatrix
 from generators import (
+    graph_of,
     random_connected_pattern,
     random_sensor_rows,
     random_symmetric_pattern,
@@ -107,7 +108,7 @@ def test_criterion_1_2_benchmark_pipeline(name, bench_dir):
         timings.append(time.perf_counter() - start)
     elapsed = statistics.median(timings)
 
-    cert = certify_sso(pattern, c)
+    cert = certify_sso(g, c)
     cls = classify_nodes(g)
     cycles = cycle_count(g)
     assert g.n == exp_states, f"{name}: {g.n} state nodes, expected {exp_states}"
@@ -139,7 +140,7 @@ def test_criterion_3_triangle_fixture(fixtures_dir):
     assert diag.count(Entry.STAR) == 4 and diag.count(Entry.UNKNOWN) == 4
     g, t, p, c = run_pipeline(pattern)
     assert p.n_y == 2, f"expected exactly 2 sensors, got {p.measured}"
-    assert certify_sso(pattern, c).sso
+    assert certify_sso(g, c).sso
     report = sample_and_check(pattern, c, trials=100, seed=42)
     assert report.passes == 100, f"oracle passes {report.passes}/100"
     elapsed = time.perf_counter() - start
@@ -157,7 +158,7 @@ def test_criterion_4_tree_placements_always_certify():
         assert 2 <= pattern.rows <= 50
         g = from_pattern(pattern, transpose=True)
         p = place_tree(g)
-        if not certify_sso(pattern, build_output_pattern(p, g.n)).sso:
+        if not certify_sso(g, build_output_pattern(p, g.n)).sso:
             failures.append(seed)
     assert not failures, f"tree placements failed certification for seeds {failures}"
     print("ACCEPTANCE C4 tree guarantee: PASS: 200/200 certified")
@@ -177,7 +178,7 @@ def test_criterion_5_cyclic_placements_certify():
         pattern = random_connected_pattern(seed)
         assert 2 <= pattern.rows <= 50
         g, t, p, c = run_pipeline(pattern)
-        if certify_sso(pattern, c).sso:
+        if certify_sso(g, c).sso:
             continue
         failures.append(seed)
         realization, vector, lam = find_unobservable_realization(pattern, c, seed=seed)
@@ -204,7 +205,7 @@ def test_criterion_6_forcing_closure_confluence():
         rng = random.Random(seed)
         pattern = random_symmetric_pattern(seed, n_max=60)
         sensors = random_sensor_rows(rng, pattern.rows)
-        graph, measured = compile_pattern(pattern), sensor_states(pattern, sensors)
+        graph, measured = compile_graph(graph_of(pattern)), sensor_states(sensors, pattern.rows)
         expected = graph.run(measured)[0]
         reference = force_closure_reference(build_observability_graph(pattern, sensors))
         assert {v for v, b in enumerate(expected) if b} == reference.black, f"seed {seed}"
@@ -225,7 +226,7 @@ def test_criterion_7_certified_implies_numerically_observable():
         if pattern.rows > 20:
             continue
         g, t, p, c = run_pipeline(pattern)
-        if not certify_sso(pattern, c).sso:
+        if not certify_sso(g, c).sso:
             continue
         report = sample_and_check(pattern, c, trials=100, seed=10_000 + seed, tol=1e-9)
         assert report.passes == 100, (
@@ -244,7 +245,7 @@ def test_criterion_8_exhaustive_baseline_on_fixtures(fixtures_dir):
             continue
         g, t, p, c = run_pipeline(pattern)
         start = time.perf_counter()
-        result = exhaustive_min_sensors(pattern)
+        result = exhaustive_min_sensors(g)
         elapsed = time.perf_counter() - start
         assert elapsed < 60, f"{name}: exhaustive search took {elapsed:.1f}s"
         assert result.minimum_size <= p.n_y, (
@@ -258,7 +259,7 @@ def test_criterion_8_exhaustive_baseline_on_fixtures(fixtures_dir):
                 frozenset((r, s) for r, s in enumerate(witness)),
                 frozenset(),
             )
-            assert certify_sso(pattern, c_pat).sso, f"{name}: witness {witness} does not certify"
+            assert certify_sso(g, c_pat).sso, f"{name}: witness {witness} does not certify"
         lines.append(f"{name}: min={result.minimum_size} heuristic={p.n_y} ({elapsed:.2f}s)")
     assert lines, "no fixture small enough for the exhaustive baseline"
     print("ACCEPTANCE C8 exhaustive baseline: PASS: " + "; ".join(lines))
@@ -269,9 +270,9 @@ def test_criterion_9_negative_controls(fixtures_dir):
         pattern = load_fixture_pattern(fixtures_dir / name)
         assert pattern.rows >= 1
         empty = PatternMatrix(0, pattern.rows, frozenset(), frozenset())
-        assert not certify_sso(pattern, empty).sso, f"{name}: empty placement certified"
+        assert not certify_sso(graph_of(pattern), empty).sso, f"{name}: empty placement certified"
     scalar = PatternMatrix.from_rows(["*"])
-    cert = certify_sso(scalar, PatternMatrix(0, 1, frozenset(), frozenset()))
+    cert = certify_sso(graph_of(scalar), PatternMatrix(0, 1, frozenset(), frozenset()))
     assert cert.colorable_a, "scalar star self-loop should color its own graph"
     assert not cert.colorable_abar, "the rewritten-diagonal graph must reject it"
     assert not cert.sso

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strucsense
 from strucsense.cli import main
@@ -147,6 +148,7 @@ class TestInfo:
         [
             ('{"star": [[0, 1]]}', 'no "n"'),
             ('{"n": "3"}', '"n" must be an integer'),
+            ('{"n": -1}', '"n" must be non-negative'),
             ("[1, 2]", "must be a JSON object"),
             ('{"n": 3, "star": 5}', '"star" must be a list'),
             ('{"n": 3, "unknown": null}', '"unknown" must be a list'),
@@ -209,7 +211,7 @@ class TestPlace:
         }
 
     def test_one_compiled_graph_and_no_companion_pattern(self, capsys, fixtures_dir, monkeypatch):
-        names = ("make_abar", "compile_pattern", "state_graph", "to_pattern", "from_pattern")
+        names = ("make_abar", "compile_graph", "state_graph", "to_pattern", "from_pattern")
         counts = count_calls(monkeypatch, *names)
         bundles, shapes = record_loads_and_patterns(monkeypatch)
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
@@ -328,10 +330,8 @@ class TestStatePatternOnDemand:
         [
             ["info", "--dump-pattern", "{tmp}/pattern.json"],
             ["oracle", "--trials", "3"],
-            ["minimize"],
-            ["export-dot", "--stage", "trace"],
         ],
-        ids=["info-dump-pattern", "oracle", "minimize", "export-dot-trace"],
+        ids=["info-dump-pattern", "oracle"],
     )
     def test_commands_reading_the_pattern_build_it_once(self, argv, capsys, fixtures_dir, monkeypatch, tmp_path):
         counts = count_calls(monkeypatch, "state_graph", "to_pattern")
@@ -342,6 +342,17 @@ class TestStatePatternOnDemand:
         assert counts == {"state_graph": 1, "to_pattern": 1}
         assert shapes.count((8, 8)) == 1
         assert "pattern" in vars(bundles[0])
+
+    @pytest.mark.parametrize(
+        "argv", [["minimize"], ["export-dot", "--stage", "trace"]], ids=["minimize", "export-dot-trace"]
+    )
+    def test_graph_commands_build_no_state_pattern(self, argv, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "state_graph", "to_pattern", "from_pattern")
+        bundles, shapes = record_loads_and_patterns(monkeypatch)
+        code, _, _ = run_cli(capsys, argv[0], str(fixtures_dir / "triangle_wdn.inp"), *argv[1:])
+        assert code == 0
+        assert counts == {"state_graph": 1, "to_pattern": 0, "from_pattern": 0}
+        assert_no_state_pattern(bundles, shapes)
 
     def test_certify_builds_no_state_pattern(self, capsys, fixtures_dir, monkeypatch):
         bundles, shapes = record_loads_and_patterns(monkeypatch)
@@ -633,6 +644,24 @@ class TestDeterminism:
                 first = captured_main(command, path, "--format", "json")
                 assert first[0] in (0, 2), first[2]  # place may refuse an uncertified placement
                 assert captured_main(command, path, "--format", "json") == first
+
+    @settings(max_examples=40, deadline=None)
+    @given(wdn_networks(max_nodes=5, max_links=6), st.data())
+    def test_certify_oracle_and_minimize_identical_across_runs(self, net, data):
+        n = net.n_links + net.n_nodes  # at most 11 states: minimize sweeps at most 2**11 sets
+        sensors = data.draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)) if n else []
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "net.inp")
+            Path(path).write_text(to_inp_text(net))
+            for argv in (
+                ("certify", path, "--sensors", ",".join(map(str, sensors)), "--format", "json"),
+                ("oracle", path, "--trials", "4", "--seed", str(seed)),
+                ("minimize", path),
+            ):
+                first = captured_main(*argv)
+                assert first[0] == 0, first[2]
+                assert captured_main(*argv) == first
 
 
 def source_pythonpath() -> str:

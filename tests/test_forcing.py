@@ -1,31 +1,31 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import strucsense.forcing
 from strucsense import (
     Entry,
     PatternMatrix,
     SensorPlacement,
     build_output_pattern,
     certify_sso,
-    from_pattern,
     is_member,
     make_abar,
     observability_rank_test,
 )
 from strucsense.forcing import (
     build_observability_graph,
-    compile_pattern,
+    compile_graph,
     force_closure_reference,
     replay_trace,
     sensor_states,
 )
-from generators import random_sensor_rows, random_symmetric_pattern
+from strucsense.dot import trace_dot
+from generators import graph_of, random_sensor_rows, random_symmetric_pattern
 
 
 def sym(pairs, n, diag=""):
@@ -49,12 +49,12 @@ def sensors(measured, n):
 
 def close(a, c, rng=None):
     """Black states and trace of the compiled closure of ``a`` measured by ``c``."""
-    black, trace = compile_pattern(a).run(sensor_states(a, c), rng)
+    black, trace = compile_graph(graph_of(a)).run(sensor_states(c, a.rows), rng)
     return frozenset(v for v, b in enumerate(black) if b), tuple(trace)
 
 
 def colorable(a, c):
-    return compile_pattern(a).colors_all(sensor_states(a, c))
+    return compile_graph(graph_of(a)).colors_all(sensor_states(c, a.rows))
 
 
 # branched 9-node tree with leaves 0, 2, 6 and junction node 4
@@ -144,7 +144,7 @@ class TestForceClosure:
         assert len(trace) == 9  # every state forced exactly once
         # a lone sensor passes the plain graph but not the full certificate
         for lone in (0, 2, 6):
-            assert not certify_sso(CYCLIC9, sensors([lone], 9)).sso
+            assert not certify_sso(graph_of(CYCLIC9), sensors([lone], 9)).sso
 
     def test_trace_replays_exactly(self):
         for seed in range(20):
@@ -212,7 +212,7 @@ class TestCompiledEngine:
     def test_agrees_with_independent_checks(self, case, seed):
         a, measured = case
         for pattern in (a, make_abar(a)):
-            compiled = compile_pattern(pattern)
+            compiled = compile_graph(graph_of(pattern))
             black, trace = compiled.run(measured)
             g = build_observability_graph(pattern, sensors(measured, a.rows))
             black_set = frozenset(v for v, b in enumerate(black) if b)
@@ -225,14 +225,14 @@ class TestCompiledEngine:
             assert replay_trace(g, shuffled) == black_set
 
     def test_compiled_graph_is_reused_across_sensor_sets(self):
-        compiled = compile_pattern(CYCLIC9)
+        compiled = compile_graph(graph_of(CYCLIC9))
         assert compiled.colors_all((0, 2, 6))
         assert not compiled.colors_all(())
         assert compiled.colors_all((0, 2, 6))  # a run leaves the compiled graph as it was
 
     def test_non_square_pattern_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            compile_pattern(PatternMatrix(2, 3))
+            compile_graph(graph_of(PatternMatrix(2, 3)))
 
 
 class TestCompanion:
@@ -240,17 +240,17 @@ class TestCompanion:
     @given(patterns_with_sensors())
     def test_matches_compiled_abar_and_reference(self, case):
         a, measured = case
-        derived, compiled = compile_pattern(a).companion(), compile_pattern(make_abar(a))
+        derived, compiled = compile_graph(graph_of(a)).companion(), compile_graph(graph_of(make_abar(a)))
         for name in ("star_out", "out", "inn", "loops", "out_degree", "seeds"):
             assert getattr(derived, name) == getattr(compiled, name), name
         c = sensors(measured, a.rows)
-        cert = certify_sso(a, c)
+        cert = certify_sso(graph_of(a), c)
         assert cert.trace_a == force_closure_reference(build_observability_graph(a, c)).trace
         assert cert.trace_abar == force_closure_reference(build_observability_graph(make_abar(a), c)).trace
 
     def test_self_looped_pattern_shares_lists(self):
         a = sym([(0, 1), (1, 2)], 3, diag="*?*")
-        graph = compile_pattern(a)
+        graph = compile_graph(graph_of(a))
         companion = graph.companion()
         assert graph.inn is graph.out
         assert companion.out is graph.out and companion.inn is graph.inn
@@ -260,64 +260,75 @@ class TestCompanion:
 
     def test_partly_looped_pattern_shares_every_list(self):
         for a in (sym([(0, 1), (1, 2)], 3, diag="*0?"), PatternMatrix.from_rows(["*0*", "*00", "0*?"])):
-            graph = compile_pattern(a)
+            graph = compile_graph(graph_of(a))
             companion = graph.companion()
             for name in ("star_out", "out", "inn"):
                 assert getattr(companion, name) is getattr(graph, name), name
             assert companion.loops == (Entry.UNKNOWN, Entry.STAR, Entry.UNKNOWN)
             assert companion.out_degree == tuple(len(out) + 1 for out in graph.out)
 
-    def test_symmetric_pattern_runs_on_its_state_graph_lists(self, monkeypatch):
-        built = []
-
-        def recording(*args, **kwargs):
-            built.append(from_pattern(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(strucsense.forcing, "from_pattern", recording)
-        compiled = compile_pattern(sym([(0, 1), (1, 2), (0, 2)], 3, diag="*0?"))
-        (g,) = built
+    def test_symmetric_pattern_runs_on_its_state_graph_lists(self):
+        g = graph_of(sym([(0, 1), (1, 2), (0, 2)], 3, diag="*0?"))
+        compiled = compile_graph(g)
         assert compiled.star_out is g.star_nbrs and compiled.out is g.nbrs and compiled.inn is g.nbrs
         assert compiled.loops is g.loops == (Entry.STAR, Entry.ZERO, Entry.UNKNOWN)
 
 
+class TestTraceDot:
+    @settings(max_examples=300, deadline=None)
+    @given(patterns_with_sensors())
+    def test_draws_the_observability_graph(self, case):
+        a, measured = case
+        g = graph_of(a)
+        trace = tuple(compile_graph(g).run(measured)[1])
+        obs = build_observability_graph(a, sensors(measured, a.rows))
+        expected = [(v, u, style) for v in range(obs.n_nodes)
+                    for style, targets in (("solid", obs.star_out[v]), ("dashed", obs.unknown_out[v]))
+                    for u in targets]
+        text = trace_dot(g, measured, trace)
+        arcs = re.findall(r'^  "(\d+)" -> "(\d+)" \[style=(\w+)(, penwidth=2.5, color=black)?\];$', text, re.M)
+        assert [(int(v), int(u), style) for v, u, style, _ in arcs] == expected
+        assert {(int(v), int(u)) for v, u, _, bold in arcs if bold} == set(trace)
+        assert text.count("shape=hexagon") == len(measured)
+
+
 class TestCertificate:
     def test_scalar_star_without_sensors(self):
-        cert = certify_sso(PatternMatrix.from_rows(["*"]), sensors([], 1))
+        cert = certify_sso(graph_of(PatternMatrix.from_rows(["*"])), sensors([], 1))
         assert cert.colorable_a          # the star self-loop forces itself
         assert not cert.colorable_abar   # the rewritten diagonal is unknown
         assert not cert.sso
 
     def test_tree_placement_certifies(self):
-        cert = certify_sso(TREE9, sensors([0, 2], 9))
+        cert = certify_sso(graph_of(TREE9), sensors([0, 2], 9))
         assert cert.sso
 
     def test_cyclic_placement_certifies(self):
-        cert = certify_sso(CYCLIC9, sensors([0, 2, 6], 9))
+        cert = certify_sso(graph_of(CYCLIC9), sensors([0, 2, 6], 9))
         assert cert.sso
 
     def test_all_states_sensed_certifies(self):
-        cert = certify_sso(CYCLIC9, sensors(list(range(9)), 9))
+        cert = certify_sso(graph_of(CYCLIC9), sensors(list(range(9)), 9))
         assert cert.sso
 
     def test_empty_placement_never_certifies(self):
         for pat in (TRIANGLE, TREE9, CYCLIC9, PatternMatrix.from_rows(["*"])):
-            assert not certify_sso(pat, sensors([], pat.rows)).sso
+            assert not certify_sso(graph_of(pat), sensors([], pat.rows)).sso
 
     def test_extra_sensor_preserves_certificate(self):
         for seed in range(20):
             a = random_symmetric_pattern(seed, n_max=20)
             rng = random.Random(seed + 999)
             c = random_sensor_rows(rng, a.rows)
-            if not certify_sso(a, c).sso:
+            if not certify_sso(graph_of(a), c).sso:
                 continue
             extra = rng.randrange(a.rows)
             measured = sorted({j for (_, j) in c.star} | {extra})
             bigger = sensors(measured, a.rows)
-            assert certify_sso(a, bigger).sso
+            assert certify_sso(graph_of(a), bigger).sso
 
     def test_json_wire_format(self):
-        payload = json.loads(certify_sso(TREE9, sensors([0, 2], 9)).to_json())
+        payload = json.loads(certify_sso(graph_of(TREE9), sensors([0, 2], 9)).to_json())
         assert payload["sso"] is True
         assert [g["name"] for g in payload["graphs"]] == ["A", "Abar"]
         for g in payload["graphs"]:
@@ -364,7 +375,7 @@ class TestCertificateExactness:
         for pattern in self.all_symmetric_patterns(n):
             for subset in subsets:
                 c = sensors(list(subset), n)
-                cert = certify_sso(pattern, c)
+                cert = certify_sso(graph_of(pattern), c)
                 if cert.sso:
                     report = sample_and_check(pattern, c, trials=20, seed=hash((n, subset)) % 10_000)
                     assert report.passes == 20, (pattern.star, pattern.unknown, subset)
@@ -390,7 +401,7 @@ class TestMinimalHeuristicGap:
         )
         # ascending DFS gives the path 4-0-1-2-3, so leaves are 3 and 4
         measured = (3, 4)
-        cert = certify_sso(clique_pendant, sensors(list(measured), 5))
+        cert = certify_sso(graph_of(clique_pendant), sensors(list(measured), 5))
         assert cert.colorable_a and not cert.colorable_abar
         assert not cert.sso
 
@@ -420,7 +431,7 @@ class TestKnownHeuristicGap:
 
     def test_certificate_rejects(self):
         a = sym(self.PAIRS, 14, diag=self.DIAG)
-        cert = certify_sso(a, sensors(list(self.MEASURED), 14))
+        cert = certify_sso(graph_of(a), sensors(list(self.MEASURED), 14))
         assert cert.colorable_a
         assert not cert.colorable_abar
         assert not cert.sso

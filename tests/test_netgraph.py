@@ -1,3 +1,9 @@
+import importlib
+import inspect
+import pkgutil
+import typing
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +19,10 @@ from strucsense import (
     connected_components_star,
     cycle_count,
     from_pattern,
+    to_pattern,
 )
-from generators import random_symmetric_pattern
+import strucsense
+from generators import graph_of, random_symmetric_pattern
 
 # pattern with star couplings 0-1, 0-2 and an unknown coupling 1-2
 MIXED = PatternMatrix.from_rows(["0**", "*0?", "*?0"], symmetric=True)
@@ -114,11 +122,10 @@ class TestSymmetryFromTheGraph:
     @settings(max_examples=300, deadline=None)
     @given(square_patterns())
     def test_graph_alone_gives_the_pattern_report(self, a):
-        report = check_preconditions(None, from_pattern(a, transpose=True))
+        report = check_preconditions(from_pattern(a, transpose=True))
         unmirrored = [(i, j) for (i, j) in a.star if (j, i) not in a.star]
         unmirrored += [(i, j) for (i, j) in a.unknown if (j, i) not in a.unknown]
         assert report.asymmetric_at == min(unmirrored, default=None)
-        assert report == check_preconditions(a)
 
 
 class TestDirectedLists:
@@ -204,14 +211,14 @@ class TestCycleCount:
 
 class TestPreconditions:
     def test_triangle_lacks_extreme_node(self):
-        report = check_preconditions(TRIANGLE)
+        report = check_preconditions(graph_of(TRIANGLE))
         assert report.symmetric and report.fully_connected
         assert not report.has_extreme
         assert report.extreme_nodes == ()
 
     def test_path_satisfies_all(self):
         p = PatternMatrix.from_rows(["0*0", "*0*", "0*0"], symmetric=True)
-        report = check_preconditions(p)
+        report = check_preconditions(graph_of(p))
         assert report.all_ok
 
     def test_block_diagonal_not_connected(self):
@@ -223,12 +230,60 @@ class TestPreconditions:
             "000*0*",
             "000**0",
         ]
-        report = check_preconditions(PatternMatrix.from_rows(rows, symmetric=True))
+        report = check_preconditions(graph_of(PatternMatrix.from_rows(rows, symmetric=True)))
         assert not report.fully_connected
         assert len(report.components) == 2
 
     def test_asymmetric_witness(self):
         p = PatternMatrix(2, 2, frozenset({(0, 1)}), frozenset())
-        report = check_preconditions(p)
+        report = check_preconditions(graph_of(p))
         assert not report.symmetric
         assert report.asymmetric_at == (0, 1)
+
+
+def public_functions():
+    """(dotted name, function) of every public function and method the package defines."""
+    for info in pkgutil.iter_modules(strucsense.__path__):
+        module = importlib.import_module(f"strucsense.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", member)  # classmethods and staticmethods
+                    if inspect.isfunction(fn) and (attr == "__init__" or not attr.startswith("_")):
+                        yield f"{info.name}.{name}.{attr}", fn
+
+
+def parameter_types(fn) -> dict:
+    """Parameter name -> the classes its annotation names (a union contributes each member)."""
+    hints = typing.get_type_hints(fn)
+    hints.pop("return", None)
+    return {name: set(typing.get_args(hint)) or {hint} for name, hint in hints.items()}
+
+
+class TestPatternBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(square_patterns())
+    def test_to_pattern_inverts_the_transposed_graph(self, a):
+        mirrored = all((j, i) in a.star for (i, j) in a.star) and all((j, i) in a.unknown for (i, j) in a.unknown)
+        a = replace(a, symmetric=mirrored)  # the flag to_pattern sets: the pattern states its symmetry
+        assert to_pattern(from_pattern(a, transpose=True)) == a
+
+    def test_no_function_takes_both_a_state_pattern_and_a_graph(self):
+        """Every stage takes the state graph alone; a pattern enters only through ``from_pattern``.
+
+        The output pattern ``c`` (one row per sensor) is not a state pattern, so
+        ``certify_sso(g, c)`` is the one place a pattern sits beside a graph.
+        """
+        both = []
+        for name, fn in public_functions():
+            types = parameter_types(fn)
+            graphs = [p for p, kinds in types.items() if StateGraph in kinds]
+            patterns = [p for p, kinds in types.items() if PatternMatrix in kinds and p != "c"]
+            if graphs and patterns:
+                both.append(f"{name}{inspect.signature(fn)}")
+        assert both == []
+        assert "forcing.certify_sso" in dict(public_functions())  # the walk reaches the stages

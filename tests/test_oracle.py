@@ -27,7 +27,7 @@ from strucsense import (
 import strucsense.oracle
 from strucsense.forcing import build_observability_graph, force_closure_reference
 from strucsense.oracle import DEFAULT_RANK_TOL, _chunk_trials, realize_unit_output
-from generators import random_connected_pattern, random_symmetric_pattern
+from generators import graph_of, random_connected_pattern, random_symmetric_pattern
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
 
@@ -81,7 +81,7 @@ class TestSampleAndCheck:
         g = from_pattern(pat, transpose=True)
         p = place_cyclic(g, spanning_tree_dfs(g))
         c = build_output_pattern(p, g.n)
-        assert certify_sso(pat, c).sso
+        assert certify_sso(g, c).sso
         report = sample_and_check(pat, c, trials=100, seed=42)
         assert report.passes == report.trials == 100
         assert report.min_sigma_ratio > 1e-9
@@ -110,7 +110,7 @@ class TestSampleAndCheck:
     def test_zero_states_pass_as_they_certify(self):
         a = PatternMatrix(0, 0)
         c = PatternMatrix(0, 0, frozenset(), frozenset())
-        assert certify_sso(a, c).sso
+        assert certify_sso(graph_of(a), c).sso
         assert observability_rank_test(np.zeros((0, 0)), np.zeros((0, 0)))
         for c_mode in ("unit", "sampled"):
             report = sample_and_check(a, c, trials=5, seed=3, c_mode=c_mode)
@@ -125,19 +125,19 @@ class TestSampleAndCheck:
 class TestExhaustiveMinimum:
     def test_scalar_star_self_loop(self):
         pat = PatternMatrix.from_rows(["*"])
-        result = exhaustive_min_sensors(pat)
+        result = exhaustive_min_sensors(graph_of(pat))
         assert result.minimum_size == 1
         assert result.witnesses == ((0,),)
         assert result.configurations_checked == 2  # the empty set, then {0}
 
     def test_path_needs_one_end(self):
         pat = PatternMatrix.from_rows(["0*0", "*0*", "0*0"], symmetric=True)
-        result = exhaustive_min_sensors(pat)
+        result = exhaustive_min_sensors(graph_of(pat))
         assert result.minimum_size == 1
         assert (0,) in result.witnesses and (2,) in result.witnesses
 
     def test_triangle_sweeps_all_seven(self):
-        result = exhaustive_min_sensors(TRIANGLE)
+        result = exhaustive_min_sensors(graph_of(TRIANGLE))
         assert result.minimum_size == 2
         assert result.witnesses == ((0, 1), (0, 2), (1, 2))
         assert result.configurations_checked == 7  # 1 empty + 3 singles + 3 pairs
@@ -145,38 +145,38 @@ class TestExhaustiveMinimum:
     def test_minimum_never_beaten_by_smaller_set(self):
         from itertools import combinations
 
-        result = exhaustive_min_sensors(TRIANGLE)
+        result = exhaustive_min_sensors(graph_of(TRIANGLE))
         for size in range(result.minimum_size):
             for combo in combinations(range(3), size):
                 c = PatternMatrix(
                     size, 3, frozenset((r, s) for r, s in enumerate(combo)), frozenset()
                 )
-                assert not certify_sso(TRIANGLE, c).sso
+                assert not certify_sso(graph_of(TRIANGLE), c).sso
 
     def test_heuristic_is_an_upper_bound(self):
         for seed in range(20):
             pat = random_connected_pattern(seed, n_max=10)
             g = from_pattern(pat, transpose=True)
             p = place_cyclic(g, spanning_tree_dfs(g))
-            if not certify_sso(pat, build_output_pattern(p, g.n)).sso:
+            if not certify_sso(g, build_output_pattern(p, g.n)).sso:
                 continue  # the heuristic has known gaps; minimality is about certified runs
-            result = exhaustive_min_sensors(pat)
+            result = exhaustive_min_sensors(g)
             assert result.minimum_size <= p.n_y
 
     def test_cap_refusal_names_configuration_count(self):
         pat = PatternMatrix(17, 17)
         with pytest.raises(ValueError, match=str(2**17 - 1)):
-            exhaustive_min_sensors(pat)
+            exhaustive_min_sensors(graph_of(pat))
 
     def test_progress_stream(self):
         updates = []
-        exhaustive_min_sensors(TRIANGLE, progress=updates.append)
+        exhaustive_min_sensors(graph_of(TRIANGLE), progress=updates.append)
         assert [u["size"] for u in updates] == [0, 1, 2]
         assert updates[-1]["witnesses"] == 3
 
     def test_witness_cap_respected(self):
         pat = build_structured_wdn(TRIANGLE_WDN_INC)
-        result = exhaustive_min_sensors(pat, witness_cap=1)
+        result = exhaustive_min_sensors(graph_of(pat), witness_cap=1)
         assert len(result.witnesses) == 1
         assert result.minimum_size == 2
 
@@ -219,27 +219,27 @@ class TestExhaustiveAgainstNaiveSearch:
     def test_same_result_as_certifying_each_subset(self, generator, seed):
         pat = generator(seed, n_max=10)
         for cap in (64, 2):
-            result = exhaustive_min_sensors(pat, witness_cap=cap)
+            result = exhaustive_min_sensors(graph_of(pat), witness_cap=cap)
             got = (result.minimum_size, result.witnesses, result.configurations_checked)
             assert got == naive_min_sensors(pat, cap)
 
     def test_asymmetric_pattern(self):
         pat = PatternMatrix.from_rows(["?*00", "0?*0", "00?*", "*00*"])
-        result = exhaustive_min_sensors(pat)
+        result = exhaustive_min_sensors(graph_of(pat))
         got = (result.minimum_size, result.witnesses, result.configurations_checked)
         assert got == naive_min_sensors(pat)
 
     def test_companion_built_once_per_search(self, monkeypatch):
-        counts = count_oracle_calls(monkeypatch, "make_abar", "compile_pattern")
-        result = exhaustive_min_sensors(random_connected_pattern(3, n_min=8, n_max=10))
+        counts = count_oracle_calls(monkeypatch, "make_abar", "compile_graph")
+        result = exhaustive_min_sensors(graph_of(random_connected_pattern(3, n_min=8, n_max=10)))
         assert result.configurations_checked > 1
-        assert counts == {"make_abar": 0, "compile_pattern": 1}
+        assert counts == {"make_abar": 0, "compile_graph": 1}
 
 
 class TestUnobservableWitness:
     def test_rejected_single_sensor_on_triangle_yields_witness(self):
         c = PatternMatrix(1, 3, frozenset({(0, 0)}), frozenset())
-        assert not certify_sso(TRIANGLE, c).sso
+        assert not certify_sso(graph_of(TRIANGLE), c).sso
         realization, vector, lam = find_unobservable_realization(TRIANGLE, c)
         assert is_member(realization, TRIANGLE)
         assert np.allclose(realization @ vector, lam * vector)
@@ -256,17 +256,17 @@ class TestUnobservableWitness:
     def test_pattern_compiled_once(self, monkeypatch, rows, measured, lam):
         a = PatternMatrix.from_rows(rows, symmetric=True)
         c = PatternMatrix(len(measured), 3, frozenset(enumerate(measured)), frozenset())
-        counts = count_oracle_calls(monkeypatch, "compile_pattern")
+        counts = count_oracle_calls(monkeypatch, "compile_graph")
         realization, vector, got_lam = find_unobservable_realization(a, c)
         assert got_lam == lam
         assert np.allclose(realization @ vector, lam * vector)
-        assert counts == {"compile_pattern": 1}
+        assert counts == {"compile_graph": 1}
 
     def test_certified_placement_has_no_witness(self):
         pat = build_structured_wdn(TRIANGLE_WDN_INC)
         g = from_pattern(pat, transpose=True)
         c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
-        assert certify_sso(pat, c).sso
+        assert certify_sso(g, c).sso
         assert find_unobservable_realization(pat, c) is None
 
     def test_every_rejected_random_placement_yields_witness(self):
@@ -276,7 +276,7 @@ class TestUnobservableWitness:
             g = from_pattern(pat, transpose=True)
             p = place_cyclic(g, spanning_tree_dfs(g))
             c = build_output_pattern(p, g.n)
-            if certify_sso(pat, c).sso:
+            if certify_sso(g, c).sso:
                 continue
             realization, vector, lam = find_unobservable_realization(pat, c, seed=seed)
             assert is_member(realization, pat)
@@ -299,7 +299,7 @@ class TestCertificateOracleAgreement:
             g = from_pattern(pat, transpose=True)
             p = place_cyclic(g, spanning_tree_dfs(g))
             c = build_output_pattern(p, g.n)
-            if not certify_sso(pat, c).sso:
+            if not certify_sso(g, c).sso:
                 continue
             report = sample_and_check(pat, c, trials=40, seed=1000 + seed)
             assert report.passes == 40, f"seed {seed - 1}"

@@ -51,8 +51,7 @@ class TestPlaceTree:
     def test_star_omits_highest_leaf(self):
         p = place_tree(STAR13)
         assert p.measured == (0, 1)
-        pat = PatternMatrix(4, 4, STAR13.star_edges, frozenset(), symmetric=True)
-        assert certify_sso(pat, build_output_pattern(p, 4)).sso
+        assert certify_sso(STAR13, build_output_pattern(p, 4)).sso
 
     def test_branched_tree_omits_highest(self):
         assert place_tree(TREE9).measured == (0, 2)
@@ -78,7 +77,7 @@ class TestPlaceTree:
             g = from_pattern(a, transpose=True)
             p = place_tree(g)
             c = build_output_pattern(p, g.n)
-            assert certify_sso(a, c).sso, f"seed {seed}"
+            assert certify_sso(g, c).sso, f"seed {seed}"
 
 
 class TestPlaceCyclic:

@@ -55,7 +55,7 @@ def test_pipeline_at_benchmark_scale():
     # same stages and bound the timed benchmark criteria use
     assert statistics.median(timings) < 1.0
 
-    cert = certify_sso(pattern, build_output_pattern(placement, g.n))
+    cert = certify_sso(g, build_output_pattern(placement, g.n))
     assert cert.sso
     assert placement.n_y == classify_nodes(g).n_e
 

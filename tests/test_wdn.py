@@ -1,8 +1,10 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strucsense import (
     Entry,
@@ -15,8 +17,8 @@ from strucsense import (
     incidence,
     parse_edge_list,
     parse_inp,
+    StateGraph,
     state_graph,
-    structured_pattern,
     structured_state_labels,
     to_pattern,
 )
@@ -100,6 +102,18 @@ class TestParseInp:
     def test_missing_link_section_rejected(self):
         with pytest.raises(ParseError, match="link section"):
             parse_inp("[JUNCTIONS]\n a 10\n b 10\n[END]\n")
+
+    def test_separators_inside_a_comment_do_not_end_the_line(self):
+        net = parse_inp("[JUNCTIONS]\n a ; note\x0cpage\n b\n[PIPES]\n p a b\n")
+        assert [n.label for n in net.nodes] == ["a", "b"]
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_line_numbers_count_newlines_only(self, sep):
+        text = f"[JUNCTIONS]\n a ;{sep} note\n b\n[PIPES]\n p a zz\n"
+        for variant in (text, text.replace("\n", "\r\n")):
+            with pytest.raises(ParseError, match="undeclared") as err:
+                parse_inp(variant)
+            assert err.value.line == 5
 
     def test_pumps_and_valves_are_links(self):
         text = """
@@ -200,7 +214,7 @@ class TestStructuredPattern:
         off_stars = [(i, j) for (i, j) in pat.star if i != j]
         assert len(off_stars) == 16              # two ends per link, mirrored
         assert pat.symmetric
-        assert check_preconditions(pat).symmetric
+        assert check_preconditions(from_pattern(pat, transpose=True)).symmetric
 
     def test_single_pipe_pattern(self):
         pat = build_structured_wdn(np.array([[1.0], [-1.0]]))
@@ -251,7 +265,7 @@ def assert_link_built_graph_matches(net) -> None:
         assert getattr(g, name) == getattr(ref, name), name
     assert g.star_edges == ref.star_edges and g.unknown_edges == ref.unknown_edges
     assert g == ref and g.is_symmetric()
-    assert to_pattern(g) == structured_pattern(net) == expected
+    assert to_pattern(g) == expected
     assert build_structured_wdn(incidence(net)) == expected
 
 
@@ -298,6 +312,47 @@ class TestParseEdgeList:
         g = parse_edge_list('{"n": 2, "star": [], "unknown": [[0, 1]]}')
         assert (1, 0) in g.unknown_edges
 
+    def test_negative_state_count_rejected(self):
+        with pytest.raises(ValueError, match='"n" must be non-negative, got -1'):
+            parse_edge_list('{"n": -1}')
+        with pytest.raises(ValueError, match="negative state count"):
+            StateGraph(-3)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             parse_edge_list('{"n": 2, "star": [[0, 5]]}')
+
+
+# INP-shaped text: section headers, labels, numbers, comments, and every kind of line break
+_INP_PIECES = st.sampled_from([
+    "[JUNCTIONS]", "[RESERVOIRS]", "[TANKS]", "[PIPES]", "[PUMPS]", "[VALVES]", "[COORDINATES]", "[END]",
+    "[", "]", ";", " ", "\t", "\n", "\r", "\x0c", "\x85", "\u2028", "a", "b", "c", "1", "-2.5", "1e400", "nan",
+])
+INP_TEXTS = st.one_of(st.text(), st.lists(_INP_PIECES, max_size=40).map("".join))
+# JSON of any shape, keys an edge list reads included; small integers keep every "n" a small graph
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["n", "star", "unknown", "x"]), inner),
+    max_leaves=20,
+)
+EDGE_LIST_TEXTS = st.one_of(st.text(), _JSON.map(json.dumps))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(INP_TEXTS)
+    def test_parse_inp_raises_only_parse_errors_with_a_line(self, text):
+        try:
+            parse_inp(text)
+        except ParseError as err:
+            assert err.line is not None or str(err).startswith("no link section")
+        except ValueError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(EDGE_LIST_TEXTS)
+    def test_parse_edge_list_raises_only_value_errors(self, text):
+        try:
+            parse_edge_list(text)
+        except ValueError:
+            pass
