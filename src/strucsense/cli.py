@@ -15,7 +15,6 @@ import argparse
 import json
 import logging
 import os
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -255,6 +254,8 @@ def cmd_export_dot(args) -> int:
 
 
 def _bench_one(path: str, repeats: int = 5) -> dict:
+    import statistics
+
     bundle = load_input(path)
     timings = []
     for _ in range(repeats):

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .forcing import compile_graph, sensor_states
 from .netgraph import StateGraph, from_pattern
 from .pattern import Entry, PatternMatrix, SampleConfig, make_abar, sample_realizations
@@ -62,15 +60,17 @@ class MinimalPlacementResult:
         }
 
 
-def _observability_singular_values(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _observability_singular_values(a, c):
     """Singular values of each trial's stacked observability matrix.
 
-    ``a`` is a ``(T, n, n)`` and ``c`` a ``(T, p, n)`` stack, n and p positive;
-    returns ``(T, n)``, descending per trial. Each power's rows are rescaled
-    to unit max-abs before stacking and before the next multiplication; row
-    scaling by nonzero factors leaves the rank untouched but keeps entries
-    from overflowing as powers grow.
+    ``a`` is a ``(T, n, n)`` and ``c`` a ``(T, p, n)`` array stack, n and p
+    positive; returns a ``(T, n)`` array, descending per trial. Each power's
+    rows are rescaled to unit max-abs before stacking and before the next
+    multiplication; row scaling by nonzero factors leaves the rank untouched
+    but keeps entries from overflowing as powers grow.
     """
+    import numpy as np
+
     t, p, n = c.shape
     stacked = np.empty((t, n * p, n))
     cur = np.array(c, dtype=float, copy=True)
@@ -83,14 +83,17 @@ def _observability_singular_values(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stacked, compute_uv=False)
 
 
-def _sigma_ratios(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _sigma_ratios(a, c):
     """Per trial, smallest over largest singular value of the observability matrix.
 
-    A trial passes the rank test when its ratio exceeds the tolerance. With
-    no states the ratio is 1.0: the empty state space is observable from any
-    outputs, as the certificate says of a 0-state pattern. With no outputs,
-    or an all-zero stack, it is 0.0.
+    ``a`` and ``c`` are stacks as in ``_observability_singular_values``; returns
+    a ``(T,)`` array. A trial passes the rank test when its ratio exceeds the
+    tolerance. With no states the ratio is 1.0: the empty state space is
+    observable from any outputs, as the certificate says of a 0-state
+    pattern. With no outputs, or an all-zero stack, it is 0.0.
     """
+    import numpy as np
+
     t, p, n = c.shape
     if n == 0:
         return np.ones(t)
@@ -102,17 +105,20 @@ def _sigma_ratios(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def observability_rank_test(
-    a: np.ndarray,
-    c: np.ndarray,
+    a,
+    c,
     tol: float = DEFAULT_RANK_TOL,
     max_states: int = DEFAULT_STATE_CAP,
 ) -> bool:
     """Kalman-style test: does [C; CA; ...; CA^(n-1)] have full column rank?
 
-    Full rank means the n-th singular value over the largest exceeds
-    ``tol``. The state cap keeps the test inside the regime where this
-    threshold is trustworthy.
+    ``a`` is an ``(n, n)`` and ``c`` a ``(p, n)`` array or nested list. Full
+    rank means the n-th singular value over the largest exceeds ``tol``.
+    The state cap keeps the test inside the regime where this threshold is
+    trustworthy.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -127,8 +133,10 @@ def observability_rank_test(
     return bool(_sigma_ratios(a[None], c[None])[0] > tol)
 
 
-def realize_unit_output(c_pat: PatternMatrix) -> np.ndarray:
-    """Numeric output matrix with exactly 1.0 at stars and 0 elsewhere."""
+def realize_unit_output(c_pat: PatternMatrix):
+    """Numeric output matrix, a ``(rows, cols)`` array with exactly 1.0 at stars and 0 elsewhere."""
+    import numpy as np
+
     mat = np.zeros((c_pat.rows, c_pat.cols))
     for (i, j) in c_pat.star:
         mat[i, j] = 1.0
@@ -160,6 +168,8 @@ def sample_and_check(
     stays bounded whatever ``trials`` is. A 0-state pattern passes every
     trial with ratio 1.0, as it certifies; zero trials report ratio 0.0.
     """
+    import numpy as np
+
     if not a_pat.is_square:
         raise ValueError(f"square state pattern required, got {a_pat.rows}x{a_pat.cols}")
     if c_pat.cols != a_pat.rows:
@@ -190,15 +200,17 @@ def sample_and_check(
     return OracleReport(trials, passes, min_ratio, seed)
 
 
-def _solve_stuck_rows(pattern: PatternMatrix, whites, x, pins, rng) -> np.ndarray | None:
+def _solve_stuck_rows(pattern: PatternMatrix, whites, x, pins, rng):
     """Realize ``pattern`` so that the white-supported vector is in its kernel.
 
     Every row must satisfy sum_j X[i, j] * x[j] = 0 over the white columns.
     The closure fixpoint guarantees each row has enough free entries: a row
     whose only white entry is an unpinned star would have forced during the
-    closure. Returns None when a star entry would be driven to zero (the
-    caller redraws ``x`` and retries).
+    closure. Returns the ``(n, n)`` array X, or None when a star entry would
+    be driven to zero (the caller redraws ``x`` and retries).
     """
+    import numpy as np
+
     n = pattern.rows
     mat = np.zeros((n, n))
     for (i, j) in pattern.star:
@@ -232,6 +244,8 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
     eigenvalue lam, where x vanishes on every measured state. Returns None
     when the certificate holds. Symmetric state patterns only.
     """
+    import numpy as np
+
     graph = compile_graph(from_pattern(a_pat, transpose=True))  # raises unless a_pat is square
     n = a_pat.rows
     measured = sensor_states(c_pat, n)

@@ -13,8 +13,6 @@ import enum
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class Entry(enum.Enum):
     """One structural constraint on a matrix position."""
@@ -35,14 +33,16 @@ class PatternMatrix:
     """Sparse structural matrix; positions absent from both sets are zero.
 
     ``symmetric=True`` asserts entry(i, j) == entry(j, i) for all positions
-    and is verified at construction time.
+    and is verified at construction time. The flag is a checked statement
+    about the entries, not part of their identity: equality and hashing
+    ignore it.
     """
 
     rows: int
     cols: int
     star: frozenset = field(default_factory=frozenset)
     unknown: frozenset = field(default_factory=frozenset)
-    symmetric: bool = False
+    symmetric: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -146,8 +146,13 @@ def make_abar(a: PatternMatrix) -> PatternMatrix:
     return PatternMatrix(a.rows, a.cols, star, unknown, a.symmetric)
 
 
-def is_member(x: np.ndarray, a: PatternMatrix) -> bool:
-    """True iff ``x`` realizes the pattern: 0 at zeros, nonzero at stars."""
+def is_member(x, a: PatternMatrix) -> bool:
+    """True iff ``x`` realizes the pattern: 0 at zeros, nonzero at stars.
+
+    ``x`` is a ``(rows, cols)`` array or nested list.
+    """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if x.shape != (a.rows, a.cols):
         raise ValueError(f"shape {x.shape} does not match {a.rows}x{a.cols} pattern")
@@ -161,8 +166,8 @@ def is_member(x: np.ndarray, a: PatternMatrix) -> bool:
     return bool(np.all(x[~free] == 0.0))
 
 
-def sample_realizations(a: PatternMatrix, seeds, cfg: SampleConfig | None = None) -> np.ndarray:
-    """Draw one member of the pattern class per seed, stacked ``(len(seeds), rows, cols)``.
+def sample_realizations(a: PatternMatrix, seeds, cfg: SampleConfig | None = None):
+    """Draw one member of the pattern class per seed, stacked in a ``(len(seeds), rows, cols)`` array.
 
     Each seed drives its own ``default_rng``. Stars come first, in sorted
     position order, each taking a magnitude draw ``lo + (hi - lo) * u`` and a
@@ -175,6 +180,8 @@ def sample_realizations(a: PatternMatrix, seeds, cfg: SampleConfig | None = None
     seeds at once; the unknowns are walked in order, since whether one takes
     a value decides where the next one's draws start.
     """
+    import numpy as np
+
     cfg = cfg or SampleConfig()
     lo, hi = cfg.star_range
     if not (0.0 < lo <= hi):
@@ -187,7 +194,7 @@ def sample_realizations(a: PatternMatrix, seeds, cfg: SampleConfig | None = None
         np.random.default_rng(seed).random(out=row)
     x = np.zeros((len(seeds), a.rows, a.cols))
 
-    def signed(mag: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    def signed(mag, sign):
         mag = lo + (hi - lo) * mag
         return np.where(sign < 0.5, mag, -mag)
 
@@ -203,6 +210,6 @@ def sample_realizations(a: PatternMatrix, seeds, cfg: SampleConfig | None = None
     return x
 
 
-def sample_realization(a: PatternMatrix, seed: int, cfg: SampleConfig | None = None) -> np.ndarray:
-    """Draw a member of the pattern class, deterministically for a fixed seed."""
+def sample_realization(a: PatternMatrix, seed: int, cfg: SampleConfig | None = None):
+    """Draw a member of the pattern class, a ``(rows, cols)`` array, deterministically for a fixed seed."""
     return sample_realizations(a, [seed], cfg)[0]

@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .netgraph import StateGraph, star_graph, to_pattern
 from .pattern import Entry, PatternMatrix
 
@@ -169,8 +167,13 @@ def to_inp_text(net: WdnNetwork) -> str:
     return "\n".join(out) + "\n"
 
 
-def incidence(net: WdnNetwork) -> np.ndarray:
-    """Node-by-link incidence: +1 at a link's from-node, -1 at its to-node."""
+def incidence(net: WdnNetwork):
+    """Node-by-link incidence: +1 at a link's from-node, -1 at its to-node.
+
+    Returns an ``(n_nodes, n_links)`` array.
+    """
+    import numpy as np
+
     mat = np.zeros((net.n_nodes, net.n_links))
     for j, link in enumerate(net.links):
         mat[net.node_index(link.from_label), j] = 1.0
@@ -228,8 +231,13 @@ def state_graph(net: WdnNetwork) -> StateGraph:
     return _walk(net.n_nodes, flows)
 
 
-def build_structured_wdn(inc: np.ndarray) -> PatternMatrix:
-    """Structured pattern of a node-by-link incidence (any nonzero couples), through ``state_graph``'s walk."""
+def build_structured_wdn(inc) -> PatternMatrix:
+    """Structured pattern of a node-by-link incidence (any nonzero couples), through ``state_graph``'s walk.
+
+    ``inc`` is an ``(n_nodes, n_links)`` array or nested list.
+    """
+    import numpy as np
+
     inc = np.asarray(inc, dtype=float)
     if inc.ndim != 2:
         raise ValueError("incidence matrix must be two-dimensional")

@@ -703,3 +703,63 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         progress = [json.loads(line) for line in proc.stderr.strip().splitlines() if line.startswith("{")]
         assert [u["size"] for u in progress] == [0, 1, 2]
+
+
+def fresh_interpreter(code: str, *args: str):
+    """Run ``code`` in a new interpreter on the package under test; it prints one JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source_pythonpath()},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# runs one CLI command with its output swallowed, then reports its exit code and whether numpy got loaded
+COLD_START = """
+import contextlib, io, json, sys
+from strucsense.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+class TestColdStart:
+    """Only the commands that compute with arrays load numpy; the structural ones start without it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "{inp}"],
+            ["info", "{inp}", "--dump-pattern", "{tmp}/pattern.json"],
+            ["info", "{inp}", "--dump-incidence", "{tmp}/incidence.csv"],
+            ["place", "{inp}"],
+            ["certify", "{inp}", "--sensors", "0,1"],
+            ["minimize", "{json}"],
+            ["export-dot", "{inp}", "--stage", "graph"],
+            ["export-dot", "{inp}", "--stage", "tree"],
+            ["export-dot", "{inp}", "--stage", "placement"],
+            ["export-dot", "{inp}", "--stage", "trace"],
+            ["bench", "{inp}"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if "{" not in a),
+    )
+    def test_structural_command_leaves_numpy_unloaded(self, argv, fixtures_dir, tmp_path):
+        paths = {"inp": fixtures_dir / "two_loop.inp", "json": fixtures_dir / "triangle3.json", "tmp": tmp_path}
+        argv = [a.format(**paths) for a in argv]
+        assert fresh_interpreter(COLD_START, *argv) == [0, False]
+
+    def test_oracle_loads_numpy(self, fixtures_dir):
+        """The probe sees numpy when a command does load it."""
+        argv = ["oracle", str(fixtures_dir / "two_loop.inp"), "--trials", "2"]
+        assert fresh_interpreter(COLD_START, *argv) == [0, True]
+
+    def test_cli_import_loads_every_layer_but_not_numpy(self):
+        """Every layer module is imported eagerly, so per-layer tracing finds each in ``sys.modules``."""
+        loaded = set(fresh_interpreter("import json, sys, strucsense.cli; print(json.dumps(sorted(sys.modules)))"))
+        layers = ("cli", "wdn", "pattern", "netgraph", "spanning", "placement", "forcing", "oracle")
+        assert {f"strucsense.{layer}" for layer in layers} <= loaded
+        assert "numpy" not in loaded

@@ -37,6 +37,13 @@ class TestPatternMatrix:
         with pytest.raises(ValueError):
             PatternMatrix(2, 2, frozenset({(0, 1)}), frozenset(), symmetric=True)
 
+    def test_symmetry_flag_is_not_part_of_identity(self):
+        rows = ["0*?", "*00", "?00"]
+        flagged, plain = PatternMatrix.from_rows(rows, symmetric=True), PatternMatrix.from_rows(rows)
+        assert flagged.symmetric and not plain.symmetric
+        assert flagged == plain
+        assert hash(flagged) == hash(plain)
+
     def test_json_round_trip(self):
         p = PatternMatrix.from_rows(["0*?", "*00", "?00"])
         again = PatternMatrix.from_json(p.to_json())
