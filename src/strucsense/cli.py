@@ -6,18 +6,17 @@ Every placement the CLI emits is accompanied by a true certificate; a false
 certificate on a pipeline-produced placement is treated as an internal
 failure (exit code 2). Exit code 1 covers input and usage errors.
 
-Set STRUCSENSE_LOG=debug|info|warning|error to control verbosity.
+Set STRUCSENSE_LOG=info (or debug) for progress lines on stderr; any other
+value, or none, keeps them off.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -36,22 +35,23 @@ from .wdn import (
     write_incidence_csv,
 )
 
-logger = logging.getLogger("strucsense")
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CERT = 2
 
 
-@dataclass
 class InputBundle:
     """Everything downstream commands need, whatever the input format was."""
 
-    path: str
-    kind: str  # "wdn" or "edge_list"
-    graph: StateGraph
-    labels: list
-    net: WdnNetwork | None = None
+    def __init__(self, path: str, kind: str, graph: StateGraph, labels: list, net: WdnNetwork | None = None):
+        self.path, self.graph, self.labels, self.net = path, graph, labels, net
+        self.kind = kind  # "wdn" or "edge_list"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.path, self.kind, self.graph, self.labels, self.net) == (
+            other.path, other.kind, other.graph, other.labels, other.net)
 
     @property
     def flow_count(self) -> int | None:
@@ -227,7 +227,7 @@ def cmd_oracle(args) -> int:
 def cmd_minimize(args) -> int:
     bundle = load_input(args.path)
     progress = None
-    if logger.isEnabledFor(logging.INFO):
+    if args.verbose:
         def progress(update):
             sys.stderr.write(json.dumps(update, sort_keys=True) + "\n")
     result = exhaustive_min_sensors(bundle.graph, progress=progress)
@@ -281,7 +281,8 @@ def cmd_bench(args) -> int:
     for path in args.paths:
         try:
             rows.append(_bench_one(path))
-            logger.info("bench %s done", path)
+            if args.verbose:
+                sys.stderr.write(f"INFO strucsense: bench {path} done\n")
         except Exception as exc:  # keep going; report at the end
             failed.append((path, str(exc)))
             sys.stderr.write(f"bench failed for {path}: {exc}\n")
@@ -365,16 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("STRUCSENSE_LOG", "warning").upper()
-    level = getattr(logging, level_name, logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # progress lines on stderr: the JSON updates of ``minimize`` and one line per ``bench`` path
+    args.verbose = os.environ.get("STRUCSENSE_LOG", "").lower() in ("info", "debug")
     try:
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .netgraph import StateGraph
 from .pattern import Entry, PatternMatrix
@@ -39,8 +39,7 @@ from .pattern import Entry, PatternMatrix
 _NO_LOOP, _STAR_LOOP = Entry.ZERO, Entry.STAR
 
 
-@dataclass(frozen=True)
-class ObservabilityGraph:
+class ObservabilityGraph(NamedTuple):
     """States 0..n_states-1 followed by sensor nodes, with out-edge lists."""
 
     n_states: int
@@ -53,16 +52,14 @@ class ObservabilityGraph:
         return self.n_states + self.n_sensors
 
 
-@dataclass(frozen=True)
-class ColoringState:
+class ColoringState(NamedTuple):
     """Final black set plus the ordered forcing steps that produced it."""
 
     black: frozenset
     trace: tuple  # ordered (forcer, forced) pairs
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Verdicts and traces for both colorability checks."""
 
     colorable_a: bool
@@ -134,7 +131,6 @@ def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> Observabili
     )
 
 
-@dataclass(frozen=True)
 class ClosureGraph:
     """A color-change graph compiled once, then closed for any sensor set.
 
@@ -148,22 +144,23 @@ class ClosureGraph:
     of that graph does.
     """
 
-    star_out: tuple
-    out: tuple
-    inn: tuple
-    loops: tuple
-    n: int = field(init=False)
-    out_degree: tuple = field(init=False)
-    seeds: tuple = field(init=False)
-
-    def __post_init__(self):
-        none, loops, star_out = Entry.ZERO, self.loops, self.star_out
-        out_degree = tuple([len(out) + (loop is not none) for out, loop in zip(self.out, loops)])
+    def __init__(self, star_out: tuple, out: tuple, inn: tuple, loops: tuple):
+        none = Entry.ZERO
+        out_degree = tuple([len(nbrs) + (loop is not none) for nbrs, loop in zip(out, loops)])
         # out-degree 1: the one out-neighbour is the loop, or else the only off-diagonal one
         seeds = tuple((v, v) if loops[v] is not none else (v, star_out[v][0])
                       for v, d in enumerate(out_degree)
                       if d == 1 and (loops[v] is Entry.STAR or loops[v] is none and star_out[v]))
-        self.__dict__.update(n=len(self.out), out_degree=out_degree, seeds=seeds)
+        self.star_out, self.out, self.inn, self.loops = star_out, out, inn, loops
+        self.n, self.out_degree, self.seeds = len(out), out_degree, seeds
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.star_out, self.out, self.inn, self.loops) == (other.star_out, other.out, other.inn, other.loops)
+
+    def __hash__(self) -> int:
+        return hash((self.star_out, self.out, self.inn, self.loops))
 
     def companion(self) -> "ClosureGraph":
         """The compiled graph of ``make_abar`` of this graph's pattern.
@@ -171,7 +168,8 @@ class ClosureGraph:
         Same lists; a missing self-loop becomes a star, a star or unknown one unknown.
         """
         none, star, unknown = Entry.ZERO, Entry.STAR, Entry.UNKNOWN
-        return replace(self, loops=tuple([star if loop is none else unknown for loop in self.loops]))
+        loops = tuple([star if loop is none else unknown for loop in self.loops])
+        return ClosureGraph(self.star_out, self.out, self.inn, loops)
 
     def run(self, measured=(), rng: random.Random | None = None) -> tuple:
         """Run the color-change rule to fixpoint; return black flags and the trace.

@@ -9,7 +9,7 @@ star-edge connectivity, and independent-cycle counting all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .pattern import Entry, PatternMatrix
 
@@ -37,9 +37,8 @@ def _adjacency(n: int, star: frozenset, unknown: frozenset, symmetric: bool) -> 
                 star_out=_lists(n, star), out=_lists(n, both), inn=_lists(n, both_rev), loops=loops)
 
 
-@dataclass(frozen=True)
 class StateGraph:
-    """Sparse graph with two edge kinds and its adjacency, immutable after build.
+    """Sparse graph with two edge kinds and its adjacency, never changed after build.
 
     Per node, ascending off-diagonal neighbours: undirected over star edges
     and over both kinds (``star_nbrs``, ``nbrs``; in-edges count, so
@@ -49,24 +48,18 @@ class StateGraph:
     from its lists (``star_graph``) reads its edge sets off them on first use.
     """
 
-    n: int
-    star_edges: frozenset = field(default_factory=frozenset)
-    unknown_edges: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"negative state count {self.n}")
-        star = frozenset(tuple(e) for e in self.star_edges)
-        unknown = frozenset(tuple(e) for e in self.unknown_edges)
+    def __init__(self, n: int, star_edges: frozenset = frozenset(), unknown_edges: frozenset = frozenset()):
+        if n < 0:
+            raise ValueError(f"negative state count {n}")
+        star = frozenset(tuple(e) for e in star_edges)
+        unknown = frozenset(tuple(e) for e in unknown_edges)
         for (i, j) in star | unknown:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) outside node range 0..{self.n - 1}")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) outside node range 0..{n - 1}")
         if star & unknown:
             raise ValueError("an edge cannot be both star and unknown")
-        object.__setattr__(self, "star_edges", star)
-        object.__setattr__(self, "unknown_edges", unknown)
         symmetric = all((j, i) in star for (i, j) in star) and all((j, i) in unknown for (i, j) in unknown)
-        self.__dict__.update(_adjacency(self.n, star, unknown, symmetric))
+        self.__dict__.update(n=n, star_edges=star, unknown_edges=unknown, **_adjacency(n, star, unknown, symmetric))
 
     def __getattr__(self, name: str):
         """Edge sets of a graph built from its lists, read off the lists on first use and kept."""
@@ -81,6 +74,14 @@ class StateGraph:
         lists.update(star_edges=frozenset(star), unknown_edges=frozenset(unknown))
         return lists[name]
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.star_edges, self.unknown_edges) == (other.n, other.star_edges, other.unknown_edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.star_edges, self.unknown_edges))
+
     def undirected_star_pairs(self) -> set:
         """Unordered star edges {i, j} with i != j (self-loops dropped)."""
         return {(v, u) for v in range(self.n) for u in self.star_nbrs[v] if v < u}
@@ -90,8 +91,7 @@ class StateGraph:
         return self.star_out == self.star_nbrs and self.out == self.nbrs
 
 
-@dataclass(frozen=True)
-class NodeClassification:
+class NodeClassification(NamedTuple):
     """Degree-based node roles; degrees ignore self-loops.
 
     Extreme nodes have exactly one neighbor, intersection nodes at least
@@ -112,8 +112,7 @@ class NodeClassification:
         return len(self.intersection)
 
 
-@dataclass(frozen=True)
-class PreconditionReport:
+class PreconditionReport(NamedTuple):
     """Structural prerequisites for guaranteed placement, with witnesses."""
 
     symmetric: bool
@@ -143,7 +142,7 @@ class PreconditionReport:
 
 
 def _unchecked(n: int, **fields) -> StateGraph:
-    """A ``StateGraph`` of fields already checked by its caller, skipping ``__post_init__``."""
+    """A ``StateGraph`` of fields already checked by its caller, skipping ``__init__``'s checks."""
     g = object.__new__(StateGraph)
     g.__dict__.update(n=n, **fields)
     return g

@@ -12,8 +12,8 @@ size until a certified one appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .forcing import compile_graph, sensor_states
 from .netgraph import StateGraph, from_pattern
@@ -26,8 +26,7 @@ DEFAULT_EXHAUSTIVE_CAP = 16
 CHUNK_DOUBLES = 2**19
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Pass counts and worst conditioning seen over sampled realizations."""
 
     trials: int
@@ -44,8 +43,7 @@ class OracleReport:
         }
 
 
-@dataclass(frozen=True)
-class MinimalPlacementResult:
+class MinimalPlacementResult(NamedTuple):
     """Smallest certified sensor-set size, its witnesses, and the search cost."""
 
     minimum_size: int

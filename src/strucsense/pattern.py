@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Entry(enum.Enum):
@@ -28,7 +28,6 @@ class Entry(enum.Enum):
 _CHAR_TO_ENTRY = {"0": Entry.ZERO, "*": Entry.STAR, "?": Entry.UNKNOWN}
 
 
-@dataclass(frozen=True)
 class PatternMatrix:
     """Sparse structural matrix; positions absent from both sets are zero.
 
@@ -38,32 +37,36 @@ class PatternMatrix:
     ignore it.
     """
 
-    rows: int
-    cols: int
-    star: frozenset = field(default_factory=frozenset)
-    unknown: frozenset = field(default_factory=frozenset)
-    symmetric: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, star: frozenset = frozenset(), unknown: frozenset = frozenset(),
+                 symmetric: bool = False):
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        object.__setattr__(self, "star", frozenset(tuple(p) for p in self.star))
-        object.__setattr__(self, "unknown", frozenset(tuple(p) for p in self.unknown))
-        for (i, j) in self.star | self.unknown:
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ValueError(f"position ({i}, {j}) outside {self.rows}x{self.cols}")
-        both = self.star & self.unknown
+        star = frozenset(tuple(p) for p in star)
+        unknown = frozenset(tuple(p) for p in unknown)
+        for (i, j) in star | unknown:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"position ({i}, {j}) outside {rows}x{cols}")
+        both = star & unknown
         if both:
             raise ValueError(f"position {min(both)} is both star and unknown")
-        if self.symmetric:
-            if self.rows != self.cols:
+        if symmetric:
+            if rows != cols:
                 raise ValueError("symmetric flag on a non-square matrix")
-            for (i, j) in self.star:
-                if (j, i) not in self.star:
+            for (i, j) in star:
+                if (j, i) not in star:
                     raise ValueError(f"symmetric flag set but star ({i}, {j}) unmirrored")
-            for (i, j) in self.unknown:
-                if (j, i) not in self.unknown:
+            for (i, j) in unknown:
+                if (j, i) not in unknown:
                     raise ValueError(f"symmetric flag set but unknown ({i}, {j}) unmirrored")
+        self.rows, self.cols, self.star, self.unknown, self.symmetric = rows, cols, star, unknown, symmetric
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rows, self.cols, self.star, self.unknown) == (other.rows, other.cols, other.star, other.unknown)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.star, self.unknown))
 
     @property
     def is_square(self) -> bool:
@@ -116,8 +119,7 @@ class PatternMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(NamedTuple):
     """Distribution knobs for drawing numeric realizations of a pattern.
 
     Star magnitudes are drawn uniformly from ``star_range`` with a random

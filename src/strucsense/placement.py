@@ -10,8 +10,8 @@ with exactly one star per row, which downstream certification consumes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .forcing import Certificate, certify_sso
 from .netgraph import NodeClassification, StateGraph, classify_nodes, connected_components_star, cycle_count
@@ -19,20 +19,25 @@ from .pattern import PatternMatrix
 from .spanning import SpanningTree, removed_chords, spanning_tree_dfs
 
 
-@dataclass(frozen=True)
 class SensorPlacement:
     """Ordered, distinct measured state indices plus the strategy used."""
 
-    measured: tuple
-    n_states: int
-    mode: str  # "tree", "cyclic", or "given" (user-proposed sensors)
-
-    def __post_init__(self):
-        if len(set(self.measured)) != len(self.measured):
+    def __init__(self, measured: tuple, n_states: int, mode: str):
+        if len(set(measured)) != len(measured):
             raise ValueError("duplicate measured indices")
-        for i in self.measured:
-            if not (0 <= i < self.n_states):
-                raise ValueError(f"measured index {i} outside 0..{self.n_states - 1}")
+        for i in measured:
+            if not (0 <= i < n_states):
+                raise ValueError(f"measured index {i} outside 0..{n_states - 1}")
+        self.measured, self.n_states = measured, n_states
+        self.mode = mode  # "tree", "cyclic", or "given" (user-proposed sensors)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.measured, self.n_states, self.mode) == (other.measured, other.n_states, other.mode)
+
+    def __hash__(self) -> int:
+        return hash((self.measured, self.n_states, self.mode))
 
     @property
     def n_y(self) -> int:
@@ -48,8 +53,7 @@ class SensorPlacement:
         return json.dumps(self.as_dict(labels), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class SensorCountReport:
+class SensorCountReport(NamedTuple):
     """Sensor count against its structural bounds."""
 
     n_e_graph: int
@@ -135,7 +139,6 @@ def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> S
     return SensorCountReport(n_e, cycles, p.n_y, count_bounds_ok(n_e, cycles, p.n_y))
 
 
-@dataclass(frozen=True)
 class PipelineRun:
     """One input's forest, placement, output pattern, certificate and counts.
 
@@ -147,9 +150,16 @@ class PipelineRun:
     ``given`` placement, e.g. a user's proposal, replaces both rules.
     """
 
-    graph: StateGraph
-    mode: str = "cyclic"
-    given: SensorPlacement | None = None
+    def __init__(self, graph: StateGraph, mode: str = "cyclic", given: SensorPlacement | None = None):
+        self.graph, self.mode, self.given = graph, mode, given
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.graph, self.mode, self.given) == (other.graph, other.mode, other.given)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.mode, self.given))
 
     @cached_property
     def classification(self) -> NodeClassification:

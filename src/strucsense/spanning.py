@@ -9,13 +9,12 @@ explicit stack keeps the traversal O(n + m) even on large networks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .netgraph import StateGraph
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(NamedTuple):
     """Spanning forest: parent pointers, per-component roots, undirected edges."""
 
     parent: tuple          # parent index per node, None at roots

@@ -13,8 +13,8 @@ only topology shapes the pattern.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .netgraph import StateGraph, star_graph, to_pattern
 from .pattern import Entry, PatternMatrix
@@ -32,27 +32,29 @@ class ParseError(ValueError):
         super().__init__(message + suffix)
 
 
-@dataclass(frozen=True)
-class HydraulicNode:
+class HydraulicNode(NamedTuple):
     label: str
     kind: str  # junction | reservoir | tank
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     label: str
     kind: str  # pipe | pump | valve
     from_label: str
     to_label: str
 
 
-@dataclass(frozen=True)
 class WdnNetwork:
     """Topological view of a water network: labeled nodes and links, in file order."""
 
-    nodes: tuple
-    links: tuple
-    coordinates: dict = field(default_factory=dict)
+    def __init__(self, nodes: tuple, links: tuple, coordinates: dict | None = None):
+        self.nodes, self.links = nodes, links
+        self.coordinates = {} if coordinates is None else coordinates
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.nodes, self.links, self.coordinates) == (other.nodes, other.links, other.coordinates)
 
     @property
     def n_nodes(self) -> int:
@@ -82,38 +84,42 @@ def parse_inp(text: str) -> WdnNetwork:
     node_lines, link_lines = {}, {}
     coordinates = {}
     seen_link_section = False
-    section = None
+    # the current section, resolved at its header: the kind its records take, if any
+    node_kind = link_kind = None
+    in_coordinates = False
 
     # lines end at "\n" alone (a trailing "\r" is whitespace): str.splitlines would also
     # break at form feeds and other separators that may sit inside a comment
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split(";", 1)[0].strip()
-        if not line:
+        if ";" in raw:
+            raw = raw.partition(";")[0]
+        tokens = raw.split()
+        if not tokens:
             continue
-        if line.startswith("["):
-            name = line.strip("[]").strip().upper()
-            section = name
-            if name in _LINK_SECTIONS:
+        if tokens[0][0] == "[":
+            name = raw.strip().strip("[]").strip().upper()
+            node_kind, link_kind = _NODE_SECTIONS.get(name), _LINK_SECTIONS.get(name)
+            in_coordinates = name == "COORDINATES"
+            if link_kind is not None:
                 seen_link_section = True
             continue
-        tokens = line.split()
-        if section in _NODE_SECTIONS:
+        if node_kind is not None:
             label = tokens[0]
             if label in node_lines:
                 raise ParseError(f"duplicate node label {label!r}", lineno)
             node_lines[label] = lineno
-            nodes.append(HydraulicNode(label, _NODE_SECTIONS[section]))
-        elif section in _LINK_SECTIONS:
+            nodes.append(HydraulicNode(label, node_kind))
+        elif link_kind is not None:
             if len(tokens) < 3:
-                raise ParseError(f"link line needs id and two endpoints: {line!r}", lineno)
+                raise ParseError(f"link line needs id and two endpoints: {raw.strip()!r}", lineno)
             label, from_label, to_label = tokens[0], tokens[1], tokens[2]
             if label in link_lines:
                 raise ParseError(f"duplicate link label {label!r}", lineno)
             if from_label == to_label:
                 raise ParseError(f"link {label!r} connects node {from_label!r} to itself", lineno)
             link_lines[label] = lineno
-            links.append(Link(label, _LINK_SECTIONS[section], from_label, to_label))
-        elif section == "COORDINATES":
+            links.append(Link(label, link_kind, from_label, to_label))
+        elif in_coordinates:
             if len(tokens) >= 3:
                 try:
                     coordinates[tokens[0]] = (float(tokens[1]), float(tokens[2]))
@@ -122,10 +128,9 @@ def parse_inp(text: str) -> WdnNetwork:
 
     if not seen_link_section:
         raise ParseError("no link section ([PIPES], [PUMPS] or [VALVES]) found")
-    declared = {node.label for node in nodes}
     for link in links:
         for endpoint in (link.from_label, link.to_label):
-            if endpoint not in declared:
+            if endpoint not in node_lines:
                 raise ParseError(
                     f"link {link.label!r} references undeclared node {endpoint!r}",
                     link_lines[link.label],

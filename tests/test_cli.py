@@ -45,18 +45,18 @@ def count_calls(monkeypatch, *names) -> dict:
 def record_loads_and_patterns(monkeypatch) -> tuple:
     """Keep every input bundle the CLI loads and the shape of every ``PatternMatrix`` built."""
     bundles, shapes = [], []
-    load, validate = strucsense.cli.load_input, PatternMatrix.__post_init__
+    load, build = strucsense.cli.load_input, PatternMatrix.__init__
 
     def loading(path):
         bundles.append(load(path))
         return bundles[-1]
 
-    def validating(self):
-        shapes.append((self.rows, self.cols))
-        validate(self)
+    def building(self, rows, cols, *args, **kwargs):
+        shapes.append((rows, cols))
+        build(self, rows, cols, *args, **kwargs)
 
     monkeypatch.setattr(strucsense.cli, "load_input", loading)
-    monkeypatch.setattr(PatternMatrix, "__post_init__", validating)
+    monkeypatch.setattr(PatternMatrix, "__init__", building)
     return bundles, shapes
 
 
@@ -704,6 +704,27 @@ class TestEntryPoint:
         progress = [json.loads(line) for line in proc.stderr.strip().splitlines() if line.startswith("{")]
         assert [u["size"] for u in progress] == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "level, verbose",
+        [("info", True), ("INFO", True), ("debug", True), ("warning", False), ("error", False),
+         (None, False), ("chatty", False)],
+    )
+    def test_log_level_decides_bench_progress(self, level, verbose, fixtures_dir):
+        """At info or debug, one ``INFO strucsense: bench <path> done`` line per path; else nothing."""
+        paths = [str(fixtures_dir / "path4.inp"), str(fixtures_dir / "two_loop.inp")]
+        env = {"PATH": "", "PYTHONPATH": source_pythonpath()}
+        if level is not None:
+            env["STRUCSENSE_LOG"] = level
+        proc = subprocess.run(
+            [sys.executable, "-m", "strucsense.cli", "bench", *paths, "--format", "csv"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("".join(f"INFO strucsense: bench {p} done\n" for p in paths) if verbose else "")
+        assert len(proc.stdout.splitlines()) == 3
+
 
 def fresh_interpreter(code: str, *args: str):
     """Run ``code`` in a new interpreter on the package under test; it prints one JSON line."""
@@ -717,18 +738,25 @@ def fresh_interpreter(code: str, *args: str):
     return json.loads(proc.stdout)
 
 
-# runs one CLI command with its output swallowed, then reports its exit code and whether numpy got loaded
-COLD_START = """
+# modules the structural commands start without: numpy, and the stdlib modules whose import cost
+# the package avoids (records are NamedTuples or plain classes; progress lines go straight to stderr)
+UNLOADED = ("numpy", "dataclasses", "logging")
+
+# runs one CLI command with its output swallowed, then reports its exit code and which of UNLOADED got loaded
+COLD_START = f"""
 import contextlib, io, json, sys
 from strucsense.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, [m for m in {UNLOADED!r} if m in sys.modules]]))
 """
 
 
 class TestColdStart:
-    """Only the commands that compute with arrays load numpy; the structural ones start without it."""
+    """Only the commands that compute with arrays load numpy; the structural ones start without it.
+
+    No command and no import of the CLI loads ``dataclasses`` or ``logging``.
+    """
 
     @pytest.mark.parametrize(
         "argv",
@@ -750,16 +778,17 @@ class TestColdStart:
     def test_structural_command_leaves_numpy_unloaded(self, argv, fixtures_dir, tmp_path):
         paths = {"inp": fixtures_dir / "two_loop.inp", "json": fixtures_dir / "triangle3.json", "tmp": tmp_path}
         argv = [a.format(**paths) for a in argv]
-        assert fresh_interpreter(COLD_START, *argv) == [0, False]
+        assert fresh_interpreter(COLD_START, *argv) == [0, []]
 
     def test_oracle_loads_numpy(self, fixtures_dir):
         """The probe sees numpy when a command does load it."""
         argv = ["oracle", str(fixtures_dir / "two_loop.inp"), "--trials", "2"]
-        assert fresh_interpreter(COLD_START, *argv) == [0, True]
+        code, loaded = fresh_interpreter(COLD_START, *argv)
+        assert code == 0 and "numpy" in loaded
 
     def test_cli_import_loads_every_layer_but_not_numpy(self):
         """Every layer module is imported eagerly, so per-layer tracing finds each in ``sys.modules``."""
         loaded = set(fresh_interpreter("import json, sys, strucsense.cli; print(json.dumps(sorted(sys.modules)))"))
         layers = ("cli", "wdn", "pattern", "netgraph", "spanning", "placement", "forcing", "oracle")
         assert {f"strucsense.{layer}" for layer in layers} <= loaded
-        assert "numpy" not in loaded
+        assert not loaded & set(UNLOADED)

@@ -2,7 +2,6 @@ import importlib
 import inspect
 import pkgutil
 import typing
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,7 +268,7 @@ class TestPatternBoundary:
     @given(square_patterns())
     def test_to_pattern_inverts_the_transposed_graph(self, a):
         mirrored = all((j, i) in a.star for (i, j) in a.star) and all((j, i) in a.unknown for (i, j) in a.unknown)
-        a = replace(a, symmetric=mirrored)  # the flag to_pattern sets: the pattern states its symmetry
+        a = PatternMatrix(a.rows, a.cols, a.star, a.unknown, symmetric=mirrored)  # the flag to_pattern sets: the pattern states its symmetry
         assert to_pattern(from_pattern(a, transpose=True)) == a
 
     def test_no_function_takes_both_a_state_pattern_and_a_graph(self):

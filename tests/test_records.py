@@ -1,0 +1,124 @@
+"""Value semantics of every record the package defines.
+
+Equal constructor arguments give equal records; records that hash, hash
+alike; the validating constructors reject bad input with fixed messages.
+"""
+
+import pytest
+
+from strucsense.cli import InputBundle
+from strucsense.forcing import Certificate, ClosureGraph, ColoringState, ObservabilityGraph
+from strucsense.netgraph import NodeClassification, PreconditionReport, StateGraph, star_graph
+from strucsense.oracle import MinimalPlacementResult, OracleReport
+from strucsense.pattern import Entry, PatternMatrix, SampleConfig
+from strucsense.placement import PipelineRun, SensorCountReport, SensorPlacement
+from strucsense.spanning import SpanningTree
+from strucsense.wdn import HydraulicNode, Link, WdnNetwork
+
+STAR, NONE, UNKNOWN = Entry.STAR, Entry.ZERO, Entry.UNKNOWN
+
+
+def path3() -> StateGraph:
+    """0 - 1 - 2 over stars, a star loop on 0 and an unknown loop on 2."""
+    star = frozenset({(0, 1), (1, 0), (1, 2), (2, 1), (0, 0)})
+    return StateGraph(3, star, frozenset({(2, 2)}))
+
+
+def network() -> WdnNetwork:
+    nodes = (HydraulicNode("J1", "junction"), HydraulicNode("R1", "reservoir"))
+    return WdnNetwork(nodes, (Link("P1", "pipe", "R1", "J1"),), {"J1": (0.0, 1.5)})
+
+
+# class -> a fresh record built from the same constructor arguments on every call
+RECORDS = {
+    HydraulicNode: lambda: HydraulicNode("J1", "junction"),
+    Link: lambda: Link("P1", "pipe", "J1", "J2"),
+    WdnNetwork: network,
+    ObservabilityGraph: lambda: ObservabilityGraph(2, 1, ((1,), (), (0,)), ((), (0,), ())),
+    ColoringState: lambda: ColoringState(frozenset({0, 1}), ((2, 0), (0, 1))),
+    Certificate: lambda: Certificate(True, ((2, 0), (0, 1)), False, ((2, 0),)),
+    ClosureGraph: lambda: ClosureGraph(((1,), (0,)), ((1,), (0,)), ((1,), (0,)), (STAR, NONE)),
+    StateGraph: path3,
+    NodeClassification: lambda: NodeClassification((0, 2), (), ()),
+    PreconditionReport: lambda: PreconditionReport(
+        True, True, True, None, ((0, 1, 2),), NodeClassification((0, 2), (), ())
+    ),
+    OracleReport: lambda: OracleReport(10, 9, 0.25, 42),
+    MinimalPlacementResult: lambda: MinimalPlacementResult(2, ((0, 1), (1, 2)), 7),
+    PatternMatrix: lambda: PatternMatrix(2, 2, frozenset({(0, 1)}), frozenset({(1, 1)})),
+    SampleConfig: lambda: SampleConfig((0.5, 2.0), 0.25),
+    SensorPlacement: lambda: SensorPlacement((0, 2), 3, "cyclic"),
+    SensorCountReport: lambda: SensorCountReport(2, 1, 3, True),
+    PipelineRun: lambda: PipelineRun(path3(), "cyclic", SensorPlacement((0,), 3, "given")),
+    SpanningTree: lambda: SpanningTree((None, 0), (0,), frozenset({(0, 1)}), (True, True)),
+    InputBundle: lambda: InputBundle("g.json", "edge_list", path3(), ["0", "1", "2"]),
+}
+# a network carries a dict and a bundle is mutable: neither hashes
+UNHASHABLE = {WdnNetwork, InputBundle}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_equal_arguments_give_equal_records(cls):
+    a, b = RECORDS[cls](), RECORDS[cls]()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+def test_defaults_give_equal_records():
+    assert SampleConfig() == SampleConfig((0.5, 2.0), 0.5)
+    assert PatternMatrix(2, 3) == PatternMatrix(2, 3, frozenset(), frozenset())
+    assert StateGraph(2) == StateGraph(2, frozenset(), frozenset())
+    assert PipelineRun(path3()) == PipelineRun(path3(), "cyclic", None)
+    assert WdnNetwork((), ()) == WdnNetwork((), (), {})
+    assert WdnNetwork((), ()).coordinates is not WdnNetwork((), ()).coordinates
+
+
+def test_different_arguments_give_unequal_records():
+    assert PatternMatrix(2, 2, frozenset({(0, 1)})) != PatternMatrix(2, 2, frozenset({(1, 0)}))
+    assert StateGraph(2, frozenset({(0, 1)})) != StateGraph(2, frozenset(), frozenset({(0, 1)}))
+    assert SensorPlacement((0,), 3, "cyclic") != SensorPlacement((0,), 3, "given")
+    assert PipelineRun(path3(), "tree") != PipelineRun(path3(), "cyclic")
+    assert network() != WdnNetwork(network().nodes, network().links)
+    star, other = RECORDS[ClosureGraph](), ClosureGraph(((1,), (0,)), ((1,), (0,)), ((1,), (0,)), (UNKNOWN, NONE))
+    assert star != other and star.companion() == other.companion()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SensorPlacement((1, 1), 3, "given"), "duplicate measured indices"),
+        (lambda: SensorPlacement((0, 3), 3, "given"), "measured index 3 outside 0..2"),
+        (lambda: SensorPlacement((-1,), 3, "given"), "measured index -1 outside 0..2"),
+        (lambda: PatternMatrix(-1, 2), "negative dimensions"),
+        (lambda: PatternMatrix(2, 2, frozenset({(2, 0)})), "position (2, 0) outside 2x2"),
+        (lambda: PatternMatrix(2, 2, frozenset({(0, 1)}), frozenset({(0, 1)})), "position (0, 1) is both star and unknown"),
+        (lambda: PatternMatrix(2, 3, symmetric=True), "symmetric flag on a non-square matrix"),
+        (lambda: PatternMatrix(2, 2, frozenset({(0, 1)}), symmetric=True), "symmetric flag set but star (0, 1) unmirrored"),
+        (lambda: PatternMatrix(2, 2, unknown=frozenset({(1, 0)}), symmetric=True), "symmetric flag set but unknown (1, 0) unmirrored"),
+        (lambda: StateGraph(-1), "negative state count -1"),
+        (lambda: StateGraph(2, frozenset({(0, 2)})), "edge (0, 2) outside node range 0..1"),
+        (lambda: StateGraph(2, frozenset({(0, 1)}), frozenset({(0, 1)})), "an edge cannot be both star and unknown"),
+    ],
+)
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_validating_constructors_normalize_pairs_to_tuples():
+    assert PatternMatrix(2, 2, [[0, 1]]).star == frozenset({(0, 1)})
+    assert StateGraph(2, [[0, 1]]).star_edges == frozenset({(0, 1)})
+
+
+def test_star_graph_equals_the_validating_constructors_graph():
+    built = star_graph(((1,), (0, 2), (1,)), (STAR, NONE, UNKNOWN))
+    checked = path3()
+    assert built == checked and checked == built
+    assert hash(built) == hash(checked)
+    assert built != star_graph(((1,), (0, 2), (1,)), (STAR, NONE, NONE))
