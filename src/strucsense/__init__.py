@@ -39,8 +39,6 @@ from .spanning import SpanningTree, removed_chords, spanning_tree_dfs
 from .wdn import (
     ParseError,
     WdnNetwork,
-    build_structured_wdn,
-    incidence,
     parse_edge_list,
     parse_inp,
     state_graph,

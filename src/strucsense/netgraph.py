@@ -1,10 +1,10 @@
 """Graph view of a square pattern matrix, the one structural input of every stage.
 
-Nodes are state indices; a star edge (i, j) means the (possibly transposed)
-pattern holds a star at that position, an unknown edge means it holds an
-unknown. ``from_pattern(a, transpose=True)`` and ``to_pattern`` cross
-between a state pattern and its state graph, exactly. Node classification,
-star-edge connectivity, and independent-cycle counting all live here.
+Nodes are state indices; a star edge (i, j) means the pattern holds a star
+at (j, i), an unknown edge that it holds an unknown there. ``from_pattern``
+and ``to_pattern`` cross between a state pattern and its state graph,
+exactly. Node classification, star-edge connectivity, and independent-cycle
+counting all live here.
 """
 
 from __future__ import annotations
@@ -21,20 +21,6 @@ def _lists(n: int, edges) -> tuple:
         if i != j:
             out[i].append(j)
     return tuple(tuple(sorted(nbrs)) for nbrs in out)
-
-
-def _adjacency(n: int, star: frozenset, unknown: frozenset, symmetric: bool) -> dict:
-    """Every neighbour list and self-loop flag of a graph, keyed by ``StateGraph`` field."""
-    is_star, is_unknown, none = Entry.STAR, Entry.UNKNOWN, Entry.ZERO
-    loops = tuple([is_star if p in star else is_unknown if p in unknown else none for p in zip(range(n), range(n))])
-    both = star | unknown if any(i != j for (i, j) in unknown) else star  # loops never enter a list
-    if symmetric:  # edges run both ways: the directed lists are the undirected ones
-        star_nbrs = _lists(n, star)
-        nbrs = _lists(n, both) if both is not star else star_nbrs
-        return dict(star_nbrs=star_nbrs, nbrs=nbrs, star_out=star_nbrs, out=nbrs, inn=nbrs, loops=loops)
-    star_rev, both_rev = ({(j, i) for (i, j) in edges} for edges in (star, both))
-    return dict(star_nbrs=_lists(n, star | star_rev), nbrs=_lists(n, both | both_rev),
-                star_out=_lists(n, star), out=_lists(n, both), inn=_lists(n, both_rev), loops=loops)
 
 
 class StateGraph:
@@ -58,8 +44,19 @@ class StateGraph:
                 raise ValueError(f"edge ({i}, {j}) outside node range 0..{n - 1}")
         if star & unknown:
             raise ValueError("an edge cannot be both star and unknown")
-        symmetric = all((j, i) in star for (i, j) in star) and all((j, i) in unknown for (i, j) in unknown)
-        self.__dict__.update(n=n, star_edges=star, unknown_edges=unknown, **_adjacency(n, star, unknown, symmetric))
+        is_star, is_unknown, none = Entry.STAR, Entry.UNKNOWN, Entry.ZERO
+        loops = tuple([is_star if p in star else is_unknown if p in unknown else none for p in zip(range(n), range(n))])
+        both = star | unknown if any(i != j for (i, j) in unknown) else star  # loops never enter a list
+        if all((j, i) in star for (i, j) in star) and all((j, i) in unknown for (i, j) in unknown):
+            # edges run both ways: the directed lists are the undirected ones
+            star_nbrs = star_out = _lists(n, star)
+            nbrs = out = inn = _lists(n, both) if both is not star else star_nbrs
+        else:
+            star_rev, both_rev = ({(j, i) for (i, j) in edges} for edges in (star, both))
+            star_nbrs, nbrs = _lists(n, star | star_rev), _lists(n, both | both_rev)
+            star_out, out, inn = _lists(n, star), _lists(n, both), _lists(n, both_rev)
+        self.n, self.star_edges, self.unknown_edges, self.loops = n, star, unknown, loops
+        self.star_nbrs, self.nbrs, self.star_out, self.out, self.inn = star_nbrs, nbrs, star_out, out, inn
 
     def __getattr__(self, name: str):
         """Edge sets of a graph built from its lists, read off the lists on first use and kept."""
@@ -141,13 +138,6 @@ class PreconditionReport(NamedTuple):
         }
 
 
-def _unchecked(n: int, **fields) -> StateGraph:
-    """A ``StateGraph`` of fields already checked by its caller, skipping ``__init__``'s checks."""
-    g = object.__new__(StateGraph)
-    g.__dict__.update(n=n, **fields)
-    return g
-
-
 def star_graph(nbrs: tuple, loops: tuple) -> StateGraph:
     """The symmetric graph whose off-diagonal edges are all stars, from its lists.
 
@@ -155,27 +145,27 @@ def star_graph(nbrs: tuple, loops: tuple) -> StateGraph:
     and serves as every list; ``loops`` the self-loop flags. Nothing is
     re-checked or re-sorted, and the edge sets are derived only if read.
     """
-    return _unchecked(len(nbrs), star_nbrs=nbrs, nbrs=nbrs, star_out=nbrs, out=nbrs, inn=nbrs, loops=loops)
+    g = object.__new__(StateGraph)  # the caller built the lists: skip ``__init__``'s checks
+    g.__dict__.update(n=len(nbrs), star_nbrs=nbrs, nbrs=nbrs, star_out=nbrs, out=nbrs, inn=nbrs, loops=loops)
+    return g
 
 
-def from_pattern(a: PatternMatrix, transpose: bool = False) -> StateGraph:
-    """Graph of a square pattern; with ``transpose`` edges follow entry (j, i).
+def from_pattern(a: PatternMatrix, transpose: bool = True) -> StateGraph:
+    """The state graph of a square pattern: entry (i, j) becomes edge (j, i).
 
-    ``to_pattern`` inverts the transposed graph: ``to_pattern(from_pattern(a, transpose=True)) == a``.
+    ``to_pattern`` inverts it: ``to_pattern(from_pattern(a)) == a``. Only the
+    transposed graph is built; ``transpose`` is kept for callers that pass
+    ``transpose=True``, and ``transpose=False`` raises ``ValueError``.
     """
+    if not transpose:
+        raise ValueError("only the transposed graph is built: transpose=False is not supported")
     if not a.is_square:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
-    if a.symmetric:  # entries range- and mirror-checked when ``a`` was built: skip StateGraph's checks
-        adjacency = _adjacency(a.rows, a.star, a.unknown, symmetric=True)
-        return _unchecked(a.rows, star_edges=a.star, unknown_edges=a.unknown, **adjacency)
-    star, unknown = (_transposed(a.star), _transposed(a.unknown)) if transpose else (a.star, a.unknown)
-    return StateGraph(a.rows, star, unknown)
+    return StateGraph(a.rows, _transposed(a.star), _transposed(a.unknown))
 
 
 def to_pattern(g: StateGraph) -> PatternMatrix:
     """The square pattern whose transposed graph is ``g``: edge (i, j) becomes entry (j, i)."""
-    if g.is_symmetric():  # its own transpose
-        return PatternMatrix(g.n, g.n, g.star_edges, g.unknown_edges, symmetric=True)
     return PatternMatrix(g.n, g.n, _transposed(g.star_edges), _transposed(g.unknown_edges))
 
 

@@ -244,7 +244,7 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
     """
     import numpy as np
 
-    graph = compile_graph(from_pattern(a_pat, transpose=True))  # raises unless a_pat is square
+    graph = compile_graph(from_pattern(a_pat))  # raises unless a_pat is square
     n = a_pat.rows
     measured = sensor_states(c_pat, n)
 

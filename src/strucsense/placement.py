@@ -143,11 +143,11 @@ class PipelineRun:
     """One input's forest, placement, output pattern, certificate and counts.
 
     Each stage is computed on first read and kept, so a caller pays only for
-    what it reads. ``graph`` is the state pattern's graph,
-    ``from_pattern(a, transpose=True)`` or ``wdn.state_graph(net)``; every
-    stage, the certificate included, reads the graph and never the pattern.
-    ``mode`` is "cyclic" or "tree" (no forest: ``tree`` is None); a
-    ``given`` placement, e.g. a user's proposal, replaces both rules.
+    what it reads. ``graph`` is the state pattern's graph, ``from_pattern(a)``
+    or ``wdn.state_graph(net)``; every stage, the certificate included, reads
+    the graph and never the pattern. ``mode`` is "cyclic" or "tree" (no
+    forest: ``tree`` is None); a ``given`` placement, e.g. a user's proposal,
+    replaces both rules, and its counts are read off the DFS forest.
     """
 
     def __init__(self, graph: StateGraph, mode: str = "cyclic", given: SensorPlacement | None = None):
@@ -167,7 +167,7 @@ class PipelineRun:
 
     @cached_property
     def tree(self) -> SpanningTree | None:
-        if self.given is not None or self.mode == "tree":
+        if self.given is None and self.mode == "tree":
             return None
         return spanning_tree_dfs(self.graph)
 

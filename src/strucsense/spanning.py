@@ -20,7 +20,6 @@ class SpanningTree(NamedTuple):
     parent: tuple          # parent index per node, None at roots
     roots: tuple
     tree_edges: frozenset  # undirected pairs stored as (min, max)
-    visited: tuple
 
     @property
     def n(self) -> int:
@@ -75,7 +74,7 @@ def spanning_tree_dfs(g: StateGraph) -> SpanningTree:
                 frames.pop()
 
     tree_edges = frozenset((p, v) if p < v else (v, p) for v, p in enumerate(parent) if p is not None)
-    return SpanningTree(tuple(parent), tuple(roots), tree_edges, tuple(visited))
+    return SpanningTree(tuple(parent), tuple(roots), tree_edges)
 
 
 def removed_chords(g: StateGraph, t: SpanningTree) -> set:

@@ -5,9 +5,9 @@ tanks, pipes, pumps, valves, optional coordinates) and builds, in one pass
 over the link list, the state graph of the block pattern whose states are
 one flow per link followed by one head per hydraulic node: star self-loops
 on flows, unknown self-loops on heads, and star couplings wherever a link
-meets a node. The pattern itself and the dense node-by-link incidence
-matrix are built only on request. Hydraulic parameters are never parsed;
-only topology shapes the pattern.
+meets a node. The pattern itself is built only on request, and no dense
+node-by-link array ever is. Hydraulic parameters are never parsed; only
+topology shapes the pattern.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ import json
 from functools import cached_property
 from typing import NamedTuple
 
-from .netgraph import StateGraph, star_graph, to_pattern
-from .pattern import Entry, PatternMatrix
+from .netgraph import StateGraph, star_graph
+from .pattern import Entry
 
 _NODE_SECTIONS = {"JUNCTIONS": "junction", "RESERVOIRS": "reservoir", "TANKS": "tank"}
 _LINK_SECTIONS = {"PIPES": "pipe", "PUMPS": "pump", "VALVES": "valve"}
+# most states an edge list may declare, 12x the 84,399 of a network 50x L-town's size:
+# a few bytes of JSON must not size per-state lists beyond any real network
+MAX_EDGE_LIST_STATES = 1 << 20
 
 
 class ParseError(ValueError):
@@ -172,22 +175,13 @@ def to_inp_text(net: WdnNetwork) -> str:
     return "\n".join(out) + "\n"
 
 
-def incidence(net: WdnNetwork):
-    """Node-by-link incidence: +1 at a link's from-node, -1 at its to-node.
-
-    Returns an ``(n_nodes, n_links)`` array.
-    """
-    import numpy as np
-
-    mat = np.zeros((net.n_nodes, net.n_links))
-    for j, link in enumerate(net.links):
-        mat[net.node_index(link.from_label), j] = 1.0
-        mat[net.node_index(link.to_label), j] = -1.0
-    return mat
-
-
 def write_incidence_csv(net: WdnNetwork, path) -> None:
-    """Write ``incidence(net)`` as CSV (entries ``{:g}``), one row at a time, read off the link list."""
+    """Write the node-by-link incidence as CSV, one row at a time, read off the link list.
+
+    Row ``i`` is node ``i``, column ``j`` link ``j``, both in file order: ``1``
+    at a link's from-node, ``-1`` at its to-node, ``0`` elsewhere. A network
+    with no nodes writes one empty line.
+    """
     ends = [[] for _ in range(net.n_nodes)]  # (link, entry) pairs per node
     for j, link in enumerate(net.links):
         ends[net.node_index(link.from_label)].append((j, "1"))
@@ -202,55 +196,28 @@ def write_incidence_csv(net: WdnNetwork, path) -> None:
             f.write("\n")  # the empty matrix's CSV is one newline
 
 
-def _walk(n_nodes: int, flows: list) -> StateGraph:
-    """State graph of the linearized network: flows first, heads after.
-
-    ``flows[j]`` holds, ascending, the head states link ``j`` couples (node
-    ``i``'s head is state ``len(flows) + i``): flow ``j``'s neighbours.
-    Flows carry star self-loops (friction), heads carry unknown self-loops
-    (local hydraulic effects may or may not be present), and each coupling
-    joins the link's flow state to the node's head with mirrored stars. One
-    pass over the links fills each head's list in ascending link order, so
-    nothing is hashed or sorted.
-    """
-    m = len(flows)
-    heads = [[] for _ in range(n_nodes)]
-    for j, states in enumerate(flows):
-        for s in states:
-            heads[s - m].append(j)
-    loops = (Entry.STAR,) * m + (Entry.UNKNOWN,) * n_nodes
-    return star_graph(tuple(flows) + tuple([tuple(h) for h in heads]), loops)
-
-
 def state_graph(net: WdnNetwork) -> StateGraph:
-    """The structured pattern's graph, read off the links in one pass.
+    """The structured pattern's graph, read off the links in one pass: flows first, heads after.
 
-    ``to_pattern`` of it is the structured pattern; the pattern and the
-    graph's edge sets are built only if read.
+    Link ``j``'s flow is state ``j``; node ``i``'s head is state ``n_links + i``.
+    Flows carry star self-loops (friction), heads carry unknown self-loops
+    (local hydraulic effects may or may not be present), and each link joins
+    its flow to the heads of its two end nodes with mirrored stars. The pass
+    fills each head's list in ascending link order, so nothing is hashed or
+    sorted. ``to_pattern`` of the graph is the structured pattern; the
+    pattern and the graph's edge sets are built only if read.
     """
     m, node = net.n_links, net._node_lookup
-    flows = []
-    for link in net.links:
-        a, b = m + node[link.from_label], m + node[link.to_label]
-        flows.append((a, b) if a < b else (b, a))
-    return _walk(net.n_nodes, flows)
-
-
-def build_structured_wdn(inc) -> PatternMatrix:
-    """Structured pattern of a node-by-link incidence (any nonzero couples), through ``state_graph``'s walk.
-
-    ``inc`` is an ``(n_nodes, n_links)`` array or nested list.
-    """
-    import numpy as np
-
-    inc = np.asarray(inc, dtype=float)
-    if inc.ndim != 2:
-        raise ValueError("incidence matrix must be two-dimensional")
-    n_nodes, m = inc.shape
-    flows = [[] for _ in range(m)]
-    for j, i in zip(*(axis.tolist() for axis in np.nonzero(inc.T))):  # ascending nodes per link
-        flows[j].append(m + i)
-    return to_pattern(_walk(n_nodes, [tuple(states) for states in flows]))
+    flows, heads = [], [[] for _ in range(net.n_nodes)]
+    for j, link in enumerate(net.links):
+        a, b = node[link.from_label], node[link.to_label]
+        if a > b:
+            a, b = b, a
+        flows.append((m + a, m + b))
+        heads[a].append(j)
+        heads[b].append(j)
+    loops = (Entry.STAR,) * m + (Entry.UNKNOWN,) * net.n_nodes
+    return star_graph(tuple(flows) + tuple([tuple(h) for h in heads]), loops)
 
 
 def structured_state_labels(net: WdnNetwork) -> list:
@@ -279,6 +246,8 @@ def parse_edge_list(text: str) -> StateGraph:
         raise ValueError(f'"n" must be an integer, got {json.dumps(n)}')
     if n < 0:
         raise ValueError(f'"n" must be non-negative, got {n}')
+    if n > MAX_EDGE_LIST_STATES:
+        raise ValueError(f'"n" = {n} exceeds the cap of {MAX_EDGE_LIST_STATES} states')
     star, unknown = set(), set()
     for key, bucket in (("star", star), ("unknown", unknown)):
         pairs = data.get(key, [])

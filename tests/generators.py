@@ -4,16 +4,37 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 from hypothesis import strategies as st
 
-from strucsense import PatternMatrix, StateGraph, build_structured_wdn, from_pattern
+from strucsense import PatternMatrix, StateGraph, from_pattern
 from strucsense.wdn import HydraulicNode, Link, WdnNetwork
+
+# node-by-link incidence of fixtures/triangle_wdn.inp: 1 at a link's from-node, -1 at its to-node
+TRIANGLE_WDN_INC = ((-1, 1, 1, 0), (0, 0, -1, 1), (0, -1, 0, -1), (1, 0, 0, 0))
 
 
 def graph_of(a: PatternMatrix) -> StateGraph:
     """The state graph of a square pattern, the only structural input of every stage."""
-    return from_pattern(a, transpose=True)
+    return from_pattern(a)
+
+
+def structured_pattern(inc) -> PatternMatrix:
+    """Structured pattern of a node-by-link incidence, written out entry by entry from its definition.
+
+    States are one flow per link, then one head per node. Each flow carries a
+    star self-loop, each head an unknown self-loop, and wherever link ``j``
+    meets node ``i`` (any nonzero entry) flow ``j`` and head ``i`` are joined
+    by mirrored stars. ``inc`` is a sequence of node rows.
+    """
+    n_nodes = len(inc)
+    m = len(inc[0]) if n_nodes else 0
+    star = {(j, j) for j in range(m)}
+    unknown = {(m + i, m + i) for i in range(n_nodes)}
+    for i, row in enumerate(inc):
+        for j, value in enumerate(row):
+            if value:
+                star |= {(j, m + i), (m + i, j)}
+    return PatternMatrix(m + n_nodes, m + n_nodes, frozenset(star), frozenset(unknown), symmetric=True)
 
 
 def random_tree_pattern(seed: int, n_min: int = 2, n_max: int = 50) -> PatternMatrix:
@@ -86,11 +107,11 @@ def random_wdn_pattern(seed: int, h_min: int = 2, h_max: int = 18) -> PatternMat
     if 1 not in deg:
         links.append((0, n_h))
         n_h += 1
-    inc = np.zeros((n_h, len(links)))
+    inc = [[0] * len(links) for _ in range(n_h)]
     for col, (i, j) in enumerate(links):
-        inc[i, col] = 1.0
-        inc[j, col] = -1.0
-    return build_structured_wdn(inc)
+        inc[i][col] = 1
+        inc[j][col] = -1
+    return structured_pattern(inc)
 
 
 def random_symmetric_pattern(seed: int, n_min: int = 2, n_max: int = 60) -> PatternMatrix:

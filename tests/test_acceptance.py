@@ -15,7 +15,6 @@ import pytest
 from strucsense import (
     PipelineRun,
     build_output_pattern,
-    build_structured_wdn,
     certify_sso,
     classify_nodes,
     count_bounds_ok,
@@ -23,7 +22,6 @@ from strucsense import (
     exhaustive_min_sensors,
     find_unobservable_realization,
     from_pattern,
-    incidence,
     is_member,
     make_abar,
     observability_rank_test,
@@ -33,6 +31,7 @@ from strucsense import (
     place_tree,
     sample_and_check,
     spanning_tree_dfs,
+    state_graph,
     to_pattern,
 )
 from strucsense.forcing import (
@@ -43,6 +42,7 @@ from strucsense.forcing import (
 )
 from strucsense.oracle import realize_unit_output
 from strucsense.pattern import Entry, PatternMatrix
+from strucsense.wdn import write_incidence_csv
 from generators import (
     graph_of,
     random_connected_pattern,
@@ -78,12 +78,12 @@ def load_fixture_pattern(path):
     text = path.read_text()
     if path.suffix == ".json":
         return to_pattern(parse_edge_list(text))
-    return build_structured_wdn(incidence(parse_inp(text)))
+    return to_pattern(state_graph(parse_inp(text)))
 
 
 def run_pipeline(pattern):
     """Graph, forest, placement and output pattern, read off the pipeline record the CLI runs."""
-    run = PipelineRun(from_pattern(pattern, transpose=True))
+    run = PipelineRun(from_pattern(pattern))
     return run.graph, run.tree, run.placement, run.output
 
 
@@ -96,8 +96,7 @@ def test_criterion_1_2_benchmark_pipeline(name, bench_dir):
             f"benchmark file {filename} not present; run scripts/fetch_benchmarks.py "
             f"or set STRUCSENSE_BENCH_DIR"
         )
-    pattern = build_structured_wdn(incidence(parse_inp(path.read_text())))
-    g = from_pattern(pattern, transpose=True)
+    g = state_graph(parse_inp(path.read_text()))
 
     timings = []
     for _ in range(5):
@@ -126,15 +125,14 @@ def test_criterion_1_2_benchmark_pipeline(name, bench_dir):
     )
 
 
-def test_criterion_3_triangle_fixture(fixtures_dir):
+def test_criterion_3_triangle_fixture(fixtures_dir, tmp_path):
     start = time.perf_counter()
     net = parse_inp((fixtures_dir / "triangle_wdn.inp").read_text())
-    inc = incidence(net)
-    assert np.array_equal(
-        inc,
-        np.array([[-1, 1, 1, 0], [0, 0, -1, 1], [0, -1, 0, -1], [1, 0, 0, 0]], dtype=float),
-    ), "incidence matrix deviates from the documented layout"
-    pattern = build_structured_wdn(inc)
+    write_incidence_csv(net, tmp_path / "incidence.csv")  # what ``info --dump-incidence`` writes
+    assert (tmp_path / "incidence.csv").read_text().splitlines() == [
+        "-1,1,1,0", "0,0,-1,1", "0,-1,0,-1", "1,0,0,0",
+    ], "incidence matrix deviates from the documented layout"
+    pattern = to_pattern(state_graph(net))
     assert (pattern.rows, pattern.cols) == (8, 8)
     diag = [pattern.entry(i, i) for i in range(8)]
     assert diag.count(Entry.STAR) == 4 and diag.count(Entry.UNKNOWN) == 4
@@ -156,7 +154,7 @@ def test_criterion_4_tree_placements_always_certify():
     for seed in range(200):
         pattern = random_tree_pattern(seed)
         assert 2 <= pattern.rows <= 50
-        g = from_pattern(pattern, transpose=True)
+        g = from_pattern(pattern)
         p = place_tree(g)
         if not certify_sso(g, build_output_pattern(p, g.n)).sso:
             failures.append(seed)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -785,6 +786,22 @@ class TestColdStart:
         argv = ["oracle", str(fixtures_dir / "two_loop.inp"), "--trials", "2"]
         code, loaded = fresh_interpreter(COLD_START, *argv)
         assert code == 0 and "numpy" in loaded
+
+    def test_only_the_numeric_modules_import_numpy(self):
+        """Sparse end to end: of the package's modules, only ``oracle`` and ``pattern`` import numpy, at any depth."""
+        importers = set()
+        for path in Path(strucsense.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.partition(".")[0] == "numpy" for name in names):
+                    importers.add(path.stem)
+        assert importers <= {"oracle", "pattern"}, sorted(importers)
+        assert "oracle" in importers  # the walk sees function-level imports
 
     def test_cli_import_loads_every_layer_but_not_numpy(self):
         """Every layer module is imported eagerly, so per-layer tracing finds each in ``sys.modules``."""

@@ -3,7 +3,6 @@ import inspect
 import pkgutil
 import typing
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,6 @@ from strucsense import (
     Entry,
     PatternMatrix,
     StateGraph,
-    build_structured_wdn,
     check_preconditions,
     classify_nodes,
     connected_components_star,
@@ -21,22 +19,11 @@ from strucsense import (
     to_pattern,
 )
 import strucsense
-from generators import graph_of, random_symmetric_pattern
+from generators import TRIANGLE_WDN_INC, graph_of, random_symmetric_pattern, structured_pattern
 
 # pattern with star couplings 0-1, 0-2 and an unknown coupling 1-2
 MIXED = PatternMatrix.from_rows(["0**", "*0?", "*?0"], symmetric=True)
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
-
-# incidence of the triangular tank-fed toy network, frozen layout
-TRIANGLE_WDN_INC = np.array(
-    [
-        [-1, 1, 1, 0],
-        [0, 0, -1, 1],
-        [0, -1, 0, -1],
-        [1, 0, 0, 0],
-    ],
-    dtype=float,
-)
 
 
 def path_graph(n: int) -> StateGraph:
@@ -60,42 +47,17 @@ class TestFromPattern:
         assert not g.unknown_edges
 
     def test_transpose_irrelevant_for_symmetric(self):
-        assert from_pattern(MIXED, True) == from_pattern(MIXED, False)
+        assert from_pattern(MIXED) == StateGraph(MIXED.rows, MIXED.star, MIXED.unknown)
 
     def test_transpose_flips_asymmetric(self):
         p = PatternMatrix(2, 2, frozenset({(0, 1)}), frozenset())
-        assert (1, 0) in from_pattern(p, True).star_edges
-        assert (0, 1) in from_pattern(p, False).star_edges
+        assert from_pattern(p, True).star_edges == frozenset({(1, 0)})
+        with pytest.raises(ValueError, match="transpose"):
+            from_pattern(p, False)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             from_pattern(PatternMatrix(2, 3))
-
-
-@st.composite
-def symmetric_patterns(draw):
-    """A symmetric pattern of at most 10 states, any diagonal, zeros included."""
-    n = draw(st.integers(1, 10))
-    cells = draw(st.lists(st.sampled_from("000*?"), min_size=n * n, max_size=n * n))
-    entry = {(i, j): cells[min(i, j) * n + max(i, j)] for i in range(n) for j in range(n)}
-    star = frozenset(p for p, cell in entry.items() if cell == "*")
-    unknown = frozenset(p for p, cell in entry.items() if cell == "?")
-    return PatternMatrix(n, n, star, unknown, symmetric=True)
-
-
-class TestFromPatternAgreesWithValidatingConstructor:
-    @settings(max_examples=300, deadline=None)
-    @given(symmetric_patterns())
-    def test_same_graph(self, a):
-        fast, checked = from_pattern(a, transpose=True), StateGraph(a.rows, a.star, a.unknown)
-        assert fast.n == checked.n
-        assert (fast.star_edges, fast.unknown_edges) == (checked.star_edges, checked.unknown_edges)
-        assert fast.star_nbrs == checked.star_nbrs
-        assert fast.nbrs == checked.nbrs
-        assert fast.loops == checked.loops
-        assert all(type(nbrs) is tuple and list(nbrs) == sorted(nbrs) for nbrs in fast.star_nbrs)
-        for g in (fast, checked):  # symmetric: the directed lists are the undirected tuples
-            assert g.star_out is g.star_nbrs and g.out is g.nbrs and g.inn is g.nbrs
 
 
 @st.composite
@@ -114,14 +76,17 @@ class TestSymmetryFromTheGraph:
     @settings(max_examples=300, deadline=None)
     @given(square_patterns())
     def test_lists_give_the_edge_sets_symmetry(self, a):
-        g = from_pattern(a, transpose=True)
+        g = from_pattern(a)
         mirrored = all((j, i) in a.star for (i, j) in a.star) and all((j, i) in a.unknown for (i, j) in a.unknown)
         assert g.is_symmetric() == mirrored
+        assert all(type(nbrs) is tuple and list(nbrs) == sorted(nbrs) for nbrs in g.star_nbrs + g.nbrs)
+        if mirrored:  # the directed lists are the undirected tuples themselves
+            assert g.star_out is g.star_nbrs and g.out is g.nbrs and g.inn is g.nbrs
 
     @settings(max_examples=300, deadline=None)
     @given(square_patterns())
     def test_graph_alone_gives_the_pattern_report(self, a):
-        report = check_preconditions(from_pattern(a, transpose=True))
+        report = check_preconditions(from_pattern(a))
         unmirrored = [(i, j) for (i, j) in a.star if (j, i) not in a.star]
         unmirrored += [(i, j) for (i, j) in a.unknown if (j, i) not in a.unknown]
         assert report.asymmetric_at == min(unmirrored, default=None)
@@ -151,7 +116,7 @@ class TestClassifyNodes:
         assert cls.intersection == (3,)
 
     def test_structured_wdn_roles(self):
-        g = from_pattern(build_structured_wdn(TRIANGLE_WDN_INC), transpose=True)
+        g = from_pattern(structured_pattern(TRIANGLE_WDN_INC))
         cls = classify_nodes(g)
         assert cls.extreme == (7,)        # the tank head is the only extreme state
         assert cls.intersection == (4,)   # the junction joining three pipes
@@ -267,9 +232,7 @@ class TestPatternBoundary:
     @settings(max_examples=300, deadline=None)
     @given(square_patterns())
     def test_to_pattern_inverts_the_transposed_graph(self, a):
-        mirrored = all((j, i) in a.star for (i, j) in a.star) and all((j, i) in a.unknown for (i, j) in a.unknown)
-        a = PatternMatrix(a.rows, a.cols, a.star, a.unknown, symmetric=mirrored)  # the flag to_pattern sets: the pattern states its symmetry
-        assert to_pattern(from_pattern(a, transpose=True)) == a
+        assert to_pattern(from_pattern(a)) == a
 
     def test_no_function_takes_both_a_state_pattern_and_a_graph(self):
         """Every stage takes the state graph alone; a pattern enters only through ``from_pattern``.

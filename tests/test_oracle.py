@@ -11,7 +11,6 @@ from strucsense import (
     PatternMatrix,
     SampleConfig,
     build_output_pattern,
-    build_structured_wdn,
     certify_sso,
     exhaustive_min_sensors,
     find_unobservable_realization,
@@ -27,13 +26,15 @@ from strucsense import (
 import strucsense.oracle
 from strucsense.forcing import build_observability_graph, force_closure_reference
 from strucsense.oracle import DEFAULT_RANK_TOL, _chunk_trials, realize_unit_output
-from generators import graph_of, random_connected_pattern, random_symmetric_pattern
+from generators import (
+    TRIANGLE_WDN_INC,
+    graph_of,
+    random_connected_pattern,
+    random_symmetric_pattern,
+    structured_pattern,
+)
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
-
-TRIANGLE_WDN_INC = np.array(
-    [[-1, 1, 1, 0], [0, 0, -1, 1], [0, -1, 0, -1], [1, 0, 0, 0]], dtype=float
-)
 
 
 class TestRankTest:
@@ -77,8 +78,8 @@ class TestRankTest:
 
 class TestSampleAndCheck:
     def test_certified_wdn_placement_always_passes(self):
-        pat = build_structured_wdn(TRIANGLE_WDN_INC)
-        g = from_pattern(pat, transpose=True)
+        pat = structured_pattern(TRIANGLE_WDN_INC)
+        g = from_pattern(pat)
         p = place_cyclic(g, spanning_tree_dfs(g))
         c = build_output_pattern(p, g.n)
         assert certify_sso(g, c).sso
@@ -93,16 +94,16 @@ class TestSampleAndCheck:
         assert report.min_sigma_ratio == 0.0
 
     def test_same_seed_same_report(self):
-        pat = build_structured_wdn(TRIANGLE_WDN_INC)
-        g = from_pattern(pat, transpose=True)
+        pat = structured_pattern(TRIANGLE_WDN_INC)
+        g = from_pattern(pat)
         c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
         a = sample_and_check(pat, c, trials=25, seed=11)
         assert a == sample_and_check(pat, c, trials=25, seed=11)
         assert a != sample_and_check(pat, c, trials=25, seed=12)
 
     def test_sampled_output_gains_variant(self):
-        pat = build_structured_wdn(TRIANGLE_WDN_INC)
-        g = from_pattern(pat, transpose=True)
+        pat = structured_pattern(TRIANGLE_WDN_INC)
+        g = from_pattern(pat)
         c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
         report = sample_and_check(pat, c, trials=50, seed=5, c_mode="sampled")
         assert report.passes == 50  # nonzero gains keep observability intact
@@ -156,7 +157,7 @@ class TestExhaustiveMinimum:
     def test_heuristic_is_an_upper_bound(self):
         for seed in range(20):
             pat = random_connected_pattern(seed, n_max=10)
-            g = from_pattern(pat, transpose=True)
+            g = from_pattern(pat)
             p = place_cyclic(g, spanning_tree_dfs(g))
             if not certify_sso(g, build_output_pattern(p, g.n)).sso:
                 continue  # the heuristic has known gaps; minimality is about certified runs
@@ -175,7 +176,7 @@ class TestExhaustiveMinimum:
         assert updates[-1]["witnesses"] == 3
 
     def test_witness_cap_respected(self):
-        pat = build_structured_wdn(TRIANGLE_WDN_INC)
+        pat = structured_pattern(TRIANGLE_WDN_INC)
         result = exhaustive_min_sensors(graph_of(pat), witness_cap=1)
         assert len(result.witnesses) == 1
         assert result.minimum_size == 2
@@ -263,8 +264,8 @@ class TestUnobservableWitness:
         assert counts == {"compile_graph": 1}
 
     def test_certified_placement_has_no_witness(self):
-        pat = build_structured_wdn(TRIANGLE_WDN_INC)
-        g = from_pattern(pat, transpose=True)
+        pat = structured_pattern(TRIANGLE_WDN_INC)
+        g = from_pattern(pat)
         c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
         assert certify_sso(g, c).sso
         assert find_unobservable_realization(pat, c) is None
@@ -273,7 +274,7 @@ class TestUnobservableWitness:
         produced = 0
         for seed in range(60):
             pat = random_connected_pattern(seed, n_max=30)
-            g = from_pattern(pat, transpose=True)
+            g = from_pattern(pat)
             p = place_cyclic(g, spanning_tree_dfs(g))
             c = build_output_pattern(p, g.n)
             if certify_sso(g, c).sso:
@@ -296,7 +297,7 @@ class TestCertificateOracleAgreement:
             seed += 1
             if pat.rows > 20:
                 continue
-            g = from_pattern(pat, transpose=True)
+            g = from_pattern(pat)
             p = place_cyclic(g, spanning_tree_dfs(g))
             c = build_output_pattern(p, g.n)
             if not certify_sso(g, c).sso:

@@ -3,10 +3,10 @@ import pytest
 
 from strucsense import (
     PatternMatrix,
+    PipelineRun,
     SensorPlacement,
     StateGraph,
     build_output_pattern,
-    build_structured_wdn,
     certify_sso,
     classify_nodes,
     count_bounds_ok,
@@ -14,17 +14,14 @@ from strucsense import (
     from_pattern,
     is_member,
     place_cyclic,
+    parse_edge_list,
     place_tree,
     sensor_count_report,
     spanning_tree_dfs,
 )
-from generators import random_tree_pattern
+from generators import TRIANGLE_WDN_INC, random_tree_pattern, structured_pattern
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
-
-TRIANGLE_WDN_INC = np.array(
-    [[-1, 1, 1, 0], [0, 0, -1, 1], [0, -1, 0, -1], [1, 0, 0, 0]], dtype=float
-)
 
 
 def undirected(pairs, n):
@@ -74,7 +71,7 @@ class TestPlaceTree:
         # suite runs the full 200-seed sweep
         for seed in range(40):
             a = random_tree_pattern(seed, n_max=30)
-            g = from_pattern(a, transpose=True)
+            g = from_pattern(a)
             p = place_tree(g)
             c = build_output_pattern(p, g.n)
             assert certify_sso(g, c).sso, f"seed {seed}"
@@ -88,7 +85,7 @@ class TestPlaceCyclic:
         assert p.mode == "cyclic"
 
     def test_structured_wdn_measures_flow_and_tank_head(self):
-        g = from_pattern(build_structured_wdn(TRIANGLE_WDN_INC), transpose=True)
+        g = from_pattern(structured_pattern(TRIANGLE_WDN_INC))
         p = place_cyclic(g, spanning_tree_dfs(g))
         assert p.measured == (2, 7)
         cls = classify_nodes(g)
@@ -170,11 +167,20 @@ class TestSensorCountReport:
         assert report.bound_ok
 
     def test_structured_wdn_counts(self):
-        g = from_pattern(build_structured_wdn(TRIANGLE_WDN_INC), transpose=True)
+        g = from_pattern(structured_pattern(TRIANGLE_WDN_INC))
         t = spanning_tree_dfs(g)
         report = sensor_count_report(g, t, place_cyclic(g, t))
         assert (report.n_e_graph, report.cycles, report.sensors) == (1, 1, 2)
         assert report.bound_ok
+
+    def test_given_placement_counts_read_off_the_forest(self, fixtures_dir):
+        g = parse_edge_list((fixtures_dir / "triangle3.json").read_text())
+        run = PipelineRun(g, given=SensorPlacement((0,), g.n, "given"))
+        assert run.tree == spanning_tree_dfs(g)
+        report = run.counts
+        assert (report.n_e_graph, report.cycles, report.sensors) == (0, 1, 1)
+        assert report.bound_ok
+        assert PipelineRun(g, mode="tree").tree is None  # only the tree rule places without a forest
 
     def test_documented_benchmark_rows_satisfy_bounds(self):
         # counts reported for the published benchmark networks

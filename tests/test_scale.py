@@ -10,38 +10,32 @@ import statistics
 import time
 import tracemalloc
 
-import numpy as np
-
 from strucsense import (
     PatternMatrix,
     build_output_pattern,
-    build_structured_wdn,
     certify_sso,
     classify_nodes,
     cycle_count,
-    from_pattern,
     place_cyclic,
     sample_and_check,
     spanning_tree_dfs,
+    state_graph,
 )
 from strucsense.cli import load_input
 from strucsense.wdn import parse_inp, write_incidence_csv
 from generators import random_symmetric_pattern
 
 
-def big_tree_network(n_h: int, seed: int = 0) -> np.ndarray:
+def tree_inp_text(n_h: int, seed: int = 0) -> str:
+    """INP text of a random tree network on ``n_h`` junctions."""
     rng = random.Random(seed)
-    links = [(rng.randrange(i), i) for i in range(1, n_h)]
-    inc = np.zeros((n_h, len(links)))
-    for col, (i, j) in enumerate(links):
-        inc[i, col] = 1.0
-        inc[j, col] = -1.0
-    return inc
+    lines = ["[JUNCTIONS]"] + [f" J{i} 0" for i in range(n_h)] + ["[PIPES]"]
+    lines += [f" P{i} J{rng.randrange(i)} J{i} 100 300 100" for i in range(1, n_h)]
+    return "\n".join(lines) + "\n"
 
 
 def test_pipeline_at_benchmark_scale():
-    pattern = build_structured_wdn(big_tree_network(847))
-    g = from_pattern(pattern, transpose=True)
+    g = state_graph(parse_inp(tree_inp_text(847)))
     assert g.n == 1693
     assert cycle_count(g) == 0
 
@@ -58,14 +52,6 @@ def test_pipeline_at_benchmark_scale():
     cert = certify_sso(g, build_output_pattern(placement, g.n))
     assert cert.sso
     assert placement.n_y == classify_nodes(g).n_e
-
-
-def tree_inp_text(n_h: int, seed: int = 0) -> str:
-    """INP text of a random tree network on ``n_h`` junctions."""
-    rng = random.Random(seed)
-    lines = ["[JUNCTIONS]"] + [f" J{i} 0" for i in range(n_h)] + ["[PIPES]"]
-    lines += [f" P{i} J{rng.randrange(i)} J{i} 100 300 100" for i in range(1, n_h)]
-    return "\n".join(lines) + "\n"
 
 
 def traced_load(path) -> tuple:

@@ -1,22 +1,16 @@
-import numpy as np
 import pytest
 
 from strucsense import (
     PatternMatrix,
     StateGraph,
-    build_structured_wdn,
     cycle_count,
     from_pattern,
     removed_chords,
     spanning_tree_dfs,
 )
-from generators import random_symmetric_pattern
+from generators import TRIANGLE_WDN_INC, random_symmetric_pattern, structured_pattern
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
-
-TRIANGLE_WDN_INC = np.array(
-    [[-1, 1, 1, 0], [0, 0, -1, 1], [0, -1, 0, -1], [1, 0, 0, 0]], dtype=float
-)
 
 
 def recursive_reference_tree(g: StateGraph) -> set:
@@ -75,7 +69,7 @@ class TestSpanningTree:
 
     def test_structured_wdn_tree_is_the_frozen_one(self):
         # hand-run of the ascending-order DFS over the flow/head graph
-        g = from_pattern(build_structured_wdn(TRIANGLE_WDN_INC), transpose=True)
+        g = from_pattern(structured_pattern(TRIANGLE_WDN_INC))
         t = spanning_tree_dfs(g)
         assert t.tree_edges == frozenset(
             {(0, 4), (1, 4), (1, 6), (3, 6), (3, 5), (2, 5), (0, 7)}
@@ -87,7 +81,8 @@ class TestSpanningTree:
         t = spanning_tree_dfs(g)
         assert set(t.roots) == {0, 2, 4}
         assert t.tree_edges == frozenset({(0, 1), (2, 3)})
-        assert all(t.visited)
+        assert len(t.roots) + len(t.tree_edges) == t.n  # one root or one tree edge per node
+        assert all(t.parent[v] is not None for v in range(t.n) if v not in t.roots)
 
     def test_self_loops_never_enter_tree(self):
         p = PatternMatrix.from_rows(["**", "**"], symmetric=True)

@@ -1,7 +1,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +9,9 @@ from strucsense import (
     Entry,
     ParseError,
     PatternMatrix,
-    build_structured_wdn,
     check_preconditions,
     classify_nodes,
     from_pattern,
-    incidence,
     parse_edge_list,
     parse_inp,
     StateGraph,
@@ -22,8 +19,10 @@ from strucsense import (
     structured_state_labels,
     to_pattern,
 )
-from strucsense.wdn import to_inp_text, write_incidence_csv
-from generators import wdn_networks
+import strucsense.wdn
+from strucsense.cli import main
+from strucsense.wdn import MAX_EDGE_LIST_STATES, to_inp_text, write_incidence_csv
+from generators import TRIANGLE_WDN_INC, wdn_networks
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -57,10 +56,13 @@ MIXED = """
 [END]
 """
 
-# node-by-link layout of the triangular tank-fed toy network
-TRIANGLE_INC = np.array(
-    [[-1, 1, 1, 0], [0, 0, -1, 1], [0, -1, 0, -1], [1, 0, 0, 0]], dtype=float
-)
+
+
+def incidence_rows(net, tmp_path) -> list:
+    """The incidence ``write_incidence_csv`` writes, read back as one list of ints per node."""
+    path = tmp_path / "incidence.csv"
+    write_incidence_csv(net, path)
+    return [[int(v) for v in line.split(",")] for line in path.read_text().splitlines()]
 
 
 class TestParseInp:
@@ -147,38 +149,34 @@ class TestParseInp:
 
 
 class TestIncidence:
-    def test_triangle_fixture_matches_frozen_layout(self, fixtures_dir):
+    def test_triangle_fixture_matches_frozen_layout(self, fixtures_dir, tmp_path):
         net = parse_inp((fixtures_dir / "triangle_wdn.inp").read_text())
-        assert np.array_equal(incidence(net), TRIANGLE_INC)
+        assert incidence_rows(net, tmp_path) == [list(row) for row in TRIANGLE_WDN_INC]
 
-    def test_single_pipe_column(self):
-        mat = incidence(parse_inp(MINIMAL))
-        assert np.array_equal(mat, np.array([[1.0], [-1.0]]))
+    def test_single_pipe_column(self, tmp_path):
+        assert incidence_rows(parse_inp(MINIMAL), tmp_path) == [[1], [-1]]
 
-    def test_reversed_link_negates_column(self):
-        mat = incidence(parse_inp(MINIMAL.replace(" p1  a  b", " p1  b  a")))
-        assert np.array_equal(mat, np.array([[-1.0], [1.0]]))
+    def test_reversed_link_negates_column(self, tmp_path):
+        assert incidence_rows(parse_inp(MINIMAL.replace(" p1  a  b", " p1  b  a")), tmp_path) == [[-1], [1]]
 
-    def test_each_column_one_plus_one_minus(self, fixtures_dir):
+    def test_each_column_one_plus_one_minus(self, fixtures_dir, tmp_path):
         net = parse_inp((fixtures_dir / "two_loop.inp").read_text())
-        mat = incidence(net)
-        assert ((mat == 1).sum(axis=0) == 1).all()
-        assert ((mat == -1).sum(axis=0) == 1).all()
-        assert np.array_equal(mat.sum(axis=0), np.zeros(net.n_links))
+        columns = list(zip(*incidence_rows(net, tmp_path)))
+        assert len(columns) == net.n_links
+        assert all(col.count(1) == 1 and col.count(-1) == 1 and sum(col) == 0 for col in columns)
 
-    def test_row_sums_are_degree_imbalances(self, fixtures_dir):
+    def test_row_sums_are_degree_imbalances(self, fixtures_dir, tmp_path):
         net = parse_inp((fixtures_dir / "two_loop.inp").read_text())
-        mat = incidence(net)
-        out_deg = np.zeros(net.n_nodes)
-        in_deg = np.zeros(net.n_nodes)
+        out_deg = [0] * net.n_nodes
+        in_deg = [0] * net.n_nodes
         for link in net.links:
             out_deg[net.node_index(link.from_label)] += 1
             in_deg[net.node_index(link.to_label)] += 1
-        assert np.array_equal(mat.sum(axis=1), out_deg - in_deg)
+        assert [sum(row) for row in incidence_rows(net, tmp_path)] == [o - i for o, i in zip(out_deg, in_deg)]
 
     def test_self_connecting_link_rejected(self):
         with pytest.raises(ValueError, match="itself"):
-            incidence(parse_inp(MINIMAL.replace(" p1  a  b", " p1  a  a")))
+            parse_inp(MINIMAL.replace(" p1  a  b", " p1  a  a"))
 
 
 class TestWriteIncidenceCsv:
@@ -195,8 +193,11 @@ class TestWriteIncidenceCsv:
         net = parse_inp(text)
         path = tmp_path / "incidence.csv"
         write_incidence_csv(net, path)
-        dense = "\n".join(",".join(f"{v:g}" for v in row) for row in incidence(net)) + "\n"
-        assert path.read_text() == dense
+        dense = [["0"] * net.n_links for _ in range(net.n_nodes)]  # the documented layout, entry by entry
+        for j, link in enumerate(net.links):
+            dense[net.node_index(link.from_label)][j] = "1"
+            dense[net.node_index(link.to_label)][j] = "-1"
+        assert path.read_text() == "\n".join(",".join(row) for row in dense) + "\n"
 
     def test_node_lookup_is_built_once(self):
         net = parse_inp(MINIMAL)
@@ -205,19 +206,20 @@ class TestWriteIncidenceCsv:
 
 
 class TestStructuredPattern:
-    def test_triangle_blocks(self):
-        pat = build_structured_wdn(TRIANGLE_INC)
+    def test_triangle_blocks(self, fixtures_dir):
+        g = state_graph(parse_inp((fixtures_dir / "triangle_wdn.inp").read_text()))
+        pat = to_pattern(g)
         assert (pat.rows, pat.cols) == (8, 8)
         diag = [pat.entry(i, i) for i in range(8)]
         assert diag[:4] == [Entry.STAR] * 4      # flow self-loops
         assert diag[4:] == [Entry.UNKNOWN] * 4   # head self-loops
         off_stars = [(i, j) for (i, j) in pat.star if i != j]
         assert len(off_stars) == 16              # two ends per link, mirrored
-        assert pat.symmetric
-        assert check_preconditions(from_pattern(pat, transpose=True)).symmetric
+        assert all(pat.entry(j, i) is pat.entry(i, j) for (i, j) in pat.star | pat.unknown)
+        assert check_preconditions(g).symmetric
 
     def test_single_pipe_pattern(self):
-        pat = build_structured_wdn(np.array([[1.0], [-1.0]]))
+        pat = to_pattern(state_graph(parse_inp(MINIMAL)))
         assert (pat.rows, pat.cols) == (3, 3)
         assert pat.entry(0, 0) is Entry.STAR
         assert pat.entry(1, 1) is Entry.UNKNOWN and pat.entry(2, 2) is Entry.UNKNOWN
@@ -226,7 +228,7 @@ class TestStructuredPattern:
     def test_flow_head_bipartite_without_self_loops(self, fixtures_dir):
         net = parse_inp((fixtures_dir / "two_loop.inp").read_text())
         m = net.n_links
-        pat = build_structured_wdn(incidence(net))
+        pat = to_pattern(state_graph(net))
         for (i, j) in pat.star | pat.unknown:
             if i != j:
                 assert (i < m) != (j < m)  # couplings always join a flow to a head
@@ -236,8 +238,8 @@ class TestStructuredPattern:
         labels = structured_state_labels(net)
         assert labels == ["q:e1", "q:e2", "q:e3", "q:e4", "h:1", "h:2", "h:3", "h:4"]
 
-    def test_graph_roles_on_triangle(self):
-        g = from_pattern(build_structured_wdn(TRIANGLE_INC), transpose=True)
+    def test_graph_roles_on_triangle(self, fixtures_dir):
+        g = state_graph(parse_inp((fixtures_dir / "triangle_wdn.inp").read_text()))
         cls = classify_nodes(g)
         assert cls.extreme == (7,)
         assert cls.intersection == (4,)
@@ -259,14 +261,13 @@ def assert_link_built_graph_matches(net) -> None:
     """``state_graph`` equals the graph of the reference pattern, and its pattern view is that pattern."""
     g, expected = state_graph(net), reference_pattern(net)
     assert "star_edges" not in vars(g) and "unknown_edges" not in vars(g)  # derived only on first read
-    ref = from_pattern(expected, transpose=True)
+    ref = from_pattern(expected)
     assert g.n == ref.n
     for name in ("star_nbrs", "nbrs", "star_out", "out", "inn", "loops"):
         assert getattr(g, name) == getattr(ref, name), name
     assert g.star_edges == ref.star_edges and g.unknown_edges == ref.unknown_edges
     assert g == ref and g.is_symmetric()
     assert to_pattern(g) == expected
-    assert build_structured_wdn(incidence(net)) == expected
 
 
 class TestStateGraph:
@@ -321,6 +322,19 @@ class TestParseEdgeList:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             parse_edge_list('{"n": 2, "star": [[0, 5]]}')
+
+    def test_state_count_above_the_cap_rejected_before_any_graph(self, monkeypatch, tmp_path, capsys):
+        def no_graph(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(strucsense.wdn, "StateGraph", no_graph)
+        text = '{"n": 1000000000}'
+        with pytest.raises(ValueError, match=f"cap of {MAX_EDGE_LIST_STATES} states"):
+            parse_edge_list(text)
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert main(["info", str(path)]) == 1
+        assert str(MAX_EDGE_LIST_STATES) in capsys.readouterr().err
 
 
 # INP-shaped text: section headers, labels, numbers, comments, and every kind of line break
