@@ -17,7 +17,8 @@ import json
 import os
 import sys
 import time
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from pathlib import Path
 
 from . import dot
@@ -84,8 +85,46 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
+_encode_scalar = json.JSONEncoder().encode  # C-accelerated for one scalar: escapes, float repr, NaN
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, without its pure-Python encoder.
+
+    ``indent`` is a newline plus the enclosing level's spaces; dict keys are
+    strings. A list of plain ints, or of equal-length lists of plain ints
+    (traces, witnesses, components), is formatted in one C-level ``%`` pass,
+    and a list of other scalars (labels) in one ``join`` over the encoder.
+    """
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str}:
+            raise TypeError("JSON output keys must be str")
+        items = [_encode_scalar(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        return "{" + inner + sep.join(items) + indent + "}"
+    if not isinstance(value, (list, tuple)):
+        return _encode_scalar(value)
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    if kinds == {int}:
+        return "[" + inner + sep.join(["%d"] * len(value)) % tuple(value) + indent + "]"
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        return "[" + inner + sep.join(map(_encode_scalar, value)) + indent + "]"
+    if kinds <= {list, tuple} and len(widths := set(map(len, value))) == 1:
+        flat = tuple(chain.from_iterable(value))
+        if set(map(type, flat)) == {int}:
+            deeper = inner + "  "
+            row = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
+            return "[" + inner + sep.join([row] * len(value)) % flat + indent + "]"
+    return "[" + inner + sep.join([_json_text(item, inner) for item in value]) + indent + "]"
+
+
 def _dump_json(payload, out: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _emit(_json_text(payload) + "\n", out)
 
 
 def _resolve_sensors(sensor_text: str, bundle: InputBundle) -> SensorPlacement:
@@ -311,7 +350,9 @@ def _add_common(parser, formats=("json", "csv", "text")) -> None:
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each ``parse_args`` fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="strucsense",
         description="Sensor placement with strong structural observability certificates.",

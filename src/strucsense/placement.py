@@ -122,9 +122,11 @@ def build_output_pattern(p: SensorPlacement, n_states: int) -> PatternMatrix:
 def count_bounds_ok(n_e: int, cycles: int, sensors: int) -> bool:
     """Structural envelope for a cyclic placement's size.
 
-    At least one sensor per graph extreme node, at least one per
-    independent cycle, and never more than extreme nodes plus twice the
-    cycles (interlocked cycles can need extra sensors inside them).
+    ``n_e`` counts the nodes the rule must measure outright: extreme nodes,
+    plus isolated ones (``sensor_count_report`` adds them). At least one
+    sensor per such node, at least one per independent cycle, and never
+    more than those nodes plus twice the cycles (interlocked cycles can
+    need extra sensors inside them).
     """
     ok = n_e <= sensors <= n_e + 2 * cycles
     if cycles >= 1:
@@ -133,10 +135,15 @@ def count_bounds_ok(n_e: int, cycles: int, sensors: int) -> bool:
 
 
 def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> SensorCountReport:
-    """Check the placement size against its structural bounds; ``t`` drops one star pair per cycle."""
-    n_e = classify_nodes(g).n_e
+    """Check the placement size against its structural bounds; ``t`` drops one star pair per cycle.
+
+    Isolated states join the extreme nodes in the envelope, since the rule
+    measures every state of tree degree below two; the report's
+    ``n_e_graph`` stays the extreme-node count.
+    """
+    cls = classify_nodes(g)
     cycles = sum(map(len, g.star_nbrs)) // 2 - len(t.tree_edges)
-    return SensorCountReport(n_e, cycles, p.n_y, count_bounds_ok(n_e, cycles, p.n_y))
+    return SensorCountReport(cls.n_e, cycles, p.n_y, count_bounds_ok(cls.n_e + len(cls.isolated), cycles, p.n_y))
 
 
 class PipelineRun:

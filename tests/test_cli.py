@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import io
 import json
@@ -665,6 +666,69 @@ class TestDeterminism:
                 assert captured_main(*argv) == first
 
 
+INTS = st.integers(-(2**70), 2**70)
+# scalars json writes through its own paths: escapes, float repr, NaN/Infinity, -0.0, true/false/null
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    INTS,
+    st.floats(),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "é \U0001f600", '"\\/\b\f\n\r\t']),
+)
+# the writer's one-pass shapes, and near misses: bools among ints, ragged rows, tuple rows
+INT_LISTS = st.lists(st.one_of(INTS, st.booleans()), max_size=8)
+INT_ROWS = st.integers(0, 4).flatmap(
+    lambda width: st.lists(
+        st.one_of(st.lists(INTS, min_size=width, max_size=width), st.tuples(*[INTS] * width)), max_size=8
+    )
+)
+RAGGED_ROWS = st.lists(st.lists(st.one_of(INTS, st.booleans()), max_size=4), max_size=6)
+Pair = collections.namedtuple("Pair", "first second")  # a tuple subclass: json writes it as a list
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, INT_LISTS, INT_ROWS, RAGGED_ROWS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.builds(Pair, children, children),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    """JSON output is ``json.dumps(..., sort_keys=True, indent=2)`` without the pure-Python encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_writer_is_json_dumps_byte_for_byte(self, value):
+        assert strucsense.cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C-accelerated json encoder")
+    def test_no_command_output_uses_the_pure_python_encoder(self, fixtures_dir, monkeypatch):
+        golden = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.chdir(fixtures_dir.parent)
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            json.dumps([1], indent=2)  # the patch is where json.dumps looks
+        for argv in (
+            "place fixtures/two_loop.inp --format json",
+            "info fixtures/two_loop.inp --format json",
+            "minimize fixtures/triangle3.json",
+        ):
+            expected = golden[argv]
+            assert captured_main(*argv.split()) == (expected["exit"], expected["stdout"], expected["stderr"])
+        code, out, err = captured_main("bench", "fixtures/two_loop.inp", "fixtures/tree9.json", "--format", "json")
+        monkeypatch.undo()
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def source_pythonpath() -> str:
     """``PYTHONPATH`` that makes a child process import the package under test.
 
@@ -809,3 +873,39 @@ class TestColdStart:
         layers = ("cli", "wdn", "pattern", "netgraph", "spanning", "placement", "forcing", "oracle")
         assert {f"strucsense.{layer}" for layer in layers} <= loaded
         assert not loaded & set(UNLOADED)
+
+
+class TestParserReuse:
+    """One parser per process, and each call parses into a fresh namespace: nothing carries over."""
+
+    def test_parser_is_built_once(self):
+        assert strucsense.cli.build_parser() is strucsense.cli.build_parser()
+
+    def test_given_sensors_do_not_carry_over(self, fixtures_dir):
+        path = str(fixtures_dir / "two_loop.inp")
+        given = json.loads(captured_main("oracle", path, "--sensors", "0,1", "--trials", "2")[1])
+        assert given["sensors"] == [0, 1]
+        code, out, _ = captured_main("oracle", path, "--trials", "2")
+        assert code == 0
+        placed = json.loads(captured_main("place", path, "--format", "json")[1])["placement"]["measured"]
+        assert json.loads(out)["sensors"] == placed != [0, 1]
+
+    def test_mode_does_not_carry_over(self, fixtures_dir):
+        path = str(fixtures_dir / "two_loop.inp")
+        assert captured_main("place", path, "--mode", "tree", "--format", "json")[0] == 1
+        code, out, _ = captured_main("place", path, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["placement"]["mode"] == "cyclic"
+
+    def test_usage_error_leaves_the_next_command_as_in_a_fresh_interpreter(self, fixtures_dir):
+        argv = ["place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json"]
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            main(["place", str(fixtures_dir / "triangle_wdn.inp"), "--mode", "loop"])
+        assert exc.value.code == 2
+        fresh = subprocess.run(
+            [sys.executable, "-m", "strucsense.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": source_pythonpath()},
+        )
+        assert captured_main(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)

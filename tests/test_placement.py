@@ -182,6 +182,20 @@ class TestSensorCountReport:
         assert report.bound_ok
         assert PipelineRun(g, mode="tree").tree is None  # only the tree rule places without a forest
 
+    @pytest.mark.parametrize(
+        "text, measured, n_e",
+        [
+            ('{"n": 3, "star": [[0, 1], [1, 0]], "unknown": []}', (0, 1, 2), 2),  # state 2 has no neighbour
+            ('{"n": 1, "star": [], "unknown": []}', (0,), 0),
+        ],
+    )
+    def test_isolated_states_count_in_the_envelope(self, text, measured, n_e):
+        """The rule measures isolated states, so the envelope counts them; ``extreme_nodes`` does not."""
+        run = PipelineRun(parse_edge_list(text))
+        assert run.placement.measured == measured
+        assert run.certificate.sso
+        assert run.counts == (n_e, 0, len(measured), True)
+
     def test_documented_benchmark_rows_satisfy_bounds(self):
         # counts reported for the published benchmark networks
         assert count_bounds_ok(3, 3, 6)        # Hanoi
