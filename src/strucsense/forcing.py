@@ -14,10 +14,10 @@ realization of the pattern pair is observable.
 
 The state part of that graph never depends on the sensors, so it is
 compiled once per state graph (``compile_graph``) and each sensor set is
-a run against it; the exhaustive search closes thousands of sensor sets on
-one compiled graph, which runs on ``StateGraph``'s own neighbour lists;
-the companion's graph rewrites its self-loop flags only. Every closure
-runs this one engine. ``build_observability_graph``,
+a run against it (``ClosureRun``), which the exhaustive search resumes with
+more sensors; it runs on ``StateGraph``'s own neighbour lists, and the
+companion's graph rewrites its self-loop flags only. Every closure runs
+this one engine. ``build_observability_graph``,
 ``force_closure_reference`` and ``replay_trace`` are the slow independent
 checks: they build and close an explicit ``ObservabilityGraph`` from the
 pattern itself, and nothing in this package calls them; the tests and the
@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .netgraph import StateGraph
 from .pattern import Entry, PatternMatrix
 
-# self-loop flags ``run`` compares against, bound once: an Enum attribute lookup costs
+# self-loop flags ``_close`` compares against, bound once: an Enum attribute lookup costs
 # ~0.14 us, a few percent of one closure run on a 16-state search graph
 _NO_LOOP, _STAR_LOOP = Entry.ZERO, Entry.STAR
 
@@ -137,11 +137,7 @@ class ClosureGraph:
     ``star_out``, ``out``, ``inn`` and ``loops`` are a ``StateGraph``'s own
     directed lists and self-loop flags, shared; compiling adds only
     ``out_degree`` (out-neighbours, self-loop included) and ``seeds`` (the
-    forcings eligible from all-white). A run measuring states ``measured``
-    adds sensor k as the virtual node ``n + k``, with one star out-edge to
-    ``measured[k]`` and no in-edges: exactly the sensor nodes of
-    ``build_observability_graph``, so a run pops and traces what a closure
-    of that graph does.
+    forcings eligible from all-white). Each sensor set is a ``ClosureRun``.
     """
 
     def __init__(self, star_out: tuple, out: tuple, inn: tuple, loops: tuple):
@@ -172,22 +168,54 @@ class ClosureGraph:
         return ClosureGraph(self.star_out, self.out, self.inn, loops)
 
     def run(self, measured=(), rng: random.Random | None = None) -> tuple:
-        """Run the color-change rule to fixpoint; return black flags and the trace.
+        """Close a fresh ``ClosureRun`` measuring ``measured``; return its black flags and trace."""
+        closed = ClosureRun(self, measured, rng)
+        return closed.black, closed.trace
 
-        Worklist keyed by white-out-neighbor counters: a node becomes a
-        candidate when exactly one of its out-neighbors is still white and
-        the edge to it is a star. Each application is O(in-degree of the
-        forced node), so the whole closure is near-linear in edges. Without
-        ``rng`` the ascending (forcer, forced) pair is applied first; with
-        it, a uniformly random candidate. Sensor nodes are never forced (no
-        in-edges), so the flags cover the compiled nodes only.
-        """
-        star_out, out, inn, loops = self.star_out, self.out, self.inn, self.loops
-        none, star = _NO_LOOP, _STAR_LOOP
-        white_out = list(self.out_degree)
-        black = [False] * self.n
+    def colors_all(self, measured) -> bool:
+        """True iff measuring ``measured`` blackens every compiled node."""
+        return len(self.run(measured)[1]) == self.n
+
+
+class ClosureRun:
+    """A closure on a ``ClosureGraph`` that can take more sensors.
+
+    It holds the black flags, per-node counts of white out-neighbours (loop included), the
+    (forcer, forced) trace and the sensor count ``k``, but not the heap, empty once closed; sensor
+    k is the virtual node ``n + k``, as in ``build_observability_graph``, whose closure's trace a
+    run repeats. ``add`` resumes exactly (AIM Minimum Rank group, LAA 2008): the rule is monotone,
+    so a forcing stays eligible until its target turns black, every order ends in the same black
+    set, and a closed run is a valid start for a larger sensor set. Only the trace's order differs
+    from a fresh run's.
+    """
+
+    def __init__(self, graph: ClosureGraph, measured=(), rng: random.Random | None = None):
+        self.graph, self.k, self.trace = graph, len(measured), []
+        self.black, self.white_out = [False] * graph.n, list(graph.out_degree)
         # candidates in the order a scan of all nodes, sensors last, finds them
-        pool = [*self.seeds, *((self.n + k, s) for k, s in enumerate(measured))]
+        self._close([*graph.seeds, *((graph.n + k, s) for k, s in enumerate(measured))], rng)
+
+    def copy(self) -> "ClosureRun":
+        """An independent run at the same point: adding to it leaves this one as it is."""
+        twin = object.__new__(ClosureRun)
+        twin.graph, twin.k, twin.trace = self.graph, self.k, self.trace[:]
+        twin.black, twin.white_out = self.black[:], self.white_out[:]
+        return twin
+
+    def add(self, state: int) -> None:
+        """Measure ``state`` as the next sensor and close again; a black state changes nothing."""
+        self.k += 1
+        self._close([(self.graph.n + self.k - 1, state)])
+
+    def _close(self, pool: list, rng: random.Random | None = None) -> None:
+        """Apply the rule from ``pool``'s candidates to fixpoint: ascending pair first, or random with ``rng``.
+
+        A candidate has exactly one white out-neighbour, over a star edge; counters make each step O(in-degree).
+        """
+        g = self.graph
+        star_out, out, inn, loops = g.star_out, g.out, g.inn, g.loops
+        none, star = _NO_LOOP, _STAR_LOOP
+        black, white_out, trace = self.black, self.white_out, self.trace
         if rng is None:
             heapify(pool)
             push, pop = heappush, heappop
@@ -199,7 +227,6 @@ class ClosureGraph:
                 pool[idx], pool[-1] = pool[-1], pool[idx]
                 return pool.pop()
 
-        trace = []
         while pool:
             v, u = pop(pool)
             if black[u]:
@@ -223,11 +250,6 @@ class ClosureGraph:
                             push(pool, (w, last))
                     elif loops[w] is star:  # w's own loop is its last white out-edge
                         push(pool, (w, w))
-        return black, trace
-
-    def colors_all(self, measured) -> bool:
-        """True iff measuring ``measured`` blackens every compiled node."""
-        return len(self.run(measured)[1]) == self.n
 
 
 def compile_graph(g: StateGraph) -> ClosureGraph:
@@ -284,6 +306,11 @@ def certify_sso(g: StateGraph, c: PatternMatrix) -> Certificate:
     its nonzero-diagonal companion, whose graph is derived from the first
     one's. Both traces are kept so a verdict can be replayed and rendered
     step by step.
+
+    With no zero on the diagonal, Abar's black set lies inside A's, so Abar alone decides: A and
+    Abar then have the same out-neighbour sets and every Abar loop is unknown, so an Abar node
+    forces only once black and only as A's rule allows; by confluence (``ClosureRun``) A's closure
+    contains Abar's. A zero on the diagonal breaks this.
     """
     measured = sensor_states(c, g.n)
     graph = compile_graph(g)

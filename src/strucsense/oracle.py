@@ -12,10 +12,11 @@ size until a certified one appears.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import islice
+from math import comb
 from typing import NamedTuple
 
-from .forcing import compile_graph, sensor_states
+from .forcing import ClosureRun, compile_graph, sensor_states
 from .netgraph import StateGraph, from_pattern
 from .pattern import Entry, PatternMatrix, SampleConfig, make_abar, sample_realizations
 
@@ -288,6 +289,20 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
     raise RuntimeError("could not realize the stuck set; exhausted retries")
 
 
+def _colouring_sets(closed: ClosureRun, combo: tuple, left: int):
+    """Each ``combo`` plus ``left`` > 0 larger states that colours, in order; ``closed`` is ``combo``'s closure."""
+    n = closed.graph.n
+    for v in range(combo[-1] + 1 if combo else 0, n - left + 1):
+        child = closed
+        if not closed.black[v]:
+            child = closed.copy()
+            child.add(v)
+        if left > 1:
+            yield from _colouring_sets(child, combo + (v,), left - 1)
+        elif len(child.trace) == n:
+            yield combo + (v,)
+
+
 def exhaustive_min_sensors(
     g: StateGraph,
     max_states: int = DEFAULT_EXHAUSTIVE_CAP,
@@ -299,10 +314,11 @@ def exhaustive_min_sensors(
     Subsets are enumerated by increasing cardinality, lexicographic within
     each size; every subset is certified until a size produces witnesses,
     then the rest of that size is swept so all witnesses (up to the cap)
-    are counted. ``g`` is compiled once and its companion derived from
-    it; a subset is closed on the companion only when ``g``'s own closure
-    colors fully, and not at all once the witness cap is reached. Refuses
-    graphs whose configuration count would explode.
+    are counted. ``g`` is compiled once and its companion derived from it.
+    Abar, which refuses first when no diagonal entry is zero (``certify_sso``),
+    else A, is closed depth first, each prefix once per size; the other
+    graph only for subsets the first colours, and none once the witness cap
+    is reached. Refuses graphs whose configuration count would explode.
     """
     n = g.n
     if n > max_states:
@@ -311,14 +327,13 @@ def exhaustive_min_sensors(
             f"refusing beyond the cap of {max_states} states"
         )
     graph_a = compile_graph(g)
-    graph_abar = graph_a.companion()
+    first, second = (graph_a.companion(), graph_a) if Entry.ZERO not in g.loops else (graph_a, graph_a.companion())
+    root = ClosureRun(first)
     checked = 0
     for size in range(n + 1):
-        witnesses = []
-        for combo in combinations(range(n), size):
-            checked += 1
-            if len(witnesses) < witness_cap and graph_a.colors_all(combo) and graph_abar.colors_all(combo):
-                witnesses.append(combo)
+        sets = _colouring_sets(root, (), size) if size else ([()] if len(root.trace) == n else [])
+        witnesses = list(islice(filter(second.colors_all, sets), witness_cap))
+        checked += comb(n, size)
         if progress is not None:
             progress({"size": size, "checked": checked, "witnesses": len(witnesses)})
         if witnesses:

@@ -122,28 +122,26 @@ def build_output_pattern(p: SensorPlacement, n_states: int) -> PatternMatrix:
 def count_bounds_ok(n_e: int, cycles: int, sensors: int) -> bool:
     """Structural envelope for a cyclic placement's size.
 
-    ``n_e`` counts the nodes the rule must measure outright: extreme nodes,
-    plus isolated ones (``sensor_count_report`` adds them). At least one
+    ``n_e`` counts the nodes the rule must measure outright, those of star
+    degree below two (``sensor_count_report`` counts them). At least one
     sensor per such node, at least one per independent cycle, and never
     more than those nodes plus twice the cycles (interlocked cycles can
     need extra sensors inside them).
     """
-    ok = n_e <= sensors <= n_e + 2 * cycles
-    if cycles >= 1:
-        ok = ok and sensors >= cycles
-    return ok
+    return cycles <= sensors and n_e <= sensors <= n_e + 2 * cycles
 
 
 def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> SensorCountReport:
     """Check the placement size against its structural bounds; ``t`` drops one star pair per cycle.
 
-    Isolated states join the extreme nodes in the envelope, since the rule
-    measures every state of tree degree below two; the report's
-    ``n_e_graph`` stays the extreme-node count.
+    The envelope counts the states of star degree below two, since the
+    forest reads star edges only and the rule measures every state of tree
+    degree below two; the report's ``n_e_graph`` stays ``classify_nodes``'
+    extreme-node count, whose degrees count unknown edges too.
     """
-    cls = classify_nodes(g)
     cycles = sum(map(len, g.star_nbrs)) // 2 - len(t.tree_edges)
-    return SensorCountReport(cls.n_e, cycles, p.n_y, count_bounds_ok(cls.n_e + len(cls.isolated), cycles, p.n_y))
+    must = sum(len(nbrs) < 2 for nbrs in g.star_nbrs)
+    return SensorCountReport(classify_nodes(g).n_e, cycles, p.n_y, count_bounds_ok(must, cycles, p.n_y))
 
 
 class PipelineRun:

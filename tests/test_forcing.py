@@ -18,6 +18,7 @@ from strucsense import (
     observability_rank_test,
 )
 from strucsense.forcing import (
+    ClosureRun,
     build_observability_graph,
     compile_graph,
     force_closure_reference,
@@ -272,6 +273,61 @@ class TestCompanion:
         compiled = compile_graph(g)
         assert compiled.star_out is g.star_nbrs and compiled.out is g.nbrs and compiled.inn is g.nbrs
         assert compiled.loops is g.loops == (Entry.STAR, Entry.ZERO, Entry.UNKNOWN)
+
+
+def without_zero_diagonal(a: PatternMatrix, diag: str) -> PatternMatrix:
+    """``a`` with its diagonal replaced by ``diag``'s stars and unknowns."""
+    star = {p for p in a.star if p[0] != p[1]} | {(i, i) for i, ch in enumerate(diag) if ch == "*"}
+    unknown = {p for p in a.unknown if p[0] != p[1]} | {(i, i) for i, ch in enumerate(diag) if ch == "?"}
+    return PatternMatrix(a.rows, a.cols, frozenset(star), frozenset(unknown), a.symmetric)
+
+
+class TestResumedRun:
+    @settings(max_examples=300, deadline=None)
+    @given(patterns_with_sensors(), st.randoms(use_true_random=False))
+    def test_resumed_equals_from_scratch(self, case, rng):
+        """Sensors added one at a time, in any order and through copies, close as all at once."""
+        a, measured = case
+        order = list(measured)
+        rng.shuffle(order)
+        for pattern in (a, make_abar(a)):
+            graph = compile_graph(graph_of(pattern))
+            expected, _ = graph.run(measured)
+            closed = ClosureRun(graph)
+            for state in order:
+                before = (closed.black[:], closed.white_out[:], closed.trace[:], closed.k)
+                resumed = closed.copy()
+                resumed.add(state)
+                assert (closed.black, closed.white_out, closed.trace, closed.k) == before
+                closed = resumed
+            assert closed.black == expected
+            assert (len(closed.trace) == a.rows) == graph.colors_all(measured)
+            # the resumed trace is a valid closure of the sensors in the order they were added
+            g = build_observability_graph(pattern, sensors(order, a.rows))
+            assert replay_trace(g, closed.trace) == {v for v, b in enumerate(expected) if b}
+
+    def test_adding_a_black_state_changes_nothing(self):
+        closed = ClosureRun(compile_graph(graph_of(TREE9)), (0,))
+        black, trace = closed.black[:], closed.trace[:]
+        closed.add(1)  # forced by the sensor at 0 through 0 - 1
+        assert (closed.black, closed.trace, closed.k) == (black, trace, 2)
+
+
+class TestAbarInsideA:
+    @settings(max_examples=300, deadline=None)
+    @given(patterns_with_sensors(), st.data())
+    def test_abar_black_set_inside_a_black_set(self, case, data):
+        """With no zero on the diagonal, Abar blackens no state A leaves white."""
+        a, measured = case
+        diag = "".join(data.draw(st.lists(st.sampled_from("*?"), min_size=a.rows, max_size=a.rows)))
+        graph = compile_graph(graph_of(without_zero_diagonal(a, diag)))
+        black_a, _ = graph.run(measured)
+        black_abar, _ = graph.companion().run(measured)
+        assert all(in_a or not in_abar for in_a, in_abar in zip(black_a, black_abar))
+
+    def test_zero_diagonal_breaks_containment(self):
+        graph = compile_graph(graph_of(PatternMatrix.from_rows(["0"])))
+        assert not graph.colors_all(()) and graph.companion().colors_all(())
 
 
 class TestTraceDot:

@@ -24,7 +24,13 @@ from strucsense import (
     spanning_tree_dfs,
 )
 import strucsense.oracle
-from strucsense.forcing import build_observability_graph, force_closure_reference
+from strucsense.forcing import (
+    ClosureGraph,
+    ClosureRun,
+    build_observability_graph,
+    compile_graph,
+    force_closure_reference,
+)
 from strucsense.oracle import DEFAULT_RANK_TOL, _chunk_trials, realize_unit_output
 from generators import (
     TRIANGLE_WDN_INC,
@@ -202,6 +208,15 @@ def naive_min_sensors(a: PatternMatrix, witness_cap: int = 64) -> tuple:
     return n, (), checked
 
 
+def random_pattern(seed: int, n_max: int = 7) -> PatternMatrix:
+    """Any square pattern of up to ``n_max`` states: zeros, stars and unknowns anywhere."""
+    rng = random.Random(seed)
+    n = rng.randint(1, n_max)
+    cells = {(i, j): rng.choice("000*?") for i in range(n) for j in range(n)}
+    star = frozenset(p for p, cell in cells.items() if cell == "*")
+    return PatternMatrix(n, n, star, frozenset(p for p, cell in cells.items() if cell == "?"))
+
+
 def count_oracle_calls(monkeypatch, *names) -> dict:
     """Count calls of the named functions as ``strucsense.oracle`` looks them up."""
     counts = dict.fromkeys(names, 0)
@@ -229,6 +244,53 @@ class TestExhaustiveAgainstNaiveSearch:
         result = exhaustive_min_sensors(graph_of(pat))
         got = (result.minimum_size, result.witnesses, result.configurations_checked)
         assert got == naive_min_sensors(pat)
+
+    @pytest.mark.parametrize("cap", [64, 1, 0])
+    def test_zero_diagonals_where_a_refuses(self, cap):
+        """Patterns with zeros on the diagonal, where a subset can colour Abar and not A."""
+        a_refuses = 0
+        for seed in range(40):
+            pat = random_pattern(seed)
+            result = exhaustive_min_sensors(graph_of(pat), witness_cap=cap)
+            got = (result.minimum_size, result.witnesses, result.configurations_checked)
+            assert got == naive_min_sensors(pat, cap), seed
+            graph = compile_graph(graph_of(pat))
+            a_refuses += sum(
+                graph.companion().colors_all(combo) and not graph.colors_all(combo)
+                for size in range(pat.rows + 1)
+                for combo in combinations(range(pat.rows), size)
+            )
+        assert a_refuses
+
+    @pytest.mark.parametrize(
+        "pat, first_refuses",
+        [
+            (random_connected_pattern(3, n_min=8, n_max=10), "Abar"),  # no zero on the diagonal
+            (PatternMatrix.from_rows(["0*00?", "*0*00", "0*?*0", "00*0*", "?00**"]), "A"),
+        ],
+    )
+    def test_never_closes_from_scratch_per_configuration(self, monkeypatch, pat, first_refuses):
+        """Only the graph closed second runs from scratch, and only on sets the first colours."""
+        counts = {"run": 0, "colors_all": 0, "__init__": 0}
+        for cls, name in ((ClosureGraph, "run"), (ClosureGraph, "colors_all"), (ClosureRun, "__init__")):
+            def counting(self, *args, _fn=getattr(cls, name), _name=name):
+                counts[_name] += 1
+                return _fn(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+        result = exhaustive_min_sensors(graph_of(pat))
+        monkeypatch.undo()
+        graph = compile_graph(graph_of(pat))
+        first = graph.companion() if first_refuses == "Abar" else graph
+        coloured = sum(
+            first.colors_all(combo)
+            for size in range(result.minimum_size + 1)
+            for combo in combinations(range(pat.rows), size)
+        )
+        assert counts == {"run": coloured, "colors_all": coloured, "__init__": coloured + 1}  # + the empty set's
+        assert coloured < result.configurations_checked
+        if first_refuses == "Abar":
+            assert coloured == len(result.witnesses)  # A is closed once per witness
 
     def test_companion_built_once_per_search(self, monkeypatch):
         counts = count_oracle_calls(monkeypatch, "make_abar", "compile_graph")

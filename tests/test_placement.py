@@ -187,10 +187,12 @@ class TestSensorCountReport:
         [
             ('{"n": 3, "star": [[0, 1], [1, 0]], "unknown": []}', (0, 1, 2), 2),  # state 2 has no neighbour
             ('{"n": 1, "star": [], "unknown": []}', (0,), 0),
+            # no star edge at all: the forest is empty, though ``classify_nodes`` sees a path
+            ('{"n": 3, "star": [], "unknown": [[0, 1], [1, 0], [1, 2], [2, 1]]}', (0, 1, 2), 2),
         ],
     )
     def test_isolated_states_count_in_the_envelope(self, text, measured, n_e):
-        """The rule measures isolated states, so the envelope counts them; ``extreme_nodes`` does not."""
+        """The rule measures states with no star edge, so the envelope counts them; ``extreme_nodes`` does not."""
         run = PipelineRun(parse_edge_list(text))
         assert run.placement.measured == measured
         assert run.certificate.sso
