@@ -170,12 +170,14 @@ def cmd_info(args) -> int:
     if args.format == "json":
         _dump_json(payload, args.out)
     elif args.format == "csv":
-        rows = ["key,value"]
-        for key in sorted(payload):
-            if key == "preconditions":
-                continue
-            rows.append(f"{key},{payload[key]}")
-        _emit("\n".join(rows) + "\n", args.out)
+        import csv
+        import io
+
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")  # quotes a value holding a comma, e.g. a label list
+        writer.writerow(("key", "value"))
+        writer.writerows((key, payload[key]) for key in sorted(payload) if key != "preconditions")
+        _emit(text.getvalue(), args.out)
     else:
         lines = [
             f"input: {bundle.path} ({bundle.kind})",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import random
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import NamedTuple
 
 from .netgraph import StateGraph
@@ -77,12 +78,18 @@ class Certificate(NamedTuple):
         return ("A", self.colorable_a, self.trace_a), ("Abar", self.colorable_abar, self.trace_abar)
 
     def as_dict(self) -> dict:
-        graphs = [{"name": name, "colorable": ok, "trace": [[v, u] for (v, u) in trace]}
-                  for name, ok, trace in self.graphs]
+        """The JSON form; traces stay tuples of (forcer, forced) pairs, which JSON writes as arrays."""
+        graphs = [{"name": name, "colorable": ok, "trace": trace} for name, ok, trace in self.graphs]
         return {"sso": self.sso, "graphs": graphs}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        """``json.dumps(self.as_dict(), sort_keys=True)``, byte for byte, each trace in one C-level ``%`` pass."""
+        graphs = ", ".join([
+            '{"colorable": %s, "name": %s, "trace": [%s]}' % (
+                json.dumps(ok), json.dumps(name),
+                ", ".join(["[%d, %d]"] * len(trace)) % tuple(chain.from_iterable(trace)))
+            for name, ok, trace in self.graphs])
+        return '{"graphs": [%s], "sso": %s}' % (graphs, json.dumps(self.sso))
 
 
 def sensor_states(c: PatternMatrix, n: int) -> tuple:
@@ -135,12 +142,14 @@ class ClosureGraph:
     """A color-change graph compiled once, then closed for any sensor set.
 
     ``star_out``, ``out``, ``inn`` and ``loops`` are a ``StateGraph``'s own
-    directed lists and self-loop flags, shared; compiling adds only
-    ``out_degree`` (out-neighbours, self-loop included) and ``seeds`` (the
-    forcings eligible from all-white). Each sensor set is a ``ClosureRun``.
+    directed lists and self-loop flags, shared; compiling adds ``out_degree``
+    (out-neighbours, self-loop included), ``white_sum`` (the sum of each node's
+    off-diagonal out-neighbours), ``star_only`` (every off-diagonal edge is a
+    star, as in every water network) and ``seeds`` (the forcings eligible from
+    all-white). Each sensor set is a ``ClosureRun``.
     """
 
-    def __init__(self, star_out: tuple, out: tuple, inn: tuple, loops: tuple):
+    def __init__(self, star_out: tuple, out: tuple, inn: tuple, loops: tuple, white_sum: tuple | None = None):
         none = Entry.ZERO
         out_degree = tuple([len(nbrs) + (loop is not none) for nbrs, loop in zip(out, loops)])
         # out-degree 1: the one out-neighbour is the loop, or else the only off-diagonal one
@@ -149,6 +158,8 @@ class ClosureGraph:
                       if d == 1 and (loops[v] is Entry.STAR or loops[v] is none and star_out[v]))
         self.star_out, self.out, self.inn, self.loops = star_out, out, inn, loops
         self.n, self.out_degree, self.seeds = len(out), out_degree, seeds
+        self.white_sum = tuple(map(sum, out)) if white_sum is None else white_sum
+        self.star_only = star_out == out
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -161,11 +172,11 @@ class ClosureGraph:
     def companion(self) -> "ClosureGraph":
         """The compiled graph of ``make_abar`` of this graph's pattern.
 
-        Same lists; a missing self-loop becomes a star, a star or unknown one unknown.
+        Same lists and white sums; a missing self-loop becomes a star, a star or unknown one unknown.
         """
         none, star, unknown = Entry.ZERO, Entry.STAR, Entry.UNKNOWN
         loops = tuple([star if loop is none else unknown for loop in self.loops])
-        return ClosureGraph(self.star_out, self.out, self.inn, loops)
+        return ClosureGraph(self.star_out, self.out, self.inn, loops, self.white_sum)
 
     def run(self, measured=(), rng: random.Random | None = None) -> tuple:
         """Close a fresh ``ClosureRun`` measuring ``measured``; return its black flags and trace."""
@@ -180,76 +191,87 @@ class ClosureGraph:
 class ClosureRun:
     """A closure on a ``ClosureGraph`` that can take more sensors.
 
-    It holds the black flags, per-node counts of white out-neighbours (loop included), the
-    (forcer, forced) trace and the sensor count ``k``, but not the heap, empty once closed; sensor
-    k is the virtual node ``n + k``, as in ``build_observability_graph``, whose closure's trace a
-    run repeats. ``add`` resumes exactly (AIM Minimum Rank group, LAA 2008): the rule is monotone,
-    so a forcing stays eligible until its target turns black, every order ends in the same black
-    set, and a closed run is a valid start for a larger sensor set. Only the trace's order differs
-    from a fresh run's.
+    It holds the black flags, per-node counts of white out-neighbours (loop included) and sums of
+    white off-diagonal out-neighbours, the (forcer, forced) trace and the sensor count ``k``, but
+    not the heap, empty once closed; sensor k is the virtual node ``n + k``, as in
+    ``build_observability_graph``, whose closure's trace a run repeats. ``add`` resumes exactly
+    (AIM Minimum Rank group, LAA 2008): the rule is monotone, so a forcing stays eligible until its
+    target turns black, every order ends in the same black set, and a closed run is a valid start
+    for a larger sensor set. Only the trace's order differs from a fresh run's.
     """
 
     def __init__(self, graph: ClosureGraph, measured=(), rng: random.Random | None = None):
+        n = graph.n
+        for state in measured:
+            if not 0 <= state < n:  # a heap key decodes to its pair only for a state
+                raise ValueError(f"measured state {state} outside 0..{n - 1}")
         self.graph, self.k, self.trace = graph, len(measured), []
-        self.black, self.white_out = [False] * graph.n, list(graph.out_degree)
+        self.black, self.white_out, self.white_sum = [False] * n, list(graph.out_degree), list(graph.white_sum)
         # candidates in the order a scan of all nodes, sensors last, finds them
-        self._close([*graph.seeds, *((graph.n + k, s) for k, s in enumerate(measured))], rng)
+        self._close([*(v * n + u for v, u in graph.seeds), *((n + k) * n + s for k, s in enumerate(measured))], rng)
 
     def copy(self) -> "ClosureRun":
         """An independent run at the same point: adding to it leaves this one as it is."""
         twin = object.__new__(ClosureRun)
         twin.graph, twin.k, twin.trace = self.graph, self.k, self.trace[:]
-        twin.black, twin.white_out = self.black[:], self.white_out[:]
+        twin.black, twin.white_out, twin.white_sum = self.black[:], self.white_out[:], self.white_sum[:]
         return twin
 
     def add(self, state: int) -> None:
         """Measure ``state`` as the next sensor and close again; a black state changes nothing."""
+        n = self.graph.n
+        if not 0 <= state < n:
+            raise ValueError(f"measured state {state} outside 0..{n - 1}")
         self.k += 1
-        self._close([(self.graph.n + self.k - 1, state)])
+        self._close([(n + self.k - 1) * n + state])
 
     def _close(self, pool: list, rng: random.Random | None = None) -> None:
         """Apply the rule from ``pool``'s candidates to fixpoint: ascending pair first, or random with ``rng``.
 
-        A candidate has exactly one white out-neighbour, over a star edge; counters make each step O(in-degree).
+        A candidate (v, u) has exactly one white out-neighbour u, over a star edge, and is keyed
+        ``v * n + u``: forced nodes are states (u < n), so key order is pair order. Counters make
+        each step O(in-degree), and the running sums name a node's last white out-neighbour.
         """
         g = self.graph
-        star_out, out, inn, loops = g.star_out, g.out, g.inn, g.loops
+        n, star_out, inn, loops, star_only = g.n, g.star_out, g.inn, g.loops, g.star_only
         none, star = _NO_LOOP, _STAR_LOOP
-        black, white_out, trace = self.black, self.white_out, self.trace
+        black, white_out, white_sum, trace = self.black, self.white_out, self.white_sum, self.trace
         if rng is None:
             heapify(pool)
             push, pop = heappush, heappop
         else:
             push = list.append
 
-            def pop(pool: list) -> tuple:
+            def pop(pool: list) -> int:
                 idx = rng.randrange(len(pool))
                 pool[idx], pool[-1] = pool[-1], pool[idx]
                 return pool.pop()
 
         while pool:
-            v, u = pop(pool)
+            v, u = divmod(pop(pool), n)
             if black[u]:
                 continue  # stale: someone else forced u first
             black[u] = True
             trace.append((v, u))
             # u's own loop just turned black. Handled apart from inn[u] because building
             # (u, *inn[u]) per step cost ~15% per configuration on the small search graphs.
+            # u is not its own off-diagonal out-neighbour, so its white sum stays as it is.
             if loops[u] is not none:
                 white_out[u] -= 1
                 if white_out[u] == 1:
-                    last = next(x for x in out[u] if not black[x])
-                    if last in star_out[u]:
-                        push(pool, (u, last))
+                    last = white_sum[u]
+                    if star_only or last in star_out[u]:
+                        push(pool, u * n + last)
             for w in inn[u]:
+                white_sum[w] -= u
                 white_out[w] -= 1
                 if white_out[w] == 1:
-                    if black[w] or loops[w] is none:
-                        last = next(x for x in out[w] if not black[x])
-                        if last in star_out[w]:
-                            push(pool, (w, last))
+                    if black[w] or loops[w] is none:  # the last white out-neighbour is off-diagonal
+                        last = white_sum[w]
+                        if star_only or last in star_out[w]:
+                            push(pool, w * n + last)
                     elif loops[w] is star:  # w's own loop is its last white out-edge
-                        push(pool, (w, w))
+                        push(pool, w * n + w)
 
 
 def compile_graph(g: StateGraph) -> ClosureGraph:

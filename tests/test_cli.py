@@ -122,6 +122,23 @@ class TestInfo:
         assert payload["state_nodes"] == 9
         assert payload["cycles"] == 2
 
+    @pytest.mark.parametrize("name", ["two_loop.inp", "desk14.json"])
+    def test_csv_rows_have_one_field_per_column(self, capsys, fixtures_dir, name):
+        """A label list holds commas; the writer quotes it, so a CSV reader sees one value."""
+        import csv
+
+        _, out, _ = run_cli(capsys, "info", str(fixtures_dir / name), "--format", "csv")
+        _, text, _ = run_cli(capsys, "info", str(fixtures_dir / name), "--format", "json")
+        payload = json.loads(text)
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        values = dict(rows[1:])
+        assert max(len(payload["extreme"]), len(payload["intersection"])) > 1
+        for key in ("extreme", "intersection"):
+            assert ast.literal_eval(values[key]) == payload[key]
+        assert values["hydraulic_nodes"] == ("" if payload["hydraulic_nodes"] is None else str(payload["hydraulic_nodes"]))
+
     def test_state_graph_built_and_classified_once(self, capsys, fixtures_dir, monkeypatch):
         counts = count_calls(monkeypatch, "state_graph", "to_pattern", "from_pattern", "classify_nodes")
         bundles, shapes = record_loads_and_patterns(monkeypatch)
@@ -704,6 +721,14 @@ class TestJsonWriter:
     @given(JSON_VALUES)
     def test_writer_is_json_dumps_byte_for_byte(self, value):
         assert strucsense.cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(), st.integers()), max_size=8))
+    def test_tuple_rows_write_as_list_rows(self, trace):
+        """A certificate's trace reaches the writer as (forcer, forced) tuples, and prints as lists would."""
+        rows = tuple(trace)
+        assert strucsense.cli._json_text(rows) == strucsense.cli._json_text([list(row) for row in rows])
+        assert strucsense.cli._json_text({"trace": rows}) == json.dumps({"trace": trace}, indent=2)
 
     @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C-accelerated json encoder")
     def test_no_command_output_uses_the_pure_python_encoder(self, fixtures_dir, monkeypatch):

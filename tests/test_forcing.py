@@ -18,6 +18,7 @@ from strucsense import (
     observability_rank_test,
 )
 from strucsense.forcing import (
+    Certificate,
     ClosureRun,
     build_observability_graph,
     compile_graph,
@@ -225,6 +226,17 @@ class TestCompiledEngine:
             _, shuffled = compiled.run(measured, random.Random(seed))
             assert replay_trace(g, shuffled) == black_set
 
+    def test_last_white_neighbour_across_an_unknown_edge_is_not_forced(self):
+        """Node 0's last white out-neighbour, 2, is across a ``?`` edge: 0 must not force it."""
+        a = PatternMatrix.from_rows(["000", "*00", "?00"])  # 0 -> 1 over a star, 0 -> 2 over an unknown
+        compiled = compile_graph(graph_of(a))
+        assert not compiled.star_only
+        assert compiled.white_sum == (3, 0, 0)
+        expected = {(1,): [(3, 1)], (0, 1): [(3, 0), (4, 1)], (2,): [(3, 2), (0, 1)]}
+        for measured, trace in expected.items():
+            assert compiled.run(measured)[1] == trace
+            assert tuple(trace) == force_closure_reference(build_observability_graph(a, sensors(measured, 3))).trace
+
     def test_compiled_graph_is_reused_across_sensor_sets(self):
         compiled = compile_graph(graph_of(CYCLIC9))
         assert compiled.colors_all((0, 2, 6))
@@ -242,7 +254,7 @@ class TestCompanion:
     def test_matches_compiled_abar_and_reference(self, case):
         a, measured = case
         derived, compiled = compile_graph(graph_of(a)).companion(), compile_graph(graph_of(make_abar(a)))
-        for name in ("star_out", "out", "inn", "loops", "out_degree", "seeds"):
+        for name in ("star_out", "out", "inn", "loops", "out_degree", "seeds", "white_sum", "star_only"):
             assert getattr(derived, name) == getattr(compiled, name), name
         c = sensors(measured, a.rows)
         cert = certify_sso(graph_of(a), c)
@@ -263,7 +275,7 @@ class TestCompanion:
         for a in (sym([(0, 1), (1, 2)], 3, diag="*0?"), PatternMatrix.from_rows(["*0*", "*00", "0*?"])):
             graph = compile_graph(graph_of(a))
             companion = graph.companion()
-            for name in ("star_out", "out", "inn"):
+            for name in ("star_out", "out", "inn", "white_sum"):
                 assert getattr(companion, name) is getattr(graph, name), name
             assert companion.loops == (Entry.UNKNOWN, Entry.STAR, Entry.UNKNOWN)
             assert companion.out_degree == tuple(len(out) + 1 for out in graph.out)
@@ -295,16 +307,29 @@ class TestResumedRun:
             expected, _ = graph.run(measured)
             closed = ClosureRun(graph)
             for state in order:
-                before = (closed.black[:], closed.white_out[:], closed.trace[:], closed.k)
+                before = (closed.black[:], closed.white_out[:], closed.white_sum[:], closed.trace[:], closed.k)
                 resumed = closed.copy()
                 resumed.add(state)
-                assert (closed.black, closed.white_out, closed.trace, closed.k) == before
+                assert (closed.black, closed.white_out, closed.white_sum, closed.trace, closed.k) == before
                 closed = resumed
+                # each running sum is still that of the node's white off-diagonal out-neighbours
+                assert closed.white_sum == [sum(x for x in out if not closed.black[x]) for out in graph.out]
             assert closed.black == expected
             assert (len(closed.trace) == a.rows) == graph.colors_all(measured)
             # the resumed trace is a valid closure of the sensors in the order they were added
             g = build_observability_graph(pattern, sensors(order, a.rows))
             assert replay_trace(g, closed.trace) == {v for v, b in enumerate(expected) if b}
+
+    def test_a_state_outside_the_graph_is_refused(self):
+        """A heap key ``v * n + u`` decodes to (v, u) only when 0 <= u < n."""
+        graph = compile_graph(graph_of(TREE9))
+        for bad in (9, -1):
+            with pytest.raises(ValueError, match="outside 0..8"):
+                graph.run((0, bad))
+            closed = ClosureRun(graph, (0,))
+            with pytest.raises(ValueError, match="outside 0..8"):
+                closed.add(bad)
+            assert (closed.k, closed.trace) == (1, ClosureRun(graph, (0,)).trace)
 
     def test_adding_a_black_state_changes_nothing(self):
         closed = ClosureRun(compile_graph(graph_of(TREE9)), (0,))
@@ -382,6 +407,23 @@ class TestCertificate:
             measured = sorted({j for (_, j) in c.star} | {extra})
             bigger = sensors(measured, a.rows)
             assert certify_sso(graph_of(a), bigger).sso
+
+    @settings(max_examples=300, deadline=None)
+    @given(patterns_with_sensors())
+    def test_to_json_is_json_dumps_byte_for_byte(self, case):
+        a, measured = case
+        cert = certify_sso(graph_of(a), sensors(measured, a.rows))
+        assert cert.to_json() == json.dumps(cert.as_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("cert", [
+        Certificate(False, (), False, ()),
+        Certificate(True, ((1, 0),), False, ()),
+        Certificate(False, (), True, ((2, 0), (0, 1))),
+        Certificate(True, ((0, 0),), True, ((2, 0), (0, 1))),
+    ])
+    def test_to_json_covers_empty_traces_and_every_verdict(self, cert):
+        assert cert.to_json() == json.dumps(cert.as_dict(), sort_keys=True)
+        assert json.loads(cert.to_json())["sso"] is cert.sso
 
     def test_json_wire_format(self):
         payload = json.loads(certify_sso(graph_of(TREE9), sensors([0, 2], 9)).to_json())

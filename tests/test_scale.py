@@ -2,9 +2,13 @@
 
 A pure tree network always certifies (cyclic placement measures every
 leaf, a superset of the tree rule's certified set), so this exercises the
-full pipeline on ~1700 states without depending on benchmark files.
+full pipeline on ~1700 states without depending on benchmark files. A tree
+with chords has cycles, and the same size checks the certificate's traces
+and the refusal it prints when the placement does not certify.
 """
 
+import contextlib
+import io
 import random
 import statistics
 import time
@@ -16,12 +20,14 @@ from strucsense import (
     certify_sso,
     classify_nodes,
     cycle_count,
+    make_abar,
     place_cyclic,
     sample_and_check,
     spanning_tree_dfs,
     state_graph,
 )
-from strucsense.cli import load_input
+from strucsense.cli import load_input, main
+from strucsense.forcing import build_observability_graph, replay_trace
 from strucsense.wdn import parse_inp, write_incidence_csv
 from generators import random_symmetric_pattern
 
@@ -32,6 +38,39 @@ def tree_inp_text(n_h: int, seed: int = 0) -> str:
     lines = ["[JUNCTIONS]"] + [f" J{i} 0" for i in range(n_h)] + ["[PIPES]"]
     lines += [f" P{i} J{rng.randrange(i)} J{i} 100 300 100" for i in range(1, n_h)]
     return "\n".join(lines) + "\n"
+
+
+def cyclic_inp_text(n_h: int, chords: int, seed: int = 0) -> str:
+    """``tree_inp_text(n_h, seed)`` plus ``chords`` pipes between distinct random junction pairs."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < chords:
+        pairs.add(tuple(sorted(rng.sample(range(n_h), 2))))
+    return tree_inp_text(n_h, seed) + "".join(f" C{k} J{i} J{j} 100 300 100\n" for k, (i, j) in enumerate(sorted(pairs)))
+
+
+def test_cyclic_certificate_at_benchmark_scale(tmp_path):
+    """Both traces replay to their verdicts, and a refused ``place`` prints the certificate's own JSON last.
+
+    Seed 3's chords leave Abar uncolorable under the cyclic placement, so both verdicts occur.
+    """
+    path = tmp_path / "cyclic.inp"
+    path.write_text(cyclic_inp_text(782, 124, seed=3))
+    bundle = load_input(str(path))
+    g = bundle.graph
+    assert (g.n, cycle_count(g)) == (1687, 124)
+    c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
+    cert = certify_sso(g, c)
+    assert (cert.colorable_a, cert.colorable_abar) == (True, False)
+    for pattern, colorable, trace in ((bundle.pattern, cert.colorable_a, cert.trace_a),
+                                      (make_abar(bundle.pattern), cert.colorable_abar, cert.trace_abar)):
+        black = replay_trace(build_observability_graph(pattern, c), trace)
+        assert colorable == black.issuperset(range(g.n))
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["place", str(path)]) == 2
+    assert err.getvalue().splitlines()[-1] == cert.to_json()
 
 
 def test_pipeline_at_benchmark_scale():
