@@ -13,6 +13,7 @@ value, or none, keeps them off.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -414,11 +415,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # progress lines on stderr: the JSON updates of ``minimize`` and one line per ``bench`` path
     args.verbose = os.environ.get("STRUCSENSE_LOG", "").lower() in ("info", "debug")
+    # Every structure a command builds is acyclic and freed by reference counting, so a
+    # cyclic pass during the command would scan its live objects and collect nothing.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

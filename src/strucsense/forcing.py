@@ -248,11 +248,12 @@ class ClosureRun:
                 return pool.pop()
 
         while pool:
-            v, u = divmod(pop(pool), n)
+            step = divmod(pop(pool), n)  # (forcer, forced), appended to the trace as it is
+            u = step[1]
             if black[u]:
                 continue  # stale: someone else forced u first
             black[u] = True
-            trace.append((v, u))
+            trace.append(step)
             # u's own loop just turned black. Handled apart from inn[u] because building
             # (u, *inn[u]) per step cost ~15% per configuration on the small search graphs.
             # u is not its own off-diagonal out-neighbour, so its white sum stays as it is.

@@ -101,8 +101,7 @@ def place_cyclic(g: StateGraph, t: SpanningTree) -> SensorPlacement:
     """
     if t.n != g.n:
         raise ValueError(f"tree over {t.n} nodes does not match graph with {g.n}")
-    deg = t.degrees()
-    measured = tuple(v for v in range(g.n) if deg[v] < 2)
+    measured = tuple([v for v, d in enumerate(t.degrees()) if d < 2])
     return SensorPlacement(measured, g.n, "cyclic")
 
 

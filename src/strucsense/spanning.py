@@ -26,11 +26,16 @@ class SpanningTree(NamedTuple):
         return len(self.parent)
 
     def degrees(self) -> list:
-        """Tree degree per node (self-loops never enter a tree)."""
-        deg = [0] * self.n
-        for (i, j) in self.tree_edges:
-            deg[i] += 1
-            deg[j] += 1
+        """Tree degree per node: its children, plus its parent unless it is a root.
+
+        Read off ``parent`` rather than ``tree_edges`` (self-loops never enter a tree).
+        """
+        deg = [1] * self.n
+        for root in self.roots:
+            deg[root] = 0
+        for p in self.parent:
+            if p is not None:
+                deg[p] += 1
         return deg
 
     def to_json(self) -> str:

@@ -1,13 +1,13 @@
 """Water-network ingestion and the structured state pattern it induces.
 
 Reads the topology subset of the EPANET INP dialect (junctions, reservoirs,
-tanks, pipes, pumps, valves, optional coordinates) and builds, in one pass
-over the link list, the state graph of the block pattern whose states are
-one flow per link followed by one head per hydraulic node: star self-loops
-on flows, unknown self-loops on heads, and star couplings wherever a link
-meets a node. The pattern itself is built only on request, and no dense
-node-by-link array ever is. Hydraulic parameters are never parsed; only
-topology shapes the pattern.
+tanks, pipes, pumps, valves, optional coordinates, parsed only if read) and
+builds, in one pass over the link list, the state graph of the block pattern
+whose states are one flow per link followed by one head per hydraulic node:
+star self-loops on flows, unknown self-loops on heads, and star couplings
+wherever a link meets a node. The pattern itself is built only on request,
+and no dense node-by-link array ever is. Hydraulic parameters are never
+parsed; only topology shapes the pattern.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ class WdnNetwork:
 
     def __init__(self, nodes: tuple, links: tuple, coordinates: dict | None = None):
         self.nodes, self.links = nodes, links
-        self.coordinates = {} if coordinates is None else coordinates
+        self._coordinate_lines = ()  # raw [COORDINATES] lines that parse_inp kept, read on first use
+        if coordinates is not None:
+            self.coordinates = coordinates
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -74,6 +76,24 @@ class WdnNetwork:
     def _node_lookup(self) -> dict:
         return {node.label: i for i, node in enumerate(self.nodes)}
 
+    @cached_property
+    def coordinates(self) -> dict:
+        """Layout hints by node label, parsed on first read: no command's output reads them."""
+        return _parse_coordinates(self._coordinate_lines)
+
+
+def _parse_coordinates(lines) -> dict:
+    """``label -> (x, y)`` from ``[COORDINATES]`` lines; a later line wins, malformed ones are skipped."""
+    coordinates = {}
+    for raw in lines:
+        tokens = raw.partition(";")[0].split()
+        if len(tokens) >= 3:
+            try:
+                coordinates[tokens[0]] = (float(tokens[1]), float(tokens[2]))
+            except ValueError:
+                pass  # layout hints only; ignore malformed ones
+    return coordinates
+
 
 def parse_inp(text: str) -> WdnNetwork:
     """Parse the topology sections of an EPANET INP file.
@@ -85,7 +105,7 @@ def parse_inp(text: str) -> WdnNetwork:
     """
     nodes, links = [], []
     node_lines, link_lines = {}, {}
-    coordinates = {}
+    coordinate_lines = []
     seen_link_section = False
     # the current section, resolved at its header: the kind its records take, if any
     node_kind = link_kind = None
@@ -94,6 +114,9 @@ def parse_inp(text: str) -> WdnNetwork:
     # lines end at "\n" alone (a trailing "\r" is whitespace): str.splitlines would also
     # break at form feeds and other separators that may sit inside a comment
     for lineno, raw in enumerate(text.split("\n"), start=1):
+        if in_coordinates and "[" not in raw:  # kept whole; a line holding "[" may be a header
+            coordinate_lines.append(raw)
+            continue
         if ";" in raw:
             raw = raw.partition(";")[0]
         tokens = raw.split()
@@ -123,11 +146,7 @@ def parse_inp(text: str) -> WdnNetwork:
             link_lines[label] = lineno
             links.append(Link(label, link_kind, from_label, to_label))
         elif in_coordinates:
-            if len(tokens) >= 3:
-                try:
-                    coordinates[tokens[0]] = (float(tokens[1]), float(tokens[2]))
-                except ValueError:
-                    pass  # layout hints only; ignore malformed ones
+            coordinate_lines.append(raw)
 
     if not seen_link_section:
         raise ParseError("no link section ([PIPES], [PUMPS] or [VALVES]) found")
@@ -138,7 +157,9 @@ def parse_inp(text: str) -> WdnNetwork:
                     f"link {link.label!r} references undeclared node {endpoint!r}",
                     link_lines[link.label],
                 )
-    return WdnNetwork(tuple(nodes), tuple(links), coordinates)
+    net = WdnNetwork(tuple(nodes), tuple(links))
+    net._coordinate_lines = coordinate_lines
+    return net
 
 
 def to_inp_text(net: WdnNetwork) -> str:

@@ -114,6 +114,23 @@ def random_wdn_pattern(seed: int, h_min: int = 2, h_max: int = 18) -> PatternMat
     return structured_pattern(inc)
 
 
+def tree_inp_text(n_h: int, seed: int = 0) -> str:
+    """INP text of a random tree network on ``n_h`` junctions."""
+    rng = random.Random(seed)
+    lines = ["[JUNCTIONS]"] + [f" J{i} 0" for i in range(n_h)] + ["[PIPES]"]
+    lines += [f" P{i} J{rng.randrange(i)} J{i} 100 300 100" for i in range(1, n_h)]
+    return "\n".join(lines) + "\n"
+
+
+def cyclic_inp_text(n_h: int, chords: int, seed: int = 0) -> str:
+    """``tree_inp_text(n_h, seed)`` plus ``chords`` pipes between distinct random junction pairs."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < chords:
+        pairs.add(tuple(sorted(rng.sample(range(n_h), 2))))
+    return tree_inp_text(n_h, seed) + "".join(f" C{k} J{i} J{j} 100 300 100\n" for k, (i, j) in enumerate(sorted(pairs)))
+
+
 def random_symmetric_pattern(seed: int, n_min: int = 2, n_max: int = 60) -> PatternMatrix:
     """Arbitrary symmetric pattern: random edges of both kinds, any diagonal."""
     rng = random.Random(seed)

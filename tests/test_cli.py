@@ -1,6 +1,7 @@
 import ast
 import collections
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strucsense
-from strucsense.cli import main
+from strucsense.cli import load_input, main
 from strucsense.pattern import PatternMatrix
 from strucsense.wdn import to_inp_text
-from generators import wdn_networks
+from generators import cyclic_inp_text, wdn_networks
 
 
 def run_cli(capsys, *argv):
@@ -934,3 +935,120 @@ class TestParserReuse:
             env={**os.environ, "PYTHONPATH": source_pythonpath()},
         )
         assert captured_main(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+FIXTURE_NAMES = sorted(p.name for p in (Path(__file__).resolve().parent.parent / "fixtures").iterdir())
+EVERY_COMMAND = [
+    ["info", "{path}", "--format", "json"],
+    ["place", "{path}", "--format", "json"],
+    ["place", "{path}", "--mode", "tree", "--format", "json"],
+    ["certify", "{path}", "--sensors", "0", "--format", "json"],
+    ["oracle", "{path}"],
+    ["minimize", "{path}"],
+    *[["export-dot", "{path}", "--stage", stage] for stage in ("graph", "tree", "placement", "trace")],
+    ["bench", "{path}"],
+]
+
+
+def cyclic_garbage_of_a_second_run(argv: list) -> int:
+    """Objects the cyclic collector frees after a command's second in-process run.
+
+    The first run pays the one-time costs, such as numpy's first import, which
+    leaves unreachable objects of its own behind.
+    """
+    captured_main(*argv)
+    gc.collect()
+    captured_main(*argv)
+    return gc.collect()
+
+
+def refused_1x_network(tmp_path) -> str:
+    """A 1x L-town-size network whose leaf placement does not certify, so ``place`` exits 2."""
+    path = tmp_path / "refused.inp"
+    path.write_text(cyclic_inp_text(782, 124, seed=3))
+    return str(path)
+
+
+def malformed_network(tmp_path) -> str:
+    path = tmp_path / "malformed.inp"
+    path.write_text("[JUNCTIONS]\n a 1\n")  # no link section: exit 1
+    return str(path)
+
+
+class TestCycleFree:
+    """Every command's structures are freed by reference counting, so pausing the cyclic collector is safe."""
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_commands_leave_no_cyclic_garbage(self, argv, name, fixtures_dir):
+        argv = [a.format(path=fixtures_dir / name) for a in argv]
+        assert cyclic_garbage_of_a_second_run(argv) == 0
+
+    def test_refused_placement_leaves_no_cyclic_garbage(self, tmp_path):
+        argv = ["place", refused_1x_network(tmp_path), "--format", "json"]
+        assert captured_main(*argv)[0] == 2
+        assert cyclic_garbage_of_a_second_run(argv) == 0
+
+    @pytest.mark.parametrize("command", ["info", "place"])
+    def test_input_error_leaves_no_cyclic_garbage(self, command, tmp_path):
+        argv = [command, malformed_network(tmp_path)]
+        assert captured_main(*argv)[0] == 1
+        assert cyclic_garbage_of_a_second_run(argv) == 0
+
+
+class TestCollectorPaused:
+    """``main`` pauses the cyclic collector around the command and restores the caller's setting."""
+
+    def exits(self, fixtures_dir, tmp_path) -> list:
+        return [
+            (["place", str(fixtures_dir / "two_loop.inp"), "--format", "json"], 0),
+            (["place", malformed_network(tmp_path)], 1),
+            (["place", refused_1x_network(tmp_path), "--format", "json"], 2),
+        ]
+
+    def test_enabled_again_after_every_exit_code(self, fixtures_dir, tmp_path):
+        for argv, code in self.exits(fixtures_dir, tmp_path):
+            assert gc.isenabled()
+            assert captured_main(*argv)[0] == code
+            assert gc.isenabled()
+
+    def test_enabled_again_after_an_unexpected_exception(self, fixtures_dir, monkeypatch):
+        def broken(path):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(strucsense.cli, "load_input", broken)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["info", str(fixtures_dir / "two_loop.inp")])
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_it_keeps_it_disabled(self, fixtures_dir, tmp_path, monkeypatch):
+        gc.disable()
+        try:
+            for argv, code in self.exits(fixtures_dir, tmp_path):
+                assert captured_main(*argv)[0] == code
+                assert not gc.isenabled()
+            monkeypatch.setattr(strucsense.cli, "load_input", lambda path: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                main(["info", str(fixtures_dir / "two_loop.inp")])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_no_cyclic_pass_inside_a_1x_place(self, tmp_path):
+        path = refused_1x_network(tmp_path)
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            load_input(path)  # with the collector on, loading alone allocates enough to trigger passes
+            outside = len(passes)
+            code = captured_main("place", path, "--format", "json")[0]
+        finally:
+            gc.callbacks.remove(count)
+        assert outside > 0
+        assert code == 2
+        assert len(passes) == outside

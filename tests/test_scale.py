@@ -9,7 +9,6 @@ and the refusal it prints when the placement does not certify.
 
 import contextlib
 import io
-import random
 import statistics
 import time
 import tracemalloc
@@ -29,24 +28,7 @@ from strucsense import (
 from strucsense.cli import load_input, main
 from strucsense.forcing import build_observability_graph, replay_trace
 from strucsense.wdn import parse_inp, write_incidence_csv
-from generators import random_symmetric_pattern
-
-
-def tree_inp_text(n_h: int, seed: int = 0) -> str:
-    """INP text of a random tree network on ``n_h`` junctions."""
-    rng = random.Random(seed)
-    lines = ["[JUNCTIONS]"] + [f" J{i} 0" for i in range(n_h)] + ["[PIPES]"]
-    lines += [f" P{i} J{rng.randrange(i)} J{i} 100 300 100" for i in range(1, n_h)]
-    return "\n".join(lines) + "\n"
-
-
-def cyclic_inp_text(n_h: int, chords: int, seed: int = 0) -> str:
-    """``tree_inp_text(n_h, seed)`` plus ``chords`` pipes between distinct random junction pairs."""
-    rng = random.Random(seed)
-    pairs = set()
-    while len(pairs) < chords:
-        pairs.add(tuple(sorted(rng.sample(range(n_h), 2))))
-    return tree_inp_text(n_h, seed) + "".join(f" C{k} J{i} J{j} 100 300 100\n" for k, (i, j) in enumerate(sorted(pairs)))
+from generators import cyclic_inp_text, random_symmetric_pattern, tree_inp_text
 
 
 def test_cyclic_certificate_at_benchmark_scale(tmp_path):

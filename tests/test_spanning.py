@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strucsense import (
     PatternMatrix,
@@ -34,6 +36,27 @@ def recursive_reference_tree(g: StateGraph) -> set:
         if not visited[root]:
             visit(root)
     return edges
+
+
+def edge_set_degrees(t) -> list:
+    """Tree degree per node counted over the undirected edge set, the reference for ``degrees``."""
+    deg = [0] * t.n
+    for (i, j) in t.tree_edges:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 30) -> StateGraph:
+    """Random directed pairs, self-loops and unknown edges included: often disconnected, with isolated nodes."""
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return StateGraph(0)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    star = frozenset(draw(st.lists(pair, max_size=2 * n)))
+    unknown = frozenset(draw(st.lists(pair, max_size=n))) - star
+    return StateGraph(n, star, unknown)
 
 
 def union_find_acyclic(edges) -> bool:
@@ -131,6 +154,20 @@ class TestSpanningTree:
     def test_degrees_count_tree_edges_only(self):
         t = spanning_tree_dfs(from_pattern(TRIANGLE))
         assert t.degrees() == [1, 2, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_graphs())
+    def test_degrees_from_parents_match_the_edge_set(self, g):
+        t = spanning_tree_dfs(g)
+        assert t.degrees() == edge_set_degrees(t)
+
+    def test_degrees_of_isolated_nodes_and_disconnected_forests(self):
+        # components {0, 1, 2}, {3, 4}, and isolated 5 and 6 (6 carries only a self-loop)
+        pairs = {(0, 1), (1, 2), (2, 0), (3, 4), (6, 6)}
+        g = StateGraph(7, frozenset(pairs | {(j, i) for (i, j) in pairs}))
+        t = spanning_tree_dfs(g)
+        assert t.roots == (0, 3, 5, 6)
+        assert t.degrees() == edge_set_degrees(t) == [1, 2, 1, 1, 1, 0, 0]
 
 
 class TestRemovedChords:

@@ -21,7 +21,7 @@ from strucsense import (
 )
 import strucsense.wdn
 from strucsense.cli import main
-from strucsense.wdn import MAX_EDGE_LIST_STATES, to_inp_text, write_incidence_csv
+from strucsense.wdn import MAX_EDGE_LIST_STATES, WdnNetwork, to_inp_text, write_incidence_csv
 from generators import TRIANGLE_WDN_INC, wdn_networks
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -146,6 +146,88 @@ class TestParseInp:
         assert [(l.from_label, l.to_label) for l in again.links] == [
             (l.from_label, l.to_label) for l in net.links
         ]
+
+
+def eager_coordinates(text: str) -> dict:
+    """The ``[COORDINATES]`` rows, every one parsed as it is read: the reference for the lazy parse."""
+    coordinates, inside = {}, False
+    for raw in text.split("\n"):
+        raw = raw.partition(";")[0]
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if tokens[0][0] == "[":
+            inside = raw.strip().strip("[]").strip().upper() == "COORDINATES"
+        elif inside and len(tokens) >= 3:
+            try:
+                coordinates[tokens[0]] = (float(tokens[1]), float(tokens[2]))
+            except ValueError:
+                pass
+    return coordinates
+
+
+COORDINATE_CASES = {
+    "comments and blanks": "[COORDINATES]\n;Node X Y\n\n a 1 2 ; pinned\n\n\t\r\n b 3.5 -4\r\n c;d 1 2\n e 5 6;7\n",
+    "malformed floats": "[COORDINATES]\n a x 2\n b 1 y\n c 1\n d 1e400 -0\n b 5 6 7\n a 0x1 2\n",
+    "bracket in a comment": "[COORDINATES]\n a 1 2 ; [moved]\n b [3 4\n c 5 6 [7]\n ; [note]\n",
+    "header after": "[COORDINATES]\n a 1 2\n[PIPES]\n p2 b a 1\n [ coordinates ] ; again\n b 7 8\n[END]\n a 9 9\n",
+}
+
+
+class TestLazyCoordinates:
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.inp")))
+    def test_fixtures_match_the_eager_parse(self, name):
+        text = (FIXTURES / name).read_text()
+        net = parse_inp(text)
+        assert "coordinates" not in vars(net)
+        assert net.coordinates == eager_coordinates(text)
+        assert net == WdnNetwork(net.nodes, net.links, eager_coordinates(text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(wdn_networks())
+    def test_generated_networks_match_the_eager_parse(self, net):
+        text = to_inp_text(net)
+        assert parse_inp(text).coordinates == eager_coordinates(text) == net.coordinates
+
+    @pytest.mark.parametrize("case", sorted(COORDINATE_CASES))
+    def test_hand_cases_match_the_eager_parse(self, case):
+        text = MINIMAL + COORDINATE_CASES[case]
+        assert parse_inp(text).coordinates == eager_coordinates(text)
+
+    def test_hand_cases_read_as_expected(self):
+        coordinates = {case: parse_inp(MINIMAL + text).coordinates for case, text in COORDINATE_CASES.items()}
+        assert coordinates["comments and blanks"] == {"a": (1.0, 2.0), "b": (3.5, -4.0), "e": (5.0, 6.0)}
+        assert coordinates["malformed floats"] == {"d": (float("inf"), 0.0), "b": (5.0, 6.0)}
+        assert coordinates["bracket in a comment"] == {"a": (1.0, 2.0), "c": (5.0, 6.0)}
+        assert coordinates["header after"] == {"a": (1.0, 2.0), "b": (7.0, 8.0)}
+
+    def test_a_header_after_the_section_still_opens_its_own(self):
+        net = parse_inp(MINIMAL + COORDINATE_CASES["header after"])
+        assert [(l.label, l.from_label, l.to_label) for l in net.links] == [("p1", "a", "b"), ("p2", "b", "a")]
+
+    def test_errors_after_the_section_keep_their_line(self):
+        text = MINIMAL + "[COORDINATES]\n a 1 2\n ; [x]\n[PIPES]\n p2 a zz 1\n"
+        with pytest.raises(ParseError, match="undeclared node 'zz'") as err:
+            parse_inp(text)
+        assert err.value.line == text.split("\n").index(" p2 a zz 1") + 1
+
+    def test_parsed_once_then_kept(self, monkeypatch):
+        calls = []
+        parse = strucsense.wdn._parse_coordinates
+        monkeypatch.setattr(strucsense.wdn, "_parse_coordinates", lambda lines: calls.append(1) or parse(lines))
+        net = parse_inp(MINIMAL + COORDINATE_CASES["comments and blanks"])
+        assert calls == []
+        assert net.coordinates is net.coordinates
+        assert calls == [1]
+
+    @pytest.mark.parametrize("command", ["info", "place"])
+    def test_info_and_place_never_parse_them(self, command, fixtures_dir, monkeypatch):
+        def refuse(lines):
+            raise AssertionError("coordinates parsed")
+
+        monkeypatch.setattr(strucsense.wdn, "_parse_coordinates", refuse)
+        for fmt in ("json", "csv", "text"):
+            assert main([command, str(fixtures_dir / "triangle_wdn.inp"), "--format", fmt]) == 0
 
 
 class TestIncidence:
@@ -362,6 +444,16 @@ class TestFuzz:
             assert err.line is not None or str(err).startswith("no link section")
         except ValueError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(INP_TEXTS)
+    def test_parse_inp_coordinates_match_the_eager_parse(self, text):
+        try:
+            net = parse_inp(text)
+        except ValueError:
+            return
+        # repr, since a "nan" coordinate is unequal to itself
+        assert repr(net.coordinates) == repr(eager_coordinates(text))
 
     @settings(max_examples=300, deadline=None)
     @given(EDGE_LIST_TEXTS)
