@@ -19,15 +19,20 @@ from .pattern import PatternMatrix
 from .spanning import SpanningTree, removed_chords, spanning_tree_dfs
 
 
+def _check_measured(measured: tuple, n_states: int) -> None:
+    """Reject repeated indices, then the first index outside ``0..n_states - 1``; bulk checks, one pass on failure."""
+    if len(set(measured)) != len(measured):
+        raise ValueError("duplicate measured indices")
+    if measured and not (0 <= min(measured) and max(measured) < n_states):
+        bad = next(i for i in measured if not (0 <= i < n_states))
+        raise ValueError(f"measured index {bad} outside 0..{n_states - 1}")
+
+
 class SensorPlacement:
     """Ordered, distinct measured state indices plus the strategy used."""
 
     def __init__(self, measured: tuple, n_states: int, mode: str):
-        if len(set(measured)) != len(measured):
-            raise ValueError("duplicate measured indices")
-        for i in measured:
-            if not (0 <= i < n_states):
-                raise ValueError(f"measured index {i} outside 0..{n_states - 1}")
+        _check_measured(measured, n_states)
         self.measured, self.n_states = measured, n_states
         self.mode = mode  # "tree", "cyclic", or "given" (user-proposed sensors)
 
@@ -111,11 +116,8 @@ def build_output_pattern(p: SensorPlacement, n_states: int) -> PatternMatrix:
     No column carries two stars, so every numeric realization with unit
     stars has full row rank.
     """
-    star = frozenset((row, state) for row, state in enumerate(p.measured))
-    for i in p.measured:
-        if not (0 <= i < n_states):
-            raise ValueError(f"measured index {i} outside 0..{n_states - 1}")
-    return PatternMatrix(p.n_y, n_states, star, frozenset())
+    _check_measured(p.measured, n_states)
+    return PatternMatrix(p.n_y, n_states, frozenset(enumerate(p.measured)), frozenset())
 
 
 def count_bounds_ok(n_e: int, cycles: int, sensors: int) -> bool:
@@ -138,7 +140,7 @@ def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> S
     degree below two; the report's ``n_e_graph`` stays ``classify_nodes``'
     extreme-node count, whose degrees count unknown edges too.
     """
-    cycles = sum(map(len, g.star_nbrs)) // 2 - len(t.tree_edges)
+    cycles = sum(map(len, g.star_nbrs)) // 2 - (t.n - len(t.roots))  # one tree edge per non-root node
     must = sum(len(nbrs) < 2 for nbrs in g.star_nbrs)
     return SensorCountReport(classify_nodes(g).n_e, cycles, p.n_y, count_bounds_ok(must, cycles, p.n_y))
 

@@ -15,15 +15,23 @@ from .netgraph import StateGraph
 
 
 class SpanningTree(NamedTuple):
-    """Spanning forest: parent pointers, per-component roots, undirected edges."""
+    """Spanning forest: parent pointers and per-component roots."""
 
-    parent: tuple          # parent index per node, None at roots
+    parent: tuple  # parent index per node, None at roots
     roots: tuple
-    tree_edges: frozenset  # undirected pairs stored as (min, max)
 
     @property
     def n(self) -> int:
         return len(self.parent)
+
+    @property
+    def tree_edges(self) -> frozenset:
+        """Undirected tree edges as (min, max) pairs, built from ``parent`` on every read.
+
+        Placement and its counts never read them: one tree edge joins each
+        non-root node to its parent, so their number is ``n - len(roots)``.
+        """
+        return frozenset((p, v) if p < v else (v, p) for v, p in enumerate(self.parent) if p is not None)
 
     def degrees(self) -> list:
         """Tree degree per node: its children, plus its parent unless it is a root.
@@ -78,16 +86,15 @@ def spanning_tree_dfs(g: StateGraph) -> SpanningTree:
                 path.pop()
                 frames.pop()
 
-    tree_edges = frozenset((p, v) if p < v else (v, p) for v, p in enumerate(parent) if p is not None)
-    return SpanningTree(tuple(parent), tuple(roots), tree_edges)
+    return SpanningTree(tuple(parent), tuple(roots))
 
 
 def removed_chords(g: StateGraph, t: SpanningTree) -> set:
     """Star edges of ``g`` (self-loops excluded) that the tree dropped."""
     if t.n != g.n:
         raise ValueError(f"tree over {t.n} nodes does not match graph with {g.n}")
-    pairs = g.undirected_star_pairs()
-    if not t.tree_edges <= pairs:
-        stray = min(t.tree_edges - pairs)
+    pairs, edges = g.undirected_star_pairs(), t.tree_edges
+    if not edges <= pairs:
+        stray = min(edges - pairs)
         raise ValueError(f"tree edge {stray} is not a star edge of the graph")
-    return pairs - t.tree_edges
+    return pairs - edges

@@ -48,7 +48,12 @@ class Link(NamedTuple):
 
 
 class WdnNetwork:
-    """Topological view of a water network: labeled nodes and links, in file order."""
+    """Topological view of a water network: labeled nodes and links, in file order.
+
+    The rows (``nodes``, ``links``) and their columns each derive from the
+    other on first read: the constructor takes rows, ``parse_inp`` fills the
+    columns, and neither ``info`` nor ``place`` reads a row.
+    """
 
     def __init__(self, nodes: tuple, links: tuple, coordinates: dict | None = None):
         self.nodes, self.links = nodes, links
@@ -63,18 +68,47 @@ class WdnNetwork:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self._node_columns[0])
 
     @property
     def n_links(self) -> int:
-        return len(self.links)
+        return len(self._link_columns[0])
 
     def node_index(self, label: str) -> int:
         return self._node_lookup[label]
 
+    # rows are built by tuple.__new__ in C, as NamedTuple._make builds them: no Python-level call per row
+    @cached_property
+    def nodes(self) -> tuple:
+        labels, kinds = self._node_columns
+        return tuple(map(tuple.__new__, [HydraulicNode] * len(labels), zip(labels, kinds)))
+
+    @cached_property
+    def links(self) -> tuple:
+        labels, kinds, froms, tos = self._link_columns
+        return tuple(map(tuple.__new__, [Link] * len(labels), zip(labels, kinds, froms, tos)))
+
+    @cached_property
+    def _node_columns(self) -> tuple:
+        """Node labels and kinds, in node order."""
+        return tuple(zip(*self.nodes)) or ((), ())
+
+    @cached_property
+    def _link_columns(self) -> tuple:
+        """Link labels, kinds, from-node labels and to-node labels, in link order."""
+        return tuple(zip(*self.links)) or ((), (), (), ())
+
     @cached_property
     def _node_lookup(self) -> dict:
-        return {node.label: i for i, node in enumerate(self.nodes)}
+        labels = self._node_columns[0]
+        return dict(zip(labels, range(len(labels))))
+
+    @cached_property
+    def _link_ends(self) -> tuple:
+        """Node indices of the links' from-nodes and of their to-nodes, in link order."""
+        _, _, froms, tos = self._link_columns
+        node = self._node_lookup
+        return tuple(map(node.__getitem__, froms)), tuple(map(node.__getitem__, tos))
 
     @cached_property
     def coordinates(self) -> dict:
@@ -95,6 +129,69 @@ def _parse_coordinates(lines) -> dict:
     return coordinates
 
 
+def _sections(text: str, lines: list) -> list:
+    """``(name, first body line, end line)`` per section header, in file order; indices into ``lines``.
+
+    A header is a line whose first token, once its comment is cut, starts
+    with "[": only the lines holding a "[" are looked at, found by scanning
+    ``text``. Its body runs to the next header or the end of the text.
+    """
+    headers, lineno, start = [], 0, 0
+    pos = text.find("[")
+    while pos >= 0:
+        lineno += text.count("\n", start, pos)
+        raw = lines[lineno].partition(";")[0]
+        tokens = raw.split(None, 1)
+        if tokens and tokens[0][0] == "[":
+            headers.append((raw.strip().strip("[]").strip().upper(), lineno))
+        start = text.find("\n", pos)
+        if start < 0:
+            break
+        pos = text.find("[", start)
+    ends = [line for _, line in headers[1:]] + [len(lines)]
+    return [(name, line + 1, end) for (name, line), end in zip(headers, ends)]
+
+
+def _first_error(lines: list, sections: list) -> ParseError:
+    """The error of a text a bulk check refused, found line by line.
+
+    Precedence: the first offending node or link line in file order (on a
+    link line: too few fields, then a duplicate label, then a self-loop),
+    then a missing link section, then the first undeclared endpoint in link
+    order, from-node before to-node.
+    """
+    node_labels, link_ends = set(), {}  # link label -> (line, from label, to label)
+    for name, start, end in sections:
+        is_node = name in _NODE_SECTIONS
+        if not is_node and name not in _LINK_SECTIONS:
+            continue
+        for lineno, raw in enumerate(lines[start:end], start + 1):
+            raw = raw.partition(";")[0]
+            tokens = raw.split()
+            if not tokens:
+                continue
+            label = tokens[0]
+            if is_node:
+                if label in node_labels:
+                    return ParseError(f"duplicate node label {label!r}", lineno)
+                node_labels.add(label)
+            elif len(tokens) < 3:
+                return ParseError(f"link line needs id and two endpoints: {raw.strip()!r}", lineno)
+            elif label in link_ends:
+                return ParseError(f"duplicate link label {label!r}", lineno)
+            elif tokens[1] == tokens[2]:
+                return ParseError(f"link {label!r} connects node {tokens[1]!r} to itself", lineno)
+            else:
+                link_ends[label] = (lineno, tokens[1], tokens[2])
+    if not any(name in _LINK_SECTIONS for name, _, _ in sections):
+        return ParseError("no link section ([PIPES], [PUMPS] or [VALVES]) found")
+    for label, (lineno, *endpoints) in link_ends.items():
+        for endpoint in endpoints:
+            if endpoint not in node_labels:
+                return ParseError(f"link {label!r} references undeclared node {endpoint!r}", lineno)
+    raise AssertionError("a bulk check refused a text that the line-by-line checks accept")
+
+
 def parse_inp(text: str) -> WdnNetwork:
     """Parse the topology sections of an EPANET INP file.
 
@@ -102,63 +199,55 @@ def parse_inp(text: str) -> WdnNetwork:
     are skipped, unknown sections are ignored. At least one link section
     (pipes, pumps, or valves) must be present; endpoints must resolve to
     declared nodes; labels must be unique within nodes and within links.
-    """
-    nodes, links = [], []
-    node_lines, link_lines = {}, {}
-    coordinate_lines = []
-    seen_link_section = False
-    # the current section, resolved at its header: the kind its records take, if any
-    node_kind = link_kind = None
-    in_coordinates = False
 
+    The text is split into lines once; each section body is tokenised in one
+    comprehension, keeping only the fields read, and checked in bulk. Each
+    link's endpoints are resolved to node indices here, once, and kept on
+    the network. Only a text some check refuses is walked line by line,
+    to report its first offending line.
+    """
     # lines end at "\n" alone (a trailing "\r" is whitespace): str.splitlines would also
     # break at form feeds and other separators that may sit inside a comment
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if in_coordinates and "[" not in raw:  # kept whole; a line holding "[" may be a header
-            coordinate_lines.append(raw)
-            continue
-        if ";" in raw:
-            raw = raw.partition(";")[0]
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if tokens[0][0] == "[":
-            name = raw.strip().strip("[]").strip().upper()
-            node_kind, link_kind = _NODE_SECTIONS.get(name), _LINK_SECTIONS.get(name)
-            in_coordinates = name == "COORDINATES"
-            if link_kind is not None:
-                seen_link_section = True
-            continue
-        if node_kind is not None:
-            label = tokens[0]
-            if label in node_lines:
-                raise ParseError(f"duplicate node label {label!r}", lineno)
-            node_lines[label] = lineno
-            nodes.append(HydraulicNode(label, node_kind))
-        elif link_kind is not None:
-            if len(tokens) < 3:
-                raise ParseError(f"link line needs id and two endpoints: {raw.strip()!r}", lineno)
-            label, from_label, to_label = tokens[0], tokens[1], tokens[2]
-            if label in link_lines:
-                raise ParseError(f"duplicate link label {label!r}", lineno)
-            if from_label == to_label:
-                raise ParseError(f"link {label!r} connects node {from_label!r} to itself", lineno)
-            link_lines[label] = lineno
-            links.append(Link(label, link_kind, from_label, to_label))
-        elif in_coordinates:
-            coordinate_lines.append(raw)
+    lines = text.split("\n")
+    sections = _sections(text, lines)
+    node_labels, node_kinds, link_rows, link_kinds, coordinate_lines = [], [], [], [], []
+    for name, start, end in sections:
+        if name in _NODE_SECTIONS:
+            labels = [tokens[0] for raw in lines[start:end] if (tokens := raw.partition(";")[0].split(None, 1))]
+            node_labels += labels
+            node_kinds += [_NODE_SECTIONS[name]] * len(labels)
+        elif name in _LINK_SECTIONS:
+            rows = [tokens for raw in lines[start:end] if (tokens := raw.partition(";")[0].split(None, 3))]
+            link_rows += rows
+            link_kinds += [_LINK_SECTIONS[name]] * len(rows)
+        elif name == "COORDINATES":
+            coordinate_lines += lines[start:end]
 
-    if not seen_link_section:
-        raise ParseError("no link section ([PIPES], [PUMPS] or [VALVES]) found")
-    for link in links:
-        for endpoint in (link.from_label, link.to_label):
-            if endpoint not in node_lines:
-                raise ParseError(
-                    f"link {link.label!r} references undeclared node {endpoint!r}",
-                    link_lines[link.label],
-                )
-    net = WdnNetwork(tuple(nodes), tuple(links))
-    net._coordinate_lines = coordinate_lines
+    node = dict(zip(node_labels, range(len(node_labels))))
+    link_labels = froms = tos = ()  # the columns of well-formed link lines
+    if link_rows and min(map(len, link_rows)) >= 3:
+        columns = zip(*link_rows)
+        link_labels, froms, tos = next(columns), next(columns), next(columns)
+    ends = tuple(map(node.get, froms)), tuple(map(node.get, tos))
+    if (
+        len(node) < len(node_labels)
+        or len(link_labels) < len(link_rows)  # a line with too few fields
+        or len(set(link_labels)) < len(link_labels)
+        or any(map(str.__eq__, froms, tos))
+        or not any(name in _LINK_SECTIONS for name, _, _ in sections)
+        or None in ends[0]
+        or None in ends[1]
+    ):
+        raise _first_error(lines, sections)
+
+    net = object.__new__(WdnNetwork)  # the rows are derived from these columns if read
+    net.__dict__.update(
+        _node_columns=(node_labels, node_kinds),
+        _link_columns=(link_labels, link_kinds, froms, tos),
+        _node_lookup=node,
+        _link_ends=ends,
+        _coordinate_lines=coordinate_lines,
+    )
     return net
 
 
@@ -204,9 +293,9 @@ def write_incidence_csv(net: WdnNetwork, path) -> None:
     with no nodes writes one empty line.
     """
     ends = [[] for _ in range(net.n_nodes)]  # (link, entry) pairs per node
-    for j, link in enumerate(net.links):
-        ends[net.node_index(link.from_label)].append((j, "1"))
-        ends[net.node_index(link.to_label)].append((j, "-1"))
+    for j, (a, b) in enumerate(zip(*net._link_ends)):
+        ends[a].append((j, "1"))
+        ends[b].append((j, "-1"))
     with open(path, "w") as f:
         for entries in ends:
             row = ["0"] * net.n_links
@@ -228,10 +317,9 @@ def state_graph(net: WdnNetwork) -> StateGraph:
     sorted. ``to_pattern`` of the graph is the structured pattern; the
     pattern and the graph's edge sets are built only if read.
     """
-    m, node = net.n_links, net._node_lookup
+    m = net.n_links
     flows, heads = [], [[] for _ in range(net.n_nodes)]
-    for j, link in enumerate(net.links):
-        a, b = node[link.from_label], node[link.to_label]
+    for j, (a, b) in enumerate(zip(*net._link_ends)):
         if a > b:
             a, b = b, a
         flows.append((m + a, m + b))
@@ -243,7 +331,7 @@ def state_graph(net: WdnNetwork) -> StateGraph:
 
 def structured_state_labels(net: WdnNetwork) -> list:
     """State labels matching the structured pattern's ordering."""
-    return [f"q:{link.label}" for link in net.links] + [f"h:{node.label}" for node in net.nodes]
+    return ["q:" + label for label in net._link_columns[0]] + ["h:" + label for label in net._node_columns[0]]
 
 
 def _is_int(value) -> bool:

@@ -241,6 +241,20 @@ class TestPlace:
         assert_no_state_pattern(bundles, shapes)
         assert shapes == [(2, 8)]  # the output pattern only
 
+    @pytest.mark.parametrize("name", ["triangle_wdn.inp", "two_loop.inp", "cyclic9.json", "star_k13.json"])
+    def test_the_tree_edge_set_is_never_built(self, capsys, fixtures_dir, monkeypatch, name):
+        def refuse(tree):
+            raise AssertionError("tree edge set built")
+
+        monkeypatch.setattr(strucsense.spanning.SpanningTree, "tree_edges", property(refuse))
+        for fmt in ("json", "csv", "text"):
+            code, out, _ = run_cli(capsys, "place", str(fixtures_dir / name), "--format", fmt)
+            assert code == 0 and out
+        code, _, _ = run_cli(capsys, "bench", str(fixtures_dir / name))
+        assert code == 0
+        with pytest.raises(AssertionError, match="tree edge set built"):  # the patch is live
+            strucsense.spanning_tree_dfs(load_input(str(fixtures_dir / name)).graph).tree_edges
+
     def test_companion_graph_shares_the_compiled_lists(self, capsys, fixtures_dir, monkeypatch):
         derive, graphs = strucsense.forcing.ClosureGraph.companion, []
 
@@ -1052,3 +1066,24 @@ class TestCollectorPaused:
         assert outside > 0
         assert code == 2
         assert len(passes) == outside
+
+
+class TestStageTimesScript:
+    def test_one_json_line_per_input_with_every_stage(self, fixtures_dir):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "stage_times.py"
+        paths = [str(fixtures_dir / "triangle_wdn.inp"), str(fixtures_dir / "two_loop.inp")]
+        proc = subprocess.run(
+            [sys.executable, str(script), "--repeats", "2", *paths],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": source_pythonpath()},
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [row["path"] for row in rows] == paths
+        stages = ("parse_inp", "state_graph", "labels", "check_preconditions", "paper", "certify_sso", "counts",
+                  "place_cmd", "info_cmd")
+        for row in rows:
+            assert set(row) == {"path", "states", "repeats", "json_output", *stages}
+            assert row["repeats"] == 2 and all(row[stage] >= 0 for stage in stages)
+        assert rows[0]["states"] == 8

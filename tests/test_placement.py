@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,14 @@ from strucsense import (
     place_cyclic,
     parse_edge_list,
     place_tree,
+    removed_chords,
     sensor_count_report,
     spanning_tree_dfs,
 )
+from strucsense.cli import load_input
 from generators import TRIANGLE_WDN_INC, random_tree_pattern, structured_pattern
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
 
 
@@ -197,6 +202,16 @@ class TestSensorCountReport:
         assert run.placement.measured == measured
         assert run.certificate.sso
         assert run.counts == (n_e, 0, len(measured), True)
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.iterdir()))
+    def test_cycles_on_every_fixture(self, name):
+        """The cycle count read off the roots equals the chords the forest drops and the graph's cycle count."""
+        bundle = load_input(str(FIXTURES / name))
+        run = PipelineRun(bundle.graph)
+        g, t = bundle.graph, run.tree
+        chords = len(g.undirected_star_pairs()) - len(t.tree_edges)
+        assert run.counts.cycles == chords == len(removed_chords(g, t)) == cycle_count(g)
+        assert run.counts == sensor_count_report(g, t, run.placement)
 
     def test_documented_benchmark_rows_satisfy_bounds(self):
         # counts reported for the published benchmark networks

@@ -4,9 +4,11 @@ from hypothesis import strategies as st
 
 from strucsense import (
     PatternMatrix,
+    SpanningTree,
     StateGraph,
     cycle_count,
     from_pattern,
+    place_cyclic,
     removed_chords,
     spanning_tree_dfs,
 )
@@ -192,3 +194,63 @@ class TestRemovedChords:
         other = spanning_tree_dfs(StateGraph(4, frozenset({(0, 1), (1, 0)}), frozenset()))
         with pytest.raises(ValueError):
             removed_chords(g, other)
+
+
+@st.composite
+def forests(draw, max_n: int = 40) -> SpanningTree:
+    """Parent pointers over nodes visited in a random order, each a root or the child of an earlier node.
+
+    Roots with no, one and several children, isolated nodes, and parents
+    on either side of their children in index order all occur.
+    """
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(n)))
+    parent = [None] * n
+    for k, v in enumerate(order):
+        if k and draw(st.integers(0, 3)):
+            parent[v] = order[draw(st.integers(0, k - 1))]
+    return SpanningTree(tuple(parent), tuple(v for v in order if parent[v] is None))
+
+
+def many_components(count: int) -> SpanningTree:
+    """``count`` components of each of four shapes, interleaved: an isolated node, a pair, a path of
+    three rooted at one end, and a root with two children."""
+    parent = []
+    for _ in range(count):
+        base = len(parent)
+        parent += [None]  # isolated
+        parent += [None, base + 1]  # pair
+        parent += [None, base + 3, base + 4]  # path rooted at its end
+        parent += [base + 7, None, base + 7]  # root in the middle, two children
+    return SpanningTree(tuple(parent), tuple(v for v, p in enumerate(parent) if p is None))
+
+
+def degree_leaves(t: SpanningTree) -> tuple:
+    """The leaf rule stated on the edge-set degrees: every node of tree degree below two."""
+    return tuple(v for v, d in enumerate(edge_set_degrees(t)) if d < 2)
+
+
+class TestForestReads:
+    """The forest carries parents and roots only; its edges and leaves are read off ``parent``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(forests())
+    def test_leaves_on_random_forests(self, t):
+        leaves = place_cyclic(StateGraph(t.n), t).measured
+        assert leaves == tuple(v for v, d in enumerate(t.degrees()) if d < 2) == degree_leaves(t)
+
+    def test_leaves_on_thousands_of_components(self):
+        t = many_components(2000)
+        leaves = place_cyclic(StateGraph(t.n), t).measured
+        assert leaves == degree_leaves(t)
+        # per component: the isolated node, both of the pair, the root and the end of the path, the two children
+        assert len(leaves) == 2000 * 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_graphs())
+    def test_edges_on_read_equal_the_eager_set(self, g):
+        t = spanning_tree_dfs(g)
+        assert t._fields == ("parent", "roots")
+        eager = frozenset((p, v) if p < v else (v, p) for v, p in enumerate(t.parent) if p is not None)
+        assert t.tree_edges == eager == frozenset(recursive_reference_tree(g))
+        assert len(t.tree_edges) == t.n - len(t.roots)

@@ -22,7 +22,8 @@ from strucsense import (
 import strucsense.wdn
 from strucsense.cli import main
 from strucsense.wdn import MAX_EDGE_LIST_STATES, WdnNetwork, to_inp_text, write_incidence_csv
-from generators import TRIANGLE_WDN_INC, wdn_networks
+from generators import TRIANGLE_WDN_INC, cyclic_inp_text, wdn_networks
+from inp_reference import parse_inp as reference_parse_inp
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -377,6 +378,178 @@ class TestStateGraph:
         assert g.n == 0 and g.star_edges == frozenset() and g.unknown_edges == frozenset()
 
 
+def parse_outcome(parse, text: str) -> tuple:
+    """A parser's network (nodes, links, coordinates by repr: "nan" is unequal to itself), or its error."""
+    try:
+        net = parse(text)
+    except ParseError as err:
+        return "error", str(err), err.line
+    return "network", net.nodes, net.links, repr(net.coordinates)
+
+
+# INP sections whose lines meet every check the parser makes, or trip one: duplicate nodes or
+# links (also across sections), short link lines, self-loops, undeclared endpoints; and headers
+# behind ";", "[" inside labels and coordinates, form feeds inside comments, text before the
+# first header, repeated sections, "\r" line ends
+_NAMES = st.sampled_from(["a", "b", "c", "a[1", "zz"])
+_QUIET_LINES = st.sampled_from(["", " ", ";", " ; [PIPES]", ";\x0c[VALVES]", " ;\x0cnote"])
+_ODD_LINES = st.sampled_from(["[", "a ; [PUMPS]", " p1 b", " p3 a ; b c", " b 1 ;\x0cx", " b [3 4", " c 5 6 [7]", " a 1e400 -0"])
+_NODE_LINES = st.builds(lambda label, rest: f" {label}{rest}", _NAMES, st.sampled_from(["", " 0", "\t1 ;x", " 2 3"]))
+_LINK_LINES = st.builds(
+    lambda label, ends, rest: f" {label} {ends[0]} {ends[1]}{rest}",
+    st.sampled_from(["p1", "p2", "v1"]),
+    st.tuples(_NAMES, _NAMES),
+    st.sampled_from(["", " 100", " ; c d", "\t1 2 3"]),
+)
+_SECTIONS = st.one_of(
+    st.tuples(
+        st.sampled_from(["[JUNCTIONS]", "[RESERVOIRS]", "[TANKS]"]),
+        st.lists(st.one_of(_NODE_LINES, _NODE_LINES, _QUIET_LINES, _ODD_LINES), max_size=4),
+    ),
+    st.tuples(
+        st.sampled_from(["[PIPES]", "[PUMPS]", "[VALVES]", " [ pipes ] ; again"]),
+        st.lists(st.one_of(_LINK_LINES, _LINK_LINES, _QUIET_LINES, _ODD_LINES), max_size=4),
+    ),
+    st.tuples(
+        st.sampled_from(["[COORDINATES]", "[END]", "[OPTIONS]", "[x 0"]),
+        st.lists(st.one_of(_NODE_LINES, _QUIET_LINES, _ODD_LINES), max_size=3),
+    ),
+)
+INP_FRAGMENT_TEXTS = st.builds(
+    lambda preamble, sections, crlf: ("\r\n" if crlf else "\n").join(
+        preamble + [line for header, lines in sections for line in [header, *lines]]
+    ),
+    st.lists(st.one_of(_QUIET_LINES, _ODD_LINES), max_size=2),
+    st.lists(_SECTIONS, max_size=5),
+    st.booleans(),
+)
+
+
+_HEADERS = st.sampled_from(["[JUNCTIONS]", "[TANKS]", "[PIPES]", "[PUMPS]", "[COORDINATES]", "[END]", " [ valves ] ; x"])
+
+
+@st.composite
+def edited_network_texts(draw) -> str:
+    """A generated network's INP text with up to three lines inserted, most of which trip one check.
+
+    The inserted lines reuse the network's own labels: links between its
+    nodes (self-loops among them), repeated node and link labels, short
+    link lines, headers and comment lines.
+    """
+    net = draw(wdn_networks())
+    lines = to_inp_text(net).split("\n")
+    name = st.sampled_from([node.label for node in net.nodes] + ["zz"])
+    link = st.sampled_from([link.label for link in net.links] + ["q1"])
+    extra = st.one_of(
+        st.builds(lambda label, a, b: f" {label} {a} {b} 1", link, name, name),
+        st.builds(lambda label, a: f" {label} {a}", link, name),
+        st.builds(" {}\t0".format, name),
+        _HEADERS,
+        _QUIET_LINES,
+        _ODD_LINES,
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(extra))
+    return ("\r\n" if draw(st.booleans()) else "\n").join(lines)
+
+
+class TestReferenceParser:
+    """The bulk parser against the line-by-line reference: equal networks, or the same error and line."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(INP_FRAGMENT_TEXTS, edited_network_texts()))
+    def test_generated_texts_parse_as_the_reference_does(self, text):
+        assert parse_outcome(parse_inp, text) == parse_outcome(reference_parse_inp, text)
+
+    @pytest.mark.parametrize("text", [*(path.read_text() for path in sorted(FIXTURES.glob("*.inp"))), MINIMAL, MIXED, ""])
+    def test_fixtures_parse_as_the_reference_does(self, text):
+        assert parse_outcome(parse_inp, text) == parse_outcome(reference_parse_inp, text)
+
+    @pytest.mark.parametrize("command", ["info", "place"])
+    def test_info_and_place_never_build_rows(self, command, fixtures_dir, monkeypatch):
+        def refuse(net):
+            raise AssertionError("rows built")
+
+        monkeypatch.setattr(WdnNetwork, "nodes", property(refuse))
+        monkeypatch.setattr(WdnNetwork, "links", property(refuse))
+        for fmt in ("json", "csv", "text"):
+            assert main([command, str(fixtures_dir / "triangle_wdn.inp"), "--format", fmt]) == 0
+        with pytest.raises(AssertionError, match="rows built"):  # the patch is live
+            parse_inp(MINIMAL).links
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_state_graph_and_labels_match_the_reference_route(self, seed):
+        text = cyclic_inp_text(782, 124, seed)  # L-town's size: 1687 states
+        net, ref = parse_inp(text), reference_parse_inp(text)
+        assert "_link_ends" in vars(net) and "_link_ends" not in vars(ref)  # the reference resolves on first read
+        g, expected = state_graph(net), state_graph(ref)
+        assert g.n == expected.n == 1687
+        for name in ("star_nbrs", "nbrs", "star_out", "out", "inn", "loops"):
+            assert getattr(g, name) == getattr(expected, name), name
+        assert g == expected
+        assert structured_state_labels(net) == structured_state_labels(ref)
+        assert net._link_ends == ref._link_ends and net._node_lookup == ref._node_lookup
+
+
+def parse_error(text: str) -> tuple:
+    with pytest.raises(ParseError) as err:
+        parse_inp(text)
+    return str(err.value), err.value.line
+
+
+class TestParseErrors:
+    """One pin per error kind and per precedence rule: the exact message and line."""
+
+    def test_duplicate_node_across_sections(self):
+        text = "[JUNCTIONS]\n a 0\n[TANKS]\n b 0\n a 0\n[PIPES]\n p a b\n"
+        assert parse_error(text) == ("duplicate node label 'a' (line 5)", 5)
+
+    def test_duplicate_link_across_pipes_and_pumps(self):
+        text = "[JUNCTIONS]\n a\n b\n[PIPES]\n p a b\n[PUMPS]\n p b a HEAD 1\n"
+        assert parse_error(text) == ("duplicate link label 'p' (line 7)", 7)
+
+    def test_short_link_line_quotes_it_without_its_comment(self):
+        text = "[JUNCTIONS]\n a\n[PIPES]\n\t p  a ; b\r\n"
+        assert parse_error(text) == ("link line needs id and two endpoints: 'p  a' (line 4)", 4)
+
+    def test_self_loop(self):
+        text = "[JUNCTIONS]\n a\n[PIPES]\n p a a\n"
+        assert parse_error(text) == ("link 'p' connects node 'a' to itself (line 4)", 4)
+
+    def test_no_link_section_has_no_line(self):
+        assert parse_error("[JUNCTIONS]\n a\n ; [PIPES]\n") == ("no link section ([PIPES], [PUMPS] or [VALVES]) found", None)
+        assert parse_error("") == ("no link section ([PIPES], [PUMPS] or [VALVES]) found", None)
+
+    def test_undeclared_endpoint(self):
+        text = "[JUNCTIONS]\n a\n[PIPES]\n p a zz\n"
+        assert parse_error(text) == ("link 'p' references undeclared node 'zz' (line 4)", 4)
+
+    def test_earliest_line_wins_across_sections(self):
+        # a short link line before a later duplicate node and a later duplicate link
+        text = "[JUNCTIONS]\n a\n b\n[PIPES]\n p a b\n q a\n[RESERVOIRS]\n a\n[PUMPS]\n p b a\n"
+        assert parse_error(text) == ("link line needs id and two endpoints: 'q a' (line 6)", 6)
+        assert parse_error(text.replace(" q a\n", "")) == ("duplicate node label 'a' (line 7)", 7)
+
+    def test_short_line_before_duplicate_before_self_loop_on_one_line(self):
+        base = "[JUNCTIONS]\n a\n b\n[PIPES]\n p a b\n"
+        assert parse_error(base + " p\n") == ("link line needs id and two endpoints: 'p' (line 6)", 6)
+        assert parse_error(base + " p a a\n") == ("duplicate link label 'p' (line 6)", 6)
+        assert parse_error(base + " q a a\n") == ("link 'q' connects node 'a' to itself (line 6)", 6)
+
+    def test_line_errors_before_no_link_section_before_undeclared_endpoints(self):
+        assert parse_error("[JUNCTIONS]\n a\n a\n") == ("duplicate node label 'a' (line 3)", 3)
+        # an undeclared endpoint on an earlier line still yields to a later line's error
+        text = "[JUNCTIONS]\n a\n[PIPES]\n p a zz\n q a a\n"
+        assert parse_error(text) == ("link 'q' connects node 'a' to itself (line 5)", 5)
+
+    def test_undeclared_endpoints_in_link_order_from_before_to(self):
+        text = "[JUNCTIONS]\n a\n[PIPES]\n p a y\n q x z\n"
+        assert parse_error(text) == ("link 'p' references undeclared node 'y' (line 4)", 4)
+        assert parse_error(text.replace(" p a y\n", "")) == ("link 'q' references undeclared node 'x' (line 4)", 4)
+        # a self-loop on an undeclared node is a self-loop
+        assert parse_error(text.replace(" p a y", " p y y")) == ("link 'p' connects node 'y' to itself (line 4)", 4)
+
+
 class TestParseEdgeList:
     def test_path(self):
         g = parse_edge_list('{"n": 3, "star": [[0, 1], [1, 2]]}')
@@ -444,6 +617,11 @@ class TestFuzz:
             assert err.line is not None or str(err).startswith("no link section")
         except ValueError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(INP_TEXTS)
+    def test_parse_inp_matches_the_reference(self, text):
+        assert parse_outcome(parse_inp, text) == parse_outcome(reference_parse_inp, text)
 
     @settings(max_examples=300, deadline=None)
     @given(INP_TEXTS)
