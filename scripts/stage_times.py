@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Median wall time of each pipeline stage on EPANET INP files, one JSON line per input.
 
-    PYTHONPATH=src python scripts/stage_times.py [--repeats N] NET.inp [NET.inp ...]
+    PYTHONPATH=src python scripts/stage_times.py NET.inp [NET.inp ...]
 
-Each stage's inputs are built once; then each of ``--repeats`` rounds runs
+Each stage's inputs are built once; then each of ``REPEATS`` rounds runs
 every stage once, with the cyclic garbage collector paused as
 ``strucsense.cli.main`` pauses it, and each stage is reported as its median
 in milliseconds:
@@ -45,6 +45,7 @@ from strucsense.placement import build_output_pattern, place_cyclic, sensor_coun
 from strucsense.spanning import spanning_tree_dfs
 from strucsense.wdn import parse_inp, state_graph, structured_state_labels
 
+REPEATS = 21  # timed rounds per input; each round runs every stage once
 # the stages ``place`` runs, whose medians ``json_output`` leaves out of ``place_cmd``
 PLACE_STAGES = ("parse_inp", "state_graph", "labels", "paper", "certify_sso", "counts")
 
@@ -60,13 +61,13 @@ def _paper(g):
     return t, p, build_output_pattern(p, g.n)
 
 
-def stage_times(path: str, repeats: int) -> dict:
+def stage_times(path: str) -> dict:
     """Median milliseconds per stage on one INP file."""
     text = Path(path).read_text()
     net = parse_inp(text)
     g = state_graph(net)
     t, p, c = _paper(g)
-    row = {"path": path, "states": g.n, "repeats": repeats}
+    row = {"path": path, "states": g.n}
     stages = {
         "parse_inp": lambda: parse_inp(text),
         "state_graph": lambda: state_graph(net),
@@ -82,7 +83,7 @@ def stage_times(path: str, repeats: int) -> dict:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(repeats):  # one run of every stage per round, so drift in core speed hits all alike
+        for _ in range(REPEATS):  # one run of every stage per round, so drift in core speed hits all alike
             for name, fn in stages.items():
                 start = time.perf_counter()
                 fn()
@@ -98,12 +99,9 @@ def stage_times(path: str, repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("paths", nargs="+", metavar="INP")
-    parser.add_argument("--repeats", type=int, default=21, help="timed runs per stage (default 21)")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     for path in args.paths:
-        sys.stdout.write(json.dumps(stage_times(path, args.repeats)) + "\n")
+        sys.stdout.write(json.dumps(stage_times(path)) + "\n")
     return 0
 
 

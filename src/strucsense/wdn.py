@@ -51,8 +51,8 @@ class WdnNetwork:
     """Topological view of a water network: labeled nodes and links, in file order.
 
     The rows (``nodes``, ``links``) and their columns each derive from the
-    other on first read: the constructor takes rows, ``parse_inp`` fills the
-    columns, and neither ``info`` nor ``place`` reads a row.
+    other on first read: the constructor takes rows, ``parse_inp`` builds a
+    network from columns through ``_from_columns``, and neither ``info`` nor ``place`` reads a row.
     """
 
     def __init__(self, nodes: tuple, links: tuple, coordinates: dict | None = None):
@@ -60,6 +60,15 @@ class WdnNetwork:
         self._coordinate_lines = ()  # raw [COORDINATES] lines that parse_inp kept, read on first use
         if coordinates is not None:
             self.coordinates = coordinates
+
+    @classmethod
+    def _from_columns(cls, node_columns, link_columns, node_lookup, link_ends, coordinate_lines) -> WdnNetwork:
+        """A network held as the columns ``parse_inp`` built; its rows are derived from them if read."""
+        net = cls.__new__(cls)
+        net._node_columns, net._link_columns = node_columns, link_columns
+        net._node_lookup, net._link_ends = node_lookup, link_ends
+        net._coordinate_lines = coordinate_lines
+        return net
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -240,15 +249,9 @@ def parse_inp(text: str) -> WdnNetwork:
     ):
         raise _first_error(lines, sections)
 
-    net = object.__new__(WdnNetwork)  # the rows are derived from these columns if read
-    net.__dict__.update(
-        _node_columns=(node_labels, node_kinds),
-        _link_columns=(link_labels, link_kinds, froms, tos),
-        _node_lookup=node,
-        _link_ends=ends,
-        _coordinate_lines=coordinate_lines,
-    )
-    return net
+    node_columns = tuple(node_labels), tuple(node_kinds)
+    link_columns = link_labels, tuple(link_kinds), froms, tos
+    return WdnNetwork._from_columns(node_columns, link_columns, node, ends, coordinate_lines)
 
 
 def to_inp_text(net: WdnNetwork) -> str:

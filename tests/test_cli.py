@@ -1073,7 +1073,7 @@ class TestStageTimesScript:
         script = Path(__file__).resolve().parent.parent / "scripts" / "stage_times.py"
         paths = [str(fixtures_dir / "triangle_wdn.inp"), str(fixtures_dir / "two_loop.inp")]
         proc = subprocess.run(
-            [sys.executable, str(script), "--repeats", "2", *paths],
+            [sys.executable, str(script), *paths],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": source_pythonpath()},
@@ -1084,6 +1084,6 @@ class TestStageTimesScript:
         stages = ("parse_inp", "state_graph", "labels", "check_preconditions", "paper", "certify_sso", "counts",
                   "place_cmd", "info_cmd")
         for row in rows:
-            assert set(row) == {"path", "states", "repeats", "json_output", *stages}
-            assert row["repeats"] == 2 and all(row[stage] >= 0 for stage in stages)
+            assert set(row) == {"path", "states", "json_output", *stages}
+            assert all(row[stage] >= 0 for stage in stages)
         assert rows[0]["states"] == 8
