@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 from . import dot
@@ -40,6 +40,7 @@ from .wdn import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CERT = 2
+BENCH_REPEATS = 5  # timed runs of the paper-timed stages per ``bench`` input; their median is reported
 
 
 class InputBundle:
@@ -128,6 +129,16 @@ def _dump_json(payload, out: str | None) -> None:
     _emit(_json_text(payload) + "\n", out)
 
 
+def _emit_csv(rows, out: str | None) -> None:
+    """Rows as CSV; ``csv.writer`` quotes a field holding a comma, a quote or a newline, e.g. a label."""
+    import csv
+    import io
+
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _emit(text.getvalue(), out)
+
+
 def _resolve_sensors(sensor_text: str, bundle: InputBundle) -> SensorPlacement:
     """Sensor tokens may be state indices or input labels, in order; SensorPlacement checks them."""
     by_label = {label: i for i, label in enumerate(bundle.labels)}
@@ -171,14 +182,8 @@ def cmd_info(args) -> int:
     if args.format == "json":
         _dump_json(payload, args.out)
     elif args.format == "csv":
-        import csv
-        import io
-
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")  # quotes a value holding a comma, e.g. a label list
-        writer.writerow(("key", "value"))
-        writer.writerows((key, payload[key]) for key in sorted(payload) if key != "preconditions")
-        _emit(text.getvalue(), args.out)
+        rows = [(key, payload[key]) for key in sorted(payload) if key != "preconditions"]
+        _emit_csv([("key", "value"), *rows], args.out)
     else:
         lines = [
             f"input: {bundle.path} ({bundle.kind})",
@@ -205,9 +210,8 @@ def cmd_place(args) -> int:
         return EXIT_CERT
     counts = run.counts.as_dict()
     if args.format == "csv":
-        rows = ["sensor,state_index,label"]
-        rows += [f"{k},{s},{bundle.labels[s]}" for k, s in enumerate(p.measured)]
-        _emit("\n".join(rows) + "\n", args.out)
+        rows = [(k, s, bundle.labels[s]) for k, s in enumerate(p.measured)]
+        _emit_csv([("sensor", "state_index", "label"), *rows], args.out)
     elif args.format == "text":
         lines = [
             f"mode: {p.mode}",
@@ -227,13 +231,16 @@ def cmd_place(args) -> int:
 
 
 def _white_states_line(cert, labels: list) -> str:
-    """Each uncolorable graph's white-state count and first labels: the states its trace never forces."""
+    """Each uncolorable graph's white-state count and first ten labels: the states its trace never forces.
+
+    Each trace step forces one white state, so a graph leaves ``len(labels) - len(trace)`` white.
+    """
     parts = []
     for name, colorable, trace in cert.graphs:
         if not colorable:
             forced = {u for (_, u) in trace}
-            whites = [label for v, label in enumerate(labels) if v not in forced]
-            parts.append(f"{name} has {len(whites)} (first: {', '.join(whites[:10])})")
+            whites = islice((label for v, label in enumerate(labels) if v not in forced), 10)
+            parts.append(f"{name} has {len(labels) - len(trace)} (first: {', '.join(whites)})")
     return "white states: " + "; ".join(parts)
 
 
@@ -281,8 +288,7 @@ def cmd_minimize(args) -> int:
 
 def cmd_export_dot(args) -> int:
     bundle = load_input(args.path)
-    # the tree stage draws the spanning forest whatever --mode says
-    run = PipelineRun(bundle.graph, "cyclic" if args.stage == "tree" else args.mode)
+    run = PipelineRun(bundle.graph, args.mode)
     if args.stage == "graph":
         text = dot.graph_dot(bundle.graph, bundle.labels, bundle.flow_count)
     elif args.stage == "tree":
@@ -295,12 +301,12 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(path: str, repeats: int = 5) -> dict:
+def _bench_one(path: str) -> dict:
     import statistics
 
     bundle = load_input(path)
     timings = []
-    for _ in range(repeats):
+    for _ in range(BENCH_REPEATS):
         run = PipelineRun(bundle.graph)
         start = time.perf_counter()
         run.output  # spanning forest, placement, output pattern: the paper-timed stages
@@ -336,9 +342,7 @@ def cmd_bench(args) -> int:
     if args.format == "json":
         _dump_json(rows, args.out)
     elif args.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(cell(row, c) for c in columns) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit_csv([columns, *([cell(row, c) for c in columns] for row in rows)], args.out)
     else:
         header = "| " + " | ".join(columns) + " |"
         sep = "|" + "|".join("---" for _ in columns) + "|"

@@ -59,28 +59,22 @@ def _edge_lines(g: StateGraph, connector: str, styles=None) -> list:
     return lines
 
 
-def graph_dot(g: StateGraph, labels=None, flow_count=None, name="network") -> str:
+def graph_dot(g: StateGraph, labels=None, flow_count=None) -> str:
     """Render a state graph; solid star edges, dashed unknown edges."""
-    return _render(g, labels, flow_count, name)
+    return _render(g, labels, flow_count, "network")
 
 
-def tree_dot(g: StateGraph, t: SpanningTree, labels=None, flow_count=None, name="spanning_tree") -> str:
+def tree_dot(g: StateGraph, t: SpanningTree, labels=None, flow_count=None) -> str:
     """Render the graph with dropped chords dotted, kept tree edges solid."""
-    return _render(g, labels, flow_count, name, styles={pair: "dotted" for pair in removed_chords(g, t)})
+    return _render(g, labels, flow_count, "spanning_tree", styles={pair: "dotted" for pair in removed_chords(g, t)})
 
 
-def placement_dot(
-    g: StateGraph,
-    placement: SensorPlacement,
-    labels=None,
-    flow_count=None,
-    name="placement",
-) -> str:
+def placement_dot(g: StateGraph, placement: SensorPlacement, labels=None, flow_count=None) -> str:
     """Render the graph plus one red hexagon sensor per measured state."""
-    return _render(g, labels, flow_count, name, sensors=placement.measured)
+    return _render(g, labels, flow_count, "placement", sensors=placement.measured)
 
 
-def trace_dot(g: StateGraph, measured, trace, labels=None, name="forcing_trace") -> str:
+def trace_dot(g: StateGraph, measured, trace, labels=None) -> str:
     """Render the observability graph of ``g`` measured at ``measured``, with forcing step numbers.
 
     Each state points at its out-neighbours in ``g`` (self-loops included)
@@ -90,7 +84,7 @@ def trace_dot(g: StateGraph, measured, trace, labels=None, name="forcing_trace")
     """
     step_of = {u: k + 1 for k, (_, u) in enumerate(trace)}
     forcing_edges = {(v, u) for (v, u) in trace}
-    lines = [f"digraph {_quote(name)} {{"]
+    lines = ['digraph "forcing_trace" {']
     for v in range(g.n):
         label = _node_label(v, labels)
         step = f"#{step_of[v]}" if v in step_of else "white"

@@ -9,6 +9,7 @@ counting all live here.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .pattern import Entry, PatternMatrix
@@ -30,8 +31,9 @@ class StateGraph:
     and over both kinds (``star_nbrs``, ``nbrs``; in-edges count, so
     asymmetric inputs still classify sensibly), directed (``star_out``,
     ``out``, ``inn``), the same tuples when the graph is symmetric; and
-    ``loops``, the diagonal ``Entry`` (ZERO: no self-loop). A graph built
-    from its lists (``star_graph``) reads its edge sets off them on first use.
+    ``loops``, the diagonal ``Entry`` (ZERO: no self-loop). A graph is its
+    lists, whichever constructor built it (``star_graph`` takes them ready
+    made); its edge sets are read off them on first use.
     """
 
     def __init__(self, n: int, star_edges: frozenset = frozenset(), unknown_edges: frozenset = frozenset()):
@@ -55,29 +57,33 @@ class StateGraph:
             star_rev, both_rev = ({(j, i) for (i, j) in edges} for edges in (star, both))
             star_nbrs, nbrs = _lists(n, star | star_rev), _lists(n, both | both_rev)
             star_out, out, inn = _lists(n, star), _lists(n, both), _lists(n, both_rev)
-        self.n, self.star_edges, self.unknown_edges, self.loops = n, star, unknown, loops
+        self._store(n, loops, star_nbrs, nbrs, star_out, out, inn)
+
+    def _store(self, n: int, loops: tuple, star_nbrs: tuple, nbrs: tuple, star_out: tuple, out: tuple, inn: tuple):
+        """The one writer of a graph's fields, whichever constructor ran."""
+        self.n, self.loops = n, loops
         self.star_nbrs, self.nbrs, self.star_out, self.out, self.inn = star_nbrs, nbrs, star_out, out, inn
 
-    def __getattr__(self, name: str):
-        """Edge sets of a graph built from its lists, read off the lists on first use and kept."""
-        if name not in ("star_edges", "unknown_edges"):
-            raise AttributeError(name)
-        lists = self.__dict__
-        star = {(v, u) for v, nbrs in enumerate(lists["star_out"]) for u in nbrs}
-        unknown = {(v, u) for v, nbrs in enumerate(lists["out"]) for u in nbrs} - star
-        for v, loop in enumerate(lists["loops"]):
-            if loop is not Entry.ZERO:
-                (star if loop is Entry.STAR else unknown).add((v, v))
-        lists.update(star_edges=frozenset(star), unknown_edges=frozenset(unknown))
-        return lists[name]
+    @cached_property
+    def star_edges(self) -> frozenset:
+        """Directed star edges (i, j), star self-loops included."""
+        loops = [(v, v) for v, loop in enumerate(self.loops) if loop is Entry.STAR]
+        return frozenset([(v, u) for v, nbrs in enumerate(self.star_out) for u in nbrs] + loops)
+
+    @cached_property
+    def unknown_edges(self) -> frozenset:
+        """Directed unknown edges (i, j), unknown self-loops included."""
+        loops = [(v, v) for v, loop in enumerate(self.loops) if loop is Entry.UNKNOWN]
+        return frozenset([(v, u) for v, nbrs in enumerate(self.out) for u in nbrs] + loops) - self.star_edges
 
     def __eq__(self, other):
+        # ascending lists whichever constructor ran: comparing them builds no edge set
         if type(other) is not type(self):
             return NotImplemented
-        return (self.n, self.star_edges, self.unknown_edges) == (other.n, other.star_edges, other.unknown_edges)
+        return (self.n, self.star_out, self.out, self.loops) == (other.n, other.star_out, other.out, other.loops)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.star_edges, self.unknown_edges))
+        return hash((self.n, self.star_out, self.out, self.loops))
 
     def undirected_star_pairs(self) -> set:
         """Unordered star edges {i, j} with i != j (self-loops dropped)."""
@@ -146,7 +152,7 @@ def star_graph(nbrs: tuple, loops: tuple) -> StateGraph:
     re-checked or re-sorted, and the edge sets are derived only if read.
     """
     g = object.__new__(StateGraph)  # the caller built the lists: skip ``__init__``'s checks
-    g.__dict__.update(n=len(nbrs), star_nbrs=nbrs, nbrs=nbrs, star_out=nbrs, out=nbrs, inn=nbrs, loops=loops)
+    g._store(len(nbrs), loops, nbrs, nbrs, nbrs, nbrs, nbrs)
     return g
 
 
@@ -210,8 +216,9 @@ def cycle_count(g: StateGraph, components=None) -> int:
     """Independent cycles over star edges: edges - nodes + components.
 
     Self-loops are excluded. This equals the number of edges a spanning
-    forest removes. ``components`` is ``connected_components_star(g)``
-    when the caller holds it already.
+    forest removes. ``components`` holds one item per star component,
+    e.g. ``connected_components_star(g)`` or a spanning forest's roots,
+    when the caller holds them already.
     """
     if components is None:
         components = connected_components_star(g)

@@ -210,8 +210,3 @@ def sample_realizations(a: PatternMatrix, seeds, cfg: SampleConfig | None = None
         x[:, i, j] = np.where(takes, signed(u[trials, at + 1], u[trials, at + 2]), 0.0)
         at += 1 + 2 * takes
     return x
-
-
-def sample_realization(a: PatternMatrix, seed: int, cfg: SampleConfig | None = None):
-    """Draw a member of the pattern class, a ``(rows, cols)`` array, deterministically for a fixed seed."""
-    return sample_realizations(a, [seed], cfg)[0]

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .forcing import Certificate, certify_sso
-from .netgraph import NodeClassification, StateGraph, classify_nodes, connected_components_star, cycle_count
+from .netgraph import NodeClassification, StateGraph, classify_nodes, cycle_count
 from .pattern import PatternMatrix
 from .spanning import SpanningTree, removed_chords, spanning_tree_dfs
 
@@ -75,21 +75,23 @@ class SensorCountReport(NamedTuple):
         }
 
 
-def place_tree(g: StateGraph, classification: NodeClassification | None = None) -> SensorPlacement:
+def place_tree(g: StateGraph, t: SpanningTree, classification: NodeClassification | None = None) -> SensorPlacement:
     """Measure all extreme nodes except the highest-indexed one.
 
-    Requires an acyclic, single-component graph. Any omitted extreme node
-    would do; dropping the highest index keeps the result deterministic.
-    A single-node graph gets one sensor on its only state.
-    ``classification`` is ``classify_nodes(g)`` when the caller holds it.
+    Requires an acyclic, single-component graph, read off ``t``, its DFS
+    forest. Any omitted extreme node would do; dropping the highest index
+    keeps the result deterministic. A single-node graph gets one sensor on
+    its only state. ``classification`` is ``classify_nodes(g)`` when the
+    caller holds it.
     """
-    components = connected_components_star(g)
-    cycles = cycle_count(g, components)
+    if t.n != g.n:
+        raise ValueError(f"tree over {t.n} nodes does not match graph with {g.n}")
+    cycles = cycle_count(g, t.roots)
     if cycles > 0:
-        chord = min(removed_chords(g, spanning_tree_dfs(g)))
+        chord = min(removed_chords(g, t))
         raise ValueError(f"graph is cyclic ({cycles} cycles; e.g. chord {chord}); use cyclic placement")
-    if len(components) > 1:
-        raise ValueError(f"graph has {len(components)} star components; tree placement needs one")
+    if len(t.roots) > 1:
+        raise ValueError(f"graph has {len(t.roots)} star components; tree placement needs one")
     if g.n == 1:
         return SensorPlacement((0,), 1, "tree")
     extreme = (classification or classify_nodes(g)).extreme
@@ -140,7 +142,7 @@ def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> S
     degree below two; the report's ``n_e_graph`` stays ``classify_nodes``'
     extreme-node count, whose degrees count unknown edges too.
     """
-    cycles = sum(map(len, g.star_nbrs)) // 2 - (t.n - len(t.roots))  # one tree edge per non-root node
+    cycles = cycle_count(g, t.roots)
     must = sum(len(nbrs) < 2 for nbrs in g.star_nbrs)
     return SensorCountReport(classify_nodes(g).n_e, cycles, p.n_y, count_bounds_ok(must, cycles, p.n_y))
 
@@ -151,9 +153,10 @@ class PipelineRun:
     Each stage is computed on first read and kept, so a caller pays only for
     what it reads. ``graph`` is the state pattern's graph, ``from_pattern(a)``
     or ``wdn.state_graph(net)``; every stage, the certificate included, reads
-    the graph and never the pattern. ``mode`` is "cyclic" or "tree" (no
-    forest: ``tree`` is None); a ``given`` placement, e.g. a user's proposal,
-    replaces both rules, and its counts are read off the DFS forest.
+    the graph and never the pattern. ``tree`` is the graph's DFS forest
+    whatever the mode: both rules read it. ``mode`` is "cyclic" or "tree"; a
+    ``given`` placement, e.g. a user's proposal, replaces both rules, and its
+    counts are read off the forest.
     """
 
     def __init__(self, graph: StateGraph, mode: str = "cyclic", given: SensorPlacement | None = None):
@@ -172,9 +175,7 @@ class PipelineRun:
         return classify_nodes(self.graph)
 
     @cached_property
-    def tree(self) -> SpanningTree | None:
-        if self.given is None and self.mode == "tree":
-            return None
+    def tree(self) -> SpanningTree:
         return spanning_tree_dfs(self.graph)
 
     @cached_property
@@ -182,7 +183,7 @@ class PipelineRun:
         if self.given is not None:
             return self.given
         if self.mode == "tree":
-            return place_tree(self.graph, self.classification)
+            return place_tree(self.graph, self.tree, self.classification)
         return place_cyclic(self.graph, self.tree)
 
     @cached_property

@@ -50,13 +50,16 @@ class Link(NamedTuple):
 class WdnNetwork:
     """Topological view of a water network: labeled nodes and links, in file order.
 
-    The rows (``nodes``, ``links``) and their columns each derive from the
-    other on first read: the constructor takes rows, ``parse_inp`` builds a
-    network from columns through ``_from_columns``, and neither ``info`` nor ``place`` reads a row.
+    A network is its columns: node labels and kinds, and link labels, kinds,
+    from-node labels and to-node labels. The constructor splits the rows it
+    takes into them, ``parse_inp`` builds them through ``_from_columns``, and
+    the rows (``nodes``, ``links``) are derived from them on first read;
+    neither ``info`` nor ``place`` reads a row.
     """
 
     def __init__(self, nodes: tuple, links: tuple, coordinates: dict | None = None):
-        self.nodes, self.links = nodes, links
+        self._node_columns = tuple(zip(*nodes)) or ((), ())
+        self._link_columns = tuple(zip(*links)) or ((), (), (), ())
         self._coordinate_lines = ()  # raw [COORDINATES] lines that parse_inp kept, read on first use
         if coordinates is not None:
             self.coordinates = coordinates
@@ -73,7 +76,8 @@ class WdnNetwork:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.nodes, self.links, self.coordinates) == (other.nodes, other.links, other.coordinates)
+        return (self._node_columns, self._link_columns, self.coordinates) == (
+            other._node_columns, other._link_columns, other.coordinates)
 
     @property
     def n_nodes(self) -> int:
@@ -96,16 +100,6 @@ class WdnNetwork:
     def links(self) -> tuple:
         labels, kinds, froms, tos = self._link_columns
         return tuple(map(tuple.__new__, [Link] * len(labels), zip(labels, kinds, froms, tos)))
-
-    @cached_property
-    def _node_columns(self) -> tuple:
-        """Node labels and kinds, in node order."""
-        return tuple(zip(*self.nodes)) or ((), ())
-
-    @cached_property
-    def _link_columns(self) -> tuple:
-        """Link labels, kinds, from-node labels and to-node labels, in link order."""
-        return tuple(zip(*self.links)) or ((), (), (), ())
 
     @cached_property
     def _node_lookup(self) -> dict:

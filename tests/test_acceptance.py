@@ -155,7 +155,7 @@ def test_criterion_4_tree_placements_always_certify():
         pattern = random_tree_pattern(seed)
         assert 2 <= pattern.rows <= 50
         g = from_pattern(pattern)
-        p = place_tree(g)
+        p = place_tree(g, spanning_tree_dfs(g))
         if not certify_sso(g, build_output_pattern(p, g.n)).sso:
             failures.append(seed)
     assert not failures, f"tree placements failed certification for seeds {failures}"

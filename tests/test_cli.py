@@ -1,6 +1,7 @@
 import ast
 import collections
 import contextlib
+import csv
 import gc
 import io
 import json
@@ -16,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strucsense
-from strucsense.cli import load_input, main
+from strucsense.cli import _white_states_line, load_input, main
+from strucsense.forcing import Certificate
 from strucsense.pattern import PatternMatrix
+from strucsense.placement import PipelineRun
 from strucsense.wdn import to_inp_text
 from generators import cyclic_inp_text, wdn_networks
 
@@ -70,6 +73,29 @@ def assert_no_state_pattern(bundles: list, shapes: list) -> None:
     assert (n, n) not in shapes
     assert "pattern" not in vars(bundle)
     assert "star_edges" not in vars(bundle.graph) and "unknown_edges" not in vars(bundle.graph)
+
+
+def white_states_line_reference(cert, labels: list) -> str:
+    """The refusal's white-state line as first defined: every white label listed, then cut to ten."""
+    parts = []
+    for name, colorable, trace in cert.graphs:
+        if not colorable:
+            forced = {u for (_, u) in trace}
+            whites = [label for v, label in enumerate(labels) if v not in forced]
+            parts.append(f"{name} has {len(whites)} (first: {', '.join(whites[:10])})")
+    return "white states: " + "; ".join(parts)
+
+
+# a reservoir and two junctions in a chain, labels holding a comma and a quote; both chain ends are measured
+QUOTED_LABELS_INP = """[RESERVOIRS]
+ R,1 0
+[JUNCTIONS]
+ J2 0
+ J"3 0
+[PIPES]
+ P,1 R,1 J2 100 300 100
+ P2 J2 J"3 100 300 100
+"""
 
 
 def _gap14() -> dict:
@@ -139,6 +165,13 @@ class TestInfo:
         for key in ("extreme", "intersection"):
             assert ast.literal_eval(values[key]) == payload[key]
         assert values["hydraulic_nodes"] == ("" if payload["hydraulic_nodes"] is None else str(payload["hydraulic_nodes"]))
+
+    def test_incidence_export_refuses_an_edge_list(self, capsys, fixtures_dir, tmp_path):
+        target = tmp_path / "incidence.csv"
+        code, out, err = run_cli(capsys, "info", str(fixtures_dir / "triangle3.json"), "--dump-incidence", str(target))
+        assert code == 1
+        assert (out, err) == ("", "error: incidence export needs a water-network input\n")
+        assert not target.exists()
 
     def test_state_graph_built_and_classified_once(self, capsys, fixtures_dir, monkeypatch):
         counts = count_calls(monkeypatch, "state_graph", "to_pattern", "from_pattern", "classify_nodes")
@@ -287,17 +320,17 @@ class TestPlace:
             "bound_ok": True,
         }
 
-    def test_tree_mode_builds_no_forest_and_classifies_once(self, capsys, fixtures_dir, monkeypatch):
+    def test_tree_mode_builds_one_forest_and_classifies_once(self, capsys, fixtures_dir, monkeypatch):
         counts = count_calls(monkeypatch, "spanning_tree_dfs", "classify_nodes")
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "path4.inp"), "--mode", "tree")
         assert code == 0
-        assert counts == {"spanning_tree_dfs": 0, "classify_nodes": 1}
+        assert counts == {"spanning_tree_dfs": 1, "classify_nodes": 1}
 
-    def test_tree_mode_computes_star_components_once(self, capsys, fixtures_dir, monkeypatch):
+    def test_tree_mode_reads_star_components_off_the_forest(self, capsys, fixtures_dir, monkeypatch):
         counts = count_calls(monkeypatch, "connected_components_star")
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "path4.inp"), "--mode", "tree")
         assert code == 0
-        assert counts == {"connected_components_star": 1}
+        assert counts == {"connected_components_star": 0}
 
     def test_cyclic_mode_runs_each_stage_once(self, capsys, fixtures_dir, monkeypatch):
         counts = count_calls(monkeypatch, "spanning_tree_dfs", "certify_sso", "classify_nodes")
@@ -326,6 +359,17 @@ class TestPlace:
         assert code == 0
         assert out.splitlines()[0] == "sensor,state_index,label"
         assert out.splitlines()[1] == "0,2,q:e3"
+
+    def test_csv_quotes_labels_holding_a_comma_or_a_quote(self, capsys, tmp_path):
+        path = tmp_path / "quoted.inp"
+        path.write_text(QUOTED_LABELS_INP)
+        code, out, _ = run_cli(capsys, "place", str(path), "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["sensor", "state_index", "label"]
+        assert all(len(row) == 3 for row in rows)
+        labels = load_input(str(path)).labels
+        assert [row[2] for row in rows] == [labels[int(row[1])] for row in rows] == ['h:R,1', 'h:J"3']
 
     def test_byte_identical_reruns(self, capsys, fixtures_dir):
         _, first, _ = run_cli(
@@ -356,6 +400,24 @@ class TestPlace:
         assert json.loads(certificate)["sso"] is False
         abar = json.loads(certificate)["graphs"][1]
         assert sorted(set(range(14)) - {u for _, u in abar["trace"]}) == [2, 3, 7, 11]
+
+    def test_refused_network_white_states_match_the_full_listing(self, capsys, tmp_path):
+        path = tmp_path / "refused.inp"
+        path.write_text(cyclic_inp_text(782, 124, 3))
+        code, _, err = run_cli(capsys, "place", str(path))
+        assert code == 2
+        bundle = load_input(str(path))
+        assert err.splitlines()[1] == white_states_line_reference(PipelineRun(bundle.graph).certificate, bundle.labels)
+
+    def test_white_states_line_names_both_failing_graphs(self):
+        labels = [f"s{v}" for v in range(15)]
+        cert = Certificate(False, ((15, 3), (3, 4)), False, ((15, 3),))
+        line = _white_states_line(cert, labels)
+        assert line == white_states_line_reference(cert, labels)
+        assert line == (
+            "white states: A has 13 (first: s0, s1, s2, s5, s6, s7, s8, s9, s10, s11); "
+            "Abar has 14 (first: s0, s1, s2, s4, s5, s6, s7, s8, s9, s10)"
+        )
 
 
 class TestStatePatternOnDemand:
@@ -652,6 +714,17 @@ class TestBench:
         assert "bench failed" in err
         rows = json.loads(out)
         assert [r["name"] for r in rows] == ["path4"]
+
+    def test_csv_quotes_a_name_holding_a_comma(self, capsys, fixtures_dir, tmp_path):
+        path = tmp_path / "a,b" / "pa,th.inp"
+        path.parent.mkdir()
+        path.write_text((fixtures_dir / "path4.inp").read_text())
+        code, out, _ = run_cli(capsys, "bench", str(path), "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["name", "state_nodes", "cycles", "extreme_nodes", "sensors", "elapsed_seconds"]
+        assert len(rows) == 1 and all(len(row) == 6 for row in rows)
+        assert rows[0][0] == "pa,th"
 
     def test_markdown_table(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "bench", str(fixtures_dir / "path4.inp"))

@@ -20,6 +20,7 @@ from strucsense import (
 from strucsense.forcing import (
     Certificate,
     ClosureRun,
+    ObservabilityGraph,
     build_observability_graph,
     compile_graph,
     force_closure_reference,
@@ -108,6 +109,31 @@ class TestBuildObservabilityGraph:
         c = PatternMatrix(1, 3, frozenset({(0, 0)}), frozenset({(0, 1)}))
         with pytest.raises(ValueError, match="zeros and stars"):
             build_observability_graph(TRIANGLE, c)
+
+    def test_non_square_state_pattern_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("square state pattern required, got 2x3")):
+            build_observability_graph(PatternMatrix(2, 3), PatternMatrix(0, 3))
+
+
+class TestReplayTraceRejections:
+    """Each step the rule forbids is refused by name; the benchmark's check of ``place`` output relies on it."""
+
+    # state 0 points at 1 over a star and at 2 over a star; state 2 at 1 over an unknown; sensor 3 at 0
+    GRAPH = ObservabilityGraph(3, 1, ((1, 2), (), (), (0,)), ((), (), (1,), ()))
+
+    @pytest.mark.parametrize(
+        "trace, message",
+        [
+            (((3, 0), (3, 0)), "step (3, 0) forces an already-black node"),
+            (((2, 1),), "step (2, 1) is not a star edge"),
+            (((0, 1),), "step (0, 1) applied while 2 is white"),
+        ],
+        ids=["already-black", "not-a-star-edge", "other-white-out-neighbour"],
+    )
+    def test_forbidden_step_rejected(self, trace, message):
+        with pytest.raises(ValueError) as exc:
+            replay_trace(self.GRAPH, trace)
+        assert str(exc.value) == message
 
 
 class TestForceClosure:

@@ -20,7 +20,6 @@ from strucsense import (
     observability_rank_test,
     place_cyclic,
     sample_and_check,
-    sample_realization,
     spanning_tree_dfs,
 )
 import strucsense.oracle
@@ -32,6 +31,7 @@ from strucsense.forcing import (
     force_closure_reference,
 )
 from strucsense.oracle import DEFAULT_RANK_TOL, _chunk_trials, realize_unit_output
+from strucsense.pattern import sample_realizations
 from generators import (
     TRIANGLE_WDN_INC,
     graph_of,
@@ -477,5 +477,5 @@ class TestBatchedAgainstPerTrialReference:
         cells = [data.draw(st.text("0*?", min_size=cols, max_size=cols)) for _ in range(rows)]
         pat = PatternMatrix.from_rows(cells) if rows else PatternMatrix(0, cols)
         seed, cfg = data.draw(st.integers(0, 2**63 - 2)), data.draw(st.sampled_from(CONFIGS))
-        got = sample_realization(pat, seed, cfg)
+        got = sample_realizations(pat, [seed], cfg)[0]
         assert got.tobytes() == sample_realization_reference(pat, seed, cfg).tobytes()

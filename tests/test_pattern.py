@@ -11,8 +11,8 @@ from strucsense import (
     SampleConfig,
     is_member,
     make_abar,
-    sample_realization,
 )
+from strucsense.pattern import sample_realizations
 from generators import random_symmetric_pattern
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
@@ -149,29 +149,29 @@ class TestSampleRealization:
     def test_all_zero_pattern_yields_zero_matrix(self):
         p = PatternMatrix(3, 3)
         for seed in (0, 1, 99):
-            assert not sample_realization(p, seed).any()
+            assert not sample_realizations(p, [seed])[0].any()
 
     def test_membership_over_many_seeds(self):
         p = PatternMatrix.from_rows(["*?0", "?0*", "0*?"])
         for seed in range(10_000):
-            assert is_member(sample_realization(p, seed), p)
+            assert is_member(sample_realizations(p, [seed])[0], p)
 
     def test_deterministic_per_seed(self):
         cfg = SampleConfig(star_range=(0.5, 2.0), zero_prob=0.25)
-        a = sample_realization(TRIANGLE, 1234, cfg)
-        b = sample_realization(TRIANGLE, 1234, cfg)
+        a = sample_realizations(TRIANGLE, [1234], cfg)[0]
+        b = sample_realizations(TRIANGLE, [1234], cfg)[0]
         assert np.array_equal(a, b)
-        c = sample_realization(TRIANGLE, 1235, cfg)
+        c = sample_realizations(TRIANGLE, [1235], cfg)[0]
         assert not np.array_equal(a, c)
 
     def test_star_magnitudes_within_range(self):
         cfg = SampleConfig(star_range=(0.5, 2.0))
-        x = sample_realization(TRIANGLE, 7, cfg)
+        x = sample_realizations(TRIANGLE, [7], cfg)[0]
         mags = np.abs(x[x != 0])
         assert mags.min() >= 0.5 and mags.max() <= 2.0
 
     def test_empty_star_range_rejected(self):
         with pytest.raises(ValueError):
-            sample_realization(TRIANGLE, 0, SampleConfig(star_range=(2.0, 0.5)))
+            sample_realizations(TRIANGLE, [0], SampleConfig(star_range=(2.0, 0.5)))
         with pytest.raises(ValueError):
-            sample_realization(TRIANGLE, 0, SampleConfig(star_range=(0.0, 0.0)))
+            sample_realizations(TRIANGLE, [0], SampleConfig(star_range=(0.0, 0.0)))

@@ -45,31 +45,32 @@ TREE9 = undirected([(0, 1), (1, 4), (2, 3), (3, 4), (4, 5), (5, 7), (7, 8), (8, 
 
 class TestPlaceTree:
     def test_path_measures_one_end(self):
-        p = place_tree(PATH3)
+        p = place_tree(PATH3, spanning_tree_dfs(PATH3))
         assert p.measured == (0,)
         assert p.n_y == 1
         assert p.mode == "tree"
 
     def test_star_omits_highest_leaf(self):
-        p = place_tree(STAR13)
+        p = place_tree(STAR13, spanning_tree_dfs(STAR13))
         assert p.measured == (0, 1)
         assert certify_sso(STAR13, build_output_pattern(p, 4)).sso
 
     def test_branched_tree_omits_highest(self):
-        assert place_tree(TREE9).measured == (0, 2)
+        assert place_tree(TREE9, spanning_tree_dfs(TREE9)).measured == (0, 2)
 
     def test_single_node_gets_one_sensor(self):
         g = StateGraph(1, frozenset(), frozenset())
-        assert place_tree(g).measured == (0,)
+        assert place_tree(g, spanning_tree_dfs(g)).measured == (0,)
 
     def test_cyclic_input_rejected_with_witness(self):
+        g = from_pattern(TRIANGLE)
         with pytest.raises(ValueError, match="chord"):
-            place_tree(from_pattern(TRIANGLE))
+            place_tree(g, spanning_tree_dfs(g))
 
     def test_disconnected_input_rejected(self):
         g = undirected([(0, 1), (2, 3)], 4)
         with pytest.raises(ValueError, match="components"):
-            place_tree(g)
+            place_tree(g, spanning_tree_dfs(g))
 
     def test_every_random_tree_placement_certifies(self):
         # compact version of the executable tree guarantee; the acceptance
@@ -77,7 +78,7 @@ class TestPlaceTree:
         for seed in range(40):
             a = random_tree_pattern(seed, n_max=30)
             g = from_pattern(a)
-            p = place_tree(g)
+            p = place_tree(g, spanning_tree_dfs(g))
             c = build_output_pattern(p, g.n)
             assert certify_sso(g, c).sso, f"seed {seed}"
 
@@ -99,7 +100,7 @@ class TestPlaceCyclic:
     def test_acyclic_input_measures_all_leaves(self):
         p = place_cyclic(TREE9, spanning_tree_dfs(TREE9))
         assert p.measured == (0, 2, 6)
-        assert p.n_y == place_tree(TREE9).n_y + 1
+        assert p.n_y == place_tree(TREE9, spanning_tree_dfs(TREE9)).n_y + 1
 
     def test_isolated_nodes_are_measured(self):
         g = undirected([(0, 1)], 3)  # node 2 isolated
@@ -185,7 +186,7 @@ class TestSensorCountReport:
         report = run.counts
         assert (report.n_e_graph, report.cycles, report.sensors) == (0, 1, 1)
         assert report.bound_ok
-        assert PipelineRun(g, mode="tree").tree is None  # only the tree rule places without a forest
+        assert PipelineRun(g, mode="tree").tree == run.tree  # every run has its forest
 
     @pytest.mark.parametrize(
         "text, measured, n_e",

@@ -12,8 +12,8 @@ from strucsense.netgraph import NodeClassification, PreconditionReport, StateGra
 from strucsense.oracle import MinimalPlacementResult, OracleReport
 from strucsense.pattern import Entry, PatternMatrix, SampleConfig
 from strucsense.placement import PipelineRun, SensorCountReport, SensorPlacement
-from strucsense.spanning import SpanningTree
-from strucsense.wdn import HydraulicNode, Link, WdnNetwork
+from strucsense.spanning import SpanningTree, spanning_tree_dfs
+from strucsense.wdn import HydraulicNode, Link, WdnNetwork, parse_inp
 
 STAR, NONE, UNKNOWN = Entry.STAR, Entry.ZERO, Entry.UNKNOWN
 
@@ -122,3 +122,49 @@ def test_star_graph_equals_the_validating_constructors_graph():
     assert built == checked and checked == built
     assert hash(built) == hash(checked)
     assert built != star_graph(((1,), (0, 2), (1,)), (STAR, NONE, NONE))
+
+
+GRAPH_FIELDS = {"n", "loops", "star_nbrs", "nbrs", "star_out", "out", "inn"}
+GRAPH_VIEWS = {"star_edges", "unknown_edges"}
+NETWORK_COLUMNS, NETWORK_VIEWS = {"_node_columns", "_link_columns"}, {"nodes", "links"}
+PARSED_INP = "[RESERVOIRS]\n R1\n[JUNCTIONS]\n J1\n[PIPES]\n P1 R1 J1\n"
+# constructor -> (a fresh record, the fields that are its stored form, the views derived from them)
+STORED_FORMS = {
+    "StateGraph": (path3, GRAPH_FIELDS, GRAPH_VIEWS),
+    "star_graph": (lambda: star_graph(((1,), (0, 2), (1,)), (STAR, NONE, UNKNOWN)), GRAPH_FIELDS, GRAPH_VIEWS),
+    "WdnNetwork": (network, NETWORK_COLUMNS, NETWORK_VIEWS),
+    "parse_inp": (lambda: parse_inp(PARSED_INP), NETWORK_COLUMNS, NETWORK_VIEWS),
+}
+
+
+@pytest.mark.parametrize("constructor", list(STORED_FORMS))
+def test_a_new_record_holds_its_stored_form_and_no_view(constructor):
+    """One stored form per record, whichever constructor ran; every other view is derived on first read."""
+    build, stored, views = STORED_FORMS[constructor]
+    fields = set(vars(build()))
+    assert stored <= fields
+    assert not fields & views
+
+
+def test_both_graph_constructors_store_the_same_fields_and_derive_the_same_views():
+    built, checked = STORED_FORMS["star_graph"][0](), path3()
+    assert set(vars(built)) == set(vars(checked)) == GRAPH_FIELDS
+    assert (built.star_edges, built.unknown_edges) == (checked.star_edges, checked.unknown_edges)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        path3(),
+        StateGraph(3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)})),  # a cycle
+        StateGraph(3, frozenset({(0, 1), (1, 0)})),  # two components
+    ],
+    ids=["path", "cycle", "disconnected"],
+)
+@pytest.mark.parametrize(
+    "mode, given",
+    [("tree", None), ("cyclic", None), ("cyclic", SensorPlacement((0,), 3, "given"))],
+    ids=["tree", "cyclic", "given"],
+)
+def test_every_pipeline_run_has_its_forest(graph, mode, given):
+    assert PipelineRun(graph, mode, given).tree == spanning_tree_dfs(graph)

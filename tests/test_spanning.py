@@ -195,6 +195,13 @@ class TestRemovedChords:
         with pytest.raises(ValueError):
             removed_chords(g, other)
 
+    def test_tree_edge_outside_the_graph_rejected(self):
+        g = StateGraph(3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1)}), frozenset())
+        stray = SpanningTree((None, 0, 0), (0,))  # edge (0, 2) is no star edge of the path
+        with pytest.raises(ValueError) as exc:
+            removed_chords(g, stray)
+        assert str(exc.value) == "tree edge (0, 2) is not a star edge of the graph"
+
 
 @st.composite
 def forests(draw, max_n: int = 40) -> SpanningTree:
