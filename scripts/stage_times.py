@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Median wall time of each pipeline stage on EPANET INP files, one JSON line per input.
+"""Median calibrated wall time of each pipeline stage on EPANET INP files, one JSON line per input.
 
     PYTHONPATH=src python scripts/stage_times.py NET.inp [NET.inp ...]
 
 Each stage's inputs are built once; then each of ``REPEATS`` rounds runs
 every stage once, with the cyclic garbage collector paused as
 ``strucsense.cli.main`` pauses it, and each stage is reported as its median
-in milliseconds:
+in calibrated milliseconds. perfbench's calibration kernel
+(``perfbench/calibrate.py``) is sampled before and after every round, and the
+round's times are scaled by ``calibrate.scale`` of the two samples' mean: they
+read as milliseconds on a machine where the kernel takes its nominal time,
+so two processes on a shared machine whose cores drift compare. ``kernel_ms``
+is the median raw kernel sample. The stages:
 
 - ``parse_inp``, ``state_graph``, ``labels`` (``structured_state_labels``);
 - ``check_preconditions``, the stage behind ``info``'s roles and cycles;
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import importlib.util
 import io
 import json
 import statistics
@@ -46,6 +52,11 @@ from strucsense.spanning import spanning_tree_dfs
 from strucsense.wdn import parse_inp, state_graph, structured_state_labels
 
 REPEATS = 21  # timed rounds per input; each round runs every stage once
+# the benchmark's kernel, loaded from its file so the script needs no perfbench package on the path
+_spec = importlib.util.spec_from_file_location(
+    "calibrate", Path(__file__).resolve().parent.parent / "perfbench" / "calibrate.py")
+calibrate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(calibrate)
 # the stages ``place`` runs, whose medians ``json_output`` leaves out of ``place_cmd``
 PLACE_STAGES = ("parse_inp", "state_graph", "labels", "paper", "certify_sso", "counts")
 
@@ -62,7 +73,7 @@ def _paper(g):
 
 
 def stage_times(path: str) -> dict:
-    """Median milliseconds per stage on one INP file."""
+    """Median calibrated milliseconds per stage on one INP file, and the median kernel sample."""
     text = Path(path).read_text()
     net = parse_inp(text)
     g = state_graph(net)
@@ -83,15 +94,22 @@ def stage_times(path: str) -> dict:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        kernel = [calibrate.sample()]  # each sample closes one round and opens the next
         for _ in range(REPEATS):  # one run of every stage per round, so drift in core speed hits all alike
+            elapsed = {}
             for name, fn in stages.items():
                 start = time.perf_counter()
                 fn()
-                times[name].append(time.perf_counter() - start)
+                elapsed[name] = time.perf_counter() - start
+            kernel.append(calibrate.sample())
+            factor = calibrate.scale((kernel[-2] + kernel[-1]) / 2)
+            for name, seconds in elapsed.items():
+                times[name].append(seconds * factor)
     finally:
         if gc_was_enabled:
             gc.enable()
     row.update((name, round(statistics.median(samples) * 1e3, 3)) for name, samples in times.items())
+    row["kernel_ms"] = round(statistics.median(kernel) * 1e3, 3)
     row["json_output"] = round(row["place_cmd"] - sum(row[name] for name in PLACE_STAGES), 3)
     return row
 

@@ -32,7 +32,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import NamedTuple
 
-from .netgraph import StateGraph
+from .netgraph import StateGraph, outside
 from .pattern import Entry, PatternMatrix
 
 # self-loop flags ``_close`` compares against, bound once: an Enum attribute lookup costs
@@ -156,10 +156,18 @@ class ClosureGraph:
         seeds = tuple((v, v) if loops[v] is not none else (v, star_out[v][0])
                       for v, d in enumerate(out_degree)
                       if d == 1 and (loops[v] is Entry.STAR or loops[v] is none and star_out[v]))
+        self._store(star_out, out, inn, loops, out_degree, seeds,
+                    tuple(map(sum, out)) if white_sum is None else white_sum, star_out == out)
+
+    def _store(self, star_out, out, inn, loops, out_degree, seeds, white_sum, star_only) -> None:
+        """Set every field; ``companion``'s shortcut stores through this too.
+
+        Copying ``__dict__`` instead moves both graphs' fields out of the inline layout Python 3.11
+        specialises attribute reads for: ``add`` on a 14-state search graph ran ~12% slower.
+        """
         self.star_out, self.out, self.inn, self.loops = star_out, out, inn, loops
         self.n, self.out_degree, self.seeds = len(out), out_degree, seeds
-        self.white_sum = tuple(map(sum, out)) if white_sum is None else white_sum
-        self.star_only = star_out == out
+        self.white_sum, self.star_only = white_sum, star_only
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -173,10 +181,17 @@ class ClosureGraph:
         """The compiled graph of ``make_abar`` of this graph's pattern.
 
         Same lists and white sums; a missing self-loop becomes a star, a star or unknown one unknown.
+        With no missing self-loop (every water network) every loop turns unknown, so the out-degrees
+        stay this graph's and no forcing is eligible from all-white: nothing is recomputed.
         """
         none, star, unknown = Entry.ZERO, Entry.STAR, Entry.UNKNOWN
-        loops = tuple([star if loop is none else unknown for loop in self.loops])
-        return ClosureGraph(self.star_out, self.out, self.inn, loops, self.white_sum)
+        if none in self.loops:
+            loops = tuple([star if loop is none else unknown for loop in self.loops])
+            return ClosureGraph(self.star_out, self.out, self.inn, loops, self.white_sum)
+        twin = object.__new__(ClosureGraph)
+        twin._store(self.star_out, self.out, self.inn, (unknown,) * self.n, self.out_degree, (), self.white_sum,
+                    self.star_only)
+        return twin
 
     def run(self, measured=(), rng: random.Random | None = None) -> tuple:
         """Close a fresh ``ClosureRun`` measuring ``measured``; return its black flags and trace."""
@@ -194,21 +209,24 @@ class ClosureRun:
     It holds the black flags, per-node counts of white out-neighbours (loop included) and sums of
     white off-diagonal out-neighbours, the (forcer, forced) trace and the sensor count ``k``, but
     not the heap, empty once closed; sensor k is the virtual node ``n + k``, as in
-    ``build_observability_graph``, whose closure's trace a run repeats. ``add`` resumes exactly
-    (AIM Minimum Rank group, LAA 2008): the rule is monotone, so a forcing stays eligible until its
-    target turns black, every order ends in the same black set, and a closed run is a valid start
-    for a larger sensor set. Only the trace's order differs from a fresh run's.
+    ``build_observability_graph``, whose closure's trace a run repeats. A sensor's key
+    ``(n + k) * n + s`` sorts after every state forcing's ``v * n + u < n * n``, so the sensors
+    wait in order outside the heap and the next one enters when it runs empty (``_close``).
+    ``add`` resumes exactly (AIM Minimum Rank group, LAA 2008): the rule is monotone, so a forcing
+    stays eligible until its target turns black, every order ends in the same black set, and a
+    closed run is a valid start for a larger sensor set. Only the trace's order differs from a
+    fresh run's.
     """
 
     def __init__(self, graph: ClosureGraph, measured=(), rng: random.Random | None = None):
         n = graph.n
         for state in measured:
             if not 0 <= state < n:  # a heap key decodes to its pair only for a state
-                raise ValueError(f"measured state {state} outside 0..{n - 1}")
+                raise ValueError(outside(f"measured state {state}", n))
         self.graph, self.k, self.trace = graph, len(measured), []
         self.black, self.white_out, self.white_sum = [False] * n, list(graph.out_degree), list(graph.white_sum)
-        # candidates in the order a scan of all nodes, sensors last, finds them
-        self._close([*(v * n + u for v, u in graph.seeds), *((n + k) * n + s for k, s in enumerate(measured))], rng)
+        # the seeds in the order a scan of all nodes finds them; the sensors queue highest key first
+        self._close([v * n + u for v, u in graph.seeds], [(n + k) * n + s for k, s in enumerate(measured)][::-1], rng)
 
     def copy(self) -> "ClosureRun":
         """An independent run at the same point: adding to it leaves this one as it is."""
@@ -221,16 +239,24 @@ class ClosureRun:
         """Measure ``state`` as the next sensor and close again; a black state changes nothing."""
         n = self.graph.n
         if not 0 <= state < n:
-            raise ValueError(f"measured state {state} outside 0..{n - 1}")
+            raise ValueError(outside(f"measured state {state}", n))
         self.k += 1
         self._close([(n + self.k - 1) * n + state])
 
-    def _close(self, pool: list, rng: random.Random | None = None) -> None:
+    def _close(self, pool: list, sensors=(), rng: random.Random | None = None) -> None:
         """Apply the rule from ``pool``'s candidates to fixpoint: ascending pair first, or random with ``rng``.
 
         A candidate (v, u) has exactly one white out-neighbour u, over a star edge, and is keyed
         ``v * n + u``: forced nodes are states (u < n), so key order is pair order. Counters make
         each step O(in-degree), and the running sums name a node's last white out-neighbour.
+
+        ``sensors`` holds sensor keys ``(n + k) * n + s``, highest first. They wait outside the
+        heap, and the next one enters only once the heap is empty: every state forcing's key is
+        below ``n * n`` and every sensor's at least ``n * n``, rising with k, so a sensor key is
+        the heap minimum exactly when no state forcing is pending, and then it is the lowest k
+        left. So the schedule is that of one heap holding every key, while the heap itself holds a
+        handful of candidates. A random pick draws from one pool of the candidates and every
+        sensor, in the order a fresh scan finds them.
         """
         g = self.graph
         n, star_out, inn, loops, star_only = g.n, g.star_out, g.inn, g.loops, g.star_only
@@ -240,6 +266,8 @@ class ClosureRun:
             heapify(pool)
             push, pop = heappush, heappop
         else:
+            pool += reversed(sensors)
+            sensors = ()
             push = list.append
 
             def pop(pool: list) -> int:
@@ -247,32 +275,36 @@ class ClosureRun:
                 pool[idx], pool[-1] = pool[-1], pool[idx]
                 return pool.pop()
 
-        while pool:
-            step = divmod(pop(pool), n)  # (forcer, forced), appended to the trace as it is
-            u = step[1]
-            if black[u]:
-                continue  # stale: someone else forced u first
-            black[u] = True
-            trace.append(step)
-            # u's own loop just turned black. Handled apart from inn[u] because building
-            # (u, *inn[u]) per step cost ~15% per configuration on the small search graphs.
-            # u is not its own off-diagonal out-neighbour, so its white sum stays as it is.
-            if loops[u] is not none:
-                white_out[u] -= 1
-                if white_out[u] == 1:
-                    last = white_sum[u]
-                    if star_only or last in star_out[u]:
-                        push(pool, u * n + last)
-            for w in inn[u]:
-                white_sum[w] -= u
-                white_out[w] -= 1
-                if white_out[w] == 1:
-                    if black[w] or loops[w] is none:  # the last white out-neighbour is off-diagonal
-                        last = white_sum[w]
-                        if star_only or last in star_out[w]:
-                            push(pool, w * n + last)
-                    elif loops[w] is star:  # w's own loop is its last white out-edge
-                        push(pool, w * n + w)
+        while True:
+            while pool:
+                step = divmod(pop(pool), n)  # (forcer, forced), appended to the trace as it is
+                u = step[1]
+                if black[u]:
+                    continue  # stale: someone else forced u first
+                black[u] = True
+                trace.append(step)
+                # u's own loop just turned black. Handled apart from inn[u] because building
+                # (u, *inn[u]) per step cost ~15% per configuration on the small search graphs.
+                # u is not its own off-diagonal out-neighbour, so its white sum stays as it is.
+                if loops[u] is not none:
+                    white_out[u] -= 1
+                    if white_out[u] == 1:
+                        last = white_sum[u]
+                        if star_only or last in star_out[u]:
+                            push(pool, u * n + last)
+                for w in inn[u]:
+                    white_sum[w] -= u
+                    white_out[w] -= 1
+                    if white_out[w] == 1:
+                        if black[w] or loops[w] is none:  # the last white out-neighbour is off-diagonal
+                            last = white_sum[w]
+                            if star_only or last in star_out[w]:
+                                push(pool, w * n + last)
+                        elif loops[w] is star:  # w's own loop is its last white out-edge
+                            push(pool, w * n + w)
+            if not sensors:
+                break
+            pool.append(sensors.pop())  # the heap is empty, so a one-key list is one
 
 
 def compile_graph(g: StateGraph) -> ClosureGraph:

@@ -15,6 +15,11 @@ from typing import NamedTuple
 from .pattern import Entry, PatternMatrix
 
 
+def outside(what: str, n: int, range_name: str = "") -> str:
+    """The message for ``what`` lying outside the indices ``0..n - 1``; with ``n`` 0 there are none to name."""
+    return f"{what} outside {range_name}0..{n - 1}" if n else f"{what} outside a graph with no states"
+
+
 def _lists(n: int, edges) -> tuple:
     """Ascending off-diagonal neighbour tuple per node: (i, j) puts j in i's list."""
     out = [[] for _ in range(n)]
@@ -43,7 +48,7 @@ class StateGraph:
         unknown = frozenset(tuple(e) for e in unknown_edges)
         for (i, j) in star | unknown:
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) outside node range 0..{n - 1}")
+                raise ValueError(outside(f"edge ({i}, {j})", n, "node range "))
         if star & unknown:
             raise ValueError("an edge cannot be both star and unknown")
         is_star, is_unknown, none = Entry.STAR, Entry.UNKNOWN, Entry.ZERO

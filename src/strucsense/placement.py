@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .forcing import Certificate, certify_sso
-from .netgraph import NodeClassification, StateGraph, classify_nodes, cycle_count
+from .netgraph import NodeClassification, StateGraph, classify_nodes, cycle_count, outside
 from .pattern import PatternMatrix
 from .spanning import SpanningTree, removed_chords, spanning_tree_dfs
 
@@ -25,7 +25,7 @@ def _check_measured(measured: tuple, n_states: int) -> None:
         raise ValueError("duplicate measured indices")
     if measured and not (0 <= min(measured) and max(measured) < n_states):
         bad = next(i for i in measured if not (0 <= i < n_states))
-        raise ValueError(f"measured index {bad} outside 0..{n_states - 1}")
+        raise ValueError(outside(f"measured index {bad}", n_states))
 
 
 class SensorPlacement:

@@ -16,7 +16,7 @@ import json
 from functools import cached_property
 from typing import NamedTuple
 
-from .netgraph import StateGraph, star_graph
+from .netgraph import StateGraph, outside, star_graph
 from .pattern import Entry
 
 _NODE_SECTIONS = {"JUNCTIONS": "junction", "RESERVOIRS": "reservoir", "TANKS": "tank"}
@@ -364,7 +364,7 @@ def parse_edge_list(text: str) -> StateGraph:
                 raise ValueError(f"{key} entry {json.dumps(pair)} is not a pair of integers")
             i, j = pair
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"{key} pair ({i}, {j}) outside 0..{n - 1}")
+                raise ValueError(outside(f"{key} pair ({i}, {j})", n))
             bucket.add((i, j))
             bucket.add((j, i))
     return StateGraph(n, frozenset(star), frozenset(unknown))

@@ -530,6 +530,19 @@ class TestCertify:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (("certify", "--sensors", "0"), '{"n": 0}', "measured index 0 outside a graph with no states"),
+            (("info",), '{"n": 0, "star": [[0, 0]]}', "star pair (0, 0) outside a graph with no states"),
+        ],
+    )
+    def test_index_into_a_graph_with_no_states_says_so(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "empty.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestOracleCommand:
     def test_default_placement_sampled(self, capsys, fixtures_dir):
@@ -1157,6 +1170,7 @@ class TestStageTimesScript:
         stages = ("parse_inp", "state_graph", "labels", "check_preconditions", "paper", "certify_sso", "counts",
                   "place_cmd", "info_cmd")
         for row in rows:
-            assert set(row) == {"path", "states", "json_output", *stages}
+            assert set(row) == {"path", "states", "json_output", "kernel_ms", *stages}
             assert all(row[stage] >= 0 for stage in stages)
+            assert row["kernel_ms"] > 0
         assert rows[0]["states"] == 8

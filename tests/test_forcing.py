@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -28,7 +29,10 @@ from strucsense.forcing import (
     sensor_states,
 )
 from strucsense.dot import trace_dot
-from generators import graph_of, random_sensor_rows, random_symmetric_pattern
+from strucsense.netgraph import StateGraph, to_pattern
+from strucsense.placement import PipelineRun
+from strucsense.wdn import parse_edge_list, parse_inp, state_graph
+from generators import cyclic_inp_text, graph_of, random_sensor_rows, random_symmetric_pattern
 
 
 def sym(pairs, n, diag=""):
@@ -362,6 +366,132 @@ class TestResumedRun:
         black, trace = closed.black[:], closed.trace[:]
         closed.add(1)  # forced by the sensor at 0 through 0 - 1
         assert (closed.black, closed.trace, closed.k) == (black, trace, 2)
+
+    def test_a_graph_with_no_states_says_so(self):
+        graph = compile_graph(StateGraph(0))
+        assert graph.run(()) == ([], [])
+        with pytest.raises(ValueError) as exc:
+            ClosureRun(graph, (0,))
+        assert str(exc.value) == "measured state 0 outside a graph with no states"
+        closed = ClosureRun(graph)
+        with pytest.raises(ValueError) as exc:
+            closed.add(0)
+        assert str(exc.value) == "measured state 0 outside a graph with no states"
+        assert closed.k == 0
+
+
+def random_pattern(rng: random.Random, n: int, symmetric: bool, diagonal: str) -> PatternMatrix:
+    """``n`` states with off-diagonal cells drawn from ``0``, ``*`` and ``?``, and diagonal cells from ``diagonal``."""
+    star, unknown = set(), set()
+    for i in range(n):
+        for j in range(i if symmetric else 0, n):
+            cell = rng.choice(diagonal) if i == j else rng.choice("000*?")
+            {"*": star, "?": unknown}.get(cell, set()).update({(i, j), (j, i)} if symmetric else {(i, j)})
+    return PatternMatrix(n, n, frozenset(star), frozenset(unknown), symmetric)
+
+
+def random_cases(count: int):
+    """Seeded (pattern, sensors) pairs over both symmetries and three diagonals.
+
+    The sensors repeat states and measure states the closure without sensors already blackens.
+    """
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        a = random_pattern(rng, n, seed % 2 == 0, ("0", "*?", "0*?")[seed % 3])
+        forced = [v for v, b in enumerate(compile_graph(graph_of(a)).run(())[0]) if b]
+        measured = [rng.choice(forced) if forced and rng.random() < 0.3 else rng.randrange(n)
+                    for _ in range(rng.randint(0, n + 2))]
+        yield a, tuple(measured)
+
+
+class TestSensorQueue:
+    """Sensors wait outside the heap; the closure keeps the ascending-pair schedule of one heap holding all."""
+
+    def test_traces_equal_the_reference(self):
+        skipped = repeated = 0
+        for a, measured in random_cases(240):
+            for pattern in (a, make_abar(a)):
+                graph = compile_graph(graph_of(pattern))
+                closed = ClosureRun(graph, measured)
+                reference = force_closure_reference(build_observability_graph(pattern, sensors(measured, a.rows)))
+                assert tuple(closed.trace) == reference.trace
+                assert frozenset(v for v, b in enumerate(closed.black) if b) == reference.black
+                forcers = {v for v, _ in closed.trace}
+                skipped += sum(a.rows + k not in forcers for k in range(len(measured)))
+            repeated += len(set(measured)) < len(measured)
+        assert skipped > 100 and repeated > 50  # sensors on black states and repeated states both ran
+
+    def test_resumed_runs_equal_from_scratch_runs(self):
+        for seed, (a, measured) in enumerate(random_cases(120)):
+            rng = random.Random(seed)
+            split = rng.randint(0, len(measured))
+            for pattern in (a, make_abar(a)):
+                graph = compile_graph(graph_of(pattern))
+                fresh = ClosureRun(graph, measured)
+                closed = ClosureRun(graph, measured[:split])
+                for state in measured[split:]:
+                    twin = closed.copy()
+                    twin.add(state)
+                    closed = twin
+                assert (closed.black, closed.white_out, closed.white_sum, closed.k) == (
+                    fresh.black, fresh.white_out, fresh.white_sum, fresh.k)
+                assert sorted(u for _, u in closed.trace) == sorted(u for _, u in fresh.trace)
+                g = build_observability_graph(pattern, sensors(measured, a.rows))
+                assert replay_trace(g, closed.trace) == {v for v, b in enumerate(fresh.black) if b}
+
+    def test_resumed_traces_are_pinned(self, fixtures_dir):
+        """Traces of a run with sensors, extended through a copy; recorded before sensors left the heap."""
+        graph = compile_graph(parse_edge_list((fixtures_dir / "cyclic9.json").read_text()))
+        closed = ClosureRun(graph, (0,)).copy()
+        for state in (6, 2, 6):
+            closed.add(state)
+        assert (closed.trace, closed.k) == (
+            [(0, 1), (9, 0), (1, 4), (2, 3), (3, 2), (5, 7), (6, 8), (7, 5), (4, 6)], 4)
+        closed = ClosureRun(graph.companion(), (0,)).copy()
+        for state in (6, 2):
+            closed.add(state)
+        assert (closed.trace, closed.k) == (
+            [(9, 0), (0, 1), (1, 4), (10, 6), (6, 8), (8, 7), (5, 5), (11, 2), (2, 3)], 3)
+
+    def test_seeded_random_traces_are_pinned(self, fixtures_dir):
+        """A seeded pick draws from one pool of seeds and sensors; traces recorded before the sensor queue."""
+        g = state_graph(parse_inp((fixtures_dir / "two_loop.inp").read_text()))
+        graph = compile_graph(g)
+        expected = [(12, 3), (11, 0), (13, 10), (10, 5), (5, 9), (9, 4), (4, 7), (0, 6), (6, 2), (7, 1), (2, 8)]
+        for closure in (graph, graph.companion()):
+            assert closure.run((0, 3, 10), random.Random(7))[1] == expected
+        graph = compile_graph(parse_edge_list((fixtures_dir / "cyclic9.json").read_text()))
+        assert graph.run((0, 2, 6, 2), random.Random(3))[1] == [
+            (9, 0), (1, 4), (10, 2), (6, 8), (2, 3), (11, 6), (8, 7), (7, 5), (0, 1)]
+        assert graph.companion().run((0, 2, 6, 2), random.Random(3))[1] == [
+            (10, 2), (11, 6), (9, 0), (0, 1), (1, 4), (3, 3), (6, 8), (8, 7), (5, 5)]
+
+    def test_benchmark_scale_traces_are_pinned(self):
+        """A 1687-state network like the benchmark's: both traces as the engine gave them before the queue."""
+        cert = PipelineRun(state_graph(parse_inp(cyclic_inp_text(782, 124, 3)))).certificate
+        assert (len(cert.trace_a), len(cert.trace_abar), cert.colorable_a, cert.colorable_abar) == (1687, 1577, True, False)
+        assert [hashlib.sha256(json.dumps(trace).encode()).hexdigest() for trace in (cert.trace_a, cert.trace_abar)] == [
+            "8e51c6950c09082578210a8c1a9fa56f50eacdb26e46c6901a5716e9239f737e",
+            "63f8c4d9fb2186efd3d6e533fb08256b99ee5abe186e84d550d38baeba2b16d2",
+        ]
+
+
+class TestZeroFreeCompanion:
+    """With no zero on the diagonal the companion shares A's counts and compiles nothing."""
+
+    def test_equals_the_compiled_companion(self, fixtures_dir):
+        rng = random.Random(0)
+        graphs = [graph_of(without_zero_diagonal(a, "".join(rng.choice("*?") for _ in range(a.rows))))
+                  for a, _ in random_cases(90)]
+        graphs.append(state_graph(parse_inp((fixtures_dir / "two_loop.inp").read_text())))
+        for g in graphs:
+            graph = compile_graph(g)
+            derived, compiled = graph.companion(), compile_graph(graph_of(make_abar(to_pattern(g))))
+            for name in ("out_degree", "seeds", "white_sum", "star_only", "loops"):
+                assert getattr(derived, name) == getattr(compiled, name), name
+            assert derived == compiled
+            assert derived.out_degree is graph.out_degree and derived.seeds == ()
 
 
 class TestAbarInsideA:

@@ -94,6 +94,7 @@ def test_different_arguments_give_unequal_records():
         (lambda: SensorPlacement((1, 1), 3, "given"), "duplicate measured indices"),
         (lambda: SensorPlacement((0, 3), 3, "given"), "measured index 3 outside 0..2"),
         (lambda: SensorPlacement((-1,), 3, "given"), "measured index -1 outside 0..2"),
+        (lambda: SensorPlacement((0,), 0, "given"), "measured index 0 outside a graph with no states"),
         (lambda: PatternMatrix(-1, 2), "negative dimensions"),
         (lambda: PatternMatrix(2, 2, frozenset({(2, 0)})), "position (2, 0) outside 2x2"),
         (lambda: PatternMatrix(2, 2, frozenset({(0, 1)}), frozenset({(0, 1)})), "position (0, 1) is both star and unknown"),
@@ -102,6 +103,7 @@ def test_different_arguments_give_unequal_records():
         (lambda: PatternMatrix(2, 2, unknown=frozenset({(1, 0)}), symmetric=True), "symmetric flag set but unknown (1, 0) unmirrored"),
         (lambda: StateGraph(-1), "negative state count -1"),
         (lambda: StateGraph(2, frozenset({(0, 2)})), "edge (0, 2) outside node range 0..1"),
+        (lambda: StateGraph(0, frozenset({(0, 0)})), "edge (0, 0) outside a graph with no states"),
         (lambda: StateGraph(2, frozenset({(0, 1)}), frozenset({(0, 1)})), "an edge cannot be both star and unknown"),
     ],
 )

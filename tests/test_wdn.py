@@ -578,6 +578,14 @@ class TestParseEdgeList:
         with pytest.raises(ValueError, match="outside"):
             parse_edge_list('{"n": 2, "star": [[0, 5]]}')
 
+    def test_pair_in_a_graph_with_no_states_says_so(self):
+        with pytest.raises(ValueError) as exc:
+            parse_edge_list('{"n": 0, "star": [[0, 0]]}')
+        assert str(exc.value) == "star pair (0, 0) outside a graph with no states"
+        with pytest.raises(ValueError) as exc:
+            parse_edge_list('{"n": 1, "unknown": [[0, 1]]}')
+        assert str(exc.value) == "unknown pair (0, 1) outside 0..0"
+
     def test_state_count_above_the_cap_rejected_before_any_graph(self, monkeypatch, tmp_path, capsys):
         def no_graph(*args):
             raise AssertionError("a graph was built")
