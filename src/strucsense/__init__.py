@@ -25,7 +25,7 @@ from .oracle import (
     observability_rank_test,
     sample_and_check,
 )
-from .pattern import Entry, PatternMatrix, SampleConfig, is_member, make_abar
+from .pattern import Entry, PatternMatrix, is_member, make_abar
 from .placement import (
     PipelineRun,
     SensorPlacement,

@@ -193,9 +193,9 @@ class ClosureGraph:
                     self.star_only)
         return twin
 
-    def run(self, measured=(), rng: random.Random | None = None) -> tuple:
+    def run(self, measured=()) -> tuple:
         """Close a fresh ``ClosureRun`` measuring ``measured``; return its black flags and trace."""
-        closed = ClosureRun(self, measured, rng)
+        closed = ClosureRun(self, measured)
         return closed.black, closed.trace
 
     def colors_all(self, measured) -> bool:
@@ -218,7 +218,7 @@ class ClosureRun:
     fresh run's.
     """
 
-    def __init__(self, graph: ClosureGraph, measured=(), rng: random.Random | None = None):
+    def __init__(self, graph: ClosureGraph, measured=()):
         n = graph.n
         for state in measured:
             if not 0 <= state < n:  # a heap key decodes to its pair only for a state
@@ -226,7 +226,7 @@ class ClosureRun:
         self.graph, self.k, self.trace = graph, len(measured), []
         self.black, self.white_out, self.white_sum = [False] * n, list(graph.out_degree), list(graph.white_sum)
         # the seeds in the order a scan of all nodes finds them; the sensors queue highest key first
-        self._close([v * n + u for v, u in graph.seeds], [(n + k) * n + s for k, s in enumerate(measured)][::-1], rng)
+        self._close([v * n + u for v, u in graph.seeds], [(n + k) * n + s for k, s in enumerate(measured)][::-1])
 
     def copy(self) -> "ClosureRun":
         """An independent run at the same point: adding to it leaves this one as it is."""
@@ -243,8 +243,8 @@ class ClosureRun:
         self.k += 1
         self._close([(n + self.k - 1) * n + state])
 
-    def _close(self, pool: list, sensors=(), rng: random.Random | None = None) -> None:
-        """Apply the rule from ``pool``'s candidates to fixpoint: ascending pair first, or random with ``rng``.
+    def _close(self, heap: list, sensors=()) -> None:
+        """Apply the rule from ``heap``'s candidates to fixpoint, ascending pair first.
 
         A candidate (v, u) has exactly one white out-neighbour u, over a star edge, and is keyed
         ``v * n + u``: forced nodes are states (u < n), so key order is pair order. Counters make
@@ -255,29 +255,17 @@ class ClosureRun:
         below ``n * n`` and every sensor's at least ``n * n``, rising with k, so a sensor key is
         the heap minimum exactly when no state forcing is pending, and then it is the lowest k
         left. So the schedule is that of one heap holding every key, while the heap itself holds a
-        handful of candidates. A random pick draws from one pool of the candidates and every
-        sensor, in the order a fresh scan finds them.
+        handful of candidates.
         """
         g = self.graph
         n, star_out, inn, loops, star_only = g.n, g.star_out, g.inn, g.loops, g.star_only
         none, star = _NO_LOOP, _STAR_LOOP
         black, white_out, white_sum, trace = self.black, self.white_out, self.white_sum, self.trace
-        if rng is None:
-            heapify(pool)
-            push, pop = heappush, heappop
-        else:
-            pool += reversed(sensors)
-            sensors = ()
-            push = list.append
-
-            def pop(pool: list) -> int:
-                idx = rng.randrange(len(pool))
-                pool[idx], pool[-1] = pool[-1], pool[idx]
-                return pool.pop()
-
+        heapify(heap)
+        push, pop = heappush, heappop  # locals: read per step
         while True:
-            while pool:
-                step = divmod(pop(pool), n)  # (forcer, forced), appended to the trace as it is
+            while heap:
+                step = divmod(pop(heap), n)  # (forcer, forced), appended to the trace as it is
                 u = step[1]
                 if black[u]:
                     continue  # stale: someone else forced u first
@@ -291,7 +279,7 @@ class ClosureRun:
                     if white_out[u] == 1:
                         last = white_sum[u]
                         if star_only or last in star_out[u]:
-                            push(pool, u * n + last)
+                            push(heap, u * n + last)
                 for w in inn[u]:
                     white_sum[w] -= u
                     white_out[w] -= 1
@@ -299,12 +287,12 @@ class ClosureRun:
                         if black[w] or loops[w] is none:  # the last white out-neighbour is off-diagonal
                             last = white_sum[w]
                             if star_only or last in star_out[w]:
-                                push(pool, w * n + last)
+                                push(heap, w * n + last)
                         elif loops[w] is star:  # w's own loop is its last white out-edge
-                            push(pool, w * n + w)
+                            push(heap, w * n + w)
             if not sensors:
                 break
-            pool.append(sensors.pop())  # the heap is empty, so a one-key list is one
+            heap.append(sensors.pop())  # the heap is empty, so a one-key list is one
 
 
 def compile_graph(g: StateGraph) -> ClosureGraph:
@@ -316,8 +304,9 @@ def force_closure_reference(g: ObservabilityGraph, order: random.Random | None =
     """Slow from-scratch closure: rescan every node for eligibility per step.
 
     Kept deliberately naive (no counters) as an independent check of the
-    worklist engine. ``order`` picks among eligible forcings at random;
-    without it the ascending pair is applied.
+    worklist engine, and the package's one random-order closure: ``order``
+    picks among eligible forcings at random; without it the ascending pair
+    is applied, the engine's one schedule.
     """
     total = g.n_nodes
     out_all = [sorted(set(g.star_out[v]) | set(g.unknown_out[v])) for v in range(total)]

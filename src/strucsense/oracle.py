@@ -18,11 +18,12 @@ from typing import NamedTuple
 
 from .forcing import ClosureRun, compile_graph, sensor_states
 from .netgraph import StateGraph, from_pattern
-from .pattern import Entry, PatternMatrix, SampleConfig, make_abar, sample_realizations
+from .pattern import STAR_RANGE, Entry, PatternMatrix, make_abar, sample_realizations
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_STATE_CAP = 30
 DEFAULT_EXHAUSTIVE_CAP = 16
+WITNESS_CAP = 64  # minimum sensor sets ``exhaustive_min_sensors`` reports at most
 # doubles one batch of oracle trials may hold in A, C and the stacked matrix (4 MiB)
 CHUNK_DOUBLES = 2**19
 
@@ -103,18 +104,13 @@ def _sigma_ratios(a, c):
     return np.divide(sigmas[:, n - 1], top, out=np.zeros(t), where=top != 0.0)
 
 
-def observability_rank_test(
-    a,
-    c,
-    tol: float = DEFAULT_RANK_TOL,
-    max_states: int = DEFAULT_STATE_CAP,
-) -> bool:
+def observability_rank_test(a, c, max_states: int = DEFAULT_STATE_CAP) -> bool:
     """Kalman-style test: does [C; CA; ...; CA^(n-1)] have full column rank?
 
     ``a`` is an ``(n, n)`` and ``c`` a ``(p, n)`` array or nested list. Full
-    rank means the n-th singular value over the largest exceeds ``tol``.
-    The state cap keeps the test inside the regime where this threshold is
-    trustworthy.
+    rank means the n-th singular value over the largest exceeds
+    ``DEFAULT_RANK_TOL``. The state cap keeps the test inside the regime where
+    this threshold is trustworthy.
     """
     import numpy as np
 
@@ -129,7 +125,7 @@ def observability_rank_test(
         raise ValueError(f"{n} states exceed the rank-test cap of {max_states}")
     if not (np.isfinite(a).all() and np.isfinite(c).all()):
         raise ValueError("non-finite entries in input matrices")
-    return bool(_sigma_ratios(a[None], c[None])[0] > tol)
+    return bool(_sigma_ratios(a[None], c[None])[0] > DEFAULT_RANK_TOL)
 
 
 def realize_unit_output(c_pat: PatternMatrix):
@@ -147,17 +143,9 @@ def _chunk_trials(n: int, p: int) -> int:
     return max(1, CHUNK_DOUBLES // max(1, n * n + p * n + n * p * n))
 
 
-def sample_and_check(
-    a_pat: PatternMatrix,
-    c_pat: PatternMatrix,
-    trials: int,
-    seed: int,
-    cfg: SampleConfig | None = None,
-    c_mode: str = "unit",
-    tol: float = DEFAULT_RANK_TOL,
-    max_states: int = DEFAULT_STATE_CAP,
-) -> OracleReport:
-    """Draw realizations of the pattern pair and count rank-test passes.
+def sample_and_check(a_pat: PatternMatrix, c_pat: PatternMatrix, trials: int, seed: int,
+                     c_mode: str = "unit") -> OracleReport:
+    """Draw realizations of the pattern pair and count rank-test passes against ``DEFAULT_RANK_TOL``.
 
     ``c_mode="unit"`` realizes output stars as exactly 1 (single-state
     sensors); ``c_mode="sampled"`` draws arbitrary nonzero output gains as
@@ -178,8 +166,8 @@ def sample_and_check(
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     n = a_pat.rows
-    if n > max_states:
-        raise ValueError(f"{n} states exceed the rank-test cap of {max_states}")
+    if n > DEFAULT_STATE_CAP:
+        raise ValueError(f"{n} states exceed the rank-test cap of {DEFAULT_STATE_CAP}")
 
     trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=2 * trials)
     unit_c = realize_unit_output(c_pat)
@@ -188,13 +176,13 @@ def sample_and_check(
     chunk = _chunk_trials(n, c_pat.rows)
     for start in range(0, trials, chunk):
         seeds = trial_seeds[2 * start:2 * (start + chunk)].tolist()
-        a = sample_realizations(a_pat, seeds[0::2], cfg)
+        a = sample_realizations(a_pat, seeds[0::2])
         if c_mode == "unit":
             c = np.broadcast_to(unit_c, (len(a), *unit_c.shape))
         else:
-            c = sample_realizations(c_pat, seeds[1::2], cfg)
+            c = sample_realizations(c_pat, seeds[1::2])
         ratios = _sigma_ratios(a, c)
-        passes += int(np.count_nonzero(ratios > tol))
+        passes += int(np.count_nonzero(ratios > DEFAULT_RANK_TOL))
         min_ratio = min(min_ratio, float(ratios.min()))
     return OracleReport(trials, passes, min_ratio, seed)
 
@@ -213,7 +201,7 @@ def _solve_stuck_rows(pattern: PatternMatrix, whites, x, pins, rng):
     n = pattern.rows
     mat = np.zeros((n, n))
     for (i, j) in pattern.star:
-        mat[i, j] = pins.get((i, j), rng.uniform(0.5, 2.0))
+        mat[i, j] = pins.get((i, j), rng.uniform(*STAR_RANGE))
     for i in range(n):
         wcols = [j for j in whites if pattern.entry(i, j) is not Entry.ZERO]
         if not wcols:
@@ -303,28 +291,24 @@ def _colouring_sets(closed: ClosureRun, combo: tuple, left: int):
             yield combo + (v,)
 
 
-def exhaustive_min_sensors(
-    g: StateGraph,
-    max_states: int = DEFAULT_EXHAUSTIVE_CAP,
-    witness_cap: int = 64,
-    progress=None,
-) -> MinimalPlacementResult:
+def exhaustive_min_sensors(g: StateGraph, progress=None) -> MinimalPlacementResult:
     """Brute-force the smallest certified sensor set.
 
     Subsets are enumerated by increasing cardinality, lexicographic within
     each size; every subset is certified until a size produces witnesses,
-    then the rest of that size is swept so all witnesses (up to the cap)
-    are counted. ``g`` is compiled once and its companion derived from it.
-    Abar, which refuses first when no diagonal entry is zero (``certify_sso``),
+    then the rest of that size is swept so all witnesses (up to
+    ``WITNESS_CAP``) are counted. ``g`` is compiled once and its companion
+    derived from it. Abar, which refuses first when no diagonal entry is zero (``certify_sso``),
     else A, is closed depth first, each prefix once per size; the other
     graph only for subsets the first colours, and none once the witness cap
-    is reached. Refuses graphs whose configuration count would explode.
+    is reached. Refuses graphs of more than ``DEFAULT_EXHAUSTIVE_CAP`` states,
+    whose configuration count would explode.
     """
     n = g.n
-    if n > max_states:
+    if n > DEFAULT_EXHAUSTIVE_CAP:
         raise ValueError(
             f"{n} states means {2 ** n - 1} sensor configurations; "
-            f"refusing beyond the cap of {max_states} states"
+            f"refusing beyond the cap of {DEFAULT_EXHAUSTIVE_CAP} states"
         )
     graph_a = compile_graph(g)
     first, second = (graph_a.companion(), graph_a) if Entry.ZERO not in g.loops else (graph_a, graph_a.companion())
@@ -332,7 +316,7 @@ def exhaustive_min_sensors(
     checked = 0
     for size in range(n + 1):
         sets = _colouring_sets(root, (), size) if size else ([()] if len(root.trace) == n else [])
-        witnesses = list(islice(filter(second.colors_all, sets), witness_cap))
+        witnesses = list(islice(filter(second.colors_all, sets), WITNESS_CAP))
         checked += comb(n, size)
         if progress is not None:
             progress({"size": size, "checked": checked, "witnesses": len(witnesses)})

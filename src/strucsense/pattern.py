@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import json
-from typing import NamedTuple
 
 
 class Entry(enum.Enum):
@@ -119,17 +118,10 @@ class PatternMatrix:
         )
 
 
-class SampleConfig(NamedTuple):
-    """Distribution knobs for drawing numeric realizations of a pattern.
-
-    Star magnitudes are drawn uniformly from ``star_range`` with a random
-    sign; the range is kept away from 0 and from overflow so downstream
-    rank tests stay well conditioned. Unknown positions are exactly 0 with
-    probability ``zero_prob`` and otherwise drawn like stars.
-    """
-
-    star_range: tuple = (0.5, 2.0)
-    zero_prob: float = 0.5
+# realizations draw star magnitudes uniformly from STAR_RANGE, kept away from 0 and from overflow so
+# the rank tests stay well conditioned; an unknown entry is exactly 0 with probability ZERO_PROB
+STAR_RANGE = (0.5, 2.0)
+ZERO_PROB = 0.5
 
 
 def make_abar(a: PatternMatrix) -> PatternMatrix:
@@ -168,27 +160,23 @@ def is_member(x, a: PatternMatrix) -> bool:
     return bool(np.all(x[~free] == 0.0))
 
 
-def sample_realizations(a: PatternMatrix, seeds, cfg: SampleConfig | None = None):
+def sample_realizations(a: PatternMatrix, seeds):
     """Draw one member of the pattern class per seed, stacked in a ``(len(seeds), rows, cols)`` array.
 
     Each seed drives its own ``default_rng``. Stars come first, in sorted
-    position order, each taking a magnitude draw ``lo + (hi - lo) * u`` and a
-    sign draw; then each unknown, in sorted order, takes a draw that keeps it
-    zero with probability ``zero_prob`` and, when it takes a value, a
-    magnitude and a sign like a star. A realization's doubles come from one
-    ``random(K)`` call, K the most it can use, in that order: the same
-    doubles, and so the same matrix, that one ``random()`` or
+    position order, each taking a magnitude draw ``lo + (hi - lo) * u`` over
+    ``STAR_RANGE`` and a sign draw; then each unknown, in sorted order, takes
+    a draw that keeps it zero with probability ``ZERO_PROB`` and, when it
+    takes a value, a magnitude and a sign like a star. A realization's
+    doubles come from one ``random(K)`` call, K the most it can use, in that
+    order: the same doubles, and so the same matrix, that one ``random()`` or
     ``uniform(lo, hi)`` call per draw would give. Stars are filled for all
     seeds at once; the unknowns are walked in order, since whether one takes
     a value decides where the next one's draws start.
     """
     import numpy as np
 
-    cfg = cfg or SampleConfig()
-    lo, hi = cfg.star_range
-    if not (0.0 < lo <= hi):
-        raise ValueError(f"star_range must satisfy 0 < lo <= hi, got {cfg.star_range}")
-    lo, hi = float(lo), float(hi)
+    lo, hi = STAR_RANGE
     star, unknown = sorted(a.star), sorted(a.unknown)
     seeds = list(seeds)
     u = np.empty((len(seeds), 2 * len(star) + 3 * len(unknown)))
@@ -206,7 +194,7 @@ def sample_realizations(a: PatternMatrix, seeds, cfg: SampleConfig | None = None
     trials = np.arange(len(seeds))
     at = np.full(len(seeds), 2 * len(star))
     for (i, j) in unknown:
-        takes = u[trials, at] >= cfg.zero_prob
+        takes = u[trials, at] >= ZERO_PROB
         x[:, i, j] = np.where(takes, signed(u[trials, at + 1], u[trials, at + 2]), 0.0)
         at += 1 + 2 * takes
     return x

@@ -9,7 +9,6 @@ with exactly one star per row, which downstream certification consumes.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from typing import NamedTuple
 
@@ -53,9 +52,6 @@ class SensorPlacement:
         if labels is not None:
             payload["labels"] = [labels[i] for i in self.measured]
         return payload
-
-    def to_json(self, labels: list | None = None) -> str:
-        return json.dumps(self.as_dict(labels), sort_keys=True)
 
 
 class SensorCountReport(NamedTuple):

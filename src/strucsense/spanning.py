@@ -8,7 +8,6 @@ explicit stack keeps the traversal O(n + m) even on large networks.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .netgraph import StateGraph
@@ -45,14 +44,6 @@ class SpanningTree(NamedTuple):
             if p is not None:
                 deg[p] += 1
         return deg
-
-    def to_json(self) -> str:
-        payload = {
-            "parent": [-1 if p is None else p for p in self.parent],
-            "roots": sorted(self.roots),
-            "edges": sorted([i, j] for (i, j) in self.tree_edges),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def spanning_tree_dfs(g: StateGraph) -> SpanningTree:

@@ -7,6 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from strucsense import PatternMatrix, StateGraph, from_pattern
+from strucsense.forcing import ClosureGraph, ClosureRun, ObservabilityGraph, force_closure_reference
 from strucsense.wdn import HydraulicNode, Link, WdnNetwork
 
 # node-by-link incidence of fixtures/triangle_wdn.inp: 1 at a link's from-node, -1 at its to-node
@@ -161,6 +162,23 @@ def random_sensor_rows(rng: random.Random, n: int, max_sensors: int | None = Non
     measured = sorted(rng.sample(range(n), k)) if k else []
     star = frozenset((row, s) for row, s in enumerate(measured))
     return PatternMatrix(len(measured), n, star, frozenset())
+
+
+def shuffled_closures(og: ObservabilityGraph, graph: ClosureGraph, measured, rng: random.Random) -> tuple:
+    """Black states of one sensor set, closed in two orders ``rng`` draws.
+
+    First the reference's on ``og``, picking at random among the eligible forcings; then the
+    engine's on ``graph``, given ``measured`` one state at a time with ``ClosureRun.add`` in a
+    shuffled order, the resume path the exhaustive search runs. By confluence both equal the
+    ascending closure's black states.
+    """
+    reference = force_closure_reference(og, order=rng).black
+    order = list(measured)
+    rng.shuffle(order)
+    closed = ClosureRun(graph)
+    for state in order:
+        closed.add(state)
+    return reference, frozenset(v for v, b in enumerate(closed.black) if b)
 
 
 NODE_KINDS = ("junction", "reservoir", "tank")  # INP section order

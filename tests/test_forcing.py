@@ -32,7 +32,7 @@ from strucsense.dot import trace_dot
 from strucsense.netgraph import StateGraph, to_pattern
 from strucsense.placement import PipelineRun
 from strucsense.wdn import parse_edge_list, parse_inp, state_graph
-from generators import cyclic_inp_text, graph_of, random_sensor_rows, random_symmetric_pattern
+from generators import cyclic_inp_text, graph_of, random_sensor_rows, random_symmetric_pattern, shuffled_closures
 
 
 def sym(pairs, n, diag=""):
@@ -54,9 +54,9 @@ def sensors(measured, n):
     )
 
 
-def close(a, c, rng=None):
+def close(a, c):
     """Black states and trace of the compiled closure of ``a`` measured by ``c``."""
-    black, trace = compile_graph(graph_of(a)).run(sensor_states(c, a.rows), rng)
+    black, trace = compile_graph(graph_of(a)).run(sensor_states(c, a.rows))
     return frozenset(v for v, b in enumerate(black) if b), tuple(trace)
 
 
@@ -198,8 +198,10 @@ class TestClosureConfluence:
             a = random_symmetric_pattern(seed, n_max=25)
             c = random_sensor_rows(rng, a.rows)
             expected = close(a, c)[0]
+            g, graph = build_observability_graph(a, c), compile_graph(graph_of(a))
             for k in range(5):
-                assert close(a, c, random.Random(seed * 100 + k))[0] == expected
+                got = shuffled_closures(g, graph, sensor_states(c, a.rows), random.Random(seed * 100 + k))
+                assert got == (expected, expected)
 
     def test_worklist_matches_slow_reference(self):
         for seed in range(15):
@@ -253,8 +255,9 @@ class TestCompiledEngine:
             assert tuple(trace) == reference.trace
             assert replay_trace(g, trace) == black_set
             assert compiled.colors_all(measured) == (len(black_set) == a.rows)
-            _, shuffled = compiled.run(measured, random.Random(seed))
-            assert replay_trace(g, shuffled) == black_set
+            shuffled = force_closure_reference(g, order=random.Random(seed))
+            assert replay_trace(g, shuffled.trace) == shuffled.black == black_set
+            assert shuffled_closures(g, compiled, measured, random.Random(seed)) == (black_set, black_set)
 
     def test_last_white_neighbour_across_an_unknown_edge_is_not_forced(self):
         """Node 0's last white out-neighbour, 2, is across a ``?`` edge: 0 must not force it."""
@@ -453,19 +456,6 @@ class TestSensorQueue:
             closed.add(state)
         assert (closed.trace, closed.k) == (
             [(9, 0), (0, 1), (1, 4), (10, 6), (6, 8), (8, 7), (5, 5), (11, 2), (2, 3)], 3)
-
-    def test_seeded_random_traces_are_pinned(self, fixtures_dir):
-        """A seeded pick draws from one pool of seeds and sensors; traces recorded before the sensor queue."""
-        g = state_graph(parse_inp((fixtures_dir / "two_loop.inp").read_text()))
-        graph = compile_graph(g)
-        expected = [(12, 3), (11, 0), (13, 10), (10, 5), (5, 9), (9, 4), (4, 7), (0, 6), (6, 2), (7, 1), (2, 8)]
-        for closure in (graph, graph.companion()):
-            assert closure.run((0, 3, 10), random.Random(7))[1] == expected
-        graph = compile_graph(parse_edge_list((fixtures_dir / "cyclic9.json").read_text()))
-        assert graph.run((0, 2, 6, 2), random.Random(3))[1] == [
-            (9, 0), (1, 4), (10, 2), (6, 8), (2, 3), (11, 6), (8, 7), (7, 5), (0, 1)]
-        assert graph.companion().run((0, 2, 6, 2), random.Random(3))[1] == [
-            (10, 2), (11, 6), (9, 0), (0, 1), (1, 4), (3, 3), (6, 8), (8, 7), (5, 5)]
 
     def test_benchmark_scale_traces_are_pinned(self):
         """A 1687-state network like the benchmark's: both traces as the engine gave them before the queue."""

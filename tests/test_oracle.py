@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from strucsense import (
     OracleReport,
     PatternMatrix,
-    SampleConfig,
     build_output_pattern,
     certify_sso,
     exhaustive_min_sensors,
@@ -30,8 +29,8 @@ from strucsense.forcing import (
     compile_graph,
     force_closure_reference,
 )
-from strucsense.oracle import DEFAULT_RANK_TOL, _chunk_trials, realize_unit_output
-from strucsense.pattern import sample_realizations
+from strucsense.oracle import DEFAULT_RANK_TOL, WITNESS_CAP, _chunk_trials, realize_unit_output
+from strucsense.pattern import STAR_RANGE, ZERO_PROB, sample_realizations
 from generators import (
     TRIANGLE_WDN_INC,
     graph_of,
@@ -182,13 +181,15 @@ class TestExhaustiveMinimum:
         assert updates[-1]["witnesses"] == 3
 
     def test_witness_cap_respected(self):
-        pat = structured_pattern(TRIANGLE_WDN_INC)
-        result = exhaustive_min_sensors(graph_of(pat), witness_cap=1)
-        assert len(result.witnesses) == 1
-        assert result.minimum_size == 2
+        """7 disjoint star pairs: one sensor per pair, 2 ** 7 = 128 minimum sets, ``WITNESS_CAP`` reported."""
+        pat = PatternMatrix(14, 14, frozenset(p for i in range(0, 14, 2) for p in ((i, i + 1), (i + 1, i))))
+        result = exhaustive_min_sensors(graph_of(pat))
+        assert (result.minimum_size, result.configurations_checked) == (7, 9908)
+        assert len(result.witnesses) == WITNESS_CAP == 64
+        assert result.witnesses[:2] == ((0, 2, 4, 6, 8, 10, 12), (0, 2, 4, 6, 8, 10, 13))
 
 
-def naive_min_sensors(a: PatternMatrix, witness_cap: int = 64) -> tuple:
+def naive_min_sensors(a: PatternMatrix, witness_cap: int = WITNESS_CAP) -> tuple:
     """The exhaustive search's contract, certifying every subset from scratch."""
     n = a.rows
     checked = 0
@@ -235,7 +236,9 @@ class TestExhaustiveAgainstNaiveSearch:
     def test_same_result_as_certifying_each_subset(self, generator, seed):
         pat = generator(seed, n_max=10)
         for cap in (64, 2):
-            result = exhaustive_min_sensors(graph_of(pat), witness_cap=cap)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(strucsense.oracle, "WITNESS_CAP", cap)
+                result = exhaustive_min_sensors(graph_of(pat))
             got = (result.minimum_size, result.witnesses, result.configurations_checked)
             assert got == naive_min_sensors(pat, cap)
 
@@ -246,12 +249,13 @@ class TestExhaustiveAgainstNaiveSearch:
         assert got == naive_min_sensors(pat)
 
     @pytest.mark.parametrize("cap", [64, 1, 0])
-    def test_zero_diagonals_where_a_refuses(self, cap):
+    def test_zero_diagonals_where_a_refuses(self, cap, monkeypatch):
         """Patterns with zeros on the diagonal, where a subset can colour Abar and not A."""
+        monkeypatch.setattr(strucsense.oracle, "WITNESS_CAP", cap)
         a_refuses = 0
         for seed in range(40):
             pat = random_pattern(seed)
-            result = exhaustive_min_sensors(graph_of(pat), witness_cap=cap)
+            result = exhaustive_min_sensors(graph_of(pat))
             got = (result.minimum_size, result.witnesses, result.configurations_checked)
             assert got == naive_min_sensors(pat, cap), seed
             graph = compile_graph(graph_of(pat))
@@ -370,10 +374,9 @@ class TestCertificateOracleAgreement:
         assert confirmed == 10
 
 
-def sample_realization_reference(a: PatternMatrix, seed: int, cfg: SampleConfig | None = None) -> np.ndarray:
+def sample_realization_reference(a: PatternMatrix, seed: int) -> np.ndarray:
     """The sampler's contract one draw at a time: scalar ``uniform`` and ``random`` calls."""
-    cfg = cfg or SampleConfig()
-    lo, hi = cfg.star_range
+    lo, hi = STAR_RANGE
     rng = np.random.default_rng(seed)
     x = np.zeros((a.rows, a.cols))
 
@@ -384,22 +387,22 @@ def sample_realization_reference(a: PatternMatrix, seed: int, cfg: SampleConfig 
     for (i, j) in sorted(a.star):
         x[i, j] = draw()
     for (i, j) in sorted(a.unknown):
-        if rng.random() >= cfg.zero_prob:
+        if rng.random() >= ZERO_PROB:
             x[i, j] = draw()
     return x
 
 
-def sample_and_check_reference(a_pat, c_pat, trials, seed, cfg=None, c_mode="unit", tol=DEFAULT_RANK_TOL):
+def sample_and_check_reference(a_pat, c_pat, trials, seed, c_mode="unit"):
     """The oracle's contract one trial at a time: scalar draws and one SVD per trial."""
     n = a_pat.rows
     trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=2 * trials)
     passes, min_ratio = 0, float("inf")
     for t in range(trials):
-        a = sample_realization_reference(a_pat, int(trial_seeds[2 * t]), cfg)
+        a = sample_realization_reference(a_pat, int(trial_seeds[2 * t]))
         if c_mode == "unit":
             c = realize_unit_output(c_pat)
         else:
-            c = sample_realization_reference(c_pat, int(trial_seeds[2 * t + 1]), cfg)
+            c = sample_realization_reference(c_pat, int(trial_seeds[2 * t + 1]))
         if n == 0:
             ratio = 1.0
         elif c.shape[0] == 0:
@@ -414,17 +417,14 @@ def sample_and_check_reference(a_pat, c_pat, trials, seed, cfg=None, c_mode="uni
                 cur = cur @ a
             sigmas = np.linalg.svd(np.vstack(blocks), compute_uv=False)
             ratio = float(sigmas[n - 1] / sigmas[0]) if sigmas[0] != 0.0 else 0.0
-        passes += ratio > tol
+        passes += ratio > DEFAULT_RANK_TOL
         min_ratio = min(min_ratio, ratio)
     return OracleReport(trials, passes, min_ratio if trials else 0.0, seed)
 
 
-CONFIGS = [None, SampleConfig((1, 3), 0.2), SampleConfig((0.5, 0.5), 0.9)]
-
-
 @st.composite
 def oracle_cases(draw):
-    """A state pattern (sometimes with a row of unknowns only), sensor rows and sampling knobs."""
+    """A state pattern (sometimes with a row of unknowns only) and sensor rows."""
     n = draw(st.integers(0, 6))
     rows = [draw(st.text("0*?", min_size=n, max_size=n)) for _ in range(n)]
     if n and draw(st.booleans()):
@@ -438,7 +438,7 @@ def oracle_cases(draw):
     ) if n and draw(st.booleans()) else frozenset()
     c_pat = PatternMatrix(len(measured), n, star, unknown)
     a_pat = PatternMatrix.from_rows(rows) if n else PatternMatrix(0, 0)
-    return a_pat, c_pat, draw(st.sampled_from(CONFIGS))
+    return a_pat, c_pat
 
 
 class TestBatchedAgainstPerTrialReference:
@@ -453,13 +453,13 @@ class TestBatchedAgainstPerTrialReference:
         st.integers(0, 2**32 - 1),
     )
     def test_same_report(self, case, c_mode, size, seed):
-        a_pat, c_pat, cfg = case
+        a_pat, c_pat = case
         chunks, extra = size
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(strucsense.oracle, "CHUNK_DOUBLES", 200)  # chunks of a few to 200 trials
             trials = chunks * _chunk_trials(a_pat.rows, c_pat.rows) + extra
-            got = sample_and_check(a_pat, c_pat, trials, seed, cfg=cfg, c_mode=c_mode)
-        assert got == sample_and_check_reference(a_pat, c_pat, trials, seed, cfg=cfg, c_mode=c_mode)
+            got = sample_and_check(a_pat, c_pat, trials, seed, c_mode=c_mode)
+        assert got == sample_and_check_reference(a_pat, c_pat, trials, seed, c_mode=c_mode)
 
     @pytest.mark.parametrize("c_mode", ["unit", "sampled"])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -476,6 +476,6 @@ class TestBatchedAgainstPerTrialReference:
         rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
         cells = [data.draw(st.text("0*?", min_size=cols, max_size=cols)) for _ in range(rows)]
         pat = PatternMatrix.from_rows(cells) if rows else PatternMatrix(0, cols)
-        seed, cfg = data.draw(st.integers(0, 2**63 - 2)), data.draw(st.sampled_from(CONFIGS))
-        got = sample_realizations(pat, [seed], cfg)[0]
-        assert got.tobytes() == sample_realization_reference(pat, seed, cfg).tobytes()
+        seed = data.draw(st.integers(0, 2**63 - 2))
+        got = sample_realizations(pat, [seed])[0]
+        assert got.tobytes() == sample_realization_reference(pat, seed).tobytes()

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from strucsense import (
     Entry,
     PatternMatrix,
-    SampleConfig,
     is_member,
     make_abar,
 )
-from strucsense.pattern import sample_realizations
+from strucsense.pattern import STAR_RANGE, sample_realizations
 from generators import random_symmetric_pattern
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
@@ -157,21 +156,14 @@ class TestSampleRealization:
             assert is_member(sample_realizations(p, [seed])[0], p)
 
     def test_deterministic_per_seed(self):
-        cfg = SampleConfig(star_range=(0.5, 2.0), zero_prob=0.25)
-        a = sample_realizations(TRIANGLE, [1234], cfg)[0]
-        b = sample_realizations(TRIANGLE, [1234], cfg)[0]
+        a = sample_realizations(TRIANGLE, [1234])[0]
+        b = sample_realizations(TRIANGLE, [1234])[0]
         assert np.array_equal(a, b)
-        c = sample_realizations(TRIANGLE, [1235], cfg)[0]
+        c = sample_realizations(TRIANGLE, [1235])[0]
         assert not np.array_equal(a, c)
 
     def test_star_magnitudes_within_range(self):
-        cfg = SampleConfig(star_range=(0.5, 2.0))
-        x = sample_realizations(TRIANGLE, [7], cfg)[0]
+        x = sample_realizations(TRIANGLE, [7])[0]
         mags = np.abs(x[x != 0])
+        assert STAR_RANGE == (0.5, 2.0)
         assert mags.min() >= 0.5 and mags.max() <= 2.0
-
-    def test_empty_star_range_rejected(self):
-        with pytest.raises(ValueError):
-            sample_realizations(TRIANGLE, [0], SampleConfig(star_range=(2.0, 0.5)))
-        with pytest.raises(ValueError):
-            sample_realizations(TRIANGLE, [0], SampleConfig(star_range=(0.0, 0.0)))

@@ -156,12 +156,10 @@ class TestOutputPattern:
             build_output_pattern(SensorPlacement((1,), 2, "tree"), 1)
 
     def test_placement_json_with_labels(self):
-        import json
-
+        """The payload ``place`` writes under ``placement``."""
         p = SensorPlacement((2, 7), 8, "cyclic")
         labels = [f"q:e{i+1}" for i in range(4)] + [f"h:{i+1}" for i in range(4)]
-        payload = json.loads(p.to_json(labels))
-        assert payload == {"mode": "cyclic", "measured": [2, 7], "labels": ["q:e3", "h:4"]}
+        assert p.as_dict(labels) == {"mode": "cyclic", "measured": [2, 7], "labels": ["q:e3", "h:4"]}
 
 
 class TestSensorCountReport:

@@ -4,13 +4,21 @@ Equal constructor arguments give equal records; records that hash, hash
 alike; the validating constructors reject bad input with fixed messages.
 """
 
+import inspect
+
 import pytest
 
 from strucsense.cli import InputBundle
-from strucsense.forcing import Certificate, ClosureGraph, ColoringState, ObservabilityGraph
+from strucsense.forcing import Certificate, ClosureGraph, ClosureRun, ColoringState, ObservabilityGraph
 from strucsense.netgraph import NodeClassification, PreconditionReport, StateGraph, star_graph
-from strucsense.oracle import MinimalPlacementResult, OracleReport
-from strucsense.pattern import Entry, PatternMatrix, SampleConfig
+from strucsense.oracle import (
+    MinimalPlacementResult,
+    OracleReport,
+    exhaustive_min_sensors,
+    observability_rank_test,
+    sample_and_check,
+)
+from strucsense.pattern import Entry, PatternMatrix, sample_realizations
 from strucsense.placement import PipelineRun, SensorCountReport, SensorPlacement
 from strucsense.spanning import SpanningTree, spanning_tree_dfs
 from strucsense.wdn import HydraulicNode, Link, WdnNetwork, parse_inp
@@ -46,7 +54,6 @@ RECORDS = {
     OracleReport: lambda: OracleReport(10, 9, 0.25, 42),
     MinimalPlacementResult: lambda: MinimalPlacementResult(2, ((0, 1), (1, 2)), 7),
     PatternMatrix: lambda: PatternMatrix(2, 2, frozenset({(0, 1)}), frozenset({(1, 1)})),
-    SampleConfig: lambda: SampleConfig((0.5, 2.0), 0.25),
     SensorPlacement: lambda: SensorPlacement((0, 2), 3, "cyclic"),
     SensorCountReport: lambda: SensorCountReport(2, 1, 3, True),
     PipelineRun: lambda: PipelineRun(path3(), "cyclic", SensorPlacement((0,), 3, "given")),
@@ -70,7 +77,6 @@ def test_equal_arguments_give_equal_records(cls):
 
 
 def test_defaults_give_equal_records():
-    assert SampleConfig() == SampleConfig((0.5, 2.0), 0.5)
     assert PatternMatrix(2, 3) == PatternMatrix(2, 3, frozenset(), frozenset())
     assert StateGraph(2) == StateGraph(2, frozenset(), frozenset())
     assert PipelineRun(path3()) == PipelineRun(path3(), "cyclic", None)
@@ -170,3 +176,22 @@ def test_both_graph_constructors_store_the_same_fields_and_derive_the_same_views
 )
 def test_every_pipeline_run_has_its_forest(graph, mode, given):
     assert PipelineRun(graph, mode, given).tree == spanning_tree_dfs(graph)
+
+
+# settings that became module constants: the closure's one schedule, the sampler's distribution,
+# the oracle's rank tolerance and the search's caps
+REMOVED_SETTINGS = {"rng", "cfg", "tol", "star_range", "zero_prob", "max_states", "witness_cap"}
+# function -> the removed names it keeps
+KEPT_SETTINGS = {
+    ClosureGraph.run: set(),
+    ClosureRun: set(),
+    sample_realizations: set(),
+    sample_and_check: set(),
+    observability_rank_test: {"max_states"},  # C5 rank-tests 60-state realizations
+    exhaustive_min_sensors: set(),
+}
+
+
+@pytest.mark.parametrize("fn", list(KEPT_SETTINGS), ids=lambda fn: fn.__qualname__)
+def test_removed_settings_stay_removed(fn):
+    assert set(inspect.signature(fn).parameters) & REMOVED_SETTINGS == KEPT_SETTINGS[fn]

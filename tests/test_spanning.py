@@ -146,12 +146,9 @@ class TestSpanningTree:
                 assert cur in t.roots
 
     def test_json_shape(self):
-        import json
-
         t = spanning_tree_dfs(from_pattern(TRIANGLE))
-        payload = json.loads(t.to_json())
-        assert payload["parent"] == [-1, 0, 1]
-        assert payload["edges"] == [[0, 1], [1, 2]]
+        assert t.parent == (None, 0, 1) and t.roots == (0,)
+        assert t.tree_edges == frozenset({(0, 1), (1, 2)})
 
     def test_degrees_count_tree_edges_only(self):
         t = spanning_tree_dfs(from_pattern(TRIANGLE))
