@@ -12,16 +12,15 @@ the graph of its nonzero-diagonal companion; the system is strongly
 structurally observable exactly when both are colorable, i.e. every numeric
 realization of the pattern pair is observable.
 
-The state part of that graph never depends on the sensors, so it is
-compiled once per state graph (``compile_graph``) and each sensor set is
-a run against it (``ClosureRun``), which the exhaustive search resumes with
-more sensors; it runs on ``StateGraph``'s own neighbour lists, and the
-companion's graph rewrites its self-loop flags only. Every closure runs
-this one engine. ``build_observability_graph``,
-``force_closure_reference`` and ``replay_trace`` are the slow independent
-checks: they build and close an explicit ``ObservabilityGraph`` from the
-pattern itself, and nothing in this package calls them; the tests and the
-benchmark's output checks do.
+The state part of that graph is the state graph's own directed lists, so
+a closure runs on a ``StateGraph`` itself, one ``ClosureRun`` per sensor
+set, which the exhaustive search resumes with more sensors; the
+companion's graph (``netgraph.companion``) shares those lists and rewrites
+the self-loop flags only. Every closure runs this one engine.
+``build_observability_graph``, ``force_closure_reference`` and
+``replay_trace`` are the slow independent checks: they build and close an
+explicit ``ObservabilityGraph`` from the pattern itself, and nothing in
+this package calls them; the tests and the benchmark's output checks do.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import NamedTuple
 
-from .netgraph import StateGraph, outside
+from .netgraph import StateGraph, companion, outside
 from .pattern import Entry, PatternMatrix
 
 # self-loop flags ``_close`` compares against, bound once: an Enum attribute lookup costs
@@ -138,101 +137,39 @@ def build_observability_graph(a: PatternMatrix, c: PatternMatrix) -> Observabili
     )
 
 
-class ClosureGraph:
-    """A color-change graph compiled once, then closed for any sensor set.
-
-    ``star_out``, ``out``, ``inn`` and ``loops`` are a ``StateGraph``'s own
-    directed lists and self-loop flags, shared; compiling adds ``out_degree``
-    (out-neighbours, self-loop included), ``white_sum`` (the sum of each node's
-    off-diagonal out-neighbours), ``star_only`` (every off-diagonal edge is a
-    star, as in every water network) and ``seeds`` (the forcings eligible from
-    all-white). Each sensor set is a ``ClosureRun``.
-    """
-
-    def __init__(self, star_out: tuple, out: tuple, inn: tuple, loops: tuple, white_sum: tuple | None = None):
-        none = Entry.ZERO
-        out_degree = tuple([len(nbrs) + (loop is not none) for nbrs, loop in zip(out, loops)])
-        # out-degree 1: the one out-neighbour is the loop, or else the only off-diagonal one
-        seeds = tuple((v, v) if loops[v] is not none else (v, star_out[v][0])
-                      for v, d in enumerate(out_degree)
-                      if d == 1 and (loops[v] is Entry.STAR or loops[v] is none and star_out[v]))
-        self._store(star_out, out, inn, loops, out_degree, seeds,
-                    tuple(map(sum, out)) if white_sum is None else white_sum, star_out == out)
-
-    def _store(self, star_out, out, inn, loops, out_degree, seeds, white_sum, star_only) -> None:
-        """Set every field; ``companion``'s shortcut stores through this too.
-
-        Copying ``__dict__`` instead moves both graphs' fields out of the inline layout Python 3.11
-        specialises attribute reads for: ``add`` on a 14-state search graph ran ~12% slower.
-        """
-        self.star_out, self.out, self.inn, self.loops = star_out, out, inn, loops
-        self.n, self.out_degree, self.seeds = len(out), out_degree, seeds
-        self.white_sum, self.star_only = white_sum, star_only
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.star_out, self.out, self.inn, self.loops) == (other.star_out, other.out, other.inn, other.loops)
-
-    def __hash__(self) -> int:
-        return hash((self.star_out, self.out, self.inn, self.loops))
-
-    def companion(self) -> "ClosureGraph":
-        """The compiled graph of ``make_abar`` of this graph's pattern.
-
-        Same lists and white sums; a missing self-loop becomes a star, a star or unknown one unknown.
-        With no missing self-loop (every water network) every loop turns unknown, so the out-degrees
-        stay this graph's and no forcing is eligible from all-white: nothing is recomputed.
-        """
-        none, star, unknown = Entry.ZERO, Entry.STAR, Entry.UNKNOWN
-        if none in self.loops:
-            loops = tuple([star if loop is none else unknown for loop in self.loops])
-            return ClosureGraph(self.star_out, self.out, self.inn, loops, self.white_sum)
-        twin = object.__new__(ClosureGraph)
-        twin._store(self.star_out, self.out, self.inn, (unknown,) * self.n, self.out_degree, (), self.white_sum,
-                    self.star_only)
-        return twin
-
-    def run(self, measured=()) -> tuple:
-        """Close a fresh ``ClosureRun`` measuring ``measured``; return its black flags and trace."""
-        closed = ClosureRun(self, measured)
-        return closed.black, closed.trace
-
-    def colors_all(self, measured) -> bool:
-        """True iff measuring ``measured`` blackens every compiled node."""
-        return len(self.run(measured)[1]) == self.n
-
-
 class ClosureRun:
-    """A closure on a ``ClosureGraph`` that can take more sensors.
+    """A closure on a ``StateGraph``'s observability graph that can take more sensors.
 
-    It holds the black flags, per-node counts of white out-neighbours (loop included) and sums of
-    white off-diagonal out-neighbours, the (forcer, forced) trace and the sensor count ``k``, but
-    not the heap, empty once closed; sensor k is the virtual node ``n + k``, as in
-    ``build_observability_graph``, whose closure's trace a run repeats. A sensor's key
-    ``(n + k) * n + s`` sorts after every state forcing's ``v * n + u < n * n``, so the sensors
-    wait in order outside the heap and the next one enters when it runs empty (``_close``).
-    ``add`` resumes exactly (AIM Minimum Rank group, LAA 2008): the rule is monotone, so a forcing
-    stays eligible until its target turns black, every order ends in the same black set, and a
-    closed run is a valid start for a larger sensor set. Only the trace's order differs from a
-    fresh run's.
+    It holds the black flags, per-node counts of white out-neighbours (self-loop included), the
+    (forcer, forced) trace and the sensor count ``k``, but not the heap, empty once closed; sensor
+    k is the virtual node ``n + k``, as in ``build_observability_graph``, whose closure's trace a
+    run repeats. A sensor's key ``(n + k) * n + s`` sorts after every state forcing's
+    ``v * n + u < n * n``, so the sensors wait in order outside the heap and the next one enters
+    when it runs empty (``_close``). ``add`` resumes exactly (AIM Minimum Rank group, LAA 2008):
+    the rule is monotone, so a forcing stays eligible until its target turns black, every order
+    ends in the same black set, and a closed run is a valid start for a larger sensor set. Only
+    the trace's order differs from a fresh run's.
     """
 
-    def __init__(self, graph: ClosureGraph, measured=()):
-        n = graph.n
+    def __init__(self, graph: StateGraph, measured=()):
+        n, star_out, loops = graph.n, graph.star_out, graph.loops
         for state in measured:
             if not 0 <= state < n:  # a heap key decodes to its pair only for a state
                 raise ValueError(outside(f"measured state {state}", n))
-        self.graph, self.k, self.trace = graph, len(measured), []
-        self.black, self.white_out, self.white_sum = [False] * n, list(graph.out_degree), list(graph.white_sum)
-        # the seeds in the order a scan of all nodes finds them; the sensors queue highest key first
-        self._close([v * n + u for v, u in graph.seeds], [(n + k) * n + s for k, s in enumerate(measured)][::-1])
+        none = _NO_LOOP
+        self.graph, self.k, self.trace, self.black = graph, len(measured), [], [False] * n
+        self.white_out = [len(nbrs) + (loop is not none) for nbrs, loop in zip(graph.out, loops)]
+        # from all-white, a node with one out-neighbour forces it along a star: its loop, or else
+        # its one off-diagonal out-neighbour. The seeds in node order; the sensors queue highest key first.
+        seeds = [v * n + (v if loops[v] is not none else star_out[v][0]) for v, count in enumerate(self.white_out)
+                 if count == 1 and (loops[v] is _STAR_LOOP or loops[v] is none and star_out[v])]
+        self._close(seeds, [(n + k) * n + s for k, s in enumerate(measured)][::-1])
 
     def copy(self) -> "ClosureRun":
         """An independent run at the same point: adding to it leaves this one as it is."""
         twin = object.__new__(ClosureRun)
         twin.graph, twin.k, twin.trace = self.graph, self.k, self.trace[:]
-        twin.black, twin.white_out, twin.white_sum = self.black[:], self.white_out[:], self.white_sum[:]
+        twin.black, twin.white_out = self.black[:], self.white_out[:]
         return twin
 
     def add(self, state: int) -> None:
@@ -248,7 +185,8 @@ class ClosureRun:
 
         A candidate (v, u) has exactly one white out-neighbour u, over a star edge, and is keyed
         ``v * n + u``: forced nodes are states (u < n), so key order is pair order. Counters make
-        each step O(in-degree), and the running sums name a node's last white out-neighbour.
+        each step O(in-degree); a node's last white out-neighbour is found by one scan of its
+        out-list, when its count reaches 1.
 
         ``sensors`` holds sensor keys ``(n + k) * n + s``, highest first. They wait outside the
         heap, and the next one enters only once the heap is empty: every state forcing's key is
@@ -258,9 +196,9 @@ class ClosureRun:
         handful of candidates.
         """
         g = self.graph
-        n, star_out, inn, loops, star_only = g.n, g.star_out, g.inn, g.loops, g.star_only
+        n, star_out, out, inn, loops = g.n, g.star_out, g.out, g.inn, g.loops
         none, star = _NO_LOOP, _STAR_LOOP
-        black, white_out, white_sum, trace = self.black, self.white_out, self.white_sum, self.trace
+        black, white_out, trace = self.black, self.white_out, self.trace
         heapify(heap)
         push, pop = heappush, heappop  # locals: read per step
         while True:
@@ -273,31 +211,28 @@ class ClosureRun:
                 trace.append(step)
                 # u's own loop just turned black. Handled apart from inn[u] because building
                 # (u, *inn[u]) per step cost ~15% per configuration on the small search graphs.
-                # u is not its own off-diagonal out-neighbour, so its white sum stays as it is.
                 if loops[u] is not none:
                     white_out[u] -= 1
                     if white_out[u] == 1:
-                        last = white_sum[u]
-                        if star_only or last in star_out[u]:
+                        for last in out[u]:  # u is black: its last white out-neighbour is off-diagonal
+                            if not black[last]:
+                                break
+                        if last in star_out[u]:
                             push(heap, u * n + last)
                 for w in inn[u]:
-                    white_sum[w] -= u
                     white_out[w] -= 1
                     if white_out[w] == 1:
                         if black[w] or loops[w] is none:  # the last white out-neighbour is off-diagonal
-                            last = white_sum[w]
-                            if star_only or last in star_out[w]:
+                            for last in out[w]:
+                                if not black[last]:
+                                    break
+                            if last in star_out[w]:
                                 push(heap, w * n + last)
                         elif loops[w] is star:  # w's own loop is its last white out-edge
                             push(heap, w * n + w)
             if not sensors:
                 break
             heap.append(sensors.pop())  # the heap is empty, so a one-key list is one
-
-
-def compile_graph(g: StateGraph) -> ClosureGraph:
-    """The state part of the observability graph whose states are ``g``'s nodes."""
-    return ClosureGraph(g.star_out, g.out, g.inn, g.loops)
 
 
 def force_closure_reference(g: ObservabilityGraph, order: random.Random | None = None) -> ColoringState:
@@ -357,9 +292,8 @@ def certify_sso(g: StateGraph, c: PatternMatrix) -> Certificate:
     contains Abar's. A zero on the diagonal breaks this.
     """
     measured = sensor_states(c, g.n)
-    graph = compile_graph(g)
     verdicts = []
-    for closure in (graph, graph.companion()):
-        black, trace = closure.run(measured)
-        verdicts += [all(black), tuple(trace)]
+    for graph in (g, companion(g)):
+        closed = ClosureRun(graph, measured)
+        verdicts += [all(closed.black), tuple(closed.trace)]
     return Certificate(*verdicts)

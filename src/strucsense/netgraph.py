@@ -3,7 +3,8 @@
 Nodes are state indices; a star edge (i, j) means the pattern holds a star
 at (j, i), an unknown edge that it holds an unknown there. ``from_pattern``
 and ``to_pattern`` cross between a state pattern and its state graph,
-exactly. Node classification, star-edge connectivity, and independent-cycle
+exactly; ``companion`` gives the graph of the nonzero-diagonal companion.
+Node classification, star-edge connectivity, and independent-cycle
 counting all live here.
 """
 
@@ -159,6 +160,19 @@ def star_graph(nbrs: tuple, loops: tuple) -> StateGraph:
     g = object.__new__(StateGraph)  # the caller built the lists: skip ``__init__``'s checks
     g._store(len(nbrs), loops, nbrs, nbrs, nbrs, nbrs, nbrs)
     return g
+
+
+def companion(g: StateGraph) -> StateGraph:
+    """The state graph of ``make_abar`` of ``g``'s pattern, sharing ``g``'s lists.
+
+    Only the self-loop flags change: a missing self-loop becomes a star, a
+    star or unknown one unknown.
+    """
+    star, unknown, none = Entry.STAR, Entry.UNKNOWN, Entry.ZERO
+    twin = object.__new__(StateGraph)
+    twin._store(g.n, tuple([star if loop is none else unknown for loop in g.loops]),
+                g.star_nbrs, g.nbrs, g.star_out, g.out, g.inn)
+    return twin
 
 
 def from_pattern(a: PatternMatrix, transpose: bool = True) -> StateGraph:

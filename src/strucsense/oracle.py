@@ -16,8 +16,8 @@ from itertools import islice
 from math import comb
 from typing import NamedTuple
 
-from .forcing import ClosureRun, compile_graph, sensor_states
-from .netgraph import StateGraph, from_pattern
+from .forcing import ClosureRun, sensor_states
+from .netgraph import StateGraph, companion, from_pattern
 from .pattern import STAR_RANGE, Entry, PatternMatrix, make_abar, sample_realizations
 
 DEFAULT_RANK_TOL = 1e-9
@@ -233,19 +233,19 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
     """
     import numpy as np
 
-    graph = compile_graph(from_pattern(a_pat))  # raises unless a_pat is square
+    graph = from_pattern(a_pat)  # raises unless a_pat is square
     n = a_pat.rows
     measured = sensor_states(c_pat, n)
 
     def white_states(g) -> list:
-        black, _ = g.run(measured)
+        black = ClosureRun(g, measured).black
         return [v for v in range(n) if not black[v]]
 
     whites = white_states(graph)
     if whites:
         kind, pattern, lam, pins = "plain", a_pat, 0.0, {}
     else:
-        whites = white_states(graph.companion())
+        whites = white_states(companion(graph))
         if not whites:
             return None
         lam = 1.0
@@ -297,8 +297,8 @@ def exhaustive_min_sensors(g: StateGraph, progress=None) -> MinimalPlacementResu
     Subsets are enumerated by increasing cardinality, lexicographic within
     each size; every subset is certified until a size produces witnesses,
     then the rest of that size is swept so all witnesses (up to
-    ``WITNESS_CAP``) are counted. ``g`` is compiled once and its companion
-    derived from it. Abar, which refuses first when no diagonal entry is zero (``certify_sso``),
+    ``WITNESS_CAP``) are counted. Abar's graph is ``companion(g)``. Abar,
+    which refuses first when no diagonal entry is zero (``certify_sso``),
     else A, is closed depth first, each prefix once per size; the other
     graph only for subsets the first colours, and none once the witness cap
     is reached. Refuses graphs of more than ``DEFAULT_EXHAUSTIVE_CAP`` states,
@@ -310,13 +310,12 @@ def exhaustive_min_sensors(g: StateGraph, progress=None) -> MinimalPlacementResu
             f"{n} states means {2 ** n - 1} sensor configurations; "
             f"refusing beyond the cap of {DEFAULT_EXHAUSTIVE_CAP} states"
         )
-    graph_a = compile_graph(g)
-    first, second = (graph_a.companion(), graph_a) if Entry.ZERO not in g.loops else (graph_a, graph_a.companion())
+    first, second = (companion(g), g) if Entry.ZERO not in g.loops else (g, companion(g))
     root = ClosureRun(first)
     checked = 0
     for size in range(n + 1):
         sets = _colouring_sets(root, (), size) if size else ([()] if len(root.trace) == n else [])
-        witnesses = list(islice(filter(second.colors_all, sets), WITNESS_CAP))
+        witnesses = list(islice((combo for combo in sets if len(ClosureRun(second, combo).trace) == n), WITNESS_CAP))
         checked += comb(n, size)
         if progress is not None:
             progress({"size": size, "checked": checked, "witnesses": len(witnesses)})

@@ -7,7 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from strucsense import PatternMatrix, StateGraph, from_pattern
-from strucsense.forcing import ClosureGraph, ClosureRun, ObservabilityGraph, force_closure_reference
+from strucsense.forcing import ClosureRun, ObservabilityGraph, force_closure_reference
 from strucsense.wdn import HydraulicNode, Link, WdnNetwork
 
 # node-by-link incidence of fixtures/triangle_wdn.inp: 1 at a link's from-node, -1 at its to-node
@@ -164,7 +164,12 @@ def random_sensor_rows(rng: random.Random, n: int, max_sensors: int | None = Non
     return PatternMatrix(len(measured), n, star, frozenset())
 
 
-def shuffled_closures(og: ObservabilityGraph, graph: ClosureGraph, measured, rng: random.Random) -> tuple:
+def colors_all(graph: StateGraph, measured) -> bool:
+    """True iff measuring ``measured`` blackens every state of ``graph``."""
+    return len(ClosureRun(graph, measured).trace) == graph.n
+
+
+def shuffled_closures(og: ObservabilityGraph, graph: StateGraph, measured, rng: random.Random) -> tuple:
     """Black states of one sensor set, closed in two orders ``rng`` draws.
 
     First the reference's on ``og``, picking at random among the eligible forcings; then the

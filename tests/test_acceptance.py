@@ -35,8 +35,8 @@ from strucsense import (
     to_pattern,
 )
 from strucsense.forcing import (
+    ClosureRun,
     build_observability_graph,
-    compile_graph,
     force_closure_reference,
     sensor_states,
 )
@@ -204,9 +204,9 @@ def test_criterion_6_forcing_closure_confluence():
         rng = random.Random(seed)
         pattern = random_symmetric_pattern(seed, n_max=60)
         sensors = random_sensor_rows(rng, pattern.rows)
-        graph, measured = compile_graph(graph_of(pattern)), sensor_states(sensors, pattern.rows)
+        graph, measured = graph_of(pattern), sensor_states(sensors, pattern.rows)
         og = build_observability_graph(pattern, sensors)
-        expected = {v for v, b in enumerate(graph.run(measured)[0]) if b}
+        expected = {v for v, b in enumerate(ClosureRun(graph, measured).black) if b}
         assert expected == force_closure_reference(og).black, f"seed {seed}"
         for order_seed in range(100):
             got = shuffled_closures(og, graph, measured, random.Random(order_seed))

@@ -263,8 +263,8 @@ class TestPlace:
             "bound_ok": True,
         }
 
-    def test_one_compiled_graph_and_no_companion_pattern(self, capsys, fixtures_dir, monkeypatch):
-        names = ("make_abar", "compile_graph", "state_graph", "to_pattern", "from_pattern")
+    def test_one_companion_graph_and_no_companion_pattern(self, capsys, fixtures_dir, monkeypatch):
+        names = ("make_abar", "companion", "state_graph", "to_pattern", "from_pattern")
         counts = count_calls(monkeypatch, *names)
         bundles, shapes = record_loads_and_patterns(monkeypatch)
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
@@ -288,22 +288,20 @@ class TestPlace:
         with pytest.raises(AssertionError, match="tree edge set built"):  # the patch is live
             strucsense.spanning_tree_dfs(load_input(str(fixtures_dir / name)).graph).tree_edges
 
-    def test_companion_graph_shares_the_compiled_lists(self, capsys, fixtures_dir, monkeypatch):
-        derive, graphs = strucsense.forcing.ClosureGraph.companion, []
+    def test_companion_graph_shares_the_state_graph_lists(self, capsys, fixtures_dir, monkeypatch):
+        derive, graphs = strucsense.forcing.companion, []
 
         def recording(graph):
             graphs.extend((graph, derive(graph)))
             return graphs[-1]
 
-        monkeypatch.setattr(strucsense.forcing.ClosureGraph, "companion", recording)
+        monkeypatch.setattr(strucsense.forcing, "companion", recording)
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
         assert code == 0
         a_graph, abar_graph = graphs
         assert a_graph.inn is a_graph.out  # the WDN pattern is symmetric
-        assert abar_graph.out is a_graph.out
-        assert abar_graph.inn is a_graph.inn
-        assert abar_graph.star_out is a_graph.star_out
-        assert abar_graph.out_degree == a_graph.out_degree  # every WDN state has a self-loop
+        for name in ("star_nbrs", "nbrs", "star_out", "out", "inn"):
+            assert getattr(abar_graph, name) is getattr(a_graph, name), name
 
     def test_tree_mode_on_path_network(self, capsys, fixtures_dir):
         code, out, _ = run_cli(

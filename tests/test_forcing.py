@@ -23,16 +23,22 @@ from strucsense.forcing import (
     ClosureRun,
     ObservabilityGraph,
     build_observability_graph,
-    compile_graph,
     force_closure_reference,
     replay_trace,
     sensor_states,
 )
 from strucsense.dot import trace_dot
-from strucsense.netgraph import StateGraph, to_pattern
+from strucsense.netgraph import StateGraph, companion, to_pattern
 from strucsense.placement import PipelineRun
 from strucsense.wdn import parse_edge_list, parse_inp, state_graph
-from generators import cyclic_inp_text, graph_of, random_sensor_rows, random_symmetric_pattern, shuffled_closures
+from generators import (
+    colors_all,
+    cyclic_inp_text,
+    graph_of,
+    random_sensor_rows,
+    random_symmetric_pattern,
+    shuffled_closures,
+)
 
 
 def sym(pairs, n, diag=""):
@@ -55,13 +61,13 @@ def sensors(measured, n):
 
 
 def close(a, c):
-    """Black states and trace of the compiled closure of ``a`` measured by ``c``."""
-    black, trace = compile_graph(graph_of(a)).run(sensor_states(c, a.rows))
-    return frozenset(v for v, b in enumerate(black) if b), tuple(trace)
+    """Black states and trace of the closure of ``a`` measured by ``c``."""
+    closed = ClosureRun(graph_of(a), sensor_states(c, a.rows))
+    return frozenset(v for v, b in enumerate(closed.black) if b), tuple(closed.trace)
 
 
 def colorable(a, c):
-    return compile_graph(graph_of(a)).colors_all(sensor_states(c, a.rows))
+    return colors_all(graph_of(a), sensor_states(c, a.rows))
 
 
 # branched 9-node tree with leaves 0, 2, 6 and junction node 4
@@ -198,7 +204,7 @@ class TestClosureConfluence:
             a = random_symmetric_pattern(seed, n_max=25)
             c = random_sensor_rows(rng, a.rows)
             expected = close(a, c)[0]
-            g, graph = build_observability_graph(a, c), compile_graph(graph_of(a))
+            g, graph = build_observability_graph(a, c), graph_of(a)
             for k in range(5):
                 got = shuffled_closures(g, graph, sensor_states(c, a.rows), random.Random(seed * 100 + k))
                 assert got == (expected, expected)
@@ -240,55 +246,54 @@ def patterns_with_sensors(draw):
     return a, measured
 
 
-class TestCompiledEngine:
+class TestEngine:
     @settings(max_examples=300, deadline=None)
     @given(patterns_with_sensors(), st.integers(0, 2**32 - 1))
     def test_agrees_with_independent_checks(self, case, seed):
         a, measured = case
         for pattern in (a, make_abar(a)):
-            compiled = compile_graph(graph_of(pattern))
-            black, trace = compiled.run(measured)
+            graph = graph_of(pattern)
+            closed = ClosureRun(graph, measured)
             g = build_observability_graph(pattern, sensors(measured, a.rows))
-            black_set = frozenset(v for v, b in enumerate(black) if b)
+            black_set = frozenset(v for v, b in enumerate(closed.black) if b)
             reference = force_closure_reference(g)
             assert black_set == reference.black
-            assert tuple(trace) == reference.trace
-            assert replay_trace(g, trace) == black_set
-            assert compiled.colors_all(measured) == (len(black_set) == a.rows)
+            assert tuple(closed.trace) == reference.trace
+            assert replay_trace(g, closed.trace) == black_set
             shuffled = force_closure_reference(g, order=random.Random(seed))
             assert replay_trace(g, shuffled.trace) == shuffled.black == black_set
-            assert shuffled_closures(g, compiled, measured, random.Random(seed)) == (black_set, black_set)
+            assert shuffled_closures(g, graph, measured, random.Random(seed)) == (black_set, black_set)
 
     def test_last_white_neighbour_across_an_unknown_edge_is_not_forced(self):
         """Node 0's last white out-neighbour, 2, is across a ``?`` edge: 0 must not force it."""
         a = PatternMatrix.from_rows(["000", "*00", "?00"])  # 0 -> 1 over a star, 0 -> 2 over an unknown
-        compiled = compile_graph(graph_of(a))
-        assert not compiled.star_only
-        assert compiled.white_sum == (3, 0, 0)
+        graph = graph_of(a)
         expected = {(1,): [(3, 1)], (0, 1): [(3, 0), (4, 1)], (2,): [(3, 2), (0, 1)]}
         for measured, trace in expected.items():
-            assert compiled.run(measured)[1] == trace
+            assert ClosureRun(graph, measured).trace == trace
             assert tuple(trace) == force_closure_reference(build_observability_graph(a, sensors(measured, 3))).trace
 
-    def test_compiled_graph_is_reused_across_sensor_sets(self):
-        compiled = compile_graph(graph_of(CYCLIC9))
-        assert compiled.colors_all((0, 2, 6))
-        assert not compiled.colors_all(())
-        assert compiled.colors_all((0, 2, 6))  # a run leaves the compiled graph as it was
+    def test_graph_is_reused_across_sensor_sets(self):
+        graph = graph_of(CYCLIC9)
+        assert colors_all(graph, (0, 2, 6))
+        assert not colors_all(graph, ())
+        assert colors_all(graph, (0, 2, 6))  # a run leaves the graph as it was
 
-    def test_non_square_pattern_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            compile_graph(graph_of(PatternMatrix(2, 3)))
+
+def assert_companion_is_make_abar(a: PatternMatrix, g: StateGraph) -> None:
+    """The companion of ``g``, the graph of ``a``, is the graph of ``make_abar(a)``, and back again."""
+    assert companion(g) == graph_of(make_abar(a))
+    assert to_pattern(companion(g)) == make_abar(to_pattern(g))
 
 
 class TestCompanion:
     @settings(max_examples=300, deadline=None)
-    @given(patterns_with_sensors())
-    def test_matches_compiled_abar_and_reference(self, case):
+    @given(patterns_with_sensors(), st.data())
+    def test_matches_make_abar_and_reference(self, case, data):
         a, measured = case
-        derived, compiled = compile_graph(graph_of(a)).companion(), compile_graph(graph_of(make_abar(a)))
-        for name in ("star_out", "out", "inn", "loops", "out_degree", "seeds", "white_sum", "star_only"):
-            assert getattr(derived, name) == getattr(compiled, name), name
+        diag = "".join(data.draw(st.lists(st.sampled_from("*?"), min_size=a.rows, max_size=a.rows)))
+        for pattern in (a, without_zero_diagonal(a, diag)):
+            assert_companion_is_make_abar(pattern, graph_of(pattern))
         c = sensors(measured, a.rows)
         cert = certify_sso(graph_of(a), c)
         assert cert.trace_a == force_closure_reference(build_observability_graph(a, c)).trace
@@ -296,28 +301,27 @@ class TestCompanion:
 
     def test_self_looped_pattern_shares_lists(self):
         a = sym([(0, 1), (1, 2)], 3, diag="*?*")
-        graph = compile_graph(graph_of(a))
-        companion = graph.companion()
+        graph = graph_of(a)
+        twin = companion(graph)
         assert graph.inn is graph.out
-        assert companion.out is graph.out and companion.inn is graph.inn
-        assert companion.star_out is graph.star_out == ((1,), (0, 2), (1,))
-        assert companion.loops == (Entry.UNKNOWN,) * 3
-        assert companion.seeds == ()
+        assert twin.out is graph.out and twin.inn is graph.inn
+        assert twin.star_out is graph.star_out == ((1,), (0, 2), (1,))
+        assert twin.loops == (Entry.UNKNOWN,) * 3
+        assert ClosureRun(twin).trace == []  # every loop unknown: nothing forces from all-white
 
     def test_partly_looped_pattern_shares_every_list(self):
         for a in (sym([(0, 1), (1, 2)], 3, diag="*0?"), PatternMatrix.from_rows(["*0*", "*00", "0*?"])):
-            graph = compile_graph(graph_of(a))
-            companion = graph.companion()
-            for name in ("star_out", "out", "inn", "white_sum"):
-                assert getattr(companion, name) is getattr(graph, name), name
-            assert companion.loops == (Entry.UNKNOWN, Entry.STAR, Entry.UNKNOWN)
-            assert companion.out_degree == tuple(len(out) + 1 for out in graph.out)
+            graph = graph_of(a)
+            twin = companion(graph)
+            for name in ("star_nbrs", "nbrs", "star_out", "out", "inn"):
+                assert getattr(twin, name) is getattr(graph, name), name
+            assert twin.loops == (Entry.UNKNOWN, Entry.STAR, Entry.UNKNOWN)
 
     def test_symmetric_pattern_runs_on_its_state_graph_lists(self):
         g = graph_of(sym([(0, 1), (1, 2), (0, 2)], 3, diag="*0?"))
-        compiled = compile_graph(g)
-        assert compiled.star_out is g.star_nbrs and compiled.out is g.nbrs and compiled.inn is g.nbrs
-        assert compiled.loops is g.loops == (Entry.STAR, Entry.ZERO, Entry.UNKNOWN)
+        assert g.star_out is g.star_nbrs and g.out is g.nbrs and g.inn is g.nbrs
+        assert ClosureRun(g).graph is g and ClosureRun(companion(g)).graph.out is g.nbrs
+        assert g.loops == (Entry.STAR, Entry.ZERO, Entry.UNKNOWN)
 
 
 def without_zero_diagonal(a: PatternMatrix, diag: str) -> PatternMatrix:
@@ -336,43 +340,46 @@ class TestResumedRun:
         order = list(measured)
         rng.shuffle(order)
         for pattern in (a, make_abar(a)):
-            graph = compile_graph(graph_of(pattern))
-            expected, _ = graph.run(measured)
+            graph = graph_of(pattern)
+            expected = ClosureRun(graph, measured).black
             closed = ClosureRun(graph)
             for state in order:
-                before = (closed.black[:], closed.white_out[:], closed.white_sum[:], closed.trace[:], closed.k)
+                before = (closed.black[:], closed.white_out[:], closed.trace[:], closed.k)
                 resumed = closed.copy()
                 resumed.add(state)
-                assert (closed.black, closed.white_out, closed.white_sum, closed.trace, closed.k) == before
+                assert (closed.black, closed.white_out, closed.trace, closed.k) == before
                 closed = resumed
-                # each running sum is still that of the node's white off-diagonal out-neighbours
-                assert closed.white_sum == [sum(x for x in out if not closed.black[x]) for out in graph.out]
+                # each count is still the number of the node's white out-neighbours, its self-loop included
+                black = closed.black
+                assert closed.white_out == [sum(not black[x] for x in out) + (loop is not Entry.ZERO and not black[v])
+                                            for v, (out, loop) in enumerate(zip(graph.out, graph.loops))]
             assert closed.black == expected
-            assert (len(closed.trace) == a.rows) == graph.colors_all(measured)
+            assert (len(closed.trace) == a.rows) == all(expected)
             # the resumed trace is a valid closure of the sensors in the order they were added
             g = build_observability_graph(pattern, sensors(order, a.rows))
             assert replay_trace(g, closed.trace) == {v for v, b in enumerate(expected) if b}
 
     def test_a_state_outside_the_graph_is_refused(self):
         """A heap key ``v * n + u`` decodes to (v, u) only when 0 <= u < n."""
-        graph = compile_graph(graph_of(TREE9))
+        graph = graph_of(TREE9)
         for bad in (9, -1):
             with pytest.raises(ValueError, match="outside 0..8"):
-                graph.run((0, bad))
+                ClosureRun(graph, (0, bad))
             closed = ClosureRun(graph, (0,))
             with pytest.raises(ValueError, match="outside 0..8"):
                 closed.add(bad)
             assert (closed.k, closed.trace) == (1, ClosureRun(graph, (0,)).trace)
 
     def test_adding_a_black_state_changes_nothing(self):
-        closed = ClosureRun(compile_graph(graph_of(TREE9)), (0,))
+        closed = ClosureRun(graph_of(TREE9), (0,))
         black, trace = closed.black[:], closed.trace[:]
         closed.add(1)  # forced by the sensor at 0 through 0 - 1
         assert (closed.black, closed.trace, closed.k) == (black, trace, 2)
 
     def test_a_graph_with_no_states_says_so(self):
-        graph = compile_graph(StateGraph(0))
-        assert graph.run(()) == ([], [])
+        graph = StateGraph(0)
+        closed = ClosureRun(graph)
+        assert (closed.black, closed.trace) == ([], [])
         with pytest.raises(ValueError) as exc:
             ClosureRun(graph, (0,))
         assert str(exc.value) == "measured state 0 outside a graph with no states"
@@ -402,7 +409,7 @@ def random_cases(count: int):
         rng = random.Random(seed)
         n = rng.randint(1, 14)
         a = random_pattern(rng, n, seed % 2 == 0, ("0", "*?", "0*?")[seed % 3])
-        forced = [v for v, b in enumerate(compile_graph(graph_of(a)).run(())[0]) if b]
+        forced = [v for v, b in enumerate(ClosureRun(graph_of(a)).black) if b]
         measured = [rng.choice(forced) if forced and rng.random() < 0.3 else rng.randrange(n)
                     for _ in range(rng.randint(0, n + 2))]
         yield a, tuple(measured)
@@ -415,7 +422,7 @@ class TestSensorQueue:
         skipped = repeated = 0
         for a, measured in random_cases(240):
             for pattern in (a, make_abar(a)):
-                graph = compile_graph(graph_of(pattern))
+                graph = graph_of(pattern)
                 closed = ClosureRun(graph, measured)
                 reference = force_closure_reference(build_observability_graph(pattern, sensors(measured, a.rows)))
                 assert tuple(closed.trace) == reference.trace
@@ -430,28 +437,27 @@ class TestSensorQueue:
             rng = random.Random(seed)
             split = rng.randint(0, len(measured))
             for pattern in (a, make_abar(a)):
-                graph = compile_graph(graph_of(pattern))
+                graph = graph_of(pattern)
                 fresh = ClosureRun(graph, measured)
                 closed = ClosureRun(graph, measured[:split])
                 for state in measured[split:]:
                     twin = closed.copy()
                     twin.add(state)
                     closed = twin
-                assert (closed.black, closed.white_out, closed.white_sum, closed.k) == (
-                    fresh.black, fresh.white_out, fresh.white_sum, fresh.k)
+                assert (closed.black, closed.white_out, closed.k) == (fresh.black, fresh.white_out, fresh.k)
                 assert sorted(u for _, u in closed.trace) == sorted(u for _, u in fresh.trace)
                 g = build_observability_graph(pattern, sensors(measured, a.rows))
                 assert replay_trace(g, closed.trace) == {v for v, b in enumerate(fresh.black) if b}
 
     def test_resumed_traces_are_pinned(self, fixtures_dir):
         """Traces of a run with sensors, extended through a copy; recorded before sensors left the heap."""
-        graph = compile_graph(parse_edge_list((fixtures_dir / "cyclic9.json").read_text()))
+        graph = parse_edge_list((fixtures_dir / "cyclic9.json").read_text())
         closed = ClosureRun(graph, (0,)).copy()
         for state in (6, 2, 6):
             closed.add(state)
         assert (closed.trace, closed.k) == (
             [(0, 1), (9, 0), (1, 4), (2, 3), (3, 2), (5, 7), (6, 8), (7, 5), (4, 6)], 4)
-        closed = ClosureRun(graph.companion(), (0,)).copy()
+        closed = ClosureRun(companion(graph), (0,)).copy()
         for state in (6, 2):
             closed.add(state)
         assert (closed.trace, closed.k) == (
@@ -468,20 +474,15 @@ class TestSensorQueue:
 
 
 class TestZeroFreeCompanion:
-    """With no zero on the diagonal the companion shares A's counts and compiles nothing."""
+    """With no zero on the diagonal, as in every water network, the companion's loops are all unknown."""
 
-    def test_equals_the_compiled_companion(self, fixtures_dir):
-        rng = random.Random(0)
-        graphs = [graph_of(without_zero_diagonal(a, "".join(rng.choice("*?") for _ in range(a.rows))))
-                  for a, _ in random_cases(90)]
-        graphs.append(state_graph(parse_inp((fixtures_dir / "two_loop.inp").read_text())))
-        for g in graphs:
-            graph = compile_graph(g)
-            derived, compiled = graph.companion(), compile_graph(graph_of(make_abar(to_pattern(g))))
-            for name in ("out_degree", "seeds", "white_sum", "star_only", "loops"):
-                assert getattr(derived, name) == getattr(compiled, name), name
-            assert derived == compiled
-            assert derived.out_degree is graph.out_degree and derived.seeds == ()
+    @pytest.mark.parametrize("name", ["path4.inp", "triangle_wdn.inp", "two_loop.inp"])
+    def test_water_network_companion_is_make_abar(self, fixtures_dir, name):
+        g = state_graph(parse_inp((fixtures_dir / name).read_text()))
+        assert Entry.ZERO not in g.loops
+        assert_companion_is_make_abar(to_pattern(g), g)
+        assert companion(g).loops == (Entry.UNKNOWN,) * g.n
+        assert ClosureRun(companion(g)).trace == []
 
 
 class TestAbarInsideA:
@@ -491,14 +492,14 @@ class TestAbarInsideA:
         """With no zero on the diagonal, Abar blackens no state A leaves white."""
         a, measured = case
         diag = "".join(data.draw(st.lists(st.sampled_from("*?"), min_size=a.rows, max_size=a.rows)))
-        graph = compile_graph(graph_of(without_zero_diagonal(a, diag)))
-        black_a, _ = graph.run(measured)
-        black_abar, _ = graph.companion().run(measured)
+        graph = graph_of(without_zero_diagonal(a, diag))
+        black_a = ClosureRun(graph, measured).black
+        black_abar = ClosureRun(companion(graph), measured).black
         assert all(in_a or not in_abar for in_a, in_abar in zip(black_a, black_abar))
 
     def test_zero_diagonal_breaks_containment(self):
-        graph = compile_graph(graph_of(PatternMatrix.from_rows(["0"])))
-        assert not graph.colors_all(()) and graph.companion().colors_all(())
+        graph = graph_of(PatternMatrix.from_rows(["0"]))
+        assert not colors_all(graph, ()) and colors_all(companion(graph), ())
 
 
 class TestTraceDot:
@@ -507,7 +508,7 @@ class TestTraceDot:
     def test_draws_the_observability_graph(self, case):
         a, measured = case
         g = graph_of(a)
-        trace = tuple(compile_graph(g).run(measured)[1])
+        trace = tuple(ClosureRun(g, measured).trace)
         obs = build_observability_graph(a, sensors(measured, a.rows))
         expected = [(v, u, style) for v in range(obs.n_nodes)
                     for style, targets in (("solid", obs.star_out[v]), ("dashed", obs.unknown_out[v]))

@@ -23,16 +23,16 @@ from strucsense import (
 )
 import strucsense.oracle
 from strucsense.forcing import (
-    ClosureGraph,
     ClosureRun,
     build_observability_graph,
-    compile_graph,
     force_closure_reference,
 )
+from strucsense.netgraph import companion
 from strucsense.oracle import DEFAULT_RANK_TOL, WITNESS_CAP, _chunk_trials, realize_unit_output
 from strucsense.pattern import STAR_RANGE, ZERO_PROB, sample_realizations
 from generators import (
     TRIANGLE_WDN_INC,
+    colors_all,
     graph_of,
     random_connected_pattern,
     random_symmetric_pattern,
@@ -258,9 +258,9 @@ class TestExhaustiveAgainstNaiveSearch:
             result = exhaustive_min_sensors(graph_of(pat))
             got = (result.minimum_size, result.witnesses, result.configurations_checked)
             assert got == naive_min_sensors(pat, cap), seed
-            graph = compile_graph(graph_of(pat))
+            graph = graph_of(pat)
             a_refuses += sum(
-                graph.companion().colors_all(combo) and not graph.colors_all(combo)
+                colors_all(companion(graph), combo) and not colors_all(graph, combo)
                 for size in range(pat.rows + 1)
                 for combo in combinations(range(pat.rows), size)
             )
@@ -275,32 +275,32 @@ class TestExhaustiveAgainstNaiveSearch:
     )
     def test_never_closes_from_scratch_per_configuration(self, monkeypatch, pat, first_refuses):
         """Only the graph closed second runs from scratch, and only on sets the first colours."""
-        counts = {"run": 0, "colors_all": 0, "__init__": 0}
-        for cls, name in ((ClosureGraph, "run"), (ClosureGraph, "colors_all"), (ClosureRun, "__init__")):
-            def counting(self, *args, _fn=getattr(cls, name), _name=name):
-                counts[_name] += 1
-                return _fn(self, *args)
+        runs, start = [], ClosureRun.__init__
 
-            monkeypatch.setattr(cls, name, counting)
+        def counting(self, *args):
+            runs.append(args)
+            start(self, *args)
+
+        monkeypatch.setattr(ClosureRun, "__init__", counting)
         result = exhaustive_min_sensors(graph_of(pat))
         monkeypatch.undo()
-        graph = compile_graph(graph_of(pat))
-        first = graph.companion() if first_refuses == "Abar" else graph
+        graph = graph_of(pat)
+        first = companion(graph) if first_refuses == "Abar" else graph
         coloured = sum(
-            first.colors_all(combo)
+            colors_all(first, combo)
             for size in range(result.minimum_size + 1)
             for combo in combinations(range(pat.rows), size)
         )
-        assert counts == {"run": coloured, "colors_all": coloured, "__init__": coloured + 1}  # + the empty set's
+        assert len(runs) == coloured + 1  # + the empty set's
         assert coloured < result.configurations_checked
         if first_refuses == "Abar":
             assert coloured == len(result.witnesses)  # A is closed once per witness
 
     def test_companion_built_once_per_search(self, monkeypatch):
-        counts = count_oracle_calls(monkeypatch, "make_abar", "compile_graph")
+        counts = count_oracle_calls(monkeypatch, "make_abar", "companion")
         result = exhaustive_min_sensors(graph_of(random_connected_pattern(3, n_min=8, n_max=10)))
         assert result.configurations_checked > 1
-        assert counts == {"make_abar": 0, "compile_graph": 1}
+        assert counts == {"make_abar": 0, "companion": 1}
 
 
 class TestUnobservableWitness:
@@ -320,14 +320,14 @@ class TestUnobservableWitness:
             (["0**", "*0*", "**0"], (0,), 1.0),  # A colours, Abar does not: shifted mode
         ],
     )
-    def test_pattern_compiled_once(self, monkeypatch, rows, measured, lam):
+    def test_graph_built_once(self, monkeypatch, rows, measured, lam):
         a = PatternMatrix.from_rows(rows, symmetric=True)
         c = PatternMatrix(len(measured), 3, frozenset(enumerate(measured)), frozenset())
-        counts = count_oracle_calls(monkeypatch, "compile_graph")
+        counts = count_oracle_calls(monkeypatch, "from_pattern", "companion")
         realization, vector, got_lam = find_unobservable_realization(a, c)
         assert got_lam == lam
         assert np.allclose(realization @ vector, lam * vector)
-        assert counts == {"compile_graph": 1}
+        assert counts == {"from_pattern": 1, "companion": int(lam == 1.0)}  # Abar only in shifted mode
 
     def test_certified_placement_has_no_witness(self):
         pat = structured_pattern(TRIANGLE_WDN_INC)

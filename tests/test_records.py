@@ -9,8 +9,9 @@ import inspect
 import pytest
 
 from strucsense.cli import InputBundle
-from strucsense.forcing import Certificate, ClosureGraph, ClosureRun, ColoringState, ObservabilityGraph
-from strucsense.netgraph import NodeClassification, PreconditionReport, StateGraph, star_graph
+import strucsense.forcing
+from strucsense.forcing import Certificate, ClosureRun, ColoringState, ObservabilityGraph
+from strucsense.netgraph import NodeClassification, PreconditionReport, StateGraph, companion, star_graph
 from strucsense.oracle import (
     MinimalPlacementResult,
     OracleReport,
@@ -45,7 +46,6 @@ RECORDS = {
     ObservabilityGraph: lambda: ObservabilityGraph(2, 1, ((1,), (), (0,)), ((), (0,), ())),
     ColoringState: lambda: ColoringState(frozenset({0, 1}), ((2, 0), (0, 1))),
     Certificate: lambda: Certificate(True, ((2, 0), (0, 1)), False, ((2, 0),)),
-    ClosureGraph: lambda: ClosureGraph(((1,), (0,)), ((1,), (0,)), ((1,), (0,)), (STAR, NONE)),
     StateGraph: path3,
     NodeClassification: lambda: NodeClassification((0, 2), (), ()),
     PreconditionReport: lambda: PreconditionReport(
@@ -90,8 +90,9 @@ def test_different_arguments_give_unequal_records():
     assert SensorPlacement((0,), 3, "cyclic") != SensorPlacement((0,), 3, "given")
     assert PipelineRun(path3(), "tree") != PipelineRun(path3(), "cyclic")
     assert network() != WdnNetwork(network().nodes, network().links)
-    star, other = RECORDS[ClosureGraph](), ClosureGraph(((1,), (0,)), ((1,), (0,)), ((1,), (0,)), (UNKNOWN, NONE))
-    assert star != other and star.companion() == other.companion()
+    star, other = star_graph(((1,), (0,)), (STAR, NONE)), star_graph(((1,), (0,)), (UNKNOWN, NONE))
+    assert star != other and companion(star) == companion(other)
+    assert companion(star) != companion(star_graph(((1,), (0,)), (UNKNOWN, UNKNOWN)))
 
 
 @pytest.mark.parametrize(
@@ -140,6 +141,7 @@ PARSED_INP = "[RESERVOIRS]\n R1\n[JUNCTIONS]\n J1\n[PIPES]\n P1 R1 J1\n"
 STORED_FORMS = {
     "StateGraph": (path3, GRAPH_FIELDS, GRAPH_VIEWS),
     "star_graph": (lambda: star_graph(((1,), (0, 2), (1,)), (STAR, NONE, UNKNOWN)), GRAPH_FIELDS, GRAPH_VIEWS),
+    "companion": (lambda: companion(path3()), GRAPH_FIELDS, GRAPH_VIEWS),
     "WdnNetwork": (network, NETWORK_COLUMNS, NETWORK_VIEWS),
     "parse_inp": (lambda: parse_inp(PARSED_INP), NETWORK_COLUMNS, NETWORK_VIEWS),
 }
@@ -156,8 +158,17 @@ def test_a_new_record_holds_its_stored_form_and_no_view(constructor):
 
 def test_both_graph_constructors_store_the_same_fields_and_derive_the_same_views():
     built, checked = STORED_FORMS["star_graph"][0](), path3()
-    assert set(vars(built)) == set(vars(checked)) == GRAPH_FIELDS
+    assert set(vars(built)) == set(vars(checked)) == set(vars(companion(checked))) == GRAPH_FIELDS
     assert (built.star_edges, built.unknown_edges) == (checked.star_edges, checked.unknown_edges)
+
+
+def test_a_closure_run_holds_its_graph_and_its_counts_only():
+    assert set(vars(ClosureRun(path3()))) == {"graph", "k", "trace", "black", "white_out"}
+
+
+def test_the_closure_runs_on_the_state_graph_alone():
+    assert not hasattr(strucsense.forcing, "ClosureGraph")
+    assert not hasattr(strucsense.forcing, "compile_graph")
 
 
 @pytest.mark.parametrize(
@@ -183,7 +194,6 @@ def test_every_pipeline_run_has_its_forest(graph, mode, given):
 REMOVED_SETTINGS = {"rng", "cfg", "tol", "star_range", "zero_prob", "max_states", "witness_cap"}
 # function -> the removed names it keeps
 KEPT_SETTINGS = {
-    ClosureGraph.run: set(),
     ClosureRun: set(),
     sample_realizations: set(),
     sample_and_check: set(),
