@@ -18,14 +18,14 @@ import json
 import os
 import sys
 import time
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 from . import dot
 from .netgraph import StateGraph, check_preconditions, cycle_count, to_pattern
 from .oracle import exhaustive_min_sensors, sample_and_check
-from .pattern import PatternMatrix
 from .placement import PipelineRun, SensorPlacement
 from .wdn import (
     ParseError,
@@ -43,27 +43,21 @@ EXIT_CERT = 2
 BENCH_REPEATS = 5  # timed runs of the paper-timed stages per ``bench`` input; their median is reported
 
 
-class InputBundle:
-    """Everything downstream commands need, whatever the input format was."""
+class InputBundle(NamedTuple):
+    """Everything downstream commands need, whatever the input format was; a water network keeps ``net``."""
 
-    def __init__(self, path: str, kind: str, graph: StateGraph, labels: list, net: WdnNetwork | None = None):
-        self.path, self.graph, self.labels, self.net = path, graph, labels, net
-        self.kind = kind  # "wdn" or "edge_list"
+    path: str
+    graph: StateGraph
+    labels: list
+    net: WdnNetwork | None = None
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.path, self.kind, self.graph, self.labels, self.net) == (
-            other.path, other.kind, other.graph, other.labels, other.net)
+    @property
+    def kind(self) -> str:
+        return "edge_list" if self.net is None else "wdn"
 
     @property
     def flow_count(self) -> int | None:
         return self.net.n_links if self.net is not None else None
-
-    @cached_property
-    def pattern(self) -> PatternMatrix:
-        """The state pattern, built on first read: only the commands that need its entries pay for it."""
-        return to_pattern(self.graph)
 
 
 def load_input(path: str) -> InputBundle:
@@ -73,9 +67,9 @@ def load_input(path: str) -> InputBundle:
     as_json = path.endswith(".json") or stripped.startswith("{")
     if as_json:
         graph = parse_edge_list(text)
-        return InputBundle(path=path, kind="edge_list", graph=graph, labels=[str(i) for i in range(graph.n)])
+        return InputBundle(path, graph, [str(i) for i in range(graph.n)])
     net = parse_inp(text)
-    return InputBundle(path=path, kind="wdn", graph=state_graph(net), labels=structured_state_labels(net), net=net)
+    return InputBundle(path, state_graph(net), structured_state_labels(net), net)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -178,7 +172,7 @@ def cmd_info(args) -> int:
             raise ValueError("incidence export needs a water-network input")
         write_incidence_csv(bundle.net, args.dump_incidence)
     if args.dump_pattern:
-        Path(args.dump_pattern).write_text(bundle.pattern.to_json() + "\n")
+        Path(args.dump_pattern).write_text(to_pattern(bundle.graph).to_json() + "\n")
     if args.format == "json":
         _dump_json(payload, args.out)
     elif args.format == "csv":
@@ -266,7 +260,7 @@ def cmd_oracle(args) -> int:
     given = _resolve_sensors(args.sensors, bundle) if args.sensors is not None else None
     run = PipelineRun(bundle.graph, given=given)
     report = sample_and_check(
-        bundle.pattern, run.output, trials=args.trials, seed=args.seed, c_mode=args.c_mode
+        to_pattern(bundle.graph), run.output, trials=args.trials, seed=args.seed, c_mode=args.c_mode
     )
     payload = {"sensors": list(run.placement.measured), **report.as_dict()}
     _dump_json(payload, args.out)

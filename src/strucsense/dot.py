@@ -14,7 +14,7 @@ from .spanning import SpanningTree, removed_chords
 
 
 def _quote(name) -> str:
-    text = str(name).replace('"', '\\"')
+    text = str(name).replace("\\", "\\\\").replace('"', '\\"')
     return f'"{text}"'
 
 

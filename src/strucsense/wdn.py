@@ -1,19 +1,18 @@
 """Water-network ingestion and the structured state pattern it induces.
 
 Reads the topology subset of the EPANET INP dialect (junctions, reservoirs,
-tanks, pipes, pumps, valves, optional coordinates, parsed only if read) and
-builds, in one pass over the link list, the state graph of the block pattern
-whose states are one flow per link followed by one head per hydraulic node:
-star self-loops on flows, unknown self-loops on heads, and star couplings
-wherever a link meets a node. The pattern itself is built only on request,
-and no dense node-by-link array ever is. Hydraulic parameters are never
-parsed; only topology shapes the pattern.
+tanks, pipes, pumps, valves) and builds, in one pass over the link list, the
+state graph of the block pattern whose states are one flow per link followed
+by one head per hydraulic node: star self-loops on flows, unknown self-loops
+on heads, and star couplings wherever a link meets a node. The pattern itself
+is built only on request, and no dense node-by-link array ever is. Hydraulic
+parameters are never parsed; only topology shapes the pattern, and a
+``[COORDINATES]`` section is skipped like any other the parser does not read.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from typing import NamedTuple
 
 from .netgraph import StateGraph, outside, star_graph
@@ -35,101 +34,26 @@ class ParseError(ValueError):
         super().__init__(message + suffix)
 
 
-class HydraulicNode(NamedTuple):
-    label: str
-    kind: str  # junction | reservoir | tank
+class WdnNetwork(NamedTuple):
+    """Topological view of a water network: its columns, in file order.
 
-
-class Link(NamedTuple):
-    label: str
-    kind: str  # pipe | pump | valve
-    from_label: str
-    to_label: str
-
-
-class WdnNetwork:
-    """Topological view of a water network: labeled nodes and links, in file order.
-
-    A network is its columns: node labels and kinds, and link labels, kinds,
-    from-node labels and to-node labels. The constructor splits the rows it
-    takes into them, ``parse_inp`` builds them through ``_from_columns``, and
-    the rows (``nodes``, ``links``) are derived from them on first read;
-    neither ``info`` nor ``place`` reads a row.
+    ``ends`` holds the node indices of the links' from-nodes and those of
+    their to-nodes; an endpoint's label is ``node_labels`` at its index.
     """
 
-    def __init__(self, nodes: tuple, links: tuple, coordinates: dict | None = None):
-        self._node_columns = tuple(zip(*nodes)) or ((), ())
-        self._link_columns = tuple(zip(*links)) or ((), (), (), ())
-        self._coordinate_lines = ()  # raw [COORDINATES] lines that parse_inp kept, read on first use
-        if coordinates is not None:
-            self.coordinates = coordinates
-
-    @classmethod
-    def _from_columns(cls, node_columns, link_columns, node_lookup, link_ends, coordinate_lines) -> WdnNetwork:
-        """A network held as the columns ``parse_inp`` built; its rows are derived from them if read."""
-        net = cls.__new__(cls)
-        net._node_columns, net._link_columns = node_columns, link_columns
-        net._node_lookup, net._link_ends = node_lookup, link_ends
-        net._coordinate_lines = coordinate_lines
-        return net
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self._node_columns, self._link_columns, self.coordinates) == (
-            other._node_columns, other._link_columns, other.coordinates)
+    node_labels: tuple
+    node_kinds: tuple  # junction | reservoir | tank
+    link_labels: tuple
+    link_kinds: tuple  # pipe | pump | valve
+    ends: tuple  # (from-node indices, to-node indices), in link order
 
     @property
     def n_nodes(self) -> int:
-        return len(self._node_columns[0])
+        return len(self.node_labels)
 
     @property
     def n_links(self) -> int:
-        return len(self._link_columns[0])
-
-    def node_index(self, label: str) -> int:
-        return self._node_lookup[label]
-
-    # rows are built by tuple.__new__ in C, as NamedTuple._make builds them: no Python-level call per row
-    @cached_property
-    def nodes(self) -> tuple:
-        labels, kinds = self._node_columns
-        return tuple(map(tuple.__new__, [HydraulicNode] * len(labels), zip(labels, kinds)))
-
-    @cached_property
-    def links(self) -> tuple:
-        labels, kinds, froms, tos = self._link_columns
-        return tuple(map(tuple.__new__, [Link] * len(labels), zip(labels, kinds, froms, tos)))
-
-    @cached_property
-    def _node_lookup(self) -> dict:
-        labels = self._node_columns[0]
-        return dict(zip(labels, range(len(labels))))
-
-    @cached_property
-    def _link_ends(self) -> tuple:
-        """Node indices of the links' from-nodes and of their to-nodes, in link order."""
-        _, _, froms, tos = self._link_columns
-        node = self._node_lookup
-        return tuple(map(node.__getitem__, froms)), tuple(map(node.__getitem__, tos))
-
-    @cached_property
-    def coordinates(self) -> dict:
-        """Layout hints by node label, parsed on first read: no command's output reads them."""
-        return _parse_coordinates(self._coordinate_lines)
-
-
-def _parse_coordinates(lines) -> dict:
-    """``label -> (x, y)`` from ``[COORDINATES]`` lines; a later line wins, malformed ones are skipped."""
-    coordinates = {}
-    for raw in lines:
-        tokens = raw.partition(";")[0].split()
-        if len(tokens) >= 3:
-            try:
-                coordinates[tokens[0]] = (float(tokens[1]), float(tokens[2]))
-            except ValueError:
-                pass  # layout hints only; ignore malformed ones
-    return coordinates
+        return len(self.link_labels)
 
 
 def _sections(text: str, lines: list) -> list:
@@ -206,14 +130,14 @@ def parse_inp(text: str) -> WdnNetwork:
     The text is split into lines once; each section body is tokenised in one
     comprehension, keeping only the fields read, and checked in bulk. Each
     link's endpoints are resolved to node indices here, once, and kept on
-    the network. Only a text some check refuses is walked line by line,
-    to report its first offending line.
+    the network as its ``ends``. Only a text some check refuses is walked
+    line by line, to report its first offending line.
     """
     # lines end at "\n" alone (a trailing "\r" is whitespace): str.splitlines would also
     # break at form feeds and other separators that may sit inside a comment
     lines = text.split("\n")
     sections = _sections(text, lines)
-    node_labels, node_kinds, link_rows, link_kinds, coordinate_lines = [], [], [], [], []
+    node_labels, node_kinds, link_rows, link_kinds = [], [], [], []
     for name, start, end in sections:
         if name in _NODE_SECTIONS:
             labels = [tokens[0] for raw in lines[start:end] if (tokens := raw.partition(";")[0].split(None, 1))]
@@ -223,8 +147,6 @@ def parse_inp(text: str) -> WdnNetwork:
             rows = [tokens for raw in lines[start:end] if (tokens := raw.partition(";")[0].split(None, 3))]
             link_rows += rows
             link_kinds += [_LINK_SECTIONS[name]] * len(rows)
-        elif name == "COORDINATES":
-            coordinate_lines += lines[start:end]
 
     node = dict(zip(node_labels, range(len(node_labels))))
     link_labels = froms = tos = ()  # the columns of well-formed link lines
@@ -242,10 +164,7 @@ def parse_inp(text: str) -> WdnNetwork:
         or None in ends[1]
     ):
         raise _first_error(lines, sections)
-
-    node_columns = tuple(node_labels), tuple(node_kinds)
-    link_columns = link_labels, tuple(link_kinds), froms, tos
-    return WdnNetwork._from_columns(node_columns, link_columns, node, ends, coordinate_lines)
+    return WdnNetwork(tuple(node_labels), tuple(node_kinds), link_labels, tuple(link_kinds), ends)
 
 
 def to_inp_text(net: WdnNetwork) -> str:
@@ -259,25 +178,17 @@ def to_inp_text(net: WdnNetwork) -> str:
         "pump": "HEAD 1",
         "valve": "300 PRV 0",
     }
-    for section, kind in (("JUNCTIONS", "junction"), ("RESERVOIRS", "reservoir"), ("TANKS", "tank")):
-        rows = [n for n in net.nodes if n.kind == kind]
-        if rows:
-            out.append(f"[{section}]")
-            out.extend(f" {n.label}\t{filler[kind]}" for n in rows)
-            out.append("")
-    for section, kind in (("PIPES", "pipe"), ("PUMPS", "pump"), ("VALVES", "valve")):
-        rows = [l for l in net.links if l.kind == kind]
-        if rows:
-            out.append(f"[{section}]")
-            out.extend(f" {l.label}\t{l.from_label}\t{l.to_label}\t{filler[kind]}" for l in rows)
-            out.append("")
-    if not any(l.kind in ("pipe", "pump", "valve") for l in net.links):
-        out.append("[PIPES]")
-        out.append("")
-    if net.coordinates:
-        out.append("[COORDINATES]")
-        out.extend(f" {label}\t{x}\t{y}" for label, (x, y) in sorted(net.coordinates.items()))
-        out.append("")
+    labels = net.node_labels
+    nodes = list(zip(net.node_kinds, labels))
+    links = [(kind, f"{label}\t{labels[a]}\t{labels[b]}")
+             for label, kind, a, b in zip(net.link_labels, net.link_kinds, *net.ends)]
+    for sections, rows in ((_NODE_SECTIONS, nodes), (_LINK_SECTIONS, links)):
+        for section, kind in sections.items():
+            body = [f" {text}\t{filler[kind]}" for row_kind, text in rows if row_kind == kind]
+            if body:
+                out += [f"[{section}]", *body, ""]
+    if not any(kind in _LINK_SECTIONS.values() for kind in net.link_kinds):
+        out += ["[PIPES]", ""]
     out.append("[END]")
     return "\n".join(out) + "\n"
 
@@ -290,7 +201,7 @@ def write_incidence_csv(net: WdnNetwork, path) -> None:
     with no nodes writes one empty line.
     """
     ends = [[] for _ in range(net.n_nodes)]  # (link, entry) pairs per node
-    for j, (a, b) in enumerate(zip(*net._link_ends)):
+    for j, (a, b) in enumerate(zip(*net.ends)):
         ends[a].append((j, "1"))
         ends[b].append((j, "-1"))
     with open(path, "w") as f:
@@ -316,7 +227,7 @@ def state_graph(net: WdnNetwork) -> StateGraph:
     """
     m = net.n_links
     flows, heads = [], [[] for _ in range(net.n_nodes)]
-    for j, (a, b) in enumerate(zip(*net._link_ends)):
+    for j, (a, b) in enumerate(zip(*net.ends)):
         if a > b:
             a, b = b, a
         flows.append((m + a, m + b))
@@ -328,7 +239,7 @@ def state_graph(net: WdnNetwork) -> StateGraph:
 
 def structured_state_labels(net: WdnNetwork) -> list:
     """State labels matching the structured pattern's ordering."""
-    return ["q:" + label for label in net._link_columns[0]] + ["h:" + label for label in net._node_columns[0]]
+    return ["q:" + label for label in net.link_labels] + ["h:" + label for label in net.node_labels]
 
 
 def _is_int(value) -> bool:

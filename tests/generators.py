@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from strucsense import PatternMatrix, StateGraph, from_pattern
 from strucsense.forcing import ClosureRun, ObservabilityGraph, force_closure_reference
-from strucsense.wdn import HydraulicNode, Link, WdnNetwork
+from strucsense.wdn import WdnNetwork
 
 # node-by-link incidence of fixtures/triangle_wdn.inp: 1 at a link's from-node, -1 at its to-node
 TRIANGLE_WDN_INC = ((-1, 1, 1, 0), (0, 0, -1, 1), (0, -1, 0, -1), (1, 0, 0, 0))
@@ -196,21 +196,18 @@ def wdn_networks(draw, max_nodes: int = 8, max_links: int = 12) -> WdnNetwork:
     """A water network in INP section order, as ``parse_inp`` reads one back.
 
     Few nodes and many links, so parallel links between one pair and nodes
-    with no link are common; every node and link kind occurs; some nodes
-    carry coordinates.
+    with no link are common; every node and link kind occurs.
     """
     labels = draw(st.lists(_LABELS, max_size=max_nodes, unique=True))
     kinds = [draw(st.sampled_from(NODE_KINDS)) for _ in labels]
-    nodes = sorted((HydraulicNode(label, kind) for label, kind in zip(labels, kinds)),
-                   key=lambda node: NODE_KINDS.index(node.kind))
+    nodes = sorted(zip(kinds, labels), key=lambda node: NODE_KINDS.index(node[0]))
+    node_kinds, node_labels = tuple(zip(*nodes)) or ((), ())
     links = []
     if len(nodes) >= 2:
-        ends = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda pair: pair[0] != pair[1])
-        pairs = draw(st.lists(ends, max_size=max_links))
+        index = st.integers(0, len(nodes) - 1)
+        pairs = draw(st.lists(st.tuples(index, index).filter(lambda pair: pair[0] != pair[1]), max_size=max_links))
         link_labels = draw(st.lists(_LABELS, min_size=len(pairs), max_size=len(pairs), unique=True))
-        links = [Link(label, draw(st.sampled_from(LINK_KINDS)), a.label, b.label)
-                 for label, (a, b) in zip(link_labels, pairs)]
-        links.sort(key=lambda link: LINK_KINDS.index(link.kind))
-    point = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2)
-    coordinates = {node.label: draw(point) for node in nodes if draw(st.booleans())}
-    return WdnNetwork(tuple(nodes), tuple(links), coordinates)
+        kinds = [draw(st.sampled_from(LINK_KINDS)) for _ in pairs]
+        links = sorted(zip(kinds, link_labels, *zip(*pairs)), key=lambda link: LINK_KINDS.index(link[0]))
+    link_kinds, link_labels, froms, tos = tuple(zip(*links)) or ((), (), (), ())
+    return WdnNetwork(node_labels, node_kinds, link_labels, link_kinds, (froms, tos))

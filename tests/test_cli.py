@@ -71,7 +71,6 @@ def assert_no_state_pattern(bundles: list, shapes: list) -> None:
     (bundle,) = bundles
     n = bundle.graph.n
     assert (n, n) not in shapes
-    assert "pattern" not in vars(bundle)
     assert "star_edges" not in vars(bundle.graph) and "unknown_edges" not in vars(bundle.graph)
 
 
@@ -435,7 +434,6 @@ class TestStatePatternOnDemand:
         assert code == 0
         assert counts == {"state_graph": 1, "to_pattern": 1}
         assert shapes.count((8, 8)) == 1
-        assert "pattern" in vars(bundles[0])
 
     @pytest.mark.parametrize(
         "argv", [["minimize"], ["export-dot", "--stage", "trace"]], ids=["minimize", "export-dot-trace"]
@@ -449,9 +447,11 @@ class TestStatePatternOnDemand:
         assert_no_state_pattern(bundles, shapes)
 
     def test_certify_builds_no_state_pattern(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "to_pattern")
         bundles, shapes = record_loads_and_patterns(monkeypatch)
         code, _, _ = run_cli(capsys, "certify", str(fixtures_dir / "triangle_wdn.inp"), "--sensors", "2,7")
         assert code == 0
+        assert counts == {"to_pattern": 0}
         assert_no_state_pattern(bundles, shapes)
 
 
@@ -659,6 +659,26 @@ class TestExportDot:
             capsys, "export-dot", str(fixtures_dir / "triangle_wdn.inp"), "--stage", "trace"
         )
         assert "#1" in out and "penwidth" in out
+
+    @pytest.mark.parametrize("stage", ["graph", "tree", "placement", "trace"])
+    def test_labels_holding_backslashes_and_quotes_stay_quoted(self, capsys, tmp_path, stage):
+        path = tmp_path / "escapes.inp"
+        path.write_text('[JUNCTIONS]\n J\\ 0\n a"b 0\n c\\" 0\n[PIPES]\n P\\ J\\ a"b 1\n q"\\ a"b c\\" 1\n')
+        labels = load_input(str(path)).labels
+        assert labels == ["q:P\\", 'q:q"\\', "h:J\\", 'h:a"b', 'h:c\\"']
+        code, out, _ = run_cli(capsys, "export-dot", str(path), "--stage", stage)
+        assert code == 0
+        quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+        shown = {}
+        for line in out.splitlines():
+            assert '"' not in quoted.sub("", line), line  # every quote opens or closes a quoted string
+            state = re.match(r'  "(\d+)" \[', line)
+            if state and "label=" in line:
+                text = quoted.match(line, line.index("label=") + len("label=")).group()
+                shown[int(state[1])] = re.sub(r"\\(.)", r"\1", text[1:-1])
+        if stage == "trace":
+            shown = {v: text.rpartition("|")[0] for v, text in shown.items() if v < len(labels)}
+        assert shown == dict(enumerate(labels))
 
     def test_out_file(self, capsys, fixtures_dir, tmp_path):
         target = tmp_path / "graph.dot"

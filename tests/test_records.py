@@ -10,6 +10,7 @@ import pytest
 
 from strucsense.cli import InputBundle
 import strucsense.forcing
+import strucsense.wdn
 from strucsense.forcing import Certificate, ClosureRun, ColoringState, ObservabilityGraph
 from strucsense.netgraph import NodeClassification, PreconditionReport, StateGraph, companion, star_graph
 from strucsense.oracle import (
@@ -22,7 +23,7 @@ from strucsense.oracle import (
 from strucsense.pattern import Entry, PatternMatrix, sample_realizations
 from strucsense.placement import PipelineRun, SensorCountReport, SensorPlacement
 from strucsense.spanning import SpanningTree, spanning_tree_dfs
-from strucsense.wdn import HydraulicNode, Link, WdnNetwork, parse_inp
+from strucsense.wdn import WdnNetwork, parse_inp
 
 STAR, NONE, UNKNOWN = Entry.STAR, Entry.ZERO, Entry.UNKNOWN
 
@@ -34,14 +35,11 @@ def path3() -> StateGraph:
 
 
 def network() -> WdnNetwork:
-    nodes = (HydraulicNode("J1", "junction"), HydraulicNode("R1", "reservoir"))
-    return WdnNetwork(nodes, (Link("P1", "pipe", "R1", "J1"),), {"J1": (0.0, 1.5)})
+    return WdnNetwork(("J1", "R1"), ("junction", "reservoir"), ("P1",), ("pipe",), ((1,), (0,)))
 
 
 # class -> a fresh record built from the same constructor arguments on every call
 RECORDS = {
-    HydraulicNode: lambda: HydraulicNode("J1", "junction"),
-    Link: lambda: Link("P1", "pipe", "J1", "J2"),
     WdnNetwork: network,
     ObservabilityGraph: lambda: ObservabilityGraph(2, 1, ((1,), (), (0,)), ((), (0,), ())),
     ColoringState: lambda: ColoringState(frozenset({0, 1}), ((2, 0), (0, 1))),
@@ -58,10 +56,10 @@ RECORDS = {
     SensorCountReport: lambda: SensorCountReport(2, 1, 3, True),
     PipelineRun: lambda: PipelineRun(path3(), "cyclic", SensorPlacement((0,), 3, "given")),
     SpanningTree: lambda: SpanningTree((None, 0), (0,)),
-    InputBundle: lambda: InputBundle("g.json", "edge_list", path3(), ["0", "1", "2"]),
+    InputBundle: lambda: InputBundle("g.json", path3(), ["0", "1", "2"]),
 }
-# a network carries a dict and a bundle is mutable: neither hashes
-UNHASHABLE = {WdnNetwork, InputBundle}
+# a bundle's labels are a list: it does not hash
+UNHASHABLE = {InputBundle}
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
@@ -80,8 +78,7 @@ def test_defaults_give_equal_records():
     assert PatternMatrix(2, 3) == PatternMatrix(2, 3, frozenset(), frozenset())
     assert StateGraph(2) == StateGraph(2, frozenset(), frozenset())
     assert PipelineRun(path3()) == PipelineRun(path3(), "cyclic", None)
-    assert WdnNetwork((), ()) == WdnNetwork((), (), {})
-    assert WdnNetwork((), ()).coordinates is not WdnNetwork((), ()).coordinates
+    assert InputBundle("g.json", path3(), ["0", "1", "2"]) == InputBundle("g.json", path3(), ["0", "1", "2"], None)
 
 
 def test_different_arguments_give_unequal_records():
@@ -89,7 +86,8 @@ def test_different_arguments_give_unequal_records():
     assert StateGraph(2, frozenset({(0, 1)})) != StateGraph(2, frozenset(), frozenset({(0, 1)}))
     assert SensorPlacement((0,), 3, "cyclic") != SensorPlacement((0,), 3, "given")
     assert PipelineRun(path3(), "tree") != PipelineRun(path3(), "cyclic")
-    assert network() != WdnNetwork(network().nodes, network().links)
+    assert network() != network()._replace(ends=((0,), (1,)))
+    assert network() != network()._replace(link_kinds=("pump",))
     star, other = star_graph(((1,), (0,)), (STAR, NONE)), star_graph(((1,), (0,)), (UNKNOWN, NONE))
     assert star != other and companion(star) == companion(other)
     assert companion(star) != companion(star_graph(((1,), (0,)), (UNKNOWN, UNKNOWN)))
@@ -135,15 +133,11 @@ def test_star_graph_equals_the_validating_constructors_graph():
 
 GRAPH_FIELDS = {"n", "loops", "star_nbrs", "nbrs", "star_out", "out", "inn"}
 GRAPH_VIEWS = {"star_edges", "unknown_edges"}
-NETWORK_COLUMNS, NETWORK_VIEWS = {"_node_columns", "_link_columns"}, {"nodes", "links"}
-PARSED_INP = "[RESERVOIRS]\n R1\n[JUNCTIONS]\n J1\n[PIPES]\n P1 R1 J1\n"
 # constructor -> (a fresh record, the fields that are its stored form, the views derived from them)
 STORED_FORMS = {
     "StateGraph": (path3, GRAPH_FIELDS, GRAPH_VIEWS),
     "star_graph": (lambda: star_graph(((1,), (0, 2), (1,)), (STAR, NONE, UNKNOWN)), GRAPH_FIELDS, GRAPH_VIEWS),
     "companion": (lambda: companion(path3()), GRAPH_FIELDS, GRAPH_VIEWS),
-    "WdnNetwork": (network, NETWORK_COLUMNS, NETWORK_VIEWS),
-    "parse_inp": (lambda: parse_inp(PARSED_INP), NETWORK_COLUMNS, NETWORK_VIEWS),
 }
 
 
@@ -160,6 +154,22 @@ def test_both_graph_constructors_store_the_same_fields_and_derive_the_same_views
     built, checked = STORED_FORMS["star_graph"][0](), path3()
     assert set(vars(built)) == set(vars(checked)) == set(vars(companion(checked))) == GRAPH_FIELDS
     assert (built.star_edges, built.unknown_edges) == (checked.star_edges, checked.unknown_edges)
+
+
+def test_a_network_and_a_bundle_are_tuples_of_their_columns():
+    assert WdnNetwork._fields == ("node_labels", "node_kinds", "link_labels", "link_kinds", "ends")
+    assert InputBundle._fields == ("path", "graph", "labels", "net")
+
+
+def test_parse_inp_returns_exactly_a_network():
+    net = parse_inp("[JUNCTIONS]\n J1\n[RESERVOIRS]\n R1\n[PIPES]\n P1 R1 J1\n[COORDINATES]\n J1 0 1.5\n")
+    assert type(net) is WdnNetwork
+    assert net == network()
+
+
+def test_a_network_has_no_rows_and_no_coordinates():
+    for name in ("HydraulicNode", "Link", "_parse_coordinates"):
+        assert not hasattr(strucsense.wdn, name), name
 
 
 def test_a_closure_run_holds_its_graph_and_its_counts_only():

@@ -24,6 +24,7 @@ from strucsense import (
     sample_and_check,
     spanning_tree_dfs,
     state_graph,
+    to_pattern,
 )
 from strucsense.cli import load_input, main
 from strucsense.forcing import build_observability_graph, replay_trace
@@ -44,8 +45,9 @@ def test_cyclic_certificate_at_benchmark_scale(tmp_path):
     c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
     cert = certify_sso(g, c)
     assert (cert.colorable_a, cert.colorable_abar) == (True, False)
-    for pattern, colorable, trace in ((bundle.pattern, cert.colorable_a, cert.trace_a),
-                                      (make_abar(bundle.pattern), cert.colorable_abar, cert.trace_abar)):
+    a = to_pattern(g)
+    for pattern, colorable, trace in ((a, cert.colorable_a, cert.trace_a),
+                                      (make_abar(a), cert.colorable_abar, cert.trace_abar)):
         black = replay_trace(build_observability_graph(pattern, c), trace)
         assert colorable == black.issuperset(range(g.n))
 

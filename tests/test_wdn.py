@@ -21,7 +21,7 @@ from strucsense import (
 )
 import strucsense.wdn
 from strucsense.cli import main
-from strucsense.wdn import MAX_EDGE_LIST_STATES, WdnNetwork, to_inp_text, write_incidence_csv
+from strucsense.wdn import MAX_EDGE_LIST_STATES, to_inp_text, write_incidence_csv
 from generators import TRIANGLE_WDN_INC, cyclic_inp_text, wdn_networks
 from inp_reference import parse_inp as reference_parse_inp
 
@@ -70,24 +70,25 @@ class TestParseInp:
     def test_minimal_network(self):
         net = parse_inp(MINIMAL)
         assert net.n_nodes == 2 and net.n_links == 1
-        assert [n.label for n in net.nodes] == ["a", "b"]
-        assert net.links[0].from_label == "a" and net.links[0].to_label == "b"
+        assert net.node_labels == ("a", "b")
+        assert net.ends == ((0,), (1,))
 
     def test_triangle_fixture(self, fixtures_dir):
         net = parse_inp((fixtures_dir / "triangle_wdn.inp").read_text())
         assert net.n_nodes == 4 and net.n_links == 4
-        assert [n.kind for n in net.nodes] == ["junction"] * 3 + ["tank"]
-        assert [l.label for l in net.links] == ["e1", "e2", "e3", "e4"]
-        assert net.coordinates["4"] == (0.0, 100.0)
+        assert net.node_kinds == ("junction",) * 3 + ("tank",)
+        assert net.link_labels == ("e1", "e2", "e3", "e4")
 
     def test_comments_and_blanks_ignored(self):
         noisy = MINIMAL.replace("[PIPES]", ";leading comment\n\n[PIPES]  ;trailing\n\n")
         clean, noisy = parse_inp(MINIMAL), parse_inp(noisy)
-        assert clean.nodes == noisy.nodes and clean.links == noisy.links
+        assert clean == noisy
 
     def test_unknown_sections_skipped(self):
         text = MINIMAL.replace("[END]", "[OPTIONS]\n UNITS LPS\n[END]")
         assert parse_inp(text).n_links == 1
+        for case in ("comments and blanks", "malformed floats", "bracket in a comment"):
+            assert parse_inp(MINIMAL + SKIPPED_SECTIONS[case]) == parse_inp(MINIMAL)
 
     def test_undeclared_endpoint_reports_line(self):
         bad = MINIMAL.replace(" p1  a  b", " p1  a  zz")
@@ -108,7 +109,7 @@ class TestParseInp:
 
     def test_separators_inside_a_comment_do_not_end_the_line(self):
         net = parse_inp("[JUNCTIONS]\n a ; note\x0cpage\n b\n[PIPES]\n p a b\n")
-        assert [n.label for n in net.nodes] == ["a", "b"]
+        assert net.node_labels == ("a", "b")
 
     @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
     def test_line_numbers_count_newlines_only(self, sep):
@@ -132,7 +133,7 @@ class TestParseInp:
  v1 3 1 300 PRV 0
 """
         net = parse_inp(text)
-        assert [l.kind for l in net.links] == ["pipe", "pump", "valve"]
+        assert net.link_kinds == ("pipe", "pump", "valve")
 
     @settings(max_examples=200, deadline=None)
     @given(wdn_networks())
@@ -141,33 +142,11 @@ class TestParseInp:
 
     def test_round_trip_preserves_labels_in_order(self, fixtures_dir):
         net = parse_inp((fixtures_dir / "triangle_wdn.inp").read_text())
-        again = parse_inp(to_inp_text(net))
-        assert [n.label for n in again.nodes] == [n.label for n in net.nodes]
-        assert [l.label for l in again.links] == [l.label for l in net.links]
-        assert [(l.from_label, l.to_label) for l in again.links] == [
-            (l.from_label, l.to_label) for l in net.links
-        ]
+        assert parse_inp(to_inp_text(net)) == net
 
 
-def eager_coordinates(text: str) -> dict:
-    """The ``[COORDINATES]`` rows, every one parsed as it is read: the reference for the lazy parse."""
-    coordinates, inside = {}, False
-    for raw in text.split("\n"):
-        raw = raw.partition(";")[0]
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if tokens[0][0] == "[":
-            inside = raw.strip().strip("[]").strip().upper() == "COORDINATES"
-        elif inside and len(tokens) >= 3:
-            try:
-                coordinates[tokens[0]] = (float(tokens[1]), float(tokens[2]))
-            except ValueError:
-                pass
-    return coordinates
-
-
-COORDINATE_CASES = {
+# sections the parser skips, with comments, blank lines and "[" inside lines that are not headers
+SKIPPED_SECTIONS = {
     "comments and blanks": "[COORDINATES]\n;Node X Y\n\n a 1 2 ; pinned\n\n\t\r\n b 3.5 -4\r\n c;d 1 2\n e 5 6;7\n",
     "malformed floats": "[COORDINATES]\n a x 2\n b 1 y\n c 1\n d 1e400 -0\n b 5 6 7\n a 0x1 2\n",
     "bracket in a comment": "[COORDINATES]\n a 1 2 ; [moved]\n b [3 4\n c 5 6 [7]\n ; [note]\n",
@@ -175,60 +154,17 @@ COORDINATE_CASES = {
 }
 
 
-class TestLazyCoordinates:
-    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.inp")))
-    def test_fixtures_match_the_eager_parse(self, name):
-        text = (FIXTURES / name).read_text()
-        net = parse_inp(text)
-        assert "coordinates" not in vars(net)
-        assert net.coordinates == eager_coordinates(text)
-        assert net == WdnNetwork(net.nodes, net.links, eager_coordinates(text))
-
-    @settings(max_examples=200, deadline=None)
-    @given(wdn_networks())
-    def test_generated_networks_match_the_eager_parse(self, net):
-        text = to_inp_text(net)
-        assert parse_inp(text).coordinates == eager_coordinates(text) == net.coordinates
-
-    @pytest.mark.parametrize("case", sorted(COORDINATE_CASES))
-    def test_hand_cases_match_the_eager_parse(self, case):
-        text = MINIMAL + COORDINATE_CASES[case]
-        assert parse_inp(text).coordinates == eager_coordinates(text)
-
-    def test_hand_cases_read_as_expected(self):
-        coordinates = {case: parse_inp(MINIMAL + text).coordinates for case, text in COORDINATE_CASES.items()}
-        assert coordinates["comments and blanks"] == {"a": (1.0, 2.0), "b": (3.5, -4.0), "e": (5.0, 6.0)}
-        assert coordinates["malformed floats"] == {"d": (float("inf"), 0.0), "b": (5.0, 6.0)}
-        assert coordinates["bracket in a comment"] == {"a": (1.0, 2.0), "c": (5.0, 6.0)}
-        assert coordinates["header after"] == {"a": (1.0, 2.0), "b": (7.0, 8.0)}
-
+class TestSkippedSections:
     def test_a_header_after_the_section_still_opens_its_own(self):
-        net = parse_inp(MINIMAL + COORDINATE_CASES["header after"])
-        assert [(l.label, l.from_label, l.to_label) for l in net.links] == [("p1", "a", "b"), ("p2", "b", "a")]
+        net = parse_inp(MINIMAL + SKIPPED_SECTIONS["header after"])
+        assert net.link_labels == ("p1", "p2")
+        assert net.ends == ((0, 1), (1, 0))
 
     def test_errors_after_the_section_keep_their_line(self):
         text = MINIMAL + "[COORDINATES]\n a 1 2\n ; [x]\n[PIPES]\n p2 a zz 1\n"
         with pytest.raises(ParseError, match="undeclared node 'zz'") as err:
             parse_inp(text)
         assert err.value.line == text.split("\n").index(" p2 a zz 1") + 1
-
-    def test_parsed_once_then_kept(self, monkeypatch):
-        calls = []
-        parse = strucsense.wdn._parse_coordinates
-        monkeypatch.setattr(strucsense.wdn, "_parse_coordinates", lambda lines: calls.append(1) or parse(lines))
-        net = parse_inp(MINIMAL + COORDINATE_CASES["comments and blanks"])
-        assert calls == []
-        assert net.coordinates is net.coordinates
-        assert calls == [1]
-
-    @pytest.mark.parametrize("command", ["info", "place"])
-    def test_info_and_place_never_parse_them(self, command, fixtures_dir, monkeypatch):
-        def refuse(lines):
-            raise AssertionError("coordinates parsed")
-
-        monkeypatch.setattr(strucsense.wdn, "_parse_coordinates", refuse)
-        for fmt in ("json", "csv", "text"):
-            assert main([command, str(fixtures_dir / "triangle_wdn.inp"), "--format", fmt]) == 0
 
 
 class TestIncidence:
@@ -252,9 +188,9 @@ class TestIncidence:
         net = parse_inp((fixtures_dir / "two_loop.inp").read_text())
         out_deg = [0] * net.n_nodes
         in_deg = [0] * net.n_nodes
-        for link in net.links:
-            out_deg[net.node_index(link.from_label)] += 1
-            in_deg[net.node_index(link.to_label)] += 1
+        for a, b in zip(*net.ends):
+            out_deg[a] += 1
+            in_deg[b] += 1
         assert [sum(row) for row in incidence_rows(net, tmp_path)] == [o - i for o, i in zip(out_deg, in_deg)]
 
     def test_self_connecting_link_rejected(self):
@@ -277,15 +213,10 @@ class TestWriteIncidenceCsv:
         path = tmp_path / "incidence.csv"
         write_incidence_csv(net, path)
         dense = [["0"] * net.n_links for _ in range(net.n_nodes)]  # the documented layout, entry by entry
-        for j, link in enumerate(net.links):
-            dense[net.node_index(link.from_label)][j] = "1"
-            dense[net.node_index(link.to_label)][j] = "-1"
+        for j, (a, b) in enumerate(zip(*net.ends)):
+            dense[a][j] = "1"
+            dense[b][j] = "-1"
         assert path.read_text() == "\n".join(",".join(row) for row in dense) + "\n"
-
-    def test_node_lookup_is_built_once(self):
-        net = parse_inp(MINIMAL)
-        assert net.node_index("b") == 1
-        assert net._node_lookup is net._node_lookup == {"a": 0, "b": 1}
 
 
 class TestStructuredPattern:
@@ -333,9 +264,9 @@ def reference_pattern(net) -> PatternMatrix:
     m = net.n_links
     star = {(k, k) for k in range(m)}
     unknown = {(m + i, m + i) for i in range(net.n_nodes)}
-    for j, link in enumerate(net.links):
-        for end in (link.from_label, link.to_label):
-            i = m + net.node_index(end)
+    for j, link_ends in enumerate(zip(*net.ends)):
+        for end in link_ends:
+            i = m + end
             star |= {(j, i), (i, j)}
     return PatternMatrix(m + net.n_nodes, m + net.n_nodes, frozenset(star), frozenset(unknown), symmetric=True)
 
@@ -379,17 +310,17 @@ class TestStateGraph:
 
 
 def parse_outcome(parse, text: str) -> tuple:
-    """A parser's network (nodes, links, coordinates by repr: "nan" is unequal to itself), or its error."""
+    """A parser's network, or its error."""
     try:
         net = parse(text)
     except ParseError as err:
         return "error", str(err), err.line
-    return "network", net.nodes, net.links, repr(net.coordinates)
+    return "network", net
 
 
 # INP sections whose lines meet every check the parser makes, or trip one: duplicate nodes or
 # links (also across sections), short link lines, self-loops, undeclared endpoints; and headers
-# behind ";", "[" inside labels and coordinates, form feeds inside comments, text before the
+# behind ";", "[" inside labels and skipped sections, form feeds inside comments, text before the
 # first header, repeated sections, "\r" line ends
 _NAMES = st.sampled_from(["a", "b", "c", "a[1", "zz"])
 _QUIET_LINES = st.sampled_from(["", " ", ";", " ; [PIPES]", ";\x0c[VALVES]", " ;\x0cnote"])
@@ -438,8 +369,8 @@ def edited_network_texts(draw) -> str:
     """
     net = draw(wdn_networks())
     lines = to_inp_text(net).split("\n")
-    name = st.sampled_from([node.label for node in net.nodes] + ["zz"])
-    link = st.sampled_from([link.label for link in net.links] + ["q1"])
+    name = st.sampled_from([*net.node_labels, "zz"])
+    link = st.sampled_from([*net.link_labels, "q1"])
     extra = st.one_of(
         st.builds(lambda label, a, b: f" {label} {a} {b} 1", link, name, name),
         st.builds(lambda label, a: f" {label} {a}", link, name),
@@ -461,34 +392,25 @@ class TestReferenceParser:
     def test_generated_texts_parse_as_the_reference_does(self, text):
         assert parse_outcome(parse_inp, text) == parse_outcome(reference_parse_inp, text)
 
-    @pytest.mark.parametrize("text", [*(path.read_text() for path in sorted(FIXTURES.glob("*.inp"))), MINIMAL, MIXED, ""])
+    @pytest.mark.parametrize(
+        "text",
+        [*(path.read_text() for path in sorted(FIXTURES.glob("*.inp"))), MINIMAL, MIXED, "",
+         *(MINIMAL + text for text in SKIPPED_SECTIONS.values())],
+    )
     def test_fixtures_parse_as_the_reference_does(self, text):
         assert parse_outcome(parse_inp, text) == parse_outcome(reference_parse_inp, text)
-
-    @pytest.mark.parametrize("command", ["info", "place"])
-    def test_info_and_place_never_build_rows(self, command, fixtures_dir, monkeypatch):
-        def refuse(net):
-            raise AssertionError("rows built")
-
-        monkeypatch.setattr(WdnNetwork, "nodes", property(refuse))
-        monkeypatch.setattr(WdnNetwork, "links", property(refuse))
-        for fmt in ("json", "csv", "text"):
-            assert main([command, str(fixtures_dir / "triangle_wdn.inp"), "--format", fmt]) == 0
-        with pytest.raises(AssertionError, match="rows built"):  # the patch is live
-            parse_inp(MINIMAL).links
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_state_graph_and_labels_match_the_reference_route(self, seed):
         text = cyclic_inp_text(782, 124, seed)  # L-town's size: 1687 states
         net, ref = parse_inp(text), reference_parse_inp(text)
-        assert "_link_ends" in vars(net) and "_link_ends" not in vars(ref)  # the reference resolves on first read
         g, expected = state_graph(net), state_graph(ref)
         assert g.n == expected.n == 1687
         for name in ("star_nbrs", "nbrs", "star_out", "out", "inn", "loops"):
             assert getattr(g, name) == getattr(expected, name), name
         assert g == expected
         assert structured_state_labels(net) == structured_state_labels(ref)
-        assert net._link_ends == ref._link_ends and net._node_lookup == ref._node_lookup
+        assert net == ref
 
 
 def parse_error(text: str) -> tuple:
@@ -630,16 +552,6 @@ class TestFuzz:
     @given(INP_TEXTS)
     def test_parse_inp_matches_the_reference(self, text):
         assert parse_outcome(parse_inp, text) == parse_outcome(reference_parse_inp, text)
-
-    @settings(max_examples=300, deadline=None)
-    @given(INP_TEXTS)
-    def test_parse_inp_coordinates_match_the_eager_parse(self, text):
-        try:
-            net = parse_inp(text)
-        except ValueError:
-            return
-        # repr, since a "nan" coordinate is unequal to itself
-        assert repr(net.coordinates) == repr(eager_coordinates(text))
 
     @settings(max_examples=300, deadline=None)
     @given(EDGE_LIST_TEXTS)
