@@ -154,7 +154,61 @@ SKIPPED_SECTIONS = {
 }
 
 
+# the cases that hold no line of a section the parser reads
+SKIPPED_ONLY = [case for case in SKIPPED_SECTIONS if case != "header after"]
+
+
+def without_coordinates(text: str) -> str:
+    """``text`` with its ``[COORDINATES]`` section cut, up to the next header."""
+    kept, inside = [], False
+    for line in text.split("\n"):
+        if line.startswith("["):
+            inside = line.strip().upper() == "[COORDINATES]"
+        if not inside:
+            kept.append(line)
+    return "\n".join(kept)
+
+
 class TestSkippedSections:
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.inp")))
+    def test_a_section_before_any_header_leaves_the_fixture_as_it_was(self, name):
+        lines = (FIXTURES / name).read_text().split("\n")
+        net = parse_inp("\n".join(lines))
+        for i in [i for i, line in enumerate(lines) if line.startswith("[")] + [len(lines)]:
+            for case in SKIPPED_ONLY:
+                assert parse_inp("\n".join(lines[:i] + [SKIPPED_SECTIONS[case]] + lines[i:])) == net, (i, case)
+
+    def test_the_triangle_fixture_parses_the_same_without_its_coordinates(self, fixtures_dir):
+        text = (fixtures_dir / "triangle_wdn.inp").read_text()
+        assert "[COORDINATES]" in text and "[COORDINATES]" not in without_coordinates(text)
+        assert parse_inp(without_coordinates(text)) == parse_inp(text)
+
+    @pytest.mark.parametrize("case", SKIPPED_ONLY)
+    def test_a_section_between_two_read_sections_is_skipped(self, case):
+        text = MINIMAL.replace("[PIPES]", SKIPPED_SECTIONS[case] + "[PIPES]")
+        assert parse_inp(text) == parse_inp(MINIMAL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wdn_networks(), st.sampled_from(SKIPPED_ONLY), st.data())
+    def test_generated_networks_parse_the_same_with_a_section_before_any_header(self, net, case, data):
+        lines = to_inp_text(net).split("\n")
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("[")]))
+        assert parse_inp("\n".join(lines[:i] + [SKIPPED_SECTIONS[case]] + lines[i:])) == net
+
+    @pytest.mark.parametrize("command", ["info", "place"])
+    def test_info_and_place_print_the_same_without_the_section(self, command, fixtures_dir, tmp_path, monkeypatch, capsys):
+        text = (fixtures_dir / "triangle_wdn.inp").read_text()
+        for name, body in (("with", text), ("without", without_coordinates(text))):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "net.inp").write_text(body)
+        for fmt in ("json", "csv", "text"):
+            outputs = []
+            for name in ("with", "without"):
+                monkeypatch.chdir(tmp_path / name)
+                assert main([command, "net.inp", "--format", fmt]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1] != ""
+
     def test_a_header_after_the_section_still_opens_its_own(self):
         net = parse_inp(MINIMAL + SKIPPED_SECTIONS["header after"])
         assert net.link_labels == ("p1", "p2")
