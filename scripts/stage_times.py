@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Median calibrated wall time of each pipeline stage on EPANET INP files, one JSON line per input.
+"""Median calibrated wall time of each pipeline stage on EPANET INP or edge-list JSON files, one JSON line per input.
 
-    PYTHONPATH=src python scripts/stage_times.py NET.inp [NET.inp ...]
+    PYTHONPATH=src python scripts/stage_times.py NET.inp GRAPH.json [...]
 
 Each stage's inputs are built once; then each of ``REPEATS`` rounds runs
 every stage once, with the cyclic garbage collector paused as
@@ -11,7 +11,7 @@ in calibrated milliseconds. perfbench's calibration kernel
 round's times are scaled by ``calibrate.scale`` of the two samples' mean: they
 read as milliseconds on a machine where the kernel takes its nominal time,
 so two processes on a shared machine whose cores drift compare. ``kernel_ms``
-is the median raw kernel sample. The stages:
+is the median raw kernel sample. The stages of an INP file:
 
 - ``parse_inp``, ``state_graph``, ``labels`` (``structured_state_labels``);
 - ``check_preconditions``, the stage behind ``info``'s roles and cycles;
@@ -25,6 +25,14 @@ is the median raw kernel sample. The stages:
 - ``json_output``: the median over rounds of ``place_cmd`` less the stages
   it runs in the same round, which leaves argument parsing, reading the
   file, the payload and its JSON text.
+
+A file ending in ``.json`` is an edge list, as ``load_input`` reads one, and
+has the stages of the exhaustive search:
+
+- ``parse_edge_list`` and ``exhaustive_min_sensors``;
+- ``minimize_cmd`` and ``oracle_cmd``: the whole ``minimize`` command, and
+  ``oracle`` (100 trials) with ``--sensors`` set to the search's first
+  witness, through ``cli.main``, their output captured in memory.
 
 Only public library functions are called. Pointing ``PYTHONPATH`` at
 another checkout's ``src`` times that checkout, so two versions can be
@@ -47,9 +55,10 @@ from pathlib import Path
 from strucsense import cli
 from strucsense.forcing import certify_sso
 from strucsense.netgraph import check_preconditions
+from strucsense.oracle import exhaustive_min_sensors
 from strucsense.placement import build_output_pattern, place_cyclic, sensor_count_report
 from strucsense.spanning import spanning_tree_dfs
-from strucsense.wdn import parse_inp, state_graph, structured_state_labels
+from strucsense.wdn import parse_edge_list, parse_inp, state_graph, structured_state_labels
 
 REPEATS = 21  # timed rounds per input; each round runs every stage once
 # the benchmark's kernel, loaded from its file so the script needs no perfbench package on the path
@@ -72,14 +81,12 @@ def _paper(g):
     return t, p, build_output_pattern(p, g.n)
 
 
-def stage_times(path: str) -> dict:
-    """Median calibrated milliseconds per stage on one INP file, and the median kernel sample."""
-    text = Path(path).read_text()
+def _inp_stages(path: str, text: str) -> tuple:
+    """States and the stages of an INP file."""
     net = parse_inp(text)
     g = state_graph(net)
     t, p, c = _paper(g)
-    row = {"path": path, "states": g.n}
-    stages = {
+    return g.n, {
         "parse_inp": lambda: parse_inp(text),
         "state_graph": lambda: state_graph(net),
         "labels": lambda: structured_state_labels(net),
@@ -90,6 +97,26 @@ def stage_times(path: str) -> dict:
         "place_cmd": lambda: _command(["place", path, "--format", "json"]),
         "info_cmd": lambda: _command(["info", path, "--format", "json"]),
     }
+
+
+def _edge_list_stages(path: str, text: str) -> tuple:
+    """States and the stages of an edge-list JSON file."""
+    g = parse_edge_list(text)
+    witness = ",".join(map(str, exhaustive_min_sensors(g).witnesses[0]))
+    return g.n, {
+        "parse_edge_list": lambda: parse_edge_list(text),
+        "exhaustive_min_sensors": lambda: exhaustive_min_sensors(g),
+        "minimize_cmd": lambda: _command(["minimize", path]),
+        "oracle_cmd": lambda: _command(["oracle", path, "--sensors", witness]),
+    }
+
+
+def stage_times(path: str) -> dict:
+    """Median calibrated milliseconds per stage on one input file, and the median kernel sample."""
+    text = Path(path).read_text()
+    is_inp = not path.endswith(".json")
+    states, stages = (_inp_stages if is_inp else _edge_list_stages)(path, text)
+    row = {"path": path, "states": states}
     times = {name: [] for name in stages}
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -110,14 +137,15 @@ def stage_times(path: str) -> dict:
             gc.enable()
     row.update((name, round(statistics.median(samples) * 1e3, 3)) for name, samples in times.items())
     row["kernel_ms"] = round(statistics.median(kernel) * 1e3, 3)
-    rest = [cmd - sum(times[name][r] for name in PLACE_STAGES) for r, cmd in enumerate(times["place_cmd"])]
-    row["json_output"] = round(statistics.median(rest) * 1e3, 3)
+    if is_inp:
+        rest = [cmd - sum(times[name][r] for name in PLACE_STAGES) for r, cmd in enumerate(times["place_cmd"])]
+        row["json_output"] = round(statistics.median(rest) * 1e3, 3)
     return row
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("paths", nargs="+", metavar="INP")
+    parser.add_argument("paths", nargs="+", metavar="PATH")
     args = parser.parse_args(argv)
     for path in args.paths:
         sys.stdout.write(json.dumps(stage_times(path)) + "\n")

@@ -277,18 +277,44 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
     raise RuntimeError("could not realize the stuck set; exhausted retries")
 
 
-def _colouring_sets(closed: ClosureRun, combo: tuple, left: int):
-    """Each ``combo`` plus ``left`` > 0 larger states that colours, in order; ``closed`` is ``combo``'s closure."""
+def _colouring_sets(closed: ClosureRun, combo: tuple, left: int, children: dict):
+    """Each ``combo`` plus ``left`` > 0 larger states that colours, in order; ``closed`` is ``combo``'s closure.
+
+    ``children`` maps a closed run's black set, as ``bytes``, to its children by added state: a
+    closed run depends on its black set alone (``ClosureRun``), so a prefix reaching a black set
+    that another prefix or a smaller size reached reuses that closure instead of closing again.
+    Only closures that blacken a new state are stored; a state already black keeps ``closed``.
+    """
     n = closed.graph.n
+    black = closed.black
+    below = children.get(key := bytes(black))
+    if below is None:
+        below = children[key] = [None] * n
     for v in range(combo[-1] + 1 if combo else 0, n - left + 1):
-        child = closed
-        if not closed.black[v]:
-            child = closed.copy()
-            child.add(v)
+        if black[v]:
+            child = closed
+        else:
+            child = below[v]
+            if child is None:
+                child = below[v] = closed.copy()
+                child.add(v)
         if left > 1:
-            yield from _colouring_sets(child, combo + (v,), left - 1)
+            yield from _colouring_sets(child, combo + (v,), left - 1, children)
         elif len(child.trace) == n:
             yield combo + (v,)
+
+
+def _colours(run: ClosureRun, combo: tuple, children: dict) -> bool:
+    """Whether ``run`` plus ``combo``'s states colours every state, each step from ``children`` as in ``_colouring_sets``."""
+    n = run.graph.n
+    for v in combo:
+        if not run.black[v]:
+            below = children.setdefault(bytes(run.black), [None] * n)
+            if below[v] is None:
+                below[v] = run.copy()
+                below[v].add(v)
+            run = below[v]
+    return len(run.trace) == n
 
 
 def exhaustive_min_sensors(g: StateGraph, progress=None) -> MinimalPlacementResult:
@@ -297,12 +323,16 @@ def exhaustive_min_sensors(g: StateGraph, progress=None) -> MinimalPlacementResu
     Subsets are enumerated by increasing cardinality, lexicographic within
     each size; every subset is certified until a size produces witnesses,
     then the rest of that size is swept so all witnesses (up to
-    ``WITNESS_CAP``) are counted. Abar's graph is ``companion(g)``. Abar,
-    which refuses first when no diagonal entry is zero (``certify_sso``),
-    else A, is closed depth first, each prefix once per size; the other
-    graph only for subsets the first colours, and none once the witness cap
-    is reached. Refuses graphs of more than ``DEFAULT_EXHAUSTIVE_CAP`` states,
-    whose configuration count would explode.
+    ``WITNESS_CAP``) are counted. Abar's graph is ``companion(g)``. With no
+    zero on the diagonal Abar alone decides, since its black set then lies
+    inside A's (``certify_sso``), and A is never closed; else A is walked
+    and Abar checks only the subsets A colours, none once the witness cap is
+    reached. Each graph has one root run and one cache of closures by black
+    set and added state, shared by every prefix and size, so a closure is
+    computed once per search (``_colouring_sets``); ``configurations_checked``
+    still counts every subset of each swept size, computed or reused.
+    Refuses graphs of more than ``DEFAULT_EXHAUSTIVE_CAP`` states, whose
+    configuration count would explode.
     """
     n = g.n
     if n > DEFAULT_EXHAUSTIVE_CAP:
@@ -310,12 +340,16 @@ def exhaustive_min_sensors(g: StateGraph, progress=None) -> MinimalPlacementResu
             f"{n} states means {2 ** n - 1} sensor configurations; "
             f"refusing beyond the cap of {DEFAULT_EXHAUSTIVE_CAP} states"
         )
-    first, second = (companion(g), g) if Entry.ZERO not in g.loops else (g, companion(g))
-    root = ClosureRun(first)
+    zero_loop = Entry.ZERO in g.loops
+    root = ClosureRun(g if zero_loop else companion(g))
+    abar = ClosureRun(companion(g)) if zero_loop else None
+    children, abar_children = {}, {}
     checked = 0
     for size in range(n + 1):
-        sets = _colouring_sets(root, (), size) if size else ([()] if len(root.trace) == n else [])
-        witnesses = list(islice((combo for combo in sets if len(ClosureRun(second, combo).trace) == n), WITNESS_CAP))
+        sets = _colouring_sets(root, (), size, children) if size else ([()] if len(root.trace) == n else [])
+        if abar is not None:
+            sets = (combo for combo in sets if _colours(abar, combo, abar_children))
+        witnesses = list(islice(sets, WITNESS_CAP))
         checked += comb(n, size)
         if progress is not None:
             progress({"size": size, "checked": checked, "witnesses": len(witnesses)})

@@ -186,6 +186,36 @@ def shuffled_closures(og: ObservabilityGraph, graph: StateGraph, measured, rng: 
     return reference, frozenset(v for v, b in enumerate(closed.black) if b)
 
 
+@st.composite
+def patterns_with_sensors(draw, max_states: int = 10):
+    """A pattern of at most ``max_states`` states, symmetric or not, any diagonal, and sensors.
+
+    Sensor tuples come in any order and may measure a state twice; both are
+    legal output patterns.
+    """
+    n = draw(st.integers(1, max_states))
+    cells = draw(st.lists(st.sampled_from("000*?"), min_size=n * n, max_size=n * n))
+    symmetric = draw(st.booleans())
+    star, unknown = set(), set()
+    for i in range(n):
+        for j in range(n):
+            cell = cells[min(i, j) * n + max(i, j)] if symmetric else cells[i * n + j]
+            if cell == "*":
+                star.add((i, j))
+            elif cell == "?":
+                unknown.add((i, j))
+    a = PatternMatrix(n, n, frozenset(star), frozenset(unknown), symmetric)
+    measured = tuple(draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    return a, measured
+
+
+def without_zero_diagonal(a: PatternMatrix, diag: str) -> PatternMatrix:
+    """``a`` with its diagonal replaced by ``diag``'s stars and unknowns."""
+    star = {p for p in a.star if p[0] != p[1]} | {(i, i) for i, ch in enumerate(diag) if ch == "*"}
+    unknown = {p for p in a.unknown if p[0] != p[1]} | {(i, i) for i, ch in enumerate(diag) if ch == "?"}
+    return PatternMatrix(a.rows, a.cols, frozenset(star), frozenset(unknown), a.symmetric)
+
+
 NODE_KINDS = ("junction", "reservoir", "tank")  # INP section order
 LINK_KINDS = ("pipe", "pump", "valve")
 _LABELS = st.text(alphabet="abxyz019_-.", min_size=1, max_size=3)

@@ -1175,7 +1175,7 @@ class TestCollectorPaused:
 class TestStageTimesScript:
     def test_one_json_line_per_input_with_every_stage(self, fixtures_dir):
         script = Path(__file__).resolve().parent.parent / "scripts" / "stage_times.py"
-        paths = [str(fixtures_dir / "triangle_wdn.inp"), str(fixtures_dir / "two_loop.inp")]
+        paths = [str(fixtures_dir / name) for name in ("triangle_wdn.inp", "two_loop.inp", "cyclic9.json")]
         proc = subprocess.run(
             [sys.executable, str(script), *paths],
             capture_output=True,
@@ -1187,8 +1187,12 @@ class TestStageTimesScript:
         assert [row["path"] for row in rows] == paths
         stages = ("parse_inp", "state_graph", "labels", "check_preconditions", "paper", "certify_sso", "counts",
                   "place_cmd", "info_cmd")
-        for row in rows:
+        for row in rows[:2]:
             assert set(row) == {"path", "states", "json_output", "kernel_ms", *stages}
             assert all(row[stage] >= 0 for stage in stages)
             assert row["kernel_ms"] > 0
         assert rows[0]["states"] == 8
+        search = ("parse_edge_list", "exhaustive_min_sensors", "minimize_cmd", "oracle_cmd")
+        assert set(rows[2]) == {"path", "states", "kernel_ms", *search}
+        assert all(rows[2][stage] >= 0 for stage in search)
+        assert rows[2]["states"] == 9

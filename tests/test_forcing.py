@@ -35,9 +35,11 @@ from generators import (
     colors_all,
     cyclic_inp_text,
     graph_of,
+    patterns_with_sensors,
     random_sensor_rows,
     random_symmetric_pattern,
     shuffled_closures,
+    without_zero_diagonal,
 )
 
 
@@ -223,29 +225,6 @@ class TestClosureConfluence:
             assert shuffled.black == black
 
 
-@st.composite
-def patterns_with_sensors(draw):
-    """A pattern of at most 10 states, symmetric or not, any diagonal, and sensors.
-
-    Sensor tuples come in any order and may measure a state twice; both are
-    legal output patterns.
-    """
-    n = draw(st.integers(1, 10))
-    cells = draw(st.lists(st.sampled_from("000*?"), min_size=n * n, max_size=n * n))
-    symmetric = draw(st.booleans())
-    star, unknown = set(), set()
-    for i in range(n):
-        for j in range(n):
-            cell = cells[min(i, j) * n + max(i, j)] if symmetric else cells[i * n + j]
-            if cell == "*":
-                star.add((i, j))
-            elif cell == "?":
-                unknown.add((i, j))
-    a = PatternMatrix(n, n, frozenset(star), frozenset(unknown), symmetric)
-    measured = tuple(draw(st.lists(st.integers(0, n - 1), max_size=n)))
-    return a, measured
-
-
 class TestEngine:
     @settings(max_examples=300, deadline=None)
     @given(patterns_with_sensors(), st.integers(0, 2**32 - 1))
@@ -322,13 +301,6 @@ class TestCompanion:
         assert g.star_out is g.star_nbrs and g.out is g.nbrs and g.inn is g.nbrs
         assert ClosureRun(g).graph is g and ClosureRun(companion(g)).graph.out is g.nbrs
         assert g.loops == (Entry.STAR, Entry.ZERO, Entry.UNKNOWN)
-
-
-def without_zero_diagonal(a: PatternMatrix, diag: str) -> PatternMatrix:
-    """``a`` with its diagonal replaced by ``diag``'s stars and unknowns."""
-    star = {p for p in a.star if p[0] != p[1]} | {(i, i) for i, ch in enumerate(diag) if ch == "*"}
-    unknown = {p for p in a.unknown if p[0] != p[1]} | {(i, i) for i, ch in enumerate(diag) if ch == "?"}
-    return PatternMatrix(a.rows, a.cols, frozenset(star), frozenset(unknown), a.symmetric)
 
 
 class TestResumedRun:
@@ -496,6 +468,17 @@ class TestAbarInsideA:
         black_a = ClosureRun(graph, measured).black
         black_abar = ClosureRun(companion(graph), measured).black
         assert all(in_a or not in_abar for in_a, in_abar in zip(black_a, black_abar))
+
+    @settings(max_examples=300, deadline=None)
+    @given(patterns_with_sensors(max_states=7), st.data())
+    def test_reference_closure_keeps_abar_inside_a(self, case, data):
+        """The same containment from the slow reference closure, on which the exhaustive search skips A."""
+        a, measured = case
+        diag = "".join(data.draw(st.lists(st.sampled_from("*?"), min_size=a.rows, max_size=a.rows)))
+        a = without_zero_diagonal(a, diag)
+        c = sensors(measured, a.rows)
+        black_a = force_closure_reference(build_observability_graph(a, c)).black
+        assert force_closure_reference(build_observability_graph(make_abar(a), c)).black <= black_a
 
     def test_zero_diagonal_breaks_containment(self):
         graph = graph_of(PatternMatrix.from_rows(["0"]))

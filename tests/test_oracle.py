@@ -30,13 +30,16 @@ from strucsense.forcing import (
 from strucsense.netgraph import companion
 from strucsense.oracle import DEFAULT_RANK_TOL, WITNESS_CAP, _chunk_trials, realize_unit_output
 from strucsense.pattern import STAR_RANGE, ZERO_PROB, sample_realizations
+from strucsense.wdn import parse_edge_list
 from generators import (
     TRIANGLE_WDN_INC,
     colors_all,
     graph_of,
+    patterns_with_sensors,
     random_connected_pattern,
     random_symmetric_pattern,
     structured_pattern,
+    without_zero_diagonal,
 )
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
@@ -230,6 +233,20 @@ def count_oracle_calls(monkeypatch, *names) -> dict:
     return counts
 
 
+def count_closures(g) -> tuple:
+    """``exhaustive_min_sensors(g)``, the closure runs it started from scratch and its ``ClosureRun.add`` calls."""
+    counts = {"__init__": 0, "add": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in counts:
+            def counting(self, *args, _fn=getattr(ClosureRun, name), _name=name):
+                counts[_name] += 1
+                _fn(self, *args)
+
+            mp.setattr(ClosureRun, name, counting)
+        result = exhaustive_min_sensors(g)
+    return result, counts["__init__"], counts["add"]
+
+
 class TestExhaustiveAgainstNaiveSearch:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("generator", [random_connected_pattern, random_symmetric_pattern])
@@ -266,6 +283,22 @@ class TestExhaustiveAgainstNaiveSearch:
             )
         assert a_refuses
 
+    @settings(max_examples=200, deadline=None)
+    @given(patterns_with_sensors(max_states=8), st.data())
+    def test_cached_closures_match_certifying_each_subset(self, case, data):
+        """Generated patterns, with a zero on the diagonal or none, under witness caps that stop a size early."""
+        a = case[0]
+        if data.draw(st.booleans()):
+            a = without_zero_diagonal(a, "".join(data.draw(st.lists(st.sampled_from("*?"), min_size=a.rows,
+                                                                    max_size=a.rows))))
+        size, witnesses, checked = naive_min_sensors(a)
+        for cap in (64, 2, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(strucsense.oracle, "WITNESS_CAP", cap)
+                result = exhaustive_min_sensors(graph_of(a))
+            assert (result.minimum_size, result.witnesses, result.configurations_checked) == (
+                size, witnesses[:cap], checked)
+
     @pytest.mark.parametrize(
         "pat, first_refuses",
         [
@@ -273,28 +306,17 @@ class TestExhaustiveAgainstNaiveSearch:
             (PatternMatrix.from_rows(["0*00?", "*0*00", "0*?*0", "00*0*", "?00**"]), "A"),
         ],
     )
-    def test_never_closes_from_scratch_per_configuration(self, monkeypatch, pat, first_refuses):
-        """Only the graph closed second runs from scratch, and only on sets the first colours."""
-        runs, start = [], ClosureRun.__init__
+    def test_never_closes_from_scratch_per_configuration(self, pat, first_refuses):
+        """One root run per graph searched: Abar's alone with no zero on the diagonal, else A's and Abar's."""
+        assert count_closures(graph_of(pat))[1] == (1 if first_refuses == "Abar" else 2)
 
-        def counting(self, *args):
-            runs.append(args)
-            start(self, *args)
-
-        monkeypatch.setattr(ClosureRun, "__init__", counting)
-        result = exhaustive_min_sensors(graph_of(pat))
-        monkeypatch.undo()
-        graph = graph_of(pat)
-        first = companion(graph) if first_refuses == "Abar" else graph
-        coloured = sum(
-            colors_all(first, combo)
-            for size in range(result.minimum_size + 1)
-            for combo in combinations(range(pat.rows), size)
-        )
-        assert len(runs) == coloured + 1  # + the empty set's
-        assert coloured < result.configurations_checked
-        if first_refuses == "Abar":
-            assert coloured == len(result.witnesses)  # A is closed once per witness
+    @pytest.mark.parametrize("name, runs", [("desk14.json", 1), ("cyclic9.json", 2)])
+    def test_closes_fewer_times_than_configurations(self, fixtures_dir, name, runs):
+        """A closure another prefix or a smaller size reached is reused, not closed again."""
+        g = parse_edge_list((fixtures_dir / name).read_text())
+        result, got_runs, adds = count_closures(g)
+        assert got_runs == runs
+        assert adds < result.configurations_checked
 
     def test_companion_built_once_per_search(self, monkeypatch):
         counts = count_oracle_calls(monkeypatch, "make_abar", "companion")
