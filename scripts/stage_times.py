@@ -17,14 +17,22 @@ is the median raw kernel sample. The stages of an INP file:
 - ``check_preconditions``, the stage behind ``info``'s roles and cycles;
 - ``paper``: spanning forest, leaf placement and output pattern, the stages
   the paper's time bound covers;
-- ``certify_sso`` and ``counts`` (``sensor_count_report``);
+- ``certificate``: ``PipelineRun(g, given=p).certificate`` for the leaf
+  placement ``p``, the closed runs on A and Abar and their verdict, as
+  ``place`` builds them;
+- ``certify_sso``: the same certificate decoded from the output pattern,
+  kept so that rows compare with those of the earlier ``BENCH_*.json``;
+- ``counts`` (``sensor_count_report``);
 - ``place_cmd`` and ``info_cmd``: the whole ``place`` and ``info`` commands
   through ``cli.main`` with ``--format json``, their output captured in
   memory (a placement the certificate refuses writes its report to stderr
   instead, and that is timed too);
 - ``json_output``: the median over rounds of ``place_cmd`` less the stages
-  it runs in the same round, which leaves argument parsing, reading the
-  file, the payload and its JSON text.
+  it runs in the same round, ``PLACE_STAGES``: ``parse_inp``,
+  ``state_graph``, ``labels``, ``paper``, ``certificate`` and ``counts``.
+  That leaves argument parsing, reading the file, the payload and its JSON
+  text, less the output pattern's build: ``paper`` times it and ``place``
+  does not run it.
 
 A file ending in ``.json`` is an edge list, as ``load_input`` reads one, and
 has the stages of the exhaustive search:
@@ -56,7 +64,7 @@ from strucsense import cli
 from strucsense.forcing import certify_sso
 from strucsense.netgraph import check_preconditions
 from strucsense.oracle import exhaustive_min_sensors
-from strucsense.placement import build_output_pattern, place_cyclic, sensor_count_report
+from strucsense.placement import PipelineRun, build_output_pattern, place_cyclic, sensor_count_report
 from strucsense.spanning import spanning_tree_dfs
 from strucsense.wdn import parse_edge_list, parse_inp, state_graph, structured_state_labels
 
@@ -67,7 +75,7 @@ _spec = importlib.util.spec_from_file_location(
 calibrate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(calibrate)
 # the stages ``place`` runs, which ``json_output`` leaves out of ``place_cmd`` round by round
-PLACE_STAGES = ("parse_inp", "state_graph", "labels", "paper", "certify_sso", "counts")
+PLACE_STAGES = ("parse_inp", "state_graph", "labels", "paper", "certificate", "counts")
 
 
 def _command(argv):
@@ -92,6 +100,7 @@ def _inp_stages(path: str, text: str) -> tuple:
         "labels": lambda: structured_state_labels(net),
         "check_preconditions": lambda: check_preconditions(g),
         "paper": lambda: _paper(g),
+        "certificate": lambda: PipelineRun(g, given=p).certificate,
         "certify_sso": lambda: certify_sso(g, c),
         "counts": lambda: sensor_count_report(g, t, p),
         "place_cmd": lambda: _command(["place", path, "--format", "json"]),

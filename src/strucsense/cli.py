@@ -2,9 +2,9 @@
 
 Inputs are either EPANET INP files (water networks, parsed for topology
 only) or edge-list JSON files describing a symmetric state graph directly.
-Every placement the CLI emits is accompanied by a true certificate; a false
-certificate on a pipeline-produced placement is treated as an internal
-failure (exit code 2). Exit code 1 covers input and usage errors.
+Every placement the CLI emits carries a true certificate; the paper's rule
+fails to certify on some valid inputs, and ``place`` then refuses the
+placement (exit code 2). Exit code 1 covers input and usage errors.
 
 Set STRUCSENSE_LOG=info (or debug) for progress lines on stderr; any other
 value, or none, keeps them off.
@@ -198,7 +198,7 @@ def cmd_place(args) -> int:
     run = PipelineRun(bundle.graph, args.mode)
     p, cert = run.placement, run.certificate
     if not cert.sso:
-        sys.stderr.write("internal error: pipeline placement failed certification\n")
+        sys.stderr.write(f"refused: the {p.mode} placement failed certification on this input\n")
         sys.stderr.write(_white_states_line(cert, bundle.labels) + "\n")
         sys.stderr.write(cert.to_json() + "\n")
         return EXIT_CERT
@@ -290,7 +290,7 @@ def cmd_export_dot(args) -> int:
     elif args.stage == "placement":
         text = dot.placement_dot(bundle.graph, run.placement, bundle.labels, bundle.flow_count)
     else:  # trace
-        text = dot.trace_dot(bundle.graph, run.placement.measured, run.certificate.trace_a, bundle.labels)
+        text = dot.trace_dot(bundle.graph, run.placement.measured, run.a_run.trace, bundle.labels)
     _emit(text, args.out)
     return EXIT_OK
 

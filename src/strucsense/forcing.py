@@ -7,10 +7,10 @@ out-neighbor along a star edge once every other out-neighbor (star and
 unknown alike, self-loops included) is black; the forcer itself may still
 be white. If the closure blackens every state node the graph is colorable.
 
-The certificate runs this closure on the graph of the state pattern and on
-the graph of its nonzero-diagonal companion; the system is strongly
-structurally observable exactly when both are colorable, i.e. every numeric
-realization of the pattern pair is observable.
+The certificate (``Certificate.of``) reads one sensor set's closed runs on
+A's graph and on its nonzero-diagonal companion's: the system is strongly
+structurally observable exactly when both colour every state. ``PipelineRun``
+closes its placement's states; ``certify_sso`` decodes an output pattern first.
 
 The state part of that graph is the state graph's own directed lists, so
 a closure runs on a ``StateGraph`` itself, one ``ClosureRun`` per sensor
@@ -66,6 +66,11 @@ class Certificate(NamedTuple):
     trace_a: tuple
     colorable_abar: bool
     trace_abar: tuple
+
+    @classmethod
+    def of(cls, a_run: ClosureRun, abar_run: ClosureRun) -> Certificate:
+        """The verdicts and traces of one sensor set's closed runs on A and on Abar."""
+        return cls(all(a_run.black), tuple(a_run.trace), all(abar_run.black), tuple(abar_run.trace))
 
     @property
     def sso(self) -> bool:
@@ -282,10 +287,9 @@ def replay_trace(g: ObservabilityGraph, trace) -> frozenset:
 def certify_sso(g: StateGraph, c: PatternMatrix) -> Certificate:
     """Certify strong structural observability of a state graph measured by ``c``.
 
-    Runs the closure on the observability graph of the state pattern and of
-    its nonzero-diagonal companion, whose graph is derived from the first
-    one's. Both traces are kept so a verdict can be replayed and rendered
-    step by step.
+    Closes the graph and its nonzero-diagonal companion from the states ``c``
+    measures, as ``PipelineRun.certificate`` does from its placement's. Both
+    traces are kept so a verdict can be replayed and rendered step by step.
 
     With no zero on the diagonal, Abar's black set lies inside A's, so Abar alone decides: A and
     Abar then have the same out-neighbour sets and every Abar loop is unknown, so an Abar node
@@ -293,8 +297,4 @@ def certify_sso(g: StateGraph, c: PatternMatrix) -> Certificate:
     contains Abar's. A zero on the diagonal breaks this.
     """
     measured = sensor_states(c, g.n)
-    verdicts = []
-    for graph in (g, companion(g)):
-        closed = ClosureRun(graph, measured)
-        verdicts += [all(closed.black), tuple(closed.trace)]
-    return Certificate(*verdicts)
+    return Certificate.of(ClosureRun(g, measured), ClosureRun(companion(g), measured))

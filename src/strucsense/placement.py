@@ -1,10 +1,11 @@
-"""Sensor placement rules and the output pattern they induce.
+"""Sensor placement rules, the pipeline record, and the output pattern.
 
 Two strategies: for trees, measure every extreme node but one; for general
 graphs, extract a spanning forest and measure every node whose tree degree
-is below two (leaves and isolated nodes). Both produce an output pattern
-with exactly one star per row, which downstream certification consumes.
-``PipelineRun`` chains these stages and the certificate for one input.
+is below two (leaves and isolated nodes). ``PipelineRun`` chains these
+stages for one input and certifies its placement from its own two closed
+runs, on A and Abar. The output pattern (one star per row) is built only for
+the oracle and the paper-timed stages.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .forcing import Certificate, certify_sso
-from .netgraph import NodeClassification, StateGraph, classify_nodes, cycle_count, outside
+from .forcing import Certificate, ClosureRun
+from .netgraph import NodeClassification, StateGraph, classify_nodes, companion, cycle_count, outside
 from .pattern import PatternMatrix
 from .spanning import SpanningTree, removed_chords, spanning_tree_dfs
 
@@ -144,15 +145,16 @@ def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> S
 
 
 class PipelineRun:
-    """One input's forest, placement, output pattern, certificate and counts.
+    """One input's forest, placement, closed runs, certificate, counts and output pattern.
 
     Each stage is computed on first read and kept, so a caller pays only for
-    what it reads. ``graph`` is the state pattern's graph, ``from_pattern(a)``
-    or ``wdn.state_graph(net)``; every stage, the certificate included, reads
-    the graph and never the pattern. ``tree`` is the graph's DFS forest
+    what it reads. ``graph`` is ``from_pattern(a)`` or ``wdn.state_graph(net)``;
+    every stage reads the graph and never the pattern. ``a_run`` and
+    ``abar_run`` close the graph and its companion from the measured states,
+    and ``certificate`` reads their verdicts and traces; ``output`` serves
+    only the oracle and the paper-timed stages. ``tree`` is the DFS forest
     whatever the mode: both rules read it. ``mode`` is "cyclic" or "tree"; a
-    ``given`` placement, e.g. a user's proposal, replaces both rules, and its
-    counts are read off the forest.
+    ``given`` placement, e.g. a user's proposal, replaces both rules.
     """
 
     def __init__(self, graph: StateGraph, mode: str = "cyclic", given: SensorPlacement | None = None):
@@ -187,8 +189,16 @@ class PipelineRun:
         return build_output_pattern(self.placement, self.graph.n)
 
     @cached_property
+    def a_run(self) -> ClosureRun:
+        return ClosureRun(self.graph, self.placement.measured)
+
+    @cached_property
+    def abar_run(self) -> ClosureRun:
+        return ClosureRun(companion(self.graph), self.placement.measured)
+
+    @cached_property
     def certificate(self) -> Certificate:
-        return certify_sso(self.graph, self.output)
+        return Certificate.of(self.a_run, self.abar_run)
 
     @cached_property
     def counts(self) -> SensorCountReport:

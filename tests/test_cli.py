@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import strucsense
 from strucsense.cli import _white_states_line, load_input, main
-from strucsense.forcing import Certificate
+from strucsense.forcing import Certificate, ClosureRun
 from strucsense.pattern import PatternMatrix
 from strucsense.placement import PipelineRun
 from strucsense.wdn import to_inp_text
@@ -64,6 +64,18 @@ def record_loads_and_patterns(monkeypatch) -> tuple:
     monkeypatch.setattr(strucsense.cli, "load_input", loading)
     monkeypatch.setattr(PatternMatrix, "__init__", building)
     return bundles, shapes
+
+
+def record_closure_runs(monkeypatch) -> list:
+    """The graph of every ``ClosureRun`` built, in order."""
+    graphs, init = [], ClosureRun.__init__
+
+    def recording(self, graph, *args, **kwargs):
+        graphs.append(graph)
+        init(self, graph, *args, **kwargs)
+
+    monkeypatch.setattr(ClosureRun, "__init__", recording)
+    return graphs
 
 
 def assert_no_state_pattern(bundles: list, shapes: list) -> None:
@@ -271,7 +283,7 @@ class TestPlace:
         # the certificate closes the graph the input was loaded into, and no state pattern is built
         assert counts == dict(zip(names, (0, 1, 1, 0, 0)))
         assert_no_state_pattern(bundles, shapes)
-        assert shapes == [(2, 8)]  # the output pattern only
+        assert shapes == []  # nor an output pattern: the runs close the placement's states
 
     @pytest.mark.parametrize("name", ["triangle_wdn.inp", "two_loop.inp", "cyclic9.json", "star_k13.json"])
     def test_the_tree_edge_set_is_never_built(self, capsys, fixtures_dir, monkeypatch, name):
@@ -288,13 +300,13 @@ class TestPlace:
             strucsense.spanning_tree_dfs(load_input(str(fixtures_dir / name)).graph).tree_edges
 
     def test_companion_graph_shares_the_state_graph_lists(self, capsys, fixtures_dir, monkeypatch):
-        derive, graphs = strucsense.forcing.companion, []
+        derive, graphs = strucsense.placement.companion, []
 
         def recording(graph):
             graphs.extend((graph, derive(graph)))
             return graphs[-1]
 
-        monkeypatch.setattr(strucsense.forcing, "companion", recording)
+        monkeypatch.setattr(strucsense.placement, "companion", recording)
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
         assert code == 0
         a_graph, abar_graph = graphs
@@ -330,10 +342,17 @@ class TestPlace:
         assert counts == {"connected_components_star": 0}
 
     def test_cyclic_mode_runs_each_stage_once(self, capsys, fixtures_dir, monkeypatch):
-        counts = count_calls(monkeypatch, "spanning_tree_dfs", "certify_sso", "classify_nodes")
+        counts = count_calls(monkeypatch, "spanning_tree_dfs", "certify_sso", "classify_nodes", "companion")
+        closed = record_closure_runs(monkeypatch)
+        bundles, _ = record_loads_and_patterns(monkeypatch)
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
         assert code == 0
-        assert counts == {"spanning_tree_dfs": 1, "certify_sso": 1, "classify_nodes": 1}
+        assert counts == {"spanning_tree_dfs": 1, "certify_sso": 0, "classify_nodes": 1, "companion": 1}
+        # one closure per graph: the loaded graph, then its companion
+        (bundle,) = bundles
+        assert len(closed) == 2
+        assert closed[0] is bundle.graph
+        assert closed[1] == strucsense.netgraph.companion(bundle.graph) != bundle.graph
 
     def test_cyclic_mode_reads_the_cycle_count_off_the_forest(self, capsys, fixtures_dir, monkeypatch):
         counts = count_calls(monkeypatch, "connected_components_star")
@@ -386,6 +405,15 @@ class TestPlace:
         assert out == ""
         assert "failed certification" in err
         assert '"sso": false' in err
+
+    def test_refusal_first_line_names_a_refusal_not_a_fault(self, capsys, tmp_path):
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(GAP14))
+        code, _, err = run_cli(capsys, "place", str(path), "--format", "json")
+        assert code == 2
+        first, whites, certificate = err.splitlines()
+        assert first == "refused: the cyclic placement failed certification on this input"
+        assert whites.startswith("white states: ") and json.loads(certificate)["sso"] is False
 
     def test_refusal_names_the_white_states_before_the_certificate(self, capsys, tmp_path):
         path = tmp_path / "gap.json"
@@ -648,11 +676,26 @@ class TestExportDot:
 
     def test_placement_stage_certifies_nothing(self, capsys, fixtures_dir, monkeypatch):
         counts = count_calls(monkeypatch, "certify_sso")
+        closed = record_closure_runs(monkeypatch)
         code, _, _ = run_cli(
             capsys, "export-dot", str(fixtures_dir / "triangle_wdn.inp"), "--stage", "placement"
         )
         assert code == 0
         assert counts == {"certify_sso": 0}
+        assert closed == []
+
+    def test_trace_stage_closes_the_state_graph_once_and_no_companion(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "certify_sso", "companion")
+        closed = record_closure_runs(monkeypatch)
+        bundles, shapes = record_loads_and_patterns(monkeypatch)
+        code, _, _ = run_cli(
+            capsys, "export-dot", str(fixtures_dir / "triangle_wdn.inp"), "--stage", "trace"
+        )
+        assert code == 0
+        assert counts == {"certify_sso": 0, "companion": 0}
+        (bundle,) = bundles
+        assert len(closed) == 1 and closed[0] is bundle.graph
+        assert shapes == []
 
     def test_trace_stage_numbers_steps(self, capsys, fixtures_dir):
         _, out, _ = run_cli(
@@ -1185,8 +1228,8 @@ class TestStageTimesScript:
         assert proc.returncode == 0, proc.stderr
         rows = [json.loads(line) for line in proc.stdout.splitlines()]
         assert [row["path"] for row in rows] == paths
-        stages = ("parse_inp", "state_graph", "labels", "check_preconditions", "paper", "certify_sso", "counts",
-                  "place_cmd", "info_cmd")
+        stages = ("parse_inp", "state_graph", "labels", "check_preconditions", "paper", "certificate", "certify_sso",
+                  "counts", "place_cmd", "info_cmd")
         for row in rows[:2]:
             assert set(row) == {"path", "states", "json_output", "kernel_ms", *stages}
             assert all(row[stage] >= 0 for stage in stages)

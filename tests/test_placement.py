@@ -23,9 +23,19 @@ from strucsense import (
     spanning_tree_dfs,
 )
 from strucsense.cli import load_input
-from generators import TRIANGLE_WDN_INC, random_tree_pattern, structured_pattern
+from strucsense.netgraph import companion
+from strucsense.wdn import parse_inp, state_graph
+from generators import (
+    TRIANGLE_WDN_INC,
+    cyclic_inp_text,
+    random_connected_pattern,
+    random_tree_pattern,
+    structured_pattern,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_NAMES = sorted(path.name for path in FIXTURES.iterdir())
+REFUSED_1X = "refused-1x"  # an L-town-size network whose leaf placement the certificate refuses
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
 
 
@@ -202,7 +212,7 @@ class TestSensorCountReport:
         assert run.certificate.sso
         assert run.counts == (n_e, 0, len(measured), True)
 
-    @pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.iterdir()))
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_cycles_on_every_fixture(self, name):
         """The cycle count read off the roots equals the chords the forest drops and the graph's cycle count."""
         bundle = load_input(str(FIXTURES / name))
@@ -224,3 +234,44 @@ class TestSensorCountReport:
         assert not count_bounds_ok(5, 0, 4)    # fewer sensors than extreme nodes
         assert not count_bounds_ok(2, 3, 2)    # cycles uncovered
         assert not count_bounds_ok(1, 1, 4)    # far above the envelope
+
+
+def pipeline_graph(name: str) -> StateGraph:
+    """A fixture's state graph, or that of ``REFUSED_1X``."""
+    if name == REFUSED_1X:
+        return state_graph(parse_inp(cyclic_inp_text(782, 124, 3)))
+    return load_input(str(FIXTURES / name)).graph
+
+
+class TestPipelineCertificate:
+    """The record certifies from its own two closed runs, as ``certify_sso`` does from an output pattern."""
+
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, REFUSED_1X])
+    def test_certificate_reads_the_two_closed_runs(self, name):
+        run = PipelineRun(pipeline_graph(name))
+        cert = run.certificate
+        assert cert.trace_a == tuple(run.a_run.trace)
+        assert cert.trace_abar == tuple(run.abar_run.trace)
+        assert (cert.colorable_a, cert.colorable_abar) == (all(run.a_run.black), all(run.abar_run.black))
+        assert run.a_run.graph is run.graph
+        assert run.abar_run.graph == companion(run.graph)
+        assert run.a_run.k == run.abar_run.k == run.placement.n_y
+        assert cert.sso is (name != REFUSED_1X)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_certify_sso_agrees_with_the_record_on_every_fixture(self, name):
+        g = pipeline_graph(name)
+        p = PipelineRun(g).placement
+        assert certify_sso(g, build_output_pattern(p, g.n)) == PipelineRun(g, given=p).certificate
+
+    def test_certify_sso_agrees_with_the_record_on_the_cyclic_family(self):
+        """The 200 random connected graphs of acceptance criterion 5, refused placements included."""
+        refused = []
+        for seed in range(200):
+            g = from_pattern(random_connected_pattern(seed))
+            p = PipelineRun(g).placement
+            cert = PipelineRun(g, given=p).certificate
+            assert certify_sso(g, build_output_pattern(p, g.n)) == cert, f"seed {seed}"
+            if not cert.sso:
+                refused.append(seed)
+        assert len(refused) == 5  # the known gaps of the leaf rule: both verdicts are compared
