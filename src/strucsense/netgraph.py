@@ -190,8 +190,8 @@ def from_pattern(a: PatternMatrix, transpose: bool = True) -> StateGraph:
 
 
 def to_pattern(g: StateGraph) -> PatternMatrix:
-    """The square pattern whose transposed graph is ``g``: edge (i, j) becomes entry (j, i)."""
-    return PatternMatrix(g.n, g.n, _transposed(g.star_edges), _transposed(g.unknown_edges))
+    """The square pattern whose transposed graph is ``g``: edge (i, j) becomes entry (j, i); nothing is re-checked."""
+    return PatternMatrix._unchecked(g.n, g.n, _transposed(g.star_edges), _transposed(g.unknown_edges))
 
 
 def _transposed(pairs: frozenset) -> frozenset:

@@ -57,7 +57,17 @@ class PatternMatrix:
             for (i, j) in unknown:
                 if (j, i) not in unknown:
                     raise ValueError(f"symmetric flag set but unknown ({i}, {j}) unmirrored")
+        self._store(rows, cols, star, unknown, symmetric)
+
+    def _store(self, rows: int, cols: int, star: frozenset, unknown: frozenset, symmetric: bool) -> "PatternMatrix":
+        """The one writer of a pattern's fields, whichever constructor ran; returns the pattern."""
         self.rows, self.cols, self.star, self.unknown, self.symmetric = rows, cols, star, unknown, symmetric
+        return self
+
+    @classmethod
+    def _unchecked(cls, rows: int, cols: int, star: frozenset, unknown: frozenset, symmetric: bool = False):
+        """Skip ``__init__``'s checks: the caller's sets are disjoint frozensets of in-range tuples."""
+        return object.__new__(cls)._store(rows, cols, star, unknown, symmetric)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -137,7 +147,7 @@ def make_abar(a: PatternMatrix) -> PatternMatrix:
     nonzero = (diag & a.star) | (diag & a.unknown)
     star = (a.star - diag) | (diag - nonzero)
     unknown = (a.unknown - diag) | nonzero
-    return PatternMatrix(a.rows, a.cols, star, unknown, a.symmetric)
+    return PatternMatrix._unchecked(a.rows, a.cols, star, unknown, a.symmetric)  # ``a`` was checked
 
 
 def is_member(x, a: PatternMatrix) -> bool:

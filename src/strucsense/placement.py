@@ -112,11 +112,12 @@ def place_cyclic(g: StateGraph, t: SpanningTree) -> SensorPlacement:
 def build_output_pattern(p: SensorPlacement, n_states: int) -> PatternMatrix:
     """Output pattern with one star per row at the measured state.
 
-    No column carries two stars, so every numeric realization with unit
-    stars has full row rank.
+    No column carries two stars, so unit-star realizations have full row
+    rank. ``p`` checked its indices; only another ``n_states`` re-checks them.
     """
-    _check_measured(p.measured, n_states)
-    return PatternMatrix(p.n_y, n_states, frozenset(enumerate(p.measured)), frozenset())
+    if n_states != p.n_states:
+        _check_measured(p.measured, n_states)
+    return PatternMatrix._unchecked(p.n_y, n_states, frozenset(enumerate(p.measured)), frozenset())
 
 
 def count_bounds_ok(n_e: int, cycles: int, sensors: int) -> bool:

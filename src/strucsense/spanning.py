@@ -2,8 +2,8 @@
 
 Depth-first search over star edges only, self-loops ignored. Tie-breaking is
 fixed (lowest-index root per component, neighbors explored in ascending
-index order) so identical inputs always yield the identical tree. An
-explicit stack keeps the traversal O(n + m) even on large networks.
+index order) so identical inputs always yield the identical tree. A stack of
+the open node's ancestors' neighbour iterators keeps the walk O(n + m).
 """
 
 from __future__ import annotations
@@ -63,19 +63,18 @@ def spanning_tree_dfs(g: StateGraph) -> SpanningTree:
             continue
         visited[root] = True
         roots.append(root)
-        # one frame per open node: the node and the iterator over its unexplored neighbours
-        path, frames = [root], [iter(adj[root])]
-        while frames:
-            for u in frames[-1]:
+        # open node v and its neighbour iterator top; the stack holds its ancestors' iterators atop a closing None
+        v, top, stack = root, iter(adj[root]), [None]
+        while top is not None:
+            for u in top:
                 if not visited[u]:
                     visited[u] = True
-                    parent[u] = path[-1]
-                    path.append(u)
-                    frames.append(iter(adj[u]))
+                    parent[u] = v
+                    stack.append(top)
+                    v, top = u, iter(adj[u])
                     break
             else:
-                path.pop()
-                frames.pop()
+                v, top = parent[v], stack.pop()  # back to the parent, where its iterator left off
 
     return SpanningTree(tuple(parent), tuple(roots))
 

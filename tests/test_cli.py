@@ -49,20 +49,23 @@ def count_calls(monkeypatch, *names) -> dict:
 
 
 def record_loads_and_patterns(monkeypatch) -> tuple:
-    """Keep every input bundle the CLI loads and the shape of every ``PatternMatrix`` built."""
+    """Keep every input bundle the CLI loads and the shape of every ``PatternMatrix`` built.
+
+    Shapes are read at ``_store``, the fields' one writer, so checked and unchecked constructions both count.
+    """
     bundles, shapes = [], []
-    load, build = strucsense.cli.load_input, PatternMatrix.__init__
+    load, store = strucsense.cli.load_input, PatternMatrix._store
 
     def loading(path):
         bundles.append(load(path))
         return bundles[-1]
 
-    def building(self, rows, cols, *args, **kwargs):
+    def storing(self, rows, cols, *args, **kwargs):
         shapes.append((rows, cols))
-        build(self, rows, cols, *args, **kwargs)
+        return store(self, rows, cols, *args, **kwargs)
 
     monkeypatch.setattr(strucsense.cli, "load_input", loading)
-    monkeypatch.setattr(PatternMatrix, "__init__", building)
+    monkeypatch.setattr(PatternMatrix, "_store", storing)
     return bundles, shapes
 
 
@@ -1228,8 +1231,8 @@ class TestStageTimesScript:
         assert proc.returncode == 0, proc.stderr
         rows = [json.loads(line) for line in proc.stdout.splitlines()]
         assert [row["path"] for row in rows] == paths
-        stages = ("parse_inp", "state_graph", "labels", "check_preconditions", "paper", "certificate", "certify_sso",
-                  "counts", "place_cmd", "info_cmd")
+        stages = ("parse_inp", "state_graph", "labels", "check_preconditions", "paper", "forest", "leaves", "output",
+                  "certificate", "certify_sso", "counts", "place_cmd", "info_cmd")
         for row in rows[:2]:
             assert set(row) == {"path", "states", "json_output", "kernel_ms", *stages}
             assert all(row[stage] >= 0 for stage in stages)

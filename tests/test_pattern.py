@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from strucsense import (
     Entry,
     PatternMatrix,
+    SensorPlacement,
+    StateGraph,
+    build_output_pattern,
     is_member,
     make_abar,
+    to_pattern,
 )
 from strucsense.pattern import STAR_RANGE, sample_realizations
 from generators import random_symmetric_pattern
@@ -50,6 +54,20 @@ class TestPatternMatrix:
         payload = json.loads(p.to_json())
         assert set(payload) == {"rows", "cols", "star", "unknown"}
         assert payload["star"] == [[0, 1], [1, 0]]
+
+
+def fields(a: PatternMatrix) -> dict:
+    """Every stored field with its type, so that a set standing for a frozenset, or a lost flag, shows."""
+    return {name: (type(value), value) for name, value in vars(a).items()}
+
+
+def abar_reference(a: PatternMatrix) -> PatternMatrix:
+    """``make_abar``'s definition entry by entry, through the checked constructor."""
+    def entry(i, j):
+        if i != j:
+            return a.entry(i, j)
+        return Entry.STAR if a.entry(i, i) is Entry.ZERO else Entry.UNKNOWN
+    return PatternMatrix.from_rows([[entry(i, j) for j in range(a.cols)] for i in range(a.rows)], a.symmetric)
 
 
 class TestMakeAbar:
@@ -103,6 +121,7 @@ class TestMakeAbar:
         p = PatternMatrix.from_rows(rows, symmetric=symmetric)
         q = make_abar(p)
         assert (q.rows, q.cols, q.symmetric) == (n, n, symmetric)
+        assert fields(q) == fields(abar_reference(p))  # every field of the checked construction, types included
         for i in range(n):
             for j in range(n):
                 if i != j:
@@ -121,6 +140,66 @@ class TestMakeAbar:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             make_abar(PatternMatrix(2, 3))
+
+
+@st.composite
+def placements(draw, max_states: int = 12) -> tuple:
+    """A placement and a state count it fits: its own, or a smaller or larger one that holds every index."""
+    n = draw(st.integers(0, max_states))
+    measured = tuple(draw(st.lists(st.integers(0, n - 1), unique=True))) if n else ()
+    p = SensorPlacement(measured, n, draw(st.sampled_from(("tree", "cyclic", "given"))))
+    return p, draw(st.integers(max(measured, default=-1) + 1, n + 3))
+
+
+@st.composite
+def state_graphs(draw, max_n: int = 10) -> StateGraph:
+    """Random directed star and unknown edges, self-loops included, symmetric or not."""
+    n = draw(st.integers(0, max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    star = frozenset(draw(st.lists(pair, max_size=2 * n)))
+    return StateGraph(n, star, frozenset(draw(st.lists(pair, max_size=n))) - star)
+
+
+class TestUncheckedConstructions:
+    """``build_output_pattern``, ``to_pattern`` and ``make_abar`` read already-checked inputs and skip
+    ``__init__``'s checks; each stores exactly the fields its checked construction would (``make_abar``'s
+    property is ``TestMakeAbar.test_every_entry_matches_definition``)."""
+
+    def test_no_checked_constructor_runs(self, monkeypatch):
+        a = PatternMatrix.from_rows(["0*?", "*00", "?0*"], symmetric=True)
+        g = StateGraph(3, frozenset({(0, 1), (1, 0)}), frozenset({(2, 0)}))
+        p = SensorPlacement((2, 0), 3, "cyclic")
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("PatternMatrix.__init__ ran")
+
+        monkeypatch.setattr(PatternMatrix, "__init__", refuse)
+        built = [build_output_pattern(p, 3), build_output_pattern(p, 5), to_pattern(g), make_abar(a)]
+        assert [(c.rows, c.cols) for c in built] == [(2, 3), (2, 5), (3, 3), (3, 3)]
+        assert all(type(c) is PatternMatrix for c in built)
+
+    @settings(max_examples=200, deadline=None)
+    @given(placements())
+    def test_output_pattern_matches_its_checked_construction(self, case):
+        p, m = case
+        checked = PatternMatrix(p.n_y, m, frozenset(enumerate(p.measured)), frozenset())
+        assert fields(build_output_pattern(p, m)) == fields(checked)
+
+    @settings(max_examples=200, deadline=None)
+    @given(state_graphs())
+    def test_to_pattern_matches_its_checked_construction(self, g):
+        star = frozenset((j, i) for (i, j) in g.star_edges)
+        unknown = frozenset((j, i) for (i, j) in g.unknown_edges)
+        assert fields(to_pattern(g)) == fields(PatternMatrix(g.n, g.n, star, unknown))
+
+    def test_output_pattern_over_fewer_states_than_the_placement(self):
+        p = SensorPlacement((1, 4), 6, "cyclic")
+        rejected = {3: "measured index 4 outside 0..2", 0: "measured index 1 outside a graph with no states"}
+        for m, message in rejected.items():
+            with pytest.raises(ValueError) as exc:
+                build_output_pattern(p, m)
+            assert str(exc.value) == message
+        assert fields(build_output_pattern(p, 5)) == fields(PatternMatrix(2, 5, frozenset({(0, 1), (1, 4)})))
 
 
 class TestIsMember:

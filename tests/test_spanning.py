@@ -17,27 +17,29 @@ from generators import TRIANGLE_WDN_INC, random_symmetric_pattern, structured_pa
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
 
 
-def recursive_reference_tree(g: StateGraph) -> set:
-    """Plain recursive DFS with the same tie-breaking, as an independent check."""
+def recursive_reference(g: StateGraph) -> tuple:
+    """Plain recursive DFS with the same tie-breaking, as an independent check: its forest and its tree edges."""
     adj = [set() for _ in range(g.n)]
     for (i, j) in g.star_edges:
         if i != j:
             adj[i].add(j)
             adj[j].add(i)
     visited = [False] * g.n
-    edges = set()
+    parent, roots, edges = [None] * g.n, [], set()
 
     def visit(v):
         visited[v] = True
         for u in sorted(adj[v]):
             if not visited[u]:
+                parent[u] = v
                 edges.add((min(v, u), max(v, u)))
                 visit(u)
 
     for root in range(g.n):
         if not visited[root]:
+            roots.append(root)
             visit(root)
-    return edges
+    return SpanningTree(tuple(parent), tuple(roots)), edges
 
 
 def edge_set_degrees(t) -> list:
@@ -118,7 +120,27 @@ class TestSpanningTree:
         for seed in range(40):
             g = from_pattern(random_symmetric_pattern(seed, n_max=40))
             t = spanning_tree_dfs(g)
-            assert t.tree_edges == frozenset(recursive_reference_tree(g))
+            reference, edges = recursive_reference(g)
+            assert t == reference  # parents and roots, not only the edges
+            assert t.tree_edges == frozenset(edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_graphs())
+    def test_forests_match_recursive_reference(self, g):
+        """Disconnected and asymmetric inputs, isolated nodes and self-loop-only nodes: the same parents and roots."""
+        assert spanning_tree_dfs(g) == recursive_reference(g)[0]
+
+    @pytest.mark.parametrize("n", [100_000, 100_001])
+    def test_long_path_walks_out_and_back_without_recursion(self, n):
+        """A path far deeper than the recursion limit, 0 in its middle, odd nodes on one side and even on the other.
+
+        The walk runs down the odd side to its end, climbs back through every parent to 0, and runs down the even side.
+        """
+        order = list(range(1, n, 2))[::-1] + list(range(0, n, 2))  # ..., 5, 3, 1, 0, 2, 4, ...
+        pairs = set(zip(order, order[1:]))
+        t = spanning_tree_dfs(StateGraph(n, frozenset(pairs | {(j, i) for (i, j) in pairs})))
+        assert t.roots == (0,)
+        assert t.parent == (None, 0, 0) + tuple(range(1, n - 2))
 
     def test_deterministic(self):
         g = from_pattern(random_symmetric_pattern(5, n_max=30))
@@ -167,6 +189,7 @@ class TestSpanningTree:
         t = spanning_tree_dfs(g)
         assert t.roots == (0, 3, 5, 6)
         assert t.degrees() == edge_set_degrees(t) == [1, 2, 1, 1, 1, 0, 0]
+        assert t == recursive_reference(g)[0] == SpanningTree((None, 0, 1, None, 3, None, None), (0, 3, 5, 6))
 
 
 class TestRemovedChords:
@@ -256,5 +279,5 @@ class TestForestReads:
         t = spanning_tree_dfs(g)
         assert t._fields == ("parent", "roots")
         eager = frozenset((p, v) if p < v else (v, p) for v, p in enumerate(t.parent) if p is not None)
-        assert t.tree_edges == eager == frozenset(recursive_reference_tree(g))
+        assert t.tree_edges == eager == frozenset(recursive_reference(g)[1])
         assert len(t.tree_edges) == t.n - len(t.roots)
