@@ -202,7 +202,7 @@ def cmd_place(args) -> int:
         sys.stderr.write(_white_states_line(cert, bundle.labels) + "\n")
         sys.stderr.write(cert.to_json() + "\n")
         return EXIT_CERT
-    counts = run.counts.as_dict()
+    counts = run.counts._asdict()
     if args.format == "csv":
         rows = [(k, s, bundle.labels[s]) for k, s in enumerate(p.measured)]
         _emit_csv([("sensor", "state_index", "label"), *rows], args.out)
@@ -262,7 +262,7 @@ def cmd_oracle(args) -> int:
     report = sample_and_check(
         to_pattern(bundle.graph), run.output, trials=args.trials, seed=args.seed, c_mode=args.c_mode
     )
-    payload = {"sensors": list(run.placement.measured), **report.as_dict()}
+    payload = {"sensors": list(run.placement.measured), **report._asdict()}
     _dump_json(payload, args.out)
     return EXIT_OK
 
@@ -275,7 +275,7 @@ def cmd_minimize(args) -> int:
             sys.stderr.write(json.dumps(update, sort_keys=True) + "\n")
     result = exhaustive_min_sensors(bundle.graph, progress=progress)
     heuristic = PipelineRun(bundle.graph).placement
-    payload = {**result.as_dict(), "heuristic_sensors": heuristic.n_y}
+    payload = {**result._asdict(), "heuristic_sensors": heuristic.n_y}
     _dump_json(payload, args.out)
     return EXIT_OK
 
@@ -312,7 +312,7 @@ def _bench_one(path: str) -> dict:
         "name": Path(path).stem,
         "state_nodes": bundle.graph.n,
         "cycles": counts.cycles,
-        "extreme_nodes": counts.n_e_graph,
+        "extreme_nodes": counts.extreme_nodes,
         "sensors": counts.sensors,
         "elapsed_seconds": round(statistics.median(timings), 6),
     }

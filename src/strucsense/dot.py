@@ -18,10 +18,6 @@ def _quote(name) -> str:
     return f'"{text}"'
 
 
-def _node_label(i: int, labels) -> str:
-    return labels[i] if labels is not None else str(i)
-
-
 def _render(g: StateGraph, labels, flow_count, name, styles=None, sensors=()) -> str:
     """Header, node declarations, sensor hexagons, then edges."""
     keyword, connector = ("graph", "--") if g.is_symmetric() else ("digraph", "->")
@@ -30,7 +26,7 @@ def _render(g: StateGraph, labels, flow_count, name, styles=None, sensors=()) ->
         attrs = []
         if flow_count is not None:
             attrs.append("shape=box" if v < flow_count else "shape=circle")
-        label = _node_label(v, labels)
+        label = labels[v]
         if label != str(v):
             attrs.append(f"label={_quote(label)}")
         decl = f"  {_quote(v)}"
@@ -59,22 +55,22 @@ def _edge_lines(g: StateGraph, connector: str, styles=None) -> list:
     return lines
 
 
-def graph_dot(g: StateGraph, labels=None, flow_count=None) -> str:
+def graph_dot(g: StateGraph, labels, flow_count=None) -> str:
     """Render a state graph; solid star edges, dashed unknown edges."""
     return _render(g, labels, flow_count, "network")
 
 
-def tree_dot(g: StateGraph, t: SpanningTree, labels=None, flow_count=None) -> str:
+def tree_dot(g: StateGraph, t: SpanningTree, labels, flow_count=None) -> str:
     """Render the graph with dropped chords dotted, kept tree edges solid."""
     return _render(g, labels, flow_count, "spanning_tree", styles={pair: "dotted" for pair in removed_chords(g, t)})
 
 
-def placement_dot(g: StateGraph, placement: SensorPlacement, labels=None, flow_count=None) -> str:
+def placement_dot(g: StateGraph, placement: SensorPlacement, labels, flow_count=None) -> str:
     """Render the graph plus one red hexagon sensor per measured state."""
     return _render(g, labels, flow_count, "placement", sensors=placement.measured)
 
 
-def trace_dot(g: StateGraph, measured, trace, labels=None) -> str:
+def trace_dot(g: StateGraph, measured, trace, labels) -> str:
     """Render the observability graph of ``g`` measured at ``measured``, with forcing step numbers.
 
     Each state points at its out-neighbours in ``g`` (self-loops included)
@@ -86,7 +82,7 @@ def trace_dot(g: StateGraph, measured, trace, labels=None) -> str:
     forcing_edges = {(v, u) for (v, u) in trace}
     lines = ['digraph "forcing_trace" {']
     for v in range(g.n):
-        label = _node_label(v, labels)
+        label = labels[v]
         step = f"#{step_of[v]}" if v in step_of else "white"
         fill = ", style=filled, fillcolor=gray80" if v in step_of else ""
         lines.append(f"  {_quote(v)} [label={_quote(f'{label}|{step}')}{fill}];")

@@ -132,22 +132,14 @@ class PreconditionReport(NamedTuple):
     classification: NodeClassification
 
     @property
-    def extreme_nodes(self) -> tuple:
-        return self.classification.extreme
-
-    @property
     def all_ok(self) -> bool:
         return self.symmetric and self.fully_connected and self.has_extreme
 
     def as_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "fully_connected": self.fully_connected,
-            "has_extreme": self.has_extreme,
-            "asymmetric_at": list(self.asymmetric_at) if self.asymmetric_at else None,
-            "components": [list(c) for c in self.components],
-            "extreme_nodes": list(self.extreme_nodes),
-        }
+        """The fields, with the classification's extreme nodes in its place."""
+        payload = self._asdict()
+        payload["extreme_nodes"] = payload.pop("classification").extreme
+        return payload
 
 
 def star_graph(nbrs: tuple, loops: tuple) -> StateGraph:

@@ -36,14 +36,6 @@ class OracleReport(NamedTuple):
     min_sigma_ratio: float
     seed: int
 
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "passes": self.passes,
-            "min_sigma_ratio": self.min_sigma_ratio,
-            "seed": self.seed,
-        }
-
 
 class MinimalPlacementResult(NamedTuple):
     """Smallest certified sensor-set size, its witnesses, and the search cost."""
@@ -51,13 +43,6 @@ class MinimalPlacementResult(NamedTuple):
     minimum_size: int
     witnesses: tuple
     configurations_checked: int
-
-    def as_dict(self) -> dict:
-        return {
-            "minimum_size": self.minimum_size,
-            "witnesses": [list(w) for w in self.witnesses],
-            "configurations_checked": self.configurations_checked,
-        }
 
 
 def _observability_singular_values(a, c):

@@ -30,10 +30,10 @@ _CHAR_TO_ENTRY = {"0": Entry.ZERO, "*": Entry.STAR, "?": Entry.UNKNOWN}
 class PatternMatrix:
     """Sparse structural matrix; positions absent from both sets are zero.
 
-    ``symmetric=True`` asserts entry(i, j) == entry(j, i) for all positions
-    and is verified at construction time. The flag is a checked statement
-    about the entries, not part of their identity: equality and hashing
-    ignore it.
+    A pattern stores ``rows``, ``cols``, ``star`` and ``unknown`` and nothing
+    else. ``symmetric=True`` asks the checked constructors to verify that
+    entry(i, j) == entry(j, i) for all positions; the claim is checked and
+    not stored.
     """
 
     def __init__(self, rows: int, cols: int, star: frozenset = frozenset(), unknown: frozenset = frozenset(),
@@ -57,17 +57,17 @@ class PatternMatrix:
             for (i, j) in unknown:
                 if (j, i) not in unknown:
                     raise ValueError(f"symmetric flag set but unknown ({i}, {j}) unmirrored")
-        self._store(rows, cols, star, unknown, symmetric)
+        self._store(rows, cols, star, unknown)
 
-    def _store(self, rows: int, cols: int, star: frozenset, unknown: frozenset, symmetric: bool) -> "PatternMatrix":
+    def _store(self, rows: int, cols: int, star: frozenset, unknown: frozenset) -> "PatternMatrix":
         """The one writer of a pattern's fields, whichever constructor ran; returns the pattern."""
-        self.rows, self.cols, self.star, self.unknown, self.symmetric = rows, cols, star, unknown, symmetric
+        self.rows, self.cols, self.star, self.unknown = rows, cols, star, unknown
         return self
 
     @classmethod
-    def _unchecked(cls, rows: int, cols: int, star: frozenset, unknown: frozenset, symmetric: bool = False):
+    def _unchecked(cls, rows: int, cols: int, star: frozenset, unknown: frozenset):
         """Skip ``__init__``'s checks: the caller's sets are disjoint frozensets of in-range tuples."""
-        return object.__new__(cls)._store(rows, cols, star, unknown, symmetric)
+        return object.__new__(cls)._store(rows, cols, star, unknown)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -147,7 +147,7 @@ def make_abar(a: PatternMatrix) -> PatternMatrix:
     nonzero = (diag & a.star) | (diag & a.unknown)
     star = (a.star - diag) | (diag - nonzero)
     unknown = (a.unknown - diag) | nonzero
-    return PatternMatrix._unchecked(a.rows, a.cols, star, unknown, a.symmetric)  # ``a`` was checked
+    return PatternMatrix._unchecked(a.rows, a.cols, star, unknown)  # ``a`` was checked
 
 
 def is_member(x, a: PatternMatrix) -> bool:

@@ -48,28 +48,17 @@ class SensorPlacement:
     def n_y(self) -> int:
         return len(self.measured)
 
-    def as_dict(self, labels: list | None = None) -> dict:
-        payload = {"mode": self.mode, "measured": list(self.measured)}
-        if labels is not None:
-            payload["labels"] = [labels[i] for i in self.measured]
-        return payload
+    def as_dict(self, labels: list) -> dict:
+        return {"mode": self.mode, "measured": list(self.measured), "labels": [labels[i] for i in self.measured]}
 
 
 class SensorCountReport(NamedTuple):
     """Sensor count against its structural bounds."""
 
-    n_e_graph: int
+    extreme_nodes: int
     cycles: int
     sensors: int
     bound_ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "extreme_nodes": self.n_e_graph,
-            "cycles": self.cycles,
-            "sensors": self.sensors,
-            "bound_ok": self.bound_ok,
-        }
 
 
 def place_tree(g: StateGraph, t: SpanningTree, classification: NodeClassification | None = None) -> SensorPlacement:
@@ -137,7 +126,7 @@ def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> S
 
     The envelope counts the states of star degree below two, since the
     forest reads star edges only and the rule measures every state of tree
-    degree below two; the report's ``n_e_graph`` stays ``classify_nodes``'
+    degree below two; the report's ``extreme_nodes`` stays ``classify_nodes``'
     extreme-node count, whose degrees count unknown edges too.
     """
     cycles = cycle_count(g, t.roots)
@@ -155,19 +144,12 @@ class PipelineRun:
     and ``certificate`` reads their verdicts and traces; ``output`` serves
     only the oracle and the paper-timed stages. ``tree`` is the DFS forest
     whatever the mode: both rules read it. ``mode`` is "cyclic" or "tree"; a
-    ``given`` placement, e.g. a user's proposal, replaces both rules.
+    ``given`` placement, e.g. a user's proposal, replaces both rules. A run
+    is a computation, not a value: it compares by identity.
     """
 
     def __init__(self, graph: StateGraph, mode: str = "cyclic", given: SensorPlacement | None = None):
         self.graph, self.mode, self.given = graph, mode, given
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.graph, self.mode, self.given) == (other.graph, other.mode, other.given)
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.mode, self.given))
 
     @cached_property
     def classification(self) -> NodeClassification:

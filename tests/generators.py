@@ -213,7 +213,7 @@ def without_zero_diagonal(a: PatternMatrix, diag: str) -> PatternMatrix:
     """``a`` with its diagonal replaced by ``diag``'s stars and unknowns."""
     star = {p for p in a.star if p[0] != p[1]} | {(i, i) for i, ch in enumerate(diag) if ch == "*"}
     unknown = {p for p in a.unknown if p[0] != p[1]} | {(i, i) for i, ch in enumerate(diag) if ch == "?"}
-    return PatternMatrix(a.rows, a.cols, frozenset(star), frozenset(unknown), a.symmetric)
+    return PatternMatrix(a.rows, a.cols, frozenset(star), frozenset(unknown))
 
 
 NODE_KINDS = ("junction", "reservoir", "tank")  # INP section order

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 import strucsense
 from strucsense.cli import _white_states_line, load_input, main
 from strucsense.forcing import Certificate, ClosureRun
+from strucsense.oracle import MinimalPlacementResult, OracleReport
 from strucsense.pattern import PatternMatrix
-from strucsense.placement import PipelineRun
+from strucsense.placement import PipelineRun, SensorCountReport
 from strucsense.wdn import to_inp_text
 from generators import cyclic_inp_text, wdn_networks
 
@@ -646,6 +647,22 @@ class TestMinimize:
         code, _, _ = run_cli(capsys, "minimize", str(fixtures_dir / "triangle3.json"))
         assert code == 0
         assert counts == {"certify_sso": 0, "classify_nodes": 0, "spanning_tree_dfs": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, record, report_keys",
+    [
+        (("place", "--format", "json"), SensorCountReport, lambda payload: set(payload["counts"])),
+        (("oracle", "--trials", "5"), OracleReport, lambda payload: set(payload) - {"sensors"}),
+        (("minimize",), MinimalPlacementResult, lambda payload: set(payload) - {"heuristic_sensors"}),
+    ],
+    ids=["place", "oracle", "minimize"],
+)
+def test_a_report_is_written_as_its_record_fields(capsys, fixtures_dir, argv, record, report_keys):
+    command, *options = argv
+    code, out, _ = run_cli(capsys, command, str(fixtures_dir / "triangle_wdn.inp"), *options)
+    assert code == 0
+    assert report_keys(json.loads(out)) == set(record._fields)
 
 
 class TestExportDot:

@@ -496,7 +496,7 @@ class TestTraceDot:
         expected = [(v, u, style) for v in range(obs.n_nodes)
                     for style, targets in (("solid", obs.star_out[v]), ("dashed", obs.unknown_out[v]))
                     for u in targets]
-        text = trace_dot(g, measured, trace)
+        text = trace_dot(g, measured, trace, [str(i) for i in range(g.n)])
         arcs = re.findall(r'^  "(\d+)" -> "(\d+)" \[style=(\w+)(, penwidth=2.5, color=black)?\];$', text, re.M)
         assert [(int(v), int(u), style) for v, u, style, _ in arcs] == expected
         assert {(int(v), int(u)) for v, u, _, bold in arcs if bold} == set(trace)

@@ -178,7 +178,7 @@ class TestPreconditions:
         report = check_preconditions(graph_of(TRIANGLE))
         assert report.symmetric and report.fully_connected
         assert not report.has_extreme
-        assert report.extreme_nodes == ()
+        assert report.classification.extreme == ()
 
     def test_path_satisfies_all(self):
         p = PatternMatrix.from_rows(["0*0", "*0*", "0*0"], symmetric=True)

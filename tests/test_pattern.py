@@ -40,12 +40,12 @@ class TestPatternMatrix:
         with pytest.raises(ValueError):
             PatternMatrix(2, 2, frozenset({(0, 1)}), frozenset(), symmetric=True)
 
-    def test_symmetry_flag_is_not_part_of_identity(self):
+    def test_symmetry_flag_is_checked_and_not_stored(self):
         rows = ["0*?", "*00", "?00"]
-        flagged, plain = PatternMatrix.from_rows(rows, symmetric=True), PatternMatrix.from_rows(rows)
-        assert flagged.symmetric and not plain.symmetric
-        assert flagged == plain
-        assert hash(flagged) == hash(plain)
+        assert vars(PatternMatrix.from_rows(rows, symmetric=True)) == vars(PatternMatrix.from_rows(rows))
+        unmirrored = PatternMatrix.from_rows(["0?", "00"]).to_json()
+        with pytest.raises(ValueError, match=r"unknown \(0, 1\) unmirrored"):
+            PatternMatrix.from_json(unmirrored, symmetric=True)
 
     def test_json_round_trip(self):
         p = PatternMatrix.from_rows(["0*?", "*00", "?00"])
@@ -57,7 +57,7 @@ class TestPatternMatrix:
 
 
 def fields(a: PatternMatrix) -> dict:
-    """Every stored field with its type, so that a set standing for a frozenset, or a lost flag, shows."""
+    """Every stored field with its type, so that a set standing for a frozenset, or an extra field, shows."""
     return {name: (type(value), value) for name, value in vars(a).items()}
 
 
@@ -67,7 +67,7 @@ def abar_reference(a: PatternMatrix) -> PatternMatrix:
         if i != j:
             return a.entry(i, j)
         return Entry.STAR if a.entry(i, i) is Entry.ZERO else Entry.UNKNOWN
-    return PatternMatrix.from_rows([[entry(i, j) for j in range(a.cols)] for i in range(a.rows)], a.symmetric)
+    return PatternMatrix.from_rows([[entry(i, j) for j in range(a.cols)] for i in range(a.rows)])
 
 
 class TestMakeAbar:
@@ -120,7 +120,7 @@ class TestMakeAbar:
         ]
         p = PatternMatrix.from_rows(rows, symmetric=symmetric)
         q = make_abar(p)
-        assert (q.rows, q.cols, q.symmetric) == (n, n, symmetric)
+        assert (q.rows, q.cols) == (n, n)
         assert fields(q) == fields(abar_reference(p))  # every field of the checked construction, types included
         for i in range(n):
             for j in range(n):
@@ -134,7 +134,6 @@ class TestMakeAbar:
 
     def test_symmetric_in_symmetric_out(self):
         q = make_abar(TRIANGLE)
-        assert q.symmetric
         assert all(q.entry(i, j) is q.entry(j, i) for i in range(3) for j in range(3))
 
     def test_rejects_non_square(self):

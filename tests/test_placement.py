@@ -177,14 +177,14 @@ class TestSensorCountReport:
         t = spanning_tree_dfs(TREE9)
         p = place_cyclic(TREE9, t)
         report = sensor_count_report(TREE9, t, p)
-        assert (report.n_e_graph, report.cycles, report.sensors) == (3, 0, 3)
+        assert (report.extreme_nodes, report.cycles, report.sensors) == (3, 0, 3)
         assert report.bound_ok
 
     def test_structured_wdn_counts(self):
         g = from_pattern(structured_pattern(TRIANGLE_WDN_INC))
         t = spanning_tree_dfs(g)
         report = sensor_count_report(g, t, place_cyclic(g, t))
-        assert (report.n_e_graph, report.cycles, report.sensors) == (1, 1, 2)
+        assert (report.extreme_nodes, report.cycles, report.sensors) == (1, 1, 2)
         assert report.bound_ok
 
     def test_given_placement_counts_read_off_the_forest(self, fixtures_dir):
@@ -192,7 +192,7 @@ class TestSensorCountReport:
         run = PipelineRun(g, given=SensorPlacement((0,), g.n, "given"))
         assert run.tree == spanning_tree_dfs(g)
         report = run.counts
-        assert (report.n_e_graph, report.cycles, report.sensors) == (0, 1, 1)
+        assert (report.extreme_nodes, report.cycles, report.sensors) == (0, 1, 1)
         assert report.bound_ok
         assert PipelineRun(g, mode="tree").tree == run.tree  # every run has its forest
 

@@ -2,17 +2,20 @@
 
 Equal constructor arguments give equal records; records that hash, hash
 alike; the validating constructors reject bad input with fixed messages.
+A pipeline run is a computation, not a value: it compares by identity.
 """
 
 import inspect
+import json
 
 import pytest
 
 from strucsense.cli import InputBundle
+from strucsense.dot import graph_dot, placement_dot, trace_dot, tree_dot
 import strucsense.forcing
 import strucsense.wdn
 from strucsense.forcing import Certificate, ClosureRun, ColoringState, ObservabilityGraph
-from strucsense.netgraph import NodeClassification, PreconditionReport, StateGraph, companion, star_graph
+from strucsense.netgraph import NodeClassification, PreconditionReport, StateGraph, companion, star_graph, to_pattern
 from strucsense.oracle import (
     MinimalPlacementResult,
     OracleReport,
@@ -20,8 +23,8 @@ from strucsense.oracle import (
     observability_rank_test,
     sample_and_check,
 )
-from strucsense.pattern import Entry, PatternMatrix, sample_realizations
-from strucsense.placement import PipelineRun, SensorCountReport, SensorPlacement
+from strucsense.pattern import Entry, PatternMatrix, make_abar, sample_realizations
+from strucsense.placement import PipelineRun, SensorCountReport, SensorPlacement, build_output_pattern
 from strucsense.spanning import SpanningTree, spanning_tree_dfs
 from strucsense.wdn import WdnNetwork, parse_inp
 
@@ -54,7 +57,6 @@ RECORDS = {
     PatternMatrix: lambda: PatternMatrix(2, 2, frozenset({(0, 1)}), frozenset({(1, 1)})),
     SensorPlacement: lambda: SensorPlacement((0, 2), 3, "cyclic"),
     SensorCountReport: lambda: SensorCountReport(2, 1, 3, True),
-    PipelineRun: lambda: PipelineRun(path3(), "cyclic", SensorPlacement((0,), 3, "given")),
     SpanningTree: lambda: SpanningTree((None, 0), (0,)),
     InputBundle: lambda: InputBundle("g.json", path3(), ["0", "1", "2"]),
 }
@@ -77,7 +79,6 @@ def test_equal_arguments_give_equal_records(cls):
 def test_defaults_give_equal_records():
     assert PatternMatrix(2, 3) == PatternMatrix(2, 3, frozenset(), frozenset())
     assert StateGraph(2) == StateGraph(2, frozenset(), frozenset())
-    assert PipelineRun(path3()) == PipelineRun(path3(), "cyclic", None)
     assert InputBundle("g.json", path3(), ["0", "1", "2"]) == InputBundle("g.json", path3(), ["0", "1", "2"], None)
 
 
@@ -85,12 +86,35 @@ def test_different_arguments_give_unequal_records():
     assert PatternMatrix(2, 2, frozenset({(0, 1)})) != PatternMatrix(2, 2, frozenset({(1, 0)}))
     assert StateGraph(2, frozenset({(0, 1)})) != StateGraph(2, frozenset(), frozenset({(0, 1)}))
     assert SensorPlacement((0,), 3, "cyclic") != SensorPlacement((0,), 3, "given")
-    assert PipelineRun(path3(), "tree") != PipelineRun(path3(), "cyclic")
     assert network() != network()._replace(ends=((0,), (1,)))
     assert network() != network()._replace(link_kinds=("pump",))
     star, other = star_graph(((1,), (0,)), (STAR, NONE)), star_graph(((1,), (0,)), (UNKNOWN, NONE))
     assert star != other and companion(star) == companion(other)
     assert companion(star) != companion(star_graph(((1,), (0,)), (UNKNOWN, UNKNOWN)))
+
+
+def test_two_runs_of_one_graph_are_two_runs():
+    g, given = path3(), SensorPlacement((0,), 3, "given")
+    a, b = PipelineRun(g, "cyclic", given), PipelineRun(g, "cyclic", given)
+    assert a != b and a == a
+    assert hash(a) != hash(b)  # an identity hash, which reads none of the graph
+
+
+REPORTS = (OracleReport, MinimalPlacementResult, SensorCountReport)
+
+
+def test_reports_serialize_through_their_own_fields():
+    for cls in REPORTS:
+        assert not hasattr(cls, "as_dict"), cls.__name__
+    assert SensorCountReport._fields == ("extreme_nodes", "cycles", "sensors", "bound_ok")
+
+
+@pytest.mark.parametrize("cls", [cls for cls in RECORDS if hasattr(cls, "_fields")], ids=lambda cls: cls.__name__)
+def test_no_record_copies_its_fields_by_hand(cls):
+    """An ``as_dict`` that gives the record's ``_asdict()``, as is or as JSON, is a second copy of the fields."""
+    record = RECORDS[cls]()
+    if hasattr(cls, "as_dict"):
+        assert json.loads(json.dumps(record.as_dict())) != json.loads(json.dumps(record._asdict()))
 
 
 @pytest.mark.parametrize(
@@ -144,6 +168,26 @@ STORED_FORMS = {
     "WdnNetwork": (network, NETWORK_COLUMNS, NETWORK_VIEWS),
     "parse_inp": (lambda: parse_inp(PARSED_INP), NETWORK_COLUMNS, NETWORK_VIEWS),
 }
+
+
+PATTERN_FIELDS = {"rows", "cols", "star", "unknown"}
+MIRRORED = (frozenset({(0, 1), (1, 0)}), frozenset({(1, 1)}))
+# construction -> a fresh pattern; each stores exactly PATTERN_FIELDS
+PATTERN_CONSTRUCTIONS = {
+    "PatternMatrix": lambda: PatternMatrix(2, 2, *MIRRORED),
+    "PatternMatrix symmetric": lambda: PatternMatrix(2, 2, *MIRRORED, symmetric=True),
+    "_unchecked": lambda: PatternMatrix._unchecked(2, 2, *MIRRORED),
+    "from_rows": lambda: PatternMatrix.from_rows(["0*", "*?"], symmetric=True),
+    "from_json": lambda: PatternMatrix.from_json(PatternMatrix(2, 2, *MIRRORED).to_json(), symmetric=True),
+    "make_abar": lambda: make_abar(PatternMatrix(2, 2, *MIRRORED, symmetric=True)),
+    "to_pattern": lambda: to_pattern(path3()),
+    "build_output_pattern": lambda: build_output_pattern(SensorPlacement((0, 2), 3, "cyclic"), 3),
+}
+
+
+@pytest.mark.parametrize("construction", list(PATTERN_CONSTRUCTIONS))
+def test_a_pattern_stores_its_entries_and_no_symmetry_claim(construction):
+    assert set(vars(PATTERN_CONSTRUCTIONS[construction]())) == PATTERN_FIELDS
 
 
 def stored_fields(record) -> set:
@@ -228,3 +272,9 @@ KEPT_SETTINGS = {
 @pytest.mark.parametrize("fn", list(KEPT_SETTINGS), ids=lambda fn: fn.__qualname__)
 def test_removed_settings_stay_removed(fn):
     assert set(inspect.signature(fn).parameters) & REMOVED_SETTINGS == KEPT_SETTINGS[fn]
+
+
+@pytest.mark.parametrize("fn", [graph_dot, tree_dot, placement_dot, trace_dot, SensorPlacement.as_dict],
+                         ids=lambda fn: fn.__qualname__)
+def test_labels_are_required(fn):
+    assert inspect.signature(fn).parameters["labels"].default is inspect.Parameter.empty
