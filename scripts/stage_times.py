@@ -25,8 +25,6 @@ kernel sample. The stages of an INP file:
 - ``certificate``: ``PipelineRun(g, given=p).certificate`` for the leaf
   placement ``p``, the closed runs on A and Abar and their verdict, as
   ``place`` builds them;
-- ``certify_sso``: the same certificate decoded from the output pattern,
-  kept so that rows compare with those of the earlier ``BENCH_*.json``;
 - ``counts`` (``sensor_count_report``);
 - ``place_cmd`` and ``info_cmd``: the whole ``place`` and ``info`` commands
   through ``cli.main`` with ``--format json``, their output captured in
@@ -66,7 +64,6 @@ import time
 from pathlib import Path
 
 from strucsense import cli
-from strucsense.forcing import certify_sso
 from strucsense.netgraph import check_preconditions
 from strucsense.oracle import exhaustive_min_sensors
 from strucsense.placement import PipelineRun, build_output_pattern, place_cyclic, sensor_count_report
@@ -98,7 +95,7 @@ def _inp_stages(path: str, text: str) -> tuple:
     """States and the stages of an INP file."""
     net = parse_inp(text)
     g = state_graph(net)
-    t, p, c = _paper(g)
+    t, p, _ = _paper(g)
     return g.n, {
         "parse_inp": lambda: parse_inp(text),
         "state_graph": lambda: state_graph(net),
@@ -109,7 +106,6 @@ def _inp_stages(path: str, text: str) -> tuple:
         "leaves": lambda: place_cyclic(g, t),
         "output": lambda: build_output_pattern(p, g.n),
         "certificate": lambda: PipelineRun(g, given=p).certificate,
-        "certify_sso": lambda: certify_sso(g, c),
         "counts": lambda: sensor_count_report(g, t, p),
         "place_cmd": lambda: _command(["place", path, "--format", "json"]),
         "info_cmd": lambda: _command(["info", path, "--format", "json"]),

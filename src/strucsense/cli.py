@@ -41,6 +41,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CERT = 2
 BENCH_REPEATS = 5  # timed runs of the paper-timed stages per ``bench`` input; their median is reported
+# a ``bench`` row's fields, in column order; the JSON rows carry them as keys
+BENCH_COLUMNS = ("name", "state_nodes", "cycles", "extreme_nodes", "sensors", "elapsed_seconds")
 
 
 class InputBundle(NamedTuple):
@@ -50,14 +52,6 @@ class InputBundle(NamedTuple):
     graph: StateGraph
     labels: list
     net: WdnNetwork | None = None
-
-    @property
-    def kind(self) -> str:
-        return "edge_list" if self.net is None else "wdn"
-
-    @property
-    def flow_count(self) -> int | None:
-        return self.net.n_links if self.net is not None else None
 
 
 def load_input(path: str) -> InputBundle:
@@ -73,12 +67,11 @@ def load_input(path: str) -> InputBundle:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text``, which ends in a newline, to ``out`` or else to stdout."""
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 _encode_scalar = json.JSONEncoder().encode  # C-accelerated for one scalar: escapes, float repr, NaN
@@ -156,7 +149,7 @@ def cmd_info(args) -> int:
     cls = pre.classification
     payload = {
         "path": bundle.path,
-        "kind": bundle.kind,
+        "kind": "edge_list" if bundle.net is None else "wdn",
         "hydraulic_nodes": bundle.net.n_nodes if bundle.net else None,
         "links": bundle.net.n_links if bundle.net else None,
         "state_nodes": bundle.graph.n,
@@ -180,7 +173,7 @@ def cmd_info(args) -> int:
         _emit_csv([("key", "value"), *rows], args.out)
     else:
         lines = [
-            f"input: {bundle.path} ({bundle.kind})",
+            f"input: {bundle.path} ({payload['kind']})",
             f"hydraulic nodes: {payload['hydraulic_nodes']}  links: {payload['links']}",
             f"state nodes: {payload['state_nodes']}  cycles: {payload['cycles']}",
             f"extreme nodes ({cls.n_e}): {', '.join(payload['extreme']) or '-'}",
@@ -283,12 +276,13 @@ def cmd_minimize(args) -> int:
 def cmd_export_dot(args) -> int:
     bundle = load_input(args.path)
     run = PipelineRun(bundle.graph, args.mode)
+    flows = bundle.net.n_links if bundle.net else None  # a network's first states are its link flows
     if args.stage == "graph":
-        text = dot.graph_dot(bundle.graph, bundle.labels, bundle.flow_count)
+        text = dot.graph_dot(bundle.graph, bundle.labels, flows)
     elif args.stage == "tree":
-        text = dot.tree_dot(bundle.graph, run.tree, bundle.labels, bundle.flow_count)
+        text = dot.tree_dot(bundle.graph, run.tree, bundle.labels, flows)
     elif args.stage == "placement":
-        text = dot.placement_dot(bundle.graph, run.placement, bundle.labels, bundle.flow_count)
+        text = dot.placement_dot(bundle.graph, run.placement, bundle.labels, flows)
     else:  # trace
         text = dot.trace_dot(bundle.graph, run.placement.measured, run.a_run.trace, bundle.labels)
     _emit(text, args.out)
@@ -308,14 +302,9 @@ def _bench_one(path: str) -> dict:
     if not run.certificate.sso:
         raise RuntimeError(f"placement for {path} failed certification")
     counts = run.counts
-    return {
-        "name": Path(path).stem,
-        "state_nodes": bundle.graph.n,
-        "cycles": counts.cycles,
-        "extreme_nodes": counts.extreme_nodes,
-        "sensors": counts.sensors,
-        "elapsed_seconds": round(statistics.median(timings), 6),
-    }
+    values = (Path(path).stem, bundle.graph.n, counts.cycles, counts.extreme_nodes, counts.sensors,
+              round(statistics.median(timings), 6))
+    return dict(zip(BENCH_COLUMNS, values))
 
 
 def cmd_bench(args) -> int:
@@ -328,7 +317,6 @@ def cmd_bench(args) -> int:
         except Exception as exc:  # keep going; report at the end
             failed.append((path, str(exc)))
             sys.stderr.write(f"bench failed for {path}: {exc}\n")
-    columns = ["name", "state_nodes", "cycles", "extreme_nodes", "sensors", "elapsed_seconds"]
 
     def cell(row, col):
         return f"{row[col]:.6f}" if col == "elapsed_seconds" else str(row[col])
@@ -336,12 +324,12 @@ def cmd_bench(args) -> int:
     if args.format == "json":
         _dump_json(rows, args.out)
     elif args.format == "csv":
-        _emit_csv([columns, *([cell(row, c) for c in columns] for row in rows)], args.out)
+        _emit_csv([BENCH_COLUMNS, *([cell(row, c) for c in BENCH_COLUMNS] for row in rows)], args.out)
     else:
-        header = "| " + " | ".join(columns) + " |"
-        sep = "|" + "|".join("---" for _ in columns) + "|"
+        header = "| " + " | ".join(BENCH_COLUMNS) + " |"
+        sep = "|" + "|".join("---" for _ in BENCH_COLUMNS) + "|"
         lines = [header, sep]
-        lines += ["| " + " | ".join(cell(row, c) for c in columns) + " |" for row in rows]
+        lines += ["| " + " | ".join(cell(row, c) for c in BENCH_COLUMNS) + " |" for row in rows]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_INPUT if failed else EXIT_OK
 

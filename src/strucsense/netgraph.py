@@ -131,10 +131,6 @@ class PreconditionReport(NamedTuple):
     components: tuple
     classification: NodeClassification
 
-    @property
-    def all_ok(self) -> bool:
-        return self.symmetric and self.fully_connected and self.has_extreme
-
     def as_dict(self) -> dict:
         """The fields, with the classification's extreme nodes in its place."""
         payload = self._asdict()

@@ -221,21 +221,14 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
     graph = from_pattern(a_pat)  # raises unless a_pat is square
     n = a_pat.rows
     measured = sensor_states(c_pat, n)
-
-    def white_states(g) -> list:
-        black = ClosureRun(g, measured).black
-        return [v for v in range(n) if not black[v]]
-
-    whites = white_states(graph)
-    if whites:
-        kind, pattern, lam, pins = "plain", a_pat, 0.0, {}
-    else:
-        whites = white_states(companion(graph))
-        if not whites:
+    black, pattern, lam, pins = ClosureRun(graph, measured).black, a_pat, 0.0, {}
+    if all(black):  # A colours: a realization K of Abar with K x = 0 gives X = K + I, with X x = x
+        black = ClosureRun(companion(graph), measured).black
+        if all(black):
             return None
-        lam = 1.0
+        pattern, lam = make_abar(a_pat), 1.0
         pins = {(i, i): -lam for i in range(n) if a_pat.entry(i, i) is Entry.ZERO}
-        kind, pattern = "shifted", make_abar(a_pat)
+    whites = [v for v in range(n) if not black[v]]
     if set(measured) & set(whites):
         raise AssertionError("measured state left white; closure is broken")
 
@@ -247,7 +240,7 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
         kernel = _solve_stuck_rows(pattern, whites, x, pins, rng)
         if kernel is None:
             continue
-        realization = kernel + lam * np.eye(n) if kind == "shifted" else kernel
+        realization = kernel + lam * np.eye(n)
         # shifting may drive a required-nonzero diagonal to zero; redraw if so
         bad_diag = any(
             realization[i, i] == 0.0

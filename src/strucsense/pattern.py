@@ -20,9 +20,6 @@ class Entry(enum.Enum):
     STAR = "*"
     UNKNOWN = "?"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 _CHAR_TO_ENTRY = {"0": Entry.ZERO, "*": Entry.STAR, "?": Entry.UNKNOWN}
 

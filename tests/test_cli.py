@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strucsense
-from strucsense.cli import _white_states_line, load_input, main
+from strucsense.cli import BENCH_COLUMNS, _white_states_line, load_input, main
 from strucsense.forcing import Certificate, ClosureRun
 from strucsense.oracle import MinimalPlacementResult, OracleReport
 from strucsense.pattern import PatternMatrix
@@ -825,6 +825,16 @@ class TestBench:
         assert code == 0
         assert out.splitlines()[0].startswith("| name |")
 
+    def test_every_format_writes_the_bench_columns(self, capsys, fixtures_dir):
+        path = str(fixtures_dir / "path4.inp")
+        rows = json.loads(run_cli(capsys, "bench", path, "--format", "json")[1])
+        header = next(csv.reader(io.StringIO(run_cli(capsys, "bench", path, "--format", "csv")[1])))
+        table = run_cli(capsys, "bench", path)[1].splitlines()
+        assert [set(row) for row in rows] == [set(BENCH_COLUMNS)]
+        assert tuple(header) == BENCH_COLUMNS
+        assert table[0] == "| " + " | ".join(BENCH_COLUMNS) + " |"
+        assert table[2].count("|") == len(BENCH_COLUMNS) + 1
+
 
 def captured_main(*argv) -> tuple:
     """Exit code, stdout and stderr of one in-process CLI run."""
@@ -1249,7 +1259,7 @@ class TestStageTimesScript:
         rows = [json.loads(line) for line in proc.stdout.splitlines()]
         assert [row["path"] for row in rows] == paths
         stages = ("parse_inp", "state_graph", "labels", "check_preconditions", "paper", "forest", "leaves", "output",
-                  "certificate", "certify_sso", "counts", "place_cmd", "info_cmd")
+                  "certificate", "counts", "place_cmd", "info_cmd")
         for row in rows[:2]:
             assert set(row) == {"path", "states", "json_output", "kernel_ms", *stages}
             assert all(row[stage] >= 0 for stage in stages)

@@ -183,7 +183,9 @@ class TestPreconditions:
     def test_path_satisfies_all(self):
         p = PatternMatrix.from_rows(["0*0", "*0*", "0*0"], symmetric=True)
         report = check_preconditions(graph_of(p))
-        assert report.all_ok
+        assert report.symmetric
+        assert report.fully_connected
+        assert report.has_extreme
 
     def test_block_diagonal_not_connected(self):
         rows = [

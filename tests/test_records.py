@@ -218,6 +218,17 @@ def test_a_network_and_a_bundle_are_tuples_of_their_columns():
     assert InputBundle._fields == ("path", "graph", "labels", "net")
 
 
+def test_a_record_restates_no_fact_it_stores():
+    """A bundle's input kind and flow count are read off ``net``, a report's verdict off its three flags.
+
+    An entry keeps the enum's own ``__str__``: no writer prints one.
+    """
+    for name in ("kind", "flow_count"):
+        assert not hasattr(InputBundle, name), name
+    assert not hasattr(PreconditionReport, "all_ok")
+    assert "__str__" not in Entry.__dict__
+
+
 def test_parse_inp_returns_exactly_a_network():
     net = parse_inp("[JUNCTIONS]\n J1\n[RESERVOIRS]\n R1\n[PIPES]\n P1 R1 J1\n[COORDINATES]\n J1 0 1.5\n")
     assert type(net) is WdnNetwork
