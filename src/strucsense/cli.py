@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import dot
 from .netgraph import StateGraph, check_preconditions, cycle_count, to_pattern
-from .oracle import exhaustive_min_sensors, sample_and_check
+from .oracle import check_state_cap, exhaustive_min_sensors, sample_and_check
 from .placement import PipelineRun, SensorPlacement
 from .wdn import (
     ParseError,
@@ -179,7 +179,7 @@ def cmd_info(args) -> int:
             f"extreme nodes ({cls.n_e}): {', '.join(payload['extreme']) or '-'}",
             f"intersection nodes ({cls.n_i}): {', '.join(payload['intersection']) or '-'}",
             "preconditions: symmetric={symmetric} fully_connected={fully_connected} has_extreme={has_extreme}".format(
-                **pre.as_dict()
+                **payload["preconditions"]
             ),
         ]
         _emit("\n".join(lines) + "\n", args.out)
@@ -251,6 +251,7 @@ def cmd_certify(args) -> int:
 def cmd_oracle(args) -> int:
     bundle = load_input(args.path)
     given = _resolve_sensors(args.sensors, bundle) if args.sensors is not None else None
+    check_state_cap(bundle.graph.n)  # refuse before any pipeline stage runs
     run = PipelineRun(bundle.graph, given=given)
     report = sample_and_check(
         to_pattern(bundle.graph), run.output, trials=args.trials, seed=args.seed, c_mode=args.c_mode

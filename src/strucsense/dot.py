@@ -18,8 +18,16 @@ def _quote(name) -> str:
     return f'"{text}"'
 
 
-def _render(g: StateGraph, labels, flow_count, name, styles=None, sensors=()) -> str:
-    """Header, node declarations, sensor hexagons, then edges."""
+def _arcs(g: StateGraph) -> list:
+    """Each arc (v, kind, u) of ``g``, kind 0 a star and 1 an unknown: off-diagonal ones, then self-loops."""
+    arcs = [(v, 0, u) for v, nbrs in enumerate(g.star_out) for u in nbrs]
+    arcs += [(v, 1, u) for v, nbrs in enumerate(g.out) for u in nbrs if u not in g.star_out[v]]
+    arcs += [(v, 0 if loop is Entry.STAR else 1, v) for v, loop in enumerate(g.loops) if loop is not Entry.ZERO]
+    return arcs
+
+
+def _render(g: StateGraph, labels, flow_count, name, chords=frozenset(), sensors=()) -> str:
+    """Header, node declarations, sensor hexagons, then one line per arc: star arcs, then unknown ones, each ascending."""
     keyword, connector = ("graph", "--") if g.is_symmetric() else ("digraph", "->")
     lines = [f"{keyword} {_quote(name)} {{"]
     for v in range(g.n):
@@ -37,22 +45,13 @@ def _render(g: StateGraph, labels, flow_count, name, styles=None, sensors=()) ->
         sensor = f"s{k}"
         lines.append(f"  {_quote(sensor)} [shape=hexagon, color=red, label={_quote(sensor)}];")
         lines.append(f"  {_quote(sensor)} {connector} {_quote(state)} [style=solid, color=red];")
-    lines += _edge_lines(g, connector, styles)
+    for kind, i, j in sorted((kind, v, u) for v, kind, u in _arcs(g)):
+        if connector == "--" and i > j:
+            continue  # undirected means symmetric: arc (j, i) stands for the pair
+        style = "dotted" if (min(i, j), max(i, j)) in chords else ("solid", "dashed")[kind]
+        lines.append(f"  {_quote(i)} {connector} {_quote(j)} [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _edge_lines(g: StateGraph, connector: str, styles=None) -> list:
-    """One line per undirected pair (or per arc when directed)."""
-    styles = styles or {}
-    lines = []
-    for edges, default_style in ((g.star_edges, "solid"), (g.unknown_edges, "dashed")):
-        for (i, j) in sorted(edges):
-            if connector == "--" and i > j:
-                continue  # undirected means symmetric: arc (j, i) stands for the pair
-            style = styles.get((min(i, j), max(i, j)), default_style)
-            lines.append(f"  {_quote(i)} {connector} {_quote(j)} [style={style}];")
-    return lines
 
 
 def graph_dot(g: StateGraph, labels, flow_count=None) -> str:
@@ -62,7 +61,7 @@ def graph_dot(g: StateGraph, labels, flow_count=None) -> str:
 
 def tree_dot(g: StateGraph, t: SpanningTree, labels, flow_count=None) -> str:
     """Render the graph with dropped chords dotted, kept tree edges solid."""
-    return _render(g, labels, flow_count, "spanning_tree", styles={pair: "dotted" for pair in removed_chords(g, t)})
+    return _render(g, labels, flow_count, "spanning_tree", chords=removed_chords(g, t))
 
 
 def placement_dot(g: StateGraph, placement: SensorPlacement, labels, flow_count=None) -> str:
@@ -88,12 +87,9 @@ def trace_dot(g: StateGraph, measured, trace, labels) -> str:
         lines.append(f"  {_quote(v)} [label={_quote(f'{label}|{step}')}{fill}];")
     for k in range(len(measured)):
         lines.append(f"  {_quote(g.n + k)} [shape=hexagon, color=red, label={_quote(f's{k}')}];")
-    # per node, its star arcs then its unknown ones (kind 0, then 1), ascending; sensors last
-    arcs = [(v, 0, u) for v, nbrs in enumerate(g.star_out) for u in nbrs]
-    arcs += [(v, 1, u) for v, nbrs in enumerate(g.out) for u in nbrs if u not in g.star_out[v]]
-    arcs += [(v, 0 if loop is Entry.STAR else 1, v) for v, loop in enumerate(g.loops) if loop is not Entry.ZERO]
-    arcs += [(g.n + k, 0, u) for k, u in enumerate(measured)]
-    for v, kind, u in sorted(arcs):
+    # per node, its star arcs then its unknown ones, ascending; sensors last
+    sensor_arcs = [(g.n + k, 0, u) for k, u in enumerate(measured)]
+    for v, kind, u in sorted(_arcs(g) + sensor_arcs):
         extra = ", penwidth=2.5, color=black" if (v, u) in forcing_edges else ""
         lines.append(f"  {_quote(v)} -> {_quote(u)} [style={('solid', 'dashed')[kind]}{extra}];")
     lines.append("}")

@@ -45,33 +45,16 @@ class MinimalPlacementResult(NamedTuple):
     configurations_checked: int
 
 
-def _observability_singular_values(a, c):
-    """Singular values of each trial's stacked observability matrix.
-
-    ``a`` is a ``(T, n, n)`` and ``c`` a ``(T, p, n)`` array stack, n and p
-    positive; returns a ``(T, n)`` array, descending per trial. Each power's
-    rows are rescaled to unit max-abs before stacking and before the next
-    multiplication; row scaling by nonzero factors leaves the rank untouched
-    but keeps entries from overflowing as powers grow.
-    """
-    import numpy as np
-
-    t, p, n = c.shape
-    stacked = np.empty((t, n * p, n))
-    cur = np.array(c, dtype=float, copy=True)
-    for k in range(n):
-        scale = np.max(np.abs(cur), axis=2, keepdims=True)
-        scale[scale == 0.0] = 1.0
-        block = stacked[:, k * p:(k + 1) * p]
-        np.divide(cur, scale, out=block)
-        cur = block @ a
-    return np.linalg.svd(stacked, compute_uv=False)
+def check_state_cap(n: int, search: str = "rank-test", cap: int = DEFAULT_STATE_CAP) -> None:
+    """Refuse ``n`` states over the ``search``'s ``cap``: the rank test's, or ``exhaustive-search``'s."""
+    if n > cap:
+        raise ValueError(f"{n} states exceed the {search} cap of {cap}")
 
 
 def _sigma_ratios(a, c):
     """Per trial, smallest over largest singular value of the observability matrix.
 
-    ``a`` and ``c`` are stacks as in ``_observability_singular_values``; returns
+    ``a`` is a ``(T, n, n)`` and ``c`` a ``(T, p, n)`` array stack; returns
     a ``(T,)`` array. A trial passes the rank test when its ratio exceeds the
     tolerance. With no states the ratio is 1.0: the empty state space is
     observable from any outputs, as the certificate says of a 0-state
@@ -84,7 +67,17 @@ def _sigma_ratios(a, c):
         return np.ones(t)
     if p == 0:
         return np.zeros(t)
-    sigmas = _observability_singular_values(a, c)
+    stacked = np.empty((t, n * p, n))
+    cur = np.asarray(c, dtype=float)
+    for k in range(n):
+        # rows at unit max-abs before stacking and before the next power: scaling rows by
+        # nonzero factors leaves the rank untouched but keeps entries from overflowing
+        scale = np.max(np.abs(cur), axis=2, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        block = stacked[:, k * p:(k + 1) * p]
+        np.divide(cur, scale, out=block)
+        cur = block @ a
+    sigmas = np.linalg.svd(stacked, compute_uv=False)  # descending per trial
     top = sigmas[:, 0]
     return np.divide(sigmas[:, n - 1], top, out=np.zeros(t), where=top != 0.0)
 
@@ -106,8 +99,7 @@ def observability_rank_test(a, c, max_states: int = DEFAULT_STATE_CAP) -> bool:
     n = a.shape[0]
     if c.ndim != 2 or c.shape[1] != n:
         raise ValueError(f"output matrix shape {c.shape} does not match {n} states")
-    if n > max_states:
-        raise ValueError(f"{n} states exceed the rank-test cap of {max_states}")
+    check_state_cap(n, cap=max_states)
     if not (np.isfinite(a).all() and np.isfinite(c).all()):
         raise ValueError("non-finite entries in input matrices")
     return bool(_sigma_ratios(a[None], c[None])[0] > DEFAULT_RANK_TOL)
@@ -151,8 +143,7 @@ def sample_and_check(a_pat: PatternMatrix, c_pat: PatternMatrix, trials: int, se
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     n = a_pat.rows
-    if n > DEFAULT_STATE_CAP:
-        raise ValueError(f"{n} states exceed the rank-test cap of {DEFAULT_STATE_CAP}")
+    check_state_cap(n)
 
     trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=2 * trials)
     unit_c = realize_unit_output(c_pat)
@@ -313,11 +304,7 @@ def exhaustive_min_sensors(g: StateGraph, progress=None) -> MinimalPlacementResu
     configuration count would explode.
     """
     n = g.n
-    if n > DEFAULT_EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"{n} states means {2 ** n - 1} sensor configurations; "
-            f"refusing beyond the cap of {DEFAULT_EXHAUSTIVE_CAP} states"
-        )
+    check_state_cap(n, "exhaustive-search", DEFAULT_EXHAUSTIVE_CAP)
     zero_loop = Entry.ZERO in g.loops
     root = ClosureRun(g if zero_loop else companion(g))
     abar = ClosureRun(companion(g)) if zero_loop else None

@@ -624,6 +624,12 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert (payload["trials"], payload["passes"], payload["min_sigma_ratio"]) == (0, 0, 0.0)
 
+    def test_refuses_over_the_cap_before_any_pipeline_stage(self, capsys, fixtures_dir, monkeypatch):
+        counts = count_calls(monkeypatch, "spanning_tree_dfs", "to_pattern", "build_output_pattern")
+        code, out, err = run_cli(capsys, "oracle", str(fixtures_dir / "refused33.json"), "--trials", "20")
+        assert (code, out, err) == (1, "", "error: 33 states exceed the rank-test cap of 30\n")
+        assert counts == {"spanning_tree_dfs": 0, "to_pattern": 0, "build_output_pattern": 0}
+
 
 class TestMinimize:
     def test_triangle_reports_both_counts(self, capsys, fixtures_dir):
@@ -716,6 +722,16 @@ class TestExportDot:
         (bundle,) = bundles
         assert len(closed) == 1 and closed[0] is bundle.graph
         assert shapes == []
+
+    @pytest.mark.parametrize("name", ["triangle_wdn.inp", "refused33.json"])
+    @pytest.mark.parametrize("stage", ["graph", "tree", "placement", "trace"])
+    def test_stages_build_no_edge_set(self, capsys, fixtures_dir, monkeypatch, name, stage):
+        """Every stage draws the graph from its neighbour lists; the edge sets stay unbuilt."""
+        bundles, _ = record_loads_and_patterns(monkeypatch)
+        code, _, _ = run_cli(capsys, "export-dot", str(fixtures_dir / name), "--stage", stage)
+        assert code == 0
+        (bundle,) = bundles
+        assert "star_edges" not in vars(bundle.graph) and "unknown_edges" not in vars(bundle.graph)
 
     def test_trace_stage_numbers_steps(self, capsys, fixtures_dir):
         _, out, _ = run_cli(

@@ -11,7 +11,9 @@ same version (``test_byte_identical_reruns``).
 
 Regenerate the file after a deliberate output change with
 ``PYTHONPATH=src python tests/test_golden_outputs.py --write`` from the
-repository root.
+repository root. It prints how many recorded commands it changed, added
+and dropped, then names each changed one, so an output-preserving change
+shows ``0 changed`` in one line.
 """
 
 from __future__ import annotations
@@ -81,5 +83,11 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_golden_outputs.py --write")
     os.chdir(REPO_ROOT)
+    before = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     record = {" ".join(argv): run(argv) for argv in commands()}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    changed = sorted(key for key in record.keys() & before.keys() if record[key] != before[key])
+    print(f"{len(changed)} changed, {len(record.keys() - before.keys())} added, "
+          f"{len(before.keys() - record.keys())} dropped")
+    for key in changed:
+        print(f"changed: {key}")

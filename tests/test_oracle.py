@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from strucsense import (
     OracleReport,
     PatternMatrix,
+    StateGraph,
     build_output_pattern,
     certify_sso,
     exhaustive_min_sensors,
@@ -70,6 +71,13 @@ class TestRankTest:
         n = 31
         with pytest.raises(ValueError, match="cap"):
             observability_rank_test(np.eye(n), np.eye(n))
+
+    def test_rank_test_and_sampler_refuse_in_one_wording(self):
+        refusal = "^31 states exceed the rank-test cap of 30$"
+        with pytest.raises(ValueError, match=refusal):
+            observability_rank_test(np.eye(31), np.eye(31))
+        with pytest.raises(ValueError, match=refusal):
+            sample_and_check(PatternMatrix(31, 31), PatternMatrix(1, 31), trials=1, seed=0)
 
     def test_non_finite_rejected(self):
         a = np.array([[np.nan, 0.0], [0.0, 1.0]])
@@ -172,10 +180,15 @@ class TestExhaustiveMinimum:
             result = exhaustive_min_sensors(g)
             assert result.minimum_size <= p.n_y
 
-    def test_cap_refusal_names_configuration_count(self):
+    def test_cap_refusal_names_states_and_cap(self):
         pat = PatternMatrix(17, 17)
-        with pytest.raises(ValueError, match=str(2**17 - 1)):
+        with pytest.raises(ValueError, match="^17 states exceed the exhaustive-search cap of 16$"):
             exhaustive_min_sensors(graph_of(pat))
+
+    def test_cap_refusal_stays_short_past_the_int_digit_limit(self):
+        """2 ** 15000 - 1 has 4516 digits, past Python's string conversion limit; the refusal names no count."""
+        with pytest.raises(ValueError, match="^15000 states exceed the exhaustive-search cap of 16$"):
+            exhaustive_min_sensors(StateGraph(15000))
 
     def test_progress_stream(self):
         updates = []
