@@ -284,8 +284,11 @@ def cmd_export_dot(args) -> int:
         text = dot.tree_dot(bundle.graph, run.tree, bundle.labels, flows)
     elif args.stage == "placement":
         text = dot.placement_dot(bundle.graph, run.placement, bundle.labels, flows)
-    else:  # trace
-        text = dot.trace_dot(bundle.graph, run.placement.measured, run.a_run.trace, bundle.labels)
+    else:  # trace: A's closure, or Abar's when A colours and Abar is the graph that refuses
+        closed = run.a_run
+        if all(closed.black) and not all(run.abar_run.black):
+            closed = run.abar_run
+        text = dot.trace_dot(closed.graph, run.placement.measured, closed.trace, bundle.labels)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -229,7 +229,7 @@ def cycle_count(g: StateGraph, components=None) -> int:
     """
     if components is None:
         components = connected_components_star(g)
-    m = sum(len(nbrs) for nbrs in g.star_nbrs) // 2
+    m = sum(map(len, g.star_nbrs)) // 2
     return m - g.n + len(components)
 
 

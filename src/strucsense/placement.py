@@ -33,8 +33,18 @@ class SensorPlacement:
 
     def __init__(self, measured: tuple, n_states: int, mode: str):
         _check_measured(measured, n_states)
+        self._store(measured, n_states, mode)
+
+    def _store(self, measured: tuple, n_states: int, mode: str) -> "SensorPlacement":
+        """The one writer of a placement's fields, whichever constructor ran; returns the placement."""
         self.measured, self.n_states = measured, n_states
         self.mode = mode  # "tree", "cyclic", or "given" (user-proposed sensors)
+        return self
+
+    @classmethod
+    def _unchecked(cls, measured: tuple, n_states: int, mode: str) -> "SensorPlacement":
+        """Skip ``__init__``'s check: the caller's indices are distinct and in ``0..n_states - 1``."""
+        return object.__new__(cls)._store(measured, n_states, mode)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -90,12 +100,13 @@ def place_cyclic(g: StateGraph, t: SpanningTree) -> SensorPlacement:
     """Measure every node with tree degree < 2: leaves and isolated nodes.
 
     Works per component on disconnected inputs, since leaf selection reads
-    only the forest. Depends on ``g`` only through the forest built from it.
+    only the forest. Depends on ``g`` only through the forest built from it,
+    whose walk reported its leaves: distinct and in range once the sizes
+    match, so they are not checked again.
     """
     if t.n != g.n:
         raise ValueError(f"tree over {t.n} nodes does not match graph with {g.n}")
-    measured = tuple([v for v, d in enumerate(t.degrees()) if d < 2])
-    return SensorPlacement(measured, g.n, "cyclic")
+    return SensorPlacement._unchecked(t.leaves, g.n, "cyclic")
 
 
 def build_output_pattern(p: SensorPlacement, n_states: int) -> PatternMatrix:
@@ -129,9 +140,11 @@ def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> S
     degree below two; the report's ``extreme_nodes`` stays ``classify_nodes``'
     extreme-node count, whose degrees count unknown edges too.
     """
-    cycles = cycle_count(g, t.roots)
-    must = sum(len(nbrs) < 2 for nbrs in g.star_nbrs)
-    return SensorCountReport(classify_nodes(g).n_e, cycles, p.n_y, count_bounds_ok(must, cycles, p.n_y))
+    star = list(map(len, g.star_nbrs))
+    both = star if g.nbrs is g.star_nbrs else list(map(len, g.nbrs))
+    cycles = sum(star) // 2 - g.n + len(t.roots)  # ``cycle_count`` with the forest's roots
+    must = star.count(0) + star.count(1)
+    return SensorCountReport(both.count(1), cycles, p.n_y, count_bounds_ok(must, cycles, p.n_y))
 
 
 class PipelineRun:

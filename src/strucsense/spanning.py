@@ -3,7 +3,10 @@
 Depth-first search over star edges only, self-loops ignored. Tie-breaking is
 fixed (lowest-index root per component, neighbors explored in ascending
 index order) so identical inputs always yield the identical tree. A stack of
-the open node's ancestors' neighbour iterators keeps the walk O(n + m).
+the open node's ancestors' neighbour iterators keeps the walk O(n + m). The
+walk also reports the forest's leaves, the states of tree degree below two:
+a node that closes without having opened a child is a leaf (Tarjan, SIAM J.
+Comput. 1972), and so is a root with one child.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from .netgraph import StateGraph
 
 
 class SpanningTree(NamedTuple):
-    """Spanning forest: parent pointers and per-component roots."""
+    """Spanning forest: parent pointers, per-component roots and the leaves."""
 
     parent: tuple  # parent index per node, None at roots
     roots: tuple
+    leaves: tuple  # ascending nodes of tree degree below two, as ``degrees`` counts it
 
     @property
     def n(self) -> int:
@@ -35,7 +39,8 @@ class SpanningTree(NamedTuple):
     def degrees(self) -> list:
         """Tree degree per node: its children, plus its parent unless it is a root.
 
-        Read off ``parent`` rather than ``tree_edges`` (self-loops never enter a tree).
+        Read off ``parent`` rather than ``tree_edges`` (self-loops never enter a tree);
+        an independent reference for ``leaves``, which the walk reports.
         """
         deg = [1] * self.n
         for root in self.roots:
@@ -56,27 +61,34 @@ def spanning_tree_dfs(g: StateGraph) -> SpanningTree:
     adj = g.star_nbrs
     parent: list = [None] * g.n
     visited = [False] * g.n
-    roots = []
+    roots, leaves = [], []
 
     for root in range(g.n):
         if visited[root]:
             continue
         visited[root] = True
         roots.append(root)
-        # open node v and its neighbour iterator top; the stack holds its ancestors' iterators atop a closing None
-        v, top, stack = root, iter(adj[root]), [None]
+        # open node v and its neighbour iterator top; the stack holds its ancestors' iterators atop a closing None.
+        # fresh: v was opened last, so it has no child yet
+        v, top, stack, fresh = root, iter(adj[root]), [None], True
         while top is not None:
             for u in top:
                 if not visited[u]:
                     visited[u] = True
                     parent[u] = v
                     stack.append(top)
-                    v, top = u, iter(adj[u])
+                    v, top, fresh = u, iter(adj[u]), True
                     break
             else:
+                if fresh:  # v closes childless
+                    leaves.append(v)
+                    fresh = False
                 v, top = parent[v], stack.pop()  # back to the parent, where its iterator left off
 
-    return SpanningTree(tuple(parent), tuple(roots))
+    # a root's first neighbour is its first child; it has one child when no other neighbour is its child
+    leaves += [r for r in roots if adj[r] and r not in [parent[u] for u in adj[r][1:]]]
+    leaves.sort()
+    return SpanningTree(tuple(parent), tuple(roots), tuple(leaves))
 
 
 def removed_chords(g: StateGraph, t: SpanningTree) -> set:

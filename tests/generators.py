@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from strucsense import PatternMatrix, StateGraph, from_pattern
 from strucsense.forcing import ClosureRun, ObservabilityGraph, force_closure_reference
+from strucsense.spanning import SpanningTree
 from strucsense.wdn import WdnNetwork
 
 # node-by-link incidence of fixtures/triangle_wdn.inp: 1 at a link's from-node, -1 at its to-node
@@ -17,6 +18,26 @@ TRIANGLE_WDN_INC = ((-1, 1, 1, 0), (0, 0, -1, 1), (0, -1, 0, -1), (1, 0, 0, 0))
 def graph_of(a: PatternMatrix) -> StateGraph:
     """The state graph of a square pattern, the only structural input of every stage."""
     return from_pattern(a)
+
+
+def edge_set_degrees(t: SpanningTree) -> list:
+    """Tree degree per node counted over the undirected edge set, the reference for ``degrees``."""
+    deg = [0] * t.n
+    for (i, j) in t.tree_edges:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
+
+
+def degree_leaves(t: SpanningTree) -> tuple:
+    """The leaf rule stated on the edge-set degrees: every node of tree degree below two."""
+    return tuple(v for v, d in enumerate(edge_set_degrees(t)) if d < 2)
+
+
+def hand_built_forest(parent, roots) -> SpanningTree:
+    """The forest of ``parent`` and ``roots``, its leaves from ``degree_leaves``."""
+    t = SpanningTree(tuple(parent), tuple(roots), ())
+    return t._replace(leaves=degree_leaves(t))
 
 
 def structured_pattern(inc) -> PatternMatrix:

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 import strucsense
 from strucsense.cli import BENCH_COLUMNS, _white_states_line, load_input, main
+from strucsense.dot import trace_dot
 from strucsense.forcing import Certificate, ClosureRun
 from strucsense.oracle import MinimalPlacementResult, OracleReport
 from strucsense.pattern import PatternMatrix
 from strucsense.placement import PipelineRun, SensorCountReport
 from strucsense.wdn import to_inp_text
-from generators import cyclic_inp_text, wdn_networks
+from generators import cyclic_inp_text, random_connected_pattern, wdn_networks
 
 
 def run_cli(capsys, *argv):
@@ -351,7 +352,7 @@ class TestPlace:
         bundles, _ = record_loads_and_patterns(monkeypatch)
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json")
         assert code == 0
-        assert counts == {"spanning_tree_dfs": 1, "certify_sso": 0, "classify_nodes": 1, "companion": 1}
+        assert counts == {"spanning_tree_dfs": 1, "certify_sso": 0, "classify_nodes": 0, "companion": 1}
         # one closure per graph: the loaded graph, then its companion
         (bundle,) = bundles
         assert len(closed) == 2
@@ -710,18 +711,34 @@ class TestExportDot:
         assert counts == {"certify_sso": 0}
         assert closed == []
 
-    def test_trace_stage_closes_the_state_graph_once_and_no_companion(self, capsys, fixtures_dir, monkeypatch):
+    @pytest.mark.parametrize("name, companions", [("triangle_wdn.inp", 1), ("refused33.json", 0)])
+    def test_trace_stage_closes_the_companion_only_when_a_colours(self, capsys, fixtures_dir, monkeypatch,
+                                                                 name, companions):
+        """Each graph is closed once; Abar only when A colours, since only then can Abar be the one that refuses."""
         counts = count_calls(monkeypatch, "certify_sso", "companion")
         closed = record_closure_runs(monkeypatch)
         bundles, shapes = record_loads_and_patterns(monkeypatch)
-        code, _, _ = run_cli(
-            capsys, "export-dot", str(fixtures_dir / "triangle_wdn.inp"), "--stage", "trace"
-        )
+        code, _, _ = run_cli(capsys, "export-dot", str(fixtures_dir / name), "--stage", "trace")
         assert code == 0
-        assert counts == {"certify_sso": 0, "companion": 0}
+        assert counts == {"certify_sso": 0, "companion": companions}
         (bundle,) = bundles
-        assert len(closed) == 1 and closed[0] is bundle.graph
+        assert len(closed) == 1 + companions and closed[0] is bundle.graph
         assert shapes == []
+
+    def test_trace_stage_draws_abar_when_only_abar_refuses(self, capsys, tmp_path):
+        """The C5 family's seed 83: A colours and Abar leaves states white, so the drawing is Abar's closure."""
+        a = random_connected_pattern(83)
+        path = tmp_path / "seed83.json"
+        path.write_text(json.dumps({"n": a.rows, "star": sorted(a.star), "unknown": sorted(a.unknown)}))
+        code, out, _ = run_cli(capsys, "export-dot", str(path), "--stage", "trace")
+        assert code == 0
+        bundle = load_input(str(path))
+        run = PipelineRun(bundle.graph)
+        assert run.certificate.colorable_a and not run.certificate.colorable_abar
+        assert "|white" in out
+        assert out == trace_dot(run.abar_run.graph, run.placement.measured, run.abar_run.trace, bundle.labels)
+        # A's drawing, the one drawn before, shows no white state
+        assert "|white" not in trace_dot(bundle.graph, run.placement.measured, run.a_run.trace, bundle.labels)
 
     @pytest.mark.parametrize("name", ["triangle_wdn.inp", "refused33.json"])
     @pytest.mark.parametrize("stage", ["graph", "tree", "placement", "trace"])

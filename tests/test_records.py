@@ -27,6 +27,7 @@ from strucsense.pattern import Entry, PatternMatrix, make_abar, sample_realizati
 from strucsense.placement import PipelineRun, SensorCountReport, SensorPlacement, build_output_pattern
 from strucsense.spanning import SpanningTree, spanning_tree_dfs
 from strucsense.wdn import WdnNetwork, parse_inp
+from generators import hand_built_forest
 
 STAR, NONE, UNKNOWN = Entry.STAR, Entry.ZERO, Entry.UNKNOWN
 
@@ -57,7 +58,7 @@ RECORDS = {
     PatternMatrix: lambda: PatternMatrix(2, 2, frozenset({(0, 1)}), frozenset({(1, 1)})),
     SensorPlacement: lambda: SensorPlacement((0, 2), 3, "cyclic"),
     SensorCountReport: lambda: SensorCountReport(2, 1, 3, True),
-    SpanningTree: lambda: SpanningTree((None, 0), (0,)),
+    SpanningTree: lambda: hand_built_forest((None, 0), (0,)),
     InputBundle: lambda: InputBundle("g.json", path3(), ["0", "1", "2"]),
 }
 # a bundle's labels are a list: it does not hash

@@ -2,17 +2,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strucsense.placement
 from strucsense import (
     PatternMatrix,
     SpanningTree,
     StateGraph,
     cycle_count,
     from_pattern,
+    SensorPlacement,
     place_cyclic,
     removed_chords,
     spanning_tree_dfs,
 )
-from generators import TRIANGLE_WDN_INC, random_symmetric_pattern, structured_pattern
+from generators import (
+    TRIANGLE_WDN_INC,
+    degree_leaves,
+    edge_set_degrees,
+    hand_built_forest,
+    random_symmetric_pattern,
+    structured_pattern,
+)
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
 
@@ -39,16 +48,7 @@ def recursive_reference(g: StateGraph) -> tuple:
         if not visited[root]:
             roots.append(root)
             visit(root)
-    return SpanningTree(tuple(parent), tuple(roots)), edges
-
-
-def edge_set_degrees(t) -> list:
-    """Tree degree per node counted over the undirected edge set, the reference for ``degrees``."""
-    deg = [0] * t.n
-    for (i, j) in t.tree_edges:
-        deg[i] += 1
-        deg[j] += 1
-    return deg
+    return hand_built_forest(parent, roots), edges
 
 
 @st.composite
@@ -189,7 +189,8 @@ class TestSpanningTree:
         t = spanning_tree_dfs(g)
         assert t.roots == (0, 3, 5, 6)
         assert t.degrees() == edge_set_degrees(t) == [1, 2, 1, 1, 1, 0, 0]
-        assert t == recursive_reference(g)[0] == SpanningTree((None, 0, 1, None, 3, None, None), (0, 3, 5, 6))
+        assert t == recursive_reference(g)[0] == SpanningTree((None, 0, 1, None, 3, None, None), (0, 3, 5, 6),
+                                                              (0, 2, 3, 4, 5, 6))
 
 
 class TestRemovedChords:
@@ -217,7 +218,7 @@ class TestRemovedChords:
 
     def test_tree_edge_outside_the_graph_rejected(self):
         g = StateGraph(3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1)}), frozenset())
-        stray = SpanningTree((None, 0, 0), (0,))  # edge (0, 2) is no star edge of the path
+        stray = hand_built_forest((None, 0, 0), (0,))  # edge (0, 2) is no star edge of the path
         with pytest.raises(ValueError) as exc:
             removed_chords(g, stray)
         assert str(exc.value) == "tree edge (0, 2) is not a star edge of the graph"
@@ -236,7 +237,7 @@ def forests(draw, max_n: int = 40) -> SpanningTree:
     for k, v in enumerate(order):
         if k and draw(st.integers(0, 3)):
             parent[v] = order[draw(st.integers(0, k - 1))]
-    return SpanningTree(tuple(parent), tuple(v for v in order if parent[v] is None))
+    return hand_built_forest(parent, (v for v in order if parent[v] is None))
 
 
 def many_components(count: int) -> SpanningTree:
@@ -249,35 +250,68 @@ def many_components(count: int) -> SpanningTree:
         parent += [None, base + 1]  # pair
         parent += [None, base + 3, base + 4]  # path rooted at its end
         parent += [base + 7, None, base + 7]  # root in the middle, two children
-    return SpanningTree(tuple(parent), tuple(v for v, p in enumerate(parent) if p is None))
+    return hand_built_forest(parent, (v for v, p in enumerate(parent) if p is None))
 
 
-def degree_leaves(t: SpanningTree) -> tuple:
-    """The leaf rule stated on the edge-set degrees: every node of tree degree below two."""
-    return tuple(v for v, d in enumerate(edge_set_degrees(t)) if d < 2)
+def graph_of_forest(t: SpanningTree) -> StateGraph:
+    """The star graph of the forest's edges: its own DFS forest has the same edges, so the same degrees."""
+    return StateGraph(t.n, t.tree_edges | {(j, i) for (i, j) in t.tree_edges})
 
 
 class TestForestReads:
-    """The forest carries parents and roots only; its edges and leaves are read off ``parent``."""
+    """The forest carries parents, roots and the leaves its walk reported; its edges are read off ``parent``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_graphs())
+    def test_walk_reports_the_degree_leaves(self, g):
+        """Disconnected and asymmetric inputs, isolated nodes and self-loop-only nodes: the edge-set degrees' leaves."""
+        t = spanning_tree_dfs(g)
+        assert t.leaves == degree_leaves(t) == tuple(v for v, d in enumerate(t.degrees()) if d < 2)
 
     @settings(max_examples=300, deadline=None)
     @given(forests())
     def test_leaves_on_random_forests(self, t):
-        leaves = place_cyclic(StateGraph(t.n), t).measured
-        assert leaves == tuple(v for v, d in enumerate(t.degrees()) if d < 2) == degree_leaves(t)
+        """Roots with no, one and several children: the walk over a forest's own graph reports its leaves."""
+        g = graph_of_forest(t)
+        walked = spanning_tree_dfs(g)
+        assert place_cyclic(g, walked).measured == walked.leaves == degree_leaves(t)
+
+    def test_roots_with_no_one_and_two_children(self):
+        # roots 0 (children 1 and 2), 3 (child 4), 5 (none), 6 (none, a self-loop only)
+        pairs = {(0, 1), (0, 2), (3, 4), (6, 6)}
+        t = spanning_tree_dfs(StateGraph(7, frozenset(pairs | {(j, i) for (i, j) in pairs})))
+        assert t.parent == (None, 0, 0, None, 3, None, None)
+        assert t.leaves == degree_leaves(t) == (1, 2, 3, 4, 5, 6)
 
     def test_leaves_on_thousands_of_components(self):
         t = many_components(2000)
-        leaves = place_cyclic(StateGraph(t.n), t).measured
-        assert leaves == degree_leaves(t)
+        walked = spanning_tree_dfs(graph_of_forest(t))
+        assert walked.leaves == degree_leaves(t) == degree_leaves(walked)
         # per component: the isolated node, both of the pair, the root and the end of the path, the two children
-        assert len(leaves) == 2000 * 7
+        assert len(walked.leaves) == 2000 * 7
+
+    @pytest.mark.parametrize("n", [100_000, 100_001])
+    def test_leaves_of_long_paths_are_their_ends(self, n):
+        order = list(range(1, n, 2))[::-1] + list(range(0, n, 2))  # ..., 5, 3, 1, 0, 2, 4, ...: 0 has two children
+        pairs = set(zip(order, order[1:]))
+        t = spanning_tree_dfs(StateGraph(n, frozenset(pairs | {(j, i) for (i, j) in pairs})))
+        assert t.leaves == degree_leaves(t) == (n - 2, n - 1)
+
+    def test_place_cyclic_does_not_check_the_leaves_again(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(strucsense.placement, "_check_measured", lambda *args: checked.append(args))
+        g = from_pattern(random_symmetric_pattern(3, n_max=40))
+        t = spanning_tree_dfs(g)
+        p = place_cyclic(g, t)
+        assert checked == []
+        # the checked constructor gives the same placement, and does check
+        assert p == SensorPlacement(t.leaves, g.n, "cyclic") and checked == [(t.leaves, g.n)]
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_graphs())
     def test_edges_on_read_equal_the_eager_set(self, g):
         t = spanning_tree_dfs(g)
-        assert t._fields == ("parent", "roots")
+        assert t._fields == ("parent", "roots", "leaves")
         eager = frozenset((p, v) if p < v else (v, p) for v, p in enumerate(t.parent) if p is not None)
         assert t.tree_edges == eager == frozenset(recursive_reference(g)[1])
         assert len(t.tree_edges) == t.n - len(t.roots)
