@@ -40,6 +40,7 @@ from .wdn import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CERT = 2
+INPUT_ERRORS = (ParseError, ValueError, OSError)  # what an input can cause: reported with exit 1, never a traceback
 BENCH_REPEATS = 5  # timed runs of the paper-timed stages per ``bench`` input; their median is reported
 # a ``bench`` row's fields, in column order; the JSON rows carry them as keys
 BENCH_COLUMNS = ("name", "state_nodes", "cycles", "extreme_nodes", "sensors", "elapsed_seconds")
@@ -304,7 +305,7 @@ def _bench_one(path: str) -> dict:
         run.output  # spanning forest, placement, output pattern: the paper-timed stages
         timings.append(time.perf_counter() - start)
     if not run.certificate.sso:
-        raise RuntimeError(f"placement for {path} failed certification")
+        raise ValueError(f"placement for {path} failed certification")
     counts = run.counts
     values = (Path(path).stem, bundle.graph.n, counts.cycles, counts.extreme_nodes, counts.sensors,
               round(statistics.median(timings), 6))
@@ -318,7 +319,7 @@ def cmd_bench(args) -> int:
             rows.append(_bench_one(path))
             if args.verbose:
                 sys.stderr.write(f"INFO strucsense: bench {path} done\n")
-        except Exception as exc:  # keep going; report at the end
+        except INPUT_ERRORS as exc:  # the path's own fault: keep going, report at the end
             failed.append((path, str(exc)))
             sys.stderr.write(f"bench failed for {path}: {exc}\n")
 
@@ -339,14 +340,24 @@ def cmd_bench(args) -> int:
 
 
 def _add_common(parser, formats=("json", "csv", "text")) -> None:
-    parser.add_argument("--format", choices=formats, default="text" if "text" in formats else formats[0])
+    """``--out`` for every command, and ``--format``, text by default, for one that offers ``formats``."""
+    if formats:
+        parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits ``EXIT_INPUT`` on a usage error, as on any other input error; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; each ``parse_args`` fills a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="strucsense",
         description="Sensor placement with strong structural observability certificates.",
     )
@@ -377,19 +388,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--seed", type=int, default=42)
     p_oracle.add_argument("--sensors", default=None, help="override the computed placement")
     p_oracle.add_argument("--c-mode", choices=("unit", "sampled"), default="unit", dest="c_mode")
-    _add_common(p_oracle, formats=("json",))
+    _add_common(p_oracle, formats=())
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_min = sub.add_parser("minimize", help="exhaustive minimum sensor search (small networks)")
     p_min.add_argument("path")
-    _add_common(p_min, formats=("json",))
+    _add_common(p_min, formats=())
     p_min.set_defaults(func=cmd_minimize)
 
     p_dot = sub.add_parser("export-dot", help="Graphviz export of a pipeline stage")
     p_dot.add_argument("path")
     p_dot.add_argument("--stage", choices=("graph", "tree", "placement", "trace"), default="graph")
     p_dot.add_argument("--mode", choices=("tree", "cyclic"), default="cyclic")
-    p_dot.add_argument("--out", default=None)
+    _add_common(p_dot, formats=())
     p_dot.set_defaults(func=cmd_export_dot)
 
     p_bench = sub.add_parser("bench", help="timed pipeline per network, table output")
@@ -411,7 +422,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     finally:

@@ -76,8 +76,8 @@ def place_tree(g: StateGraph, t: SpanningTree, classification: NodeClassificatio
 
     Requires an acyclic, single-component graph, read off ``t``, its DFS
     forest. Any omitted extreme node would do; dropping the highest index
-    keeps the result deterministic. A single-node graph gets one sensor on
-    its only state. ``classification`` is ``classify_nodes(g)`` when the
+    keeps the result deterministic. A graph of at most one node measures
+    every state it has. ``classification`` is ``classify_nodes(g)`` when the
     caller holds it.
     """
     if t.n != g.n:
@@ -88,8 +88,8 @@ def place_tree(g: StateGraph, t: SpanningTree, classification: NodeClassificatio
         raise ValueError(f"graph is cyclic ({cycles} cycles; e.g. chord {chord}); use cyclic placement")
     if len(t.roots) > 1:
         raise ValueError(f"graph has {len(t.roots)} star components; tree placement needs one")
-    if g.n == 1:
-        return SensorPlacement((0,), 1, "tree")
+    if g.n <= 1:
+        return SensorPlacement(tuple(range(g.n)), g.n, "tree")
     extreme = (classification or classify_nodes(g)).extreme
     if not extreme:
         raise ValueError("no extreme node to anchor the placement")
@@ -142,7 +142,7 @@ def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> S
     """
     star = list(map(len, g.star_nbrs))
     both = star if g.nbrs is g.star_nbrs else list(map(len, g.nbrs))
-    cycles = sum(star) // 2 - g.n + len(t.roots)  # ``cycle_count`` with the forest's roots
+    cycles = cycle_count(g, t.roots)
     must = star.count(0) + star.count(1)
     return SensorCountReport(both.count(1), cycles, p.n_y, count_bounds_ok(must, cycles, p.n_y))
 
@@ -201,5 +201,5 @@ class PipelineRun:
         p = self.placement
         if p.mode != "tree":
             return sensor_count_report(self.graph, self.tree, p)
-        n_e = self.classification.n_e  # the tree rule measures all extreme nodes but one
-        return SensorCountReport(n_e, 0, p.n_y, p.n_y == (1 if self.graph.n == 1 else n_e - 1))
+        n, n_e = self.graph.n, self.classification.n_e  # the tree rule measures all extreme nodes but one
+        return SensorCountReport(n_e, 0, p.n_y, p.n_y == (n if n <= 1 else n_e - 1))

@@ -167,32 +167,6 @@ def parse_inp(text: str) -> WdnNetwork:
     return WdnNetwork(tuple(node_labels), tuple(node_kinds), link_labels, tuple(link_kinds), ends)
 
 
-def to_inp_text(net: WdnNetwork) -> str:
-    """Write a minimal INP round-trippable by :func:`parse_inp`."""
-    out = ["[TITLE]", "exported network", ""]
-    filler = {
-        "junction": "0",
-        "reservoir": "0",
-        "tank": "0 10 0 20 50 0",
-        "pipe": "1000 300 100",
-        "pump": "HEAD 1",
-        "valve": "300 PRV 0",
-    }
-    labels = net.node_labels
-    nodes = list(zip(net.node_kinds, labels))
-    links = [(kind, f"{label}\t{labels[a]}\t{labels[b]}")
-             for label, kind, a, b in zip(net.link_labels, net.link_kinds, *net.ends)]
-    for sections, rows in ((_NODE_SECTIONS, nodes), (_LINK_SECTIONS, links)):
-        for section, kind in sections.items():
-            body = [f" {text}\t{filler[kind]}" for row_kind, text in rows if row_kind == kind]
-            if body:
-                out += [f"[{section}]", *body, ""]
-    if not any(kind in _LINK_SECTIONS.values() for kind in net.link_kinds):
-        out += ["[PIPES]", ""]
-    out.append("[END]")
-    return "\n".join(out) + "\n"
-
-
 def write_incidence_csv(net: WdnNetwork, path) -> None:
     """Write the node-by-link incidence as CSV, one row at a time, read off the link list.
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from strucsense import PatternMatrix, StateGraph, from_pattern
 from strucsense.forcing import ClosureRun, ObservabilityGraph, force_closure_reference
 from strucsense.spanning import SpanningTree
-from strucsense.wdn import WdnNetwork
+from strucsense.wdn import _LINK_SECTIONS, _NODE_SECTIONS, WdnNetwork
 
 # node-by-link incidence of fixtures/triangle_wdn.inp: 1 at a link's from-node, -1 at its to-node
 TRIANGLE_WDN_INC = ((-1, 1, 1, 0), (0, 0, -1, 1), (0, -1, 0, -1), (1, 0, 0, 0))
@@ -262,3 +262,29 @@ def wdn_networks(draw, max_nodes: int = 8, max_links: int = 12) -> WdnNetwork:
         links = sorted(zip(kinds, link_labels, *zip(*pairs)), key=lambda link: LINK_KINDS.index(link[0]))
     link_kinds, link_labels, froms, tos = tuple(zip(*links)) or ((), (), (), ())
     return WdnNetwork(node_labels, node_kinds, link_labels, link_kinds, (froms, tos))
+
+
+def to_inp_text(net: WdnNetwork) -> str:
+    """A minimal INP text of ``net``, which ``parse_inp`` reads back as ``net``."""
+    out = ["[TITLE]", "exported network", ""]
+    filler = {
+        "junction": "0",
+        "reservoir": "0",
+        "tank": "0 10 0 20 50 0",
+        "pipe": "1000 300 100",
+        "pump": "HEAD 1",
+        "valve": "300 PRV 0",
+    }
+    labels = net.node_labels
+    nodes = list(zip(net.node_kinds, labels))
+    links = [(kind, f"{label}\t{labels[a]}\t{labels[b]}")
+             for label, kind, a, b in zip(net.link_labels, net.link_kinds, *net.ends)]
+    for sections, rows in ((_NODE_SECTIONS, nodes), (_LINK_SECTIONS, links)):
+        for section, kind in sections.items():
+            body = [f" {text}\t{filler[kind]}" for row_kind, text in rows if row_kind == kind]
+            if body:
+                out += [f"[{section}]", *body, ""]
+    if not any(kind in _LINK_SECTIONS.values() for kind in net.link_kinds):
+        out += ["[PIPES]", ""]
+    out.append("[END]")
+    return "\n".join(out) + "\n"

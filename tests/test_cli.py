@@ -23,8 +23,7 @@ from strucsense.forcing import Certificate, ClosureRun
 from strucsense.oracle import MinimalPlacementResult, OracleReport
 from strucsense.pattern import PatternMatrix
 from strucsense.placement import PipelineRun, SensorCountReport
-from strucsense.wdn import to_inp_text
-from generators import cyclic_inp_text, random_connected_pattern, wdn_networks
+from generators import cyclic_inp_text, random_connected_pattern, to_inp_text, wdn_networks
 
 
 def run_cli(capsys, *argv):
@@ -430,6 +429,17 @@ class TestPlace:
         assert json.loads(certificate)["sso"] is False
         abar = json.loads(certificate)["graphs"][1]
         assert sorted(set(range(14)) - {u for _, u in abar["trace"]}) == [2, 3, 7, 11]
+
+    @pytest.mark.parametrize("mode", ["cyclic", "tree"])
+    def test_empty_graph_certifies_with_no_sensor(self, capsys, tmp_path, mode):
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 0}')
+        code, out, _ = run_cli(capsys, "place", str(path), "--mode", mode, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["placement"]["measured"] == []
+        assert payload["counts"] == {"extreme_nodes": 0, "cycles": 0, "sensors": 0, "bound_ok": True}
+        assert payload["certificate"]["sso"] is True
 
     def test_refused_network_white_states_match_the_full_listing(self, capsys, tmp_path):
         path = tmp_path / "refused.inp"
@@ -858,6 +868,22 @@ class TestBench:
         assert code == 0
         assert out.splitlines()[0].startswith("| name |")
 
+    def test_a_refused_placement_is_reported_but_not_fatal(self, capsys, fixtures_dir, tmp_path):
+        refused = tmp_path / "gap.json"
+        refused.write_text(json.dumps(GAP14))
+        code, out, err = run_cli(capsys, "bench", str(refused), str(fixtures_dir / "path4.inp"), "--format", "json")
+        assert code == 1
+        assert err == f"bench failed for {refused}: placement for {refused} failed certification\n"
+        assert [r["name"] for r in json.loads(out)] == ["path4"]
+
+    def test_an_internal_fault_propagates(self, fixtures_dir, monkeypatch):
+        def broken(g, t):
+            raise TypeError("internal fault")
+
+        monkeypatch.setattr(strucsense.placement, "place_cyclic", broken)
+        with pytest.raises(TypeError, match="internal fault"), contextlib.redirect_stdout(io.StringIO()):
+            main(["bench", str(fixtures_dir / "path4.inp")])
+
     def test_every_format_writes_the_bench_columns(self, capsys, fixtures_dir):
         path = str(fixtures_dir / "path4.inp")
         rows = json.loads(run_cli(capsys, "bench", path, "--format", "json")[1])
@@ -1151,7 +1177,7 @@ class TestParserReuse:
         argv = ["place", str(fixtures_dir / "triangle_wdn.inp"), "--format", "json"]
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
             main(["place", str(fixtures_dir / "triangle_wdn.inp"), "--mode", "loop"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         fresh = subprocess.run(
             [sys.executable, "-m", "strucsense.cli", *argv],
             capture_output=True,
@@ -1159,6 +1185,50 @@ class TestParserReuse:
             env={**os.environ, "PYTHONPATH": source_pythonpath()},
         )
         assert captured_main(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+class TestUsage:
+    """A usage error exits 1, as an input error does, so that 2 stays a refused placement's code alone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["place", "fixtures/path4.inp", "--bogus"],
+            ["place", "fixtures/path4.inp", "--mode", "loop"],
+            ["place"],
+            [],
+        ],
+        ids=["unknown-flag", "bad-choice", "missing-path", "no-command"],
+    )
+    def test_usage_error_exits_1(self, argv):
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+            main(argv)
+        assert exc.value.code == 1
+        assert err.getvalue().startswith("usage: strucsense") and "error: " in err.getvalue()
+
+    def test_help_exits_0(self):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()):
+            main(["place", "--help"])
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize("command", ["oracle", "minimize"])
+    def test_a_command_with_one_output_format_takes_no_format(self, command, fixtures_dir):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(SystemExit), contextlib.redirect_stdout(out):
+            main([command, "--help"])
+        assert "--format" not in out.getvalue()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+            main([command, str(fixtures_dir / "path4.inp"), "--format", "json"])
+        assert exc.value.code == 1
+        assert err.getvalue().endswith("error: unrecognized arguments: --format json\n")
+
+    @pytest.mark.parametrize("command", ["info", "place", "certify", "oracle", "minimize", "export-dot", "bench"])
+    def test_every_command_documents_out(self, command):
+        out = io.StringIO()
+        with pytest.raises(SystemExit), contextlib.redirect_stdout(out):
+            main([command, "--help"])
+        assert "write output to this path instead of stdout" in " ".join(out.getvalue().split())
 
 
 FIXTURE_NAMES = sorted(p.name for p in (Path(__file__).resolve().parent.parent / "fixtures").iterdir())

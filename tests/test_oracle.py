@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -79,6 +80,20 @@ class TestRankTest:
         with pytest.raises(ValueError, match=refusal):
             sample_and_check(PatternMatrix(31, 31), PatternMatrix(1, 31), trials=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "a, c, message",
+        [
+            (np.zeros((2, 3)), np.eye(2), "state matrix must be square, got (2, 3)"),
+            (np.zeros(4), np.eye(2), "state matrix must be square, got (4,)"),
+            (np.eye(2), np.eye(3), "output matrix shape (3, 3) does not match 2 states"),
+            (np.eye(2), np.ones(2), "output matrix shape (2,) does not match 2 states"),
+        ],
+        ids=["non-square", "one-axis", "column-count", "one-axis-output"],
+    )
+    def test_shape_refusals(self, a, c, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            observability_rank_test(a, c)
+
     def test_non_finite_rejected(self):
         a = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
@@ -132,6 +147,18 @@ class TestSampleAndCheck:
         for c_mode in ("unit", "sampled"):
             report = sample_and_check(a, c, trials=5, seed=3, c_mode=c_mode)
             assert (report.passes, report.min_sigma_ratio) == (5, 1.0)
+
+    @pytest.mark.parametrize(
+        "a, c, message",
+        [
+            (PatternMatrix(2, 3), PatternMatrix(1, 2), "square state pattern required, got 2x3"),
+            (TRIANGLE, PatternMatrix(1, 2), "output pattern has 2 columns, expected 3"),
+        ],
+        ids=["non-square", "column-count"],
+    )
+    def test_shape_refusals(self, a, c, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            sample_and_check(a, c, trials=1, seed=0)
 
     def test_unknown_c_mode_rejected(self):
         c = PatternMatrix(1, 3, frozenset({(0, 0)}), frozenset())

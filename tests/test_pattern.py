@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,20 @@ class TestPatternMatrix:
         assert p.entry(0, 0) is Entry.ZERO
         assert p.entry(0, 1) is Entry.STAR
         assert p.entry(1, 0) is Entry.UNKNOWN
+
+    @pytest.mark.parametrize(
+        "i, j, message",
+        [(2, 0, "(2, 0) outside 2x3"), (0, 3, "(0, 3) outside 2x3"), (-1, 0, "(-1, 0) outside 2x3")],
+        ids=["row", "column", "negative"],
+    )
+    def test_entry_outside_shape_raises_index_error(self, i, j, message):
+        with pytest.raises(IndexError, match="^" + re.escape(message) + "$"):
+            PatternMatrix.from_rows(["0*?", "?*0"]).entry(i, j)
+
+    @pytest.mark.parametrize("rows", [["0*", "0"], ["0", "0*"], ["", "0"]], ids=["short", "long", "empty-first"])
+    def test_from_rows_refuses_ragged_rows(self, rows):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            PatternMatrix.from_rows(rows)
 
     def test_positions_outside_shape_rejected(self):
         with pytest.raises(ValueError):

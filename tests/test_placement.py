@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,8 @@ PATH3 = undirected([(0, 1), (1, 2)], 3)
 STAR13 = undirected([(0, 3), (1, 3), (2, 3)], 4)
 # branched tree: three branches meeting at node 4, leaf ends 0, 2, 6
 TREE9 = undirected([(0, 1), (1, 4), (2, 3), (3, 4), (4, 5), (5, 7), (7, 8), (8, 6)], 9)
+# star path 0-1-2 closed by an unknown edge (0, 2)
+STAR_PATH3_UNKNOWN_02 = StateGraph(3, PATH3.star_edges, frozenset({(0, 2), (2, 0)}))
 
 
 class TestPlaceTree:
@@ -81,6 +84,19 @@ class TestPlaceTree:
         g = undirected([(0, 1), (2, 3)], 4)
         with pytest.raises(ValueError, match="components"):
             place_tree(g, spanning_tree_dfs(g))
+
+    @pytest.mark.parametrize(
+        "g, t, message",
+        [
+            (TREE9, spanning_tree_dfs(PATH3), "tree over 3 nodes does not match graph with 9"),
+            # every state meets two others once the unknown edge counts, so none is extreme
+            (STAR_PATH3_UNKNOWN_02, spanning_tree_dfs(STAR_PATH3_UNKNOWN_02), "no extreme node to anchor the placement"),
+        ],
+        ids=["forest-size", "no-extreme-node"],
+    )
+    def test_refusals(self, g, t, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            place_tree(g, t)
 
     def test_every_random_tree_placement_certifies(self):
         # compact version of the executable tree guarantee; the acceptance

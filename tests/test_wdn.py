@@ -21,8 +21,8 @@ from strucsense import (
 )
 import strucsense.wdn
 from strucsense.cli import main
-from strucsense.wdn import MAX_EDGE_LIST_STATES, to_inp_text, write_incidence_csv
-from generators import TRIANGLE_WDN_INC, cyclic_inp_text, wdn_networks
+from strucsense.wdn import MAX_EDGE_LIST_STATES, write_incidence_csv
+from generators import TRIANGLE_WDN_INC, cyclic_inp_text, to_inp_text, wdn_networks
 from inp_reference import parse_inp as reference_parse_inp
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
