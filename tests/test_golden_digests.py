@@ -6,10 +6,14 @@ for seeds 0 to 3, run through ``info`` and ``place`` in every format, the
 tree rule (which refuses, the inputs being cyclic), ``certify``, every
 ``export-dot`` stage, and ``oracle`` and ``minimize`` (which refuse on
 their state caps). Seeds 0 to 2 certify; seed 3 refuses, since A colours
-and Abar does not. ``golden_digests.json`` maps each command line to the
-sha256 of its stdout, the sha256 of its stderr and its exit code.
+and Abar does not. A tree of the same scale, ``tree_inp_text(847)`` (1693
+states), pins the tree rule: ``place --mode tree`` in every format, the
+``placement`` and ``trace`` stages of ``export-dot --mode tree``, and
+``info``. ``golden_digests.json`` maps each command line to the sha256 of
+its stdout, the sha256 of its stderr and its exit code.
 
-The commands run in a temporary directory holding ``seed<k>.inp``, so the
+The commands run in a temporary directory holding ``seed<k>.inp`` and
+``tree847.inp``, so the
 path ``info`` prints is the same wherever the suite runs. Regenerate the
 file after a deliberate output change with
 ``PYTHONPATH=src python tests/test_golden_digests.py --write`` from the
@@ -32,16 +36,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))  # run as a script: make generators importable
 
-from generators import cyclic_inp_text  # noqa: E402
+from generators import cyclic_inp_text, tree_inp_text  # noqa: E402
 from strucsense.cli import main  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 SEEDS = range(4)
+TREE = "tree847.inp"
 
 
 def write_inputs(directory: Path) -> None:
     for seed in SEEDS:
         (directory / f"seed{seed}.inp").write_text(cyclic_inp_text(782, 124, seed))
+    (directory / TREE).write_text(tree_inp_text(847))
 
 
 def commands() -> list:
@@ -59,6 +65,9 @@ def commands() -> list:
             out.append(["export-dot", path, "--stage", stage])
         out.append(["oracle", path])
         out.append(["minimize", path])
+    out += [["place", TREE, "--mode", "tree", "--format", fmt] for fmt in ("json", "csv", "text")]
+    out += [["export-dot", TREE, "--stage", stage, "--mode", "tree"] for stage in ("placement", "trace")]
+    out.append(["info", TREE, "--format", "json"])
     return out
 
 
