@@ -104,13 +104,11 @@ class NodeClassification(NamedTuple):
     """Degree-based node roles; degrees ignore self-loops.
 
     Extreme nodes have exactly one neighbor, intersection nodes at least
-    three. Isolated (degree-0) nodes are listed separately: they are not
-    extreme, but the cyclic placement rule still selects them.
+    three.
     """
 
     extreme: tuple
     intersection: tuple
-    isolated: tuple
 
     @property
     def n_e(self) -> int:
@@ -187,16 +185,14 @@ def _transposed(pairs: frozenset) -> frozenset:
 
 
 def classify_nodes(g: StateGraph) -> NodeClassification:
-    extreme, intersection, isolated = [], [], []
+    extreme, intersection = [], []
     for v in range(g.n):
         d = len(g.nbrs[v])
         if d == 1:
             extreme.append(v)
         elif d >= 3:
             intersection.append(v)
-        elif d == 0:
-            isolated.append(v)
-    return NodeClassification(tuple(extreme), tuple(intersection), tuple(isolated))
+    return NodeClassification(tuple(extreme), tuple(intersection))
 
 
 def connected_components_star(g: StateGraph) -> list:

@@ -1,11 +1,11 @@
 """Sensor placement rules, the pipeline record, and the output pattern.
 
-Two strategies: for trees, measure every extreme node but one; for general
-graphs, extract a spanning forest and measure every node whose tree degree
-is below two (leaves and isolated nodes). ``PipelineRun`` chains these
-stages for one input and certifies its placement from its own two closed
-runs, on A and Abar. The output pattern (one star per row) is built only for
-the oracle and the paper-timed stages.
+Both rules read the spanning forest's leaves: for general graphs, measure
+every node of tree degree below two (leaves and isolated nodes); for trees,
+every extreme node (a leaf with no other neighbour) but one. ``PipelineRun``
+chains these stages for one input and certifies its placement from its own
+two closed runs, on A and Abar. The output pattern (one star per row) is
+built only for the oracle and the paper-timed stages.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .forcing import Certificate, ClosureRun
-from .netgraph import NodeClassification, StateGraph, classify_nodes, companion, cycle_count, outside
+from .netgraph import StateGraph, companion, cycle_count, outside
 from .pattern import PatternMatrix
 from .spanning import SpanningTree, removed_chords, spanning_tree_dfs
 
@@ -71,14 +71,14 @@ class SensorCountReport(NamedTuple):
     bound_ok: bool
 
 
-def place_tree(g: StateGraph, t: SpanningTree, classification: NodeClassification | None = None) -> SensorPlacement:
+def place_tree(g: StateGraph, t: SpanningTree) -> SensorPlacement:
     """Measure all extreme nodes except the highest-indexed one.
 
     Requires an acyclic, single-component graph, read off ``t``, its DFS
     forest. Any omitted extreme node would do; dropping the highest index
     keeps the result deterministic. A graph of at most one node measures
-    every state it has. ``classification`` is ``classify_nodes(g)`` when the
-    caller holds it.
+    every state it has. Once the checks pass, every star edge is a tree edge,
+    so the extreme nodes are the leaves of ``t`` with one neighbour of either kind.
     """
     if t.n != g.n:
         raise ValueError(f"tree over {t.n} nodes does not match graph with {g.n}")
@@ -90,7 +90,7 @@ def place_tree(g: StateGraph, t: SpanningTree, classification: NodeClassificatio
         raise ValueError(f"graph has {len(t.roots)} star components; tree placement needs one")
     if g.n <= 1:
         return SensorPlacement(tuple(range(g.n)), g.n, "tree")
-    extreme = (classification or classify_nodes(g)).extreme
+    extreme = [v for v in t.leaves if len(g.nbrs[v]) == 1]
     if not extreme:
         raise ValueError("no extreme node to anchor the placement")
     return SensorPlacement(tuple(extreme[:-1]), g.n, "tree")
@@ -165,10 +165,6 @@ class PipelineRun:
         self.graph, self.mode, self.given = graph, mode, given
 
     @cached_property
-    def classification(self) -> NodeClassification:
-        return classify_nodes(self.graph)
-
-    @cached_property
     def tree(self) -> SpanningTree:
         return spanning_tree_dfs(self.graph)
 
@@ -177,7 +173,7 @@ class PipelineRun:
         if self.given is not None:
             return self.given
         if self.mode == "tree":
-            return place_tree(self.graph, self.tree, self.classification)
+            return place_tree(self.graph, self.tree)
         return place_cyclic(self.graph, self.tree)
 
     @cached_property
@@ -198,8 +194,8 @@ class PipelineRun:
 
     @cached_property
     def counts(self) -> SensorCountReport:
-        p = self.placement
+        p, n = self.placement, self.graph.n
+        report = sensor_count_report(self.graph, self.tree, p)
         if p.mode != "tree":
-            return sensor_count_report(self.graph, self.tree, p)
-        n, n_e = self.graph.n, self.classification.n_e  # the tree rule measures all extreme nodes but one
-        return SensorCountReport(n_e, 0, p.n_y, p.n_y == (n if n <= 1 else n_e - 1))
+            return report
+        return report._replace(bound_ok=p.n_y == (n if n <= 1 else report.extreme_nodes - 1))  # all extreme but one

@@ -333,11 +333,11 @@ class TestPlace:
             "bound_ok": True,
         }
 
-    def test_tree_mode_builds_one_forest_and_classifies_once(self, capsys, fixtures_dir, monkeypatch):
+    def test_tree_mode_builds_one_forest_and_never_classifies(self, capsys, fixtures_dir, monkeypatch):
         counts = count_calls(monkeypatch, "spanning_tree_dfs", "classify_nodes")
         code, _, _ = run_cli(capsys, "place", str(fixtures_dir / "path4.inp"), "--mode", "tree")
         assert code == 0
-        assert counts == {"spanning_tree_dfs": 1, "classify_nodes": 1}
+        assert counts == {"spanning_tree_dfs": 1, "classify_nodes": 0}
 
     def test_tree_mode_reads_star_components_off_the_forest(self, capsys, fixtures_dir, monkeypatch):
         counts = count_calls(monkeypatch, "connected_components_star")
@@ -981,6 +981,12 @@ class TestJsonWriter:
         assert strucsense.cli._json_text(rows) == strucsense.cli._json_text([list(row) for row in rows])
         assert strucsense.cli._json_text({"trace": rows}) == json.dumps({"trace": trace}, indent=2)
 
+    @pytest.mark.parametrize("key", [1, None, ("a",)], ids=["int", "none", "tuple"])
+    def test_a_key_that_is_not_a_str_is_refused(self, key):
+        """``json.dumps`` would coerce an int or ``None`` key to a string; the writer refuses every such key."""
+        with pytest.raises(TypeError, match="^JSON output keys must be str$"):
+            strucsense.cli._json_text({"a": 1, key: 2})
+
     @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C-accelerated json encoder")
     def test_no_command_output_uses_the_pure_python_encoder(self, fixtures_dir, monkeypatch):
         golden = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
@@ -1372,3 +1378,23 @@ class TestStageTimesScript:
         assert set(rows[2]) == {"path", "states", "kernel_ms", *search}
         assert all(rows[2][stage] >= 0 for stage in search)
         assert rows[2]["states"] == 9
+
+
+class TestUntestedLinesScript:
+    def test_lists_unrun_lines_and_a_total(self):
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "untested_lines.py"), "-q", "-p", "no:cacheprovider",
+             "tests/test_records.py"],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": source_pythonpath()},
+        )
+        assert proc.returncode == 0, proc.stderr
+        *listed, total = proc.stdout.splitlines()
+        assert listed
+        for line in listed:
+            assert re.fullmatch(r"src/strucsense/\w+\.py:[1-9]\d*: \S.*", line), line
+        unrun, lines = map(int, re.fullmatch(r"(\d+) of (\d+) lines that compile to code were not run", total).groups())
+        assert unrun == len(listed) < lines

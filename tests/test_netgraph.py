@@ -132,7 +132,8 @@ class TestClassifyNodes:
             g = from_pattern(p)
             cls = classify_nodes(g)
             degree_two = sum(1 for v in range(g.n) if len(g.nbrs[v]) == 2)
-            assert cls.n_e + cls.n_i + degree_two + len(cls.isolated) == g.n
+            isolated = sum(1 for v in range(g.n) if not g.nbrs[v])
+            assert cls.n_e + cls.n_i + degree_two + isolated == g.n
 
 
 class TestComponents:

@@ -1,3 +1,4 @@
+import random
 import re
 from pathlib import Path
 
@@ -107,6 +108,79 @@ class TestPlaceTree:
             p = place_tree(g, spanning_tree_dfs(g))
             c = build_output_pattern(p, g.n)
             assert certify_sso(g, c).sso, f"seed {seed}"
+
+
+def tree_rule_by_classification(g: StateGraph) -> SensorPlacement:
+    """The tree rule as ``classify_nodes`` states it: every extreme node but the highest-indexed one.
+
+    The structural refusals and the tiny graphs read no extreme node, so
+    ``place_tree`` answers those; past them, the extreme nodes come from a
+    pass over the graph rather than from the forest.
+    """
+    t = spanning_tree_dfs(g)
+    if cycle_count(g, t.roots) or len(t.roots) > 1 or g.n <= 1:
+        return place_tree(g, t)
+    extreme = classify_nodes(g).extreme
+    if not extreme:
+        raise ValueError("no extreme node to anchor the placement")
+    return SensorPlacement(extreme[:-1], g.n, "tree")
+
+
+def place_tree_of(g: StateGraph) -> SensorPlacement:
+    return place_tree(g, spanning_tree_dfs(g))
+
+
+def outcome(rule, g: StateGraph):
+    """The rule's measured states, or the message it refused with."""
+    try:
+        return rule(g).measured
+    except ValueError as exc:
+        return str(exc)
+
+
+def star_tree_with_unknowns(seed: int, every_leaf: bool = False) -> StateGraph:
+    """A random star tree on 3 to 30 states plus off-diagonal unknown edges, some one-way.
+
+    With ``every_leaf``, each leaf gets an unknown edge to a state it does not
+    touch, so no state is extreme; otherwise a random few pairs get one.
+    """
+    rng = random.Random(seed)
+    g = from_pattern(random_tree_pattern(seed, n_min=3, n_max=30))
+    star = g.star_edges
+    free = [(i, j) for i in range(g.n) for j in range(g.n) if i != j and (i, j) not in star]
+    if every_leaf:
+        picks = [rng.choice([(i, j) for (i, j) in free if i == v]) for v in range(g.n) if len(g.nbrs[v]) == 1]
+    else:
+        picks = rng.sample(free, min(len(free), rng.randint(0, 4)))
+    unknown = set(g.unknown_edges)
+    for (i, j) in picks:
+        unknown |= {(i, j), (j, i)} if rng.random() < 0.5 else {(i, j)}
+    return StateGraph(g.n, star, frozenset(unknown))
+
+
+class TestTreeRuleReadsTheForest:
+    """``place_tree`` reads the forest's leaves; the paper states the rule on the extreme nodes."""
+
+    GRAPHS = (
+        [from_pattern(random_tree_pattern(seed)) for seed in range(200)]
+        + [star_tree_with_unknowns(seed) for seed in range(200)]
+        + [star_tree_with_unknowns(seed, every_leaf=True) for seed in range(50)]
+        + [from_pattern(random_connected_pattern(seed, n_max=20)) for seed in range(50)]
+        + [PATH3, STAR13, TREE9, STAR_PATH3_UNKNOWN_02, StateGraph(0), StateGraph(1), undirected([(0, 1), (2, 3)], 4)]
+    )
+
+    def test_same_placement_or_same_refusal(self):
+        for k, g in enumerate(self.GRAPHS):
+            assert outcome(place_tree_of, g) == outcome(tree_rule_by_classification, g), f"graph {k}"
+
+    def test_the_inputs_reach_every_outcome(self):
+        outcomes = [outcome(place_tree_of, g) for g in self.GRAPHS]
+        refusals = [o for o in outcomes if isinstance(o, str)]
+        for start in ("graph is cyclic", "graph has 2 star components", "no extreme node"):
+            assert any(o.startswith(start) for o in refusals), start
+        accepted = [(g, o) for g, o in zip(self.GRAPHS, outcomes) if isinstance(o, tuple) and g.n > 1]
+        # a leaf that an unknown edge also touches is not extreme: the forest's leaves are not all measured
+        assert any(len(o) < len(spanning_tree_dfs(g).leaves) - 1 for g, o in accepted)
 
 
 class TestPlaceCyclic:

@@ -49,9 +49,9 @@ RECORDS = {
     ColoringState: lambda: ColoringState(frozenset({0, 1}), ((2, 0), (0, 1))),
     Certificate: lambda: Certificate(True, ((2, 0), (0, 1)), False, ((2, 0),)),
     StateGraph: path3,
-    NodeClassification: lambda: NodeClassification((0, 2), (), ()),
+    NodeClassification: lambda: NodeClassification((0, 2), ()),
     PreconditionReport: lambda: PreconditionReport(
-        True, True, True, None, ((0, 1, 2),), NodeClassification((0, 2), (), ())
+        True, True, True, None, ((0, 1, 2),), NodeClassification((0, 2), ())
     ),
     OracleReport: lambda: OracleReport(10, 9, 0.25, 42),
     MinimalPlacementResult: lambda: MinimalPlacementResult(2, ((0, 1), (1, 2)), 7),
@@ -94,6 +94,23 @@ def test_different_arguments_give_unequal_records():
     assert companion(star) != companion(star_graph(((1,), (0,)), (UNKNOWN, UNKNOWN)))
 
 
+# the records with a hand-written ``__eq__``, and the tuple of the fields it compares
+OWN_EQUALITY = {
+    PatternMatrix: lambda a: (a.rows, a.cols, a.star, a.unknown),
+    StateGraph: lambda g: (g.n, g.star_out, g.out, g.loops),
+    SensorPlacement: lambda p: (p.measured, p.n_states, p.mode),
+}
+
+
+@pytest.mark.parametrize("cls", list(OWN_EQUALITY), ids=lambda cls: cls.__name__)
+def test_a_foreign_object_is_never_equal(cls):
+    """Not even the tuple of the record's own fields: the comparison is left to the other operand."""
+    record = RECORDS[cls]()
+    for other in (OWN_EQUALITY[cls](record), None, "record", 0):
+        assert record.__eq__(other) is NotImplemented
+        assert record != other and other != record
+
+
 def test_two_runs_of_one_graph_are_two_runs():
     g, given = path3(), SensorPlacement((0,), 3, "given")
     a, b = PipelineRun(g, "cyclic", given), PipelineRun(g, "cyclic", given)
@@ -108,6 +125,10 @@ def test_reports_serialize_through_their_own_fields():
     for cls in REPORTS:
         assert not hasattr(cls, "as_dict"), cls.__name__
     assert SensorCountReport._fields == ("extreme_nodes", "cycles", "sensors", "bound_ok")
+
+
+def test_node_classification_holds_the_two_roles_it_names():
+    assert NodeClassification._fields == ("extreme", "intersection")
 
 
 @pytest.mark.parametrize("cls", [cls for cls in RECORDS if hasattr(cls, "_fields")], ids=lambda cls: cls.__name__)
