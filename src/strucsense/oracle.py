@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .forcing import ClosureRun, sensor_states
 from .netgraph import StateGraph, companion, from_pattern
-from .pattern import STAR_RANGE, Entry, PatternMatrix, make_abar, sample_realizations
+from .pattern import STAR_RANGE, Entry, PatternMatrix, sample_realizations
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_STATE_CAP = 30
@@ -163,36 +163,37 @@ def sample_and_check(a_pat: PatternMatrix, c_pat: PatternMatrix, trials: int, se
     return OracleReport(trials, passes, min_ratio, seed)
 
 
-def _solve_stuck_rows(pattern: PatternMatrix, whites, x, pins, rng):
-    """Realize ``pattern`` so that the white-supported vector is in its kernel.
+def _solve_stuck_rows(g: StateGraph, white: list, x, lam: float, rng):
+    """Realize ``g``'s pattern so that the white-supported vector ``x`` is in its kernel.
 
-    Every row must satisfy sum_j X[i, j] * x[j] = 0 over the white columns.
-    The closure fixpoint guarantees each row has enough free entries: a row
-    whose only white entry is an unpinned star would have forced during the
-    closure. Returns the ``(n, n)`` array X, or None when a star entry would
-    be driven to zero (the caller redraws ``x`` and retries).
+    Row i's entries are the columns ``g.inn[i]`` and its loop; (i, j) is a star when
+    ``i in g.star_out[j]``. With ``lam`` nonzero, ``g`` is Abar's and its star loops, where
+    A's diagonal is zero, are pinned at ``-lam``. The closure fixpoint leaves each row enough
+    free entries: a row whose only white entry is an unpinned star would have forced. Returns
+    the ``(n, n)`` array X, or None when a star would be driven to zero (redraw ``x``).
     """
     import numpy as np
 
-    n = pattern.rows
+    n, star_out, inn, loops, star = g.n, g.star_out, g.inn, g.loops, Entry.STAR
     mat = np.zeros((n, n))
-    for (i, j) in pattern.star:
-        mat[i, j] = pins.get((i, j), rng.uniform(*STAR_RANGE))
+    for j, rows in enumerate(star_out):
+        for i in rows:
+            mat[i, j] = rng.uniform(*STAR_RANGE)
+    for i, loop in enumerate(loops):
+        if loop is star:
+            mat[i, i] = -lam if lam else rng.uniform(*STAR_RANGE)
     for i in range(n):
-        wcols = [j for j in whites if pattern.entry(i, j) is not Entry.ZERO]
+        wcols = [j for j in inn[i] if white[j]] + ([i] if white[i] and loops[i] is not Entry.ZERO else [])
         if not wcols:
             continue
-        free = [j for j in wcols if (i, j) not in pins]
-        if not free:
-            if abs(sum(mat[i, j] * x[j] for j in wcols)) > 0:
-                return None
-            continue
-        unknown_free = [j for j in free if pattern.entry(i, j) is Entry.UNKNOWN]
-        cancel = unknown_free[0] if unknown_free else free[0]
+        free = [j for j in wcols if j != i or not (lam and loops[i] is star)]
+        if not free:  # the pinned diagonal alone: -lam * x[i] cannot vanish
+            return None
+        unknown = [j for j in free if (loops[i] is not star if j == i else i not in star_out[j])]
+        cancel = unknown[0] if unknown else free[0]
         mat[i, cancel] = 0.0
-        residual = sum(mat[i, j] * x[j] for j in wcols if j != cancel)
-        value = -residual / x[cancel]
-        if value == 0.0 and pattern.entry(i, cancel) is Entry.STAR:
+        value = -float(mat[i, wcols] @ x[wcols]) / x[cancel]
+        if value == 0.0 and not unknown:
             return None
         mat[i, cancel] = value
     return mat
@@ -205,40 +206,34 @@ def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, se
     eigenvector no sensor sees. This builds the realization: a member X of
     the state pattern class, a vector x with X x = lam * x, and the
     eigenvalue lam, where x vanishes on every measured state. Returns None
-    when the certificate holds. Symmetric state patterns only.
+    when the certificate holds. Symmetric state patterns only. The rows are
+    solved on the graph of the closed run that stayed white: A's, or its
+    companion's when A colours.
     """
     import numpy as np
 
     graph = from_pattern(a_pat)  # raises unless a_pat is square
-    n = a_pat.rows
+    n = graph.n
     measured = sensor_states(c_pat, n)
-    black, pattern, lam, pins = ClosureRun(graph, measured).black, a_pat, 0.0, {}
-    if all(black):  # A colours: a realization K of Abar with K x = 0 gives X = K + I, with X x = x
-        black = ClosureRun(companion(graph), measured).black
-        if all(black):
+    run, lam = ClosureRun(graph, measured), 0.0
+    if all(run.black):  # A colours: a realization K of Abar with K x = 0 gives X = K + I, with X x = x
+        run, lam = ClosureRun(companion(graph), measured), 1.0
+        if all(run.black):
             return None
-        pattern, lam = make_abar(a_pat), 1.0
-        pins = {(i, i): -lam for i in range(n) if a_pat.entry(i, i) is Entry.ZERO}
-    whites = [v for v in range(n) if not black[v]]
-    if set(measured) & set(whites):
+    white = [not b for b in run.black]
+    if any(white[s] for s in measured):
         raise AssertionError("measured state left white; closure is broken")
+    star_diag = [i for i, loop in enumerate(graph.loops) if loop is Entry.STAR]
 
     rng = np.random.default_rng(seed)
     for _ in range(20):
-        x = np.zeros(n)
-        for w in whites:
-            x[w] = rng.uniform(1.0, 2.0)
-        kernel = _solve_stuck_rows(pattern, whites, x, pins, rng)
-        if kernel is None:
+        x = np.where(white, rng.uniform(1.0, 2.0, n), 0.0)
+        realization = _solve_stuck_rows(run.graph, white, x, lam, rng)
+        if realization is None:
             continue
-        realization = kernel + lam * np.eye(n)
+        realization.flat[::n + 1] += lam
         # shifting may drive a required-nonzero diagonal to zero; redraw if so
-        bad_diag = any(
-            realization[i, i] == 0.0
-            for i in range(n)
-            if a_pat.entry(i, i) is Entry.STAR
-        )
-        if bad_diag:
+        if not realization.diagonal()[star_diag].all():
             continue
         if not np.allclose(realization @ x, lam * x):
             continue

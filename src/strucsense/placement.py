@@ -133,18 +133,23 @@ def count_bounds_ok(n_e: int, cycles: int, sensors: int) -> bool:
 
 
 def sensor_count_report(g: StateGraph, t: SpanningTree, p: SensorPlacement) -> SensorCountReport:
-    """Check the placement size against its structural bounds; ``t`` drops one star pair per cycle.
+    """Check the placement size against its rule's bound; ``t`` drops one star pair per cycle.
 
-    The envelope counts the states of star degree below two, since the
-    forest reads star edges only and the rule measures every state of tree
-    degree below two; the report's ``extreme_nodes`` stays ``classify_nodes``'
-    extreme-node count, whose degrees count unknown edges too.
+    A tree placement must measure every extreme node but one (every state, on
+    at most one). Any other is held to ``count_bounds_ok``'s envelope, which
+    counts the states of star degree below two, since the forest reads star
+    edges only and the cyclic rule measures every state of tree degree below
+    two; the report's ``extreme_nodes`` stays ``classify_nodes``' extreme-node
+    count, whose degrees count unknown edges too.
     """
     star = list(map(len, g.star_nbrs))
     both = star if g.nbrs is g.star_nbrs else list(map(len, g.nbrs))
-    cycles = cycle_count(g, t.roots)
-    must = star.count(0) + star.count(1)
-    return SensorCountReport(both.count(1), cycles, p.n_y, count_bounds_ok(must, cycles, p.n_y))
+    cycles, n_e = cycle_count(g, t.roots), both.count(1)
+    if p.mode == "tree":
+        ok = p.n_y == (g.n if g.n <= 1 else n_e - 1)
+    else:
+        ok = count_bounds_ok(star.count(0) + star.count(1), cycles, p.n_y)
+    return SensorCountReport(n_e, cycles, p.n_y, ok)
 
 
 class PipelineRun:
@@ -194,8 +199,4 @@ class PipelineRun:
 
     @cached_property
     def counts(self) -> SensorCountReport:
-        p, n = self.placement, self.graph.n
-        report = sensor_count_report(self.graph, self.tree, p)
-        if p.mode != "tree":
-            return report
-        return report._replace(bound_ok=p.n_y == (n if n <= 1 else report.extreme_nodes - 1))  # all extreme but one
+        return sensor_count_report(self.graph, self.tree, self.placement)

@@ -1073,6 +1073,44 @@ class TestEntryPoint:
         assert len(proc.stdout.splitlines()) == 3
 
 
+class TestLogLinesInProcess:
+    """``STRUCSENSE_LOG`` read by ``main`` in this process, where a line-coverage run sees the writers run."""
+
+    LEVELS = [("info", True), ("debug", True), ("warning", False), ("", False), (None, False)]
+
+    @staticmethod
+    def set_level(monkeypatch, level):
+        if level is None:
+            monkeypatch.delenv("STRUCSENSE_LOG", raising=False)
+        else:
+            monkeypatch.setenv("STRUCSENSE_LOG", level)
+
+    @pytest.mark.parametrize("level, verbose", LEVELS)
+    def test_minimize_writes_one_sorted_json_line_per_size(self, capsys, fixtures_dir, monkeypatch, level, verbose):
+        self.set_level(monkeypatch, level)
+        code, out, err = run_cli(capsys, "minimize", str(fixtures_dir / "triangle3.json"))
+        assert code == 0
+        if not verbose:
+            assert err == ""
+            return
+        lines = err.splitlines()
+        updates = [json.loads(line) for line in lines]
+        assert lines == [json.dumps(u, sort_keys=True) for u in updates]
+        payload = json.loads(out)
+        assert [u["size"] for u in updates] == list(range(payload["minimum_size"] + 1)) == [0, 1, 2]
+        assert updates[-1] == {"size": 2, "checked": payload["configurations_checked"],
+                               "witnesses": len(payload["witnesses"])}
+
+    @pytest.mark.parametrize("level, verbose", LEVELS)
+    def test_bench_writes_one_done_line_per_path(self, capsys, fixtures_dir, monkeypatch, level, verbose):
+        self.set_level(monkeypatch, level)
+        paths = [str(fixtures_dir / "path4.inp"), str(fixtures_dir / "two_loop.inp")]
+        code, out, err = run_cli(capsys, "bench", *paths, "--format", "csv")
+        assert code == 0
+        assert err == ("".join(f"INFO strucsense: bench {p} done\n" for p in paths) if verbose else "")
+        assert len(out.splitlines()) == 3
+
+
 def fresh_interpreter(code: str, *args: str):
     """Run ``code`` in a new interpreter on the package under test; it prints one JSON line."""
     proc = subprocess.run(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from strucsense import (
     OracleReport,
     PatternMatrix,
+    PipelineRun,
     StateGraph,
     build_output_pattern,
     certify_sso,
@@ -22,8 +23,10 @@ from strucsense import (
     place_cyclic,
     sample_and_check,
     spanning_tree_dfs,
+    to_pattern,
 )
 import strucsense.oracle
+from strucsense.cli import load_input, main
 from strucsense.forcing import (
     ClosureRun,
     build_observability_graph,
@@ -36,6 +39,7 @@ from strucsense.wdn import parse_edge_list
 from generators import (
     TRIANGLE_WDN_INC,
     colors_all,
+    cyclic_inp_text,
     graph_of,
     patterns_with_sensors,
     random_connected_pattern,
@@ -262,9 +266,12 @@ def random_pattern(seed: int, n_max: int = 7) -> PatternMatrix:
 
 
 def count_oracle_calls(monkeypatch, *names) -> dict:
-    """Count calls of the named functions as ``strucsense.oracle`` looks them up."""
+    """Count calls of the named functions as ``strucsense.oracle`` looks them up; a name it does not import stays 0."""
     counts = dict.fromkeys(names, 0)
     for name in names:
+        if not hasattr(strucsense.oracle, name):
+            continue
+
         def counting(*args, _fn=getattr(strucsense.oracle, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
@@ -359,10 +366,11 @@ class TestExhaustiveAgainstNaiveSearch:
         assert adds < result.configurations_checked
 
     def test_companion_built_once_per_search(self, monkeypatch):
-        counts = count_oracle_calls(monkeypatch, "make_abar", "companion")
+        counts = count_oracle_calls(monkeypatch, "companion")
         result = exhaustive_min_sensors(graph_of(random_connected_pattern(3, n_min=8, n_max=10)))
         assert result.configurations_checked > 1
-        assert counts == {"make_abar": 0, "companion": 1}
+        assert counts == {"companion": 1}
+        assert not hasattr(strucsense.oracle, "make_abar")  # no pattern-level Abar anywhere in the oracle
 
 
 class TestUnobservableWitness:
@@ -390,6 +398,24 @@ class TestUnobservableWitness:
         assert got_lam == lam
         assert np.allclose(realization @ vector, lam * vector)
         assert counts == {"from_pattern": 1, "companion": int(lam == 1.0)}  # Abar only in shifted mode
+
+    @pytest.mark.parametrize("name, lam", [("refused33.json", 0.0), ("seed3.inp", 1.0)])
+    def test_the_trace_drawing_whites_are_the_witness_support(self, capsys, fixtures_dir, tmp_path, name, lam):
+        """``export-dot --stage trace`` and the witness read the same stuck run: its white states are x's support.
+
+        refused33 leaves both graphs white, so both read A's run; L-town-size seed 3 colours A,
+        so both read Abar's.
+        """
+        path = fixtures_dir / name
+        if name == "seed3.inp":
+            path = tmp_path / name
+            path.write_text(cyclic_inp_text(782, 124, 3))
+        assert main(["export-dot", str(path), "--stage", "trace"]) == 0
+        drawn_white = capsys.readouterr().out.count('|white"')
+        run = PipelineRun(load_input(str(path)).graph)
+        _, vector, got_lam = find_unobservable_realization(to_pattern(run.graph), run.output)
+        assert got_lam == lam
+        assert drawn_white == np.count_nonzero(vector) > 0
 
     def test_certified_placement_has_no_witness(self):
         pat = structured_pattern(TRIANGLE_WDN_INC)

@@ -13,12 +13,17 @@ import statistics
 import time
 import tracemalloc
 
+import numpy as np
+
 from strucsense import (
     PatternMatrix,
+    PipelineRun,
     build_output_pattern,
     certify_sso,
     classify_nodes,
     cycle_count,
+    find_unobservable_realization,
+    is_member,
     make_abar,
     place_cyclic,
     sample_and_check,
@@ -55,6 +60,30 @@ def test_cyclic_certificate_at_benchmark_scale(tmp_path):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         assert main(["place", str(path)]) == 2
     assert err.getvalue().splitlines()[-1] == cert.to_json()
+
+
+def test_unobservable_witness_at_benchmark_scale():
+    """Seed 3's refusal is backed by a realization solved on Abar's stuck run: X in A's class, X x = x.
+
+    x vanishes on every sensor and is nonzero on exactly the states Abar's closure leaves white.
+    The solve holds one 1687 x 1687 array (21.7 MiB) and no second one.
+    """
+    g = state_graph(parse_inp(cyclic_inp_text(782, 124, seed=3)))
+    run = PipelineRun(g)
+    cert = run.certificate
+    a = to_pattern(g)
+    tracemalloc.start()
+    try:
+        realization, vector, lam = find_unobservable_realization(a, run.output)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lam == 1.0
+    assert is_member(realization, a)
+    assert np.allclose(realization @ vector, lam * vector)
+    assert not vector[list(run.placement.measured)].any()
+    assert np.count_nonzero(vector) == g.n - len(cert.trace_abar) == 110
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_pipeline_at_benchmark_scale():
