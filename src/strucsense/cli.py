@@ -58,9 +58,7 @@ class InputBundle(NamedTuple):
 def load_input(path: str) -> InputBundle:
     """Dispatch on file content: JSON edge list or EPANET INP."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    as_json = path.endswith(".json") or stripped.startswith("{")
-    if as_json:
+    if path.endswith(".json") or text.lstrip().startswith("{"):
         graph = parse_edge_list(text)
         return InputBundle(path, graph, [str(i) for i in range(graph.n)])
     net = parse_inp(text)
@@ -285,10 +283,8 @@ def cmd_export_dot(args) -> int:
         text = dot.tree_dot(bundle.graph, run.tree, bundle.labels, flows)
     elif args.stage == "placement":
         text = dot.placement_dot(bundle.graph, run.placement, bundle.labels, flows)
-    else:  # trace: A's closure, or Abar's when A colours and Abar is the graph that refuses
-        closed = run.a_run
-        if all(closed.black) and not all(run.abar_run.black):
-            closed = run.abar_run
+    else:
+        closed = run.stuck or run.a_run
         text = dot.trace_dot(closed.graph, run.placement.measured, closed.trace, bundle.labels)
     _emit(text, args.out)
     return EXIT_OK

@@ -51,7 +51,7 @@ class StateGraph:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(outside(f"edge ({i}, {j})", n, "node range "))
         if star & unknown:
-            raise ValueError("an edge cannot be both star and unknown")
+            raise ValueError(f"edge {min(star & unknown)} is both star and unknown")
         is_star, is_unknown, none = Entry.STAR, Entry.UNKNOWN, Entry.ZERO
         loops = tuple([is_star if p in star else is_unknown if p in unknown else none for p in zip(range(n), range(n))])
         both = star | unknown if any(i != j for (i, j) in unknown) else star  # loops never enter a list

@@ -16,9 +16,10 @@ from itertools import islice
 from math import comb
 from typing import NamedTuple
 
-from .forcing import ClosureRun, sensor_states
-from .netgraph import StateGraph, companion, from_pattern
+from .forcing import ClosureRun
+from .netgraph import StateGraph, check_preconditions, companion
 from .pattern import STAR_RANGE, Entry, PatternMatrix, sample_realizations
+from .placement import PipelineRun
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_STATE_CAP = 30
@@ -199,36 +200,35 @@ def _solve_stuck_rows(g: StateGraph, white: list, x, lam: float, rng):
     return mat
 
 
-def find_unobservable_realization(a_pat: PatternMatrix, c_pat: PatternMatrix, seed: int = 0):
-    """Explicit disproof of observability for a rejected placement.
+def find_unobservable_realization(run: PipelineRun, seed: int = 0):
+    """Explicit disproof of observability for a refused placement.
 
     When a colorability check fails, its stuck white set supports an
     eigenvector no sensor sees. This builds the realization: a member X of
     the state pattern class, a vector x with X x = lam * x, and the
     eigenvalue lam, where x vanishes on every measured state. Returns None
-    when the certificate holds. Symmetric state patterns only. The rows are
-    solved on the graph of the closed run that stayed white: A's, or its
-    companion's when A colours.
+    when ``run``'s certificate holds. The rows are solved on the graph of
+    ``run.stuck``, closed once by the run: A's (lam 0), or its companion's
+    when A colours (lam 1). Symmetric graphs only: any other is refused
+    before a closure or a solve.
     """
     import numpy as np
 
-    graph = from_pattern(a_pat)  # raises unless a_pat is square
-    n = graph.n
-    measured = sensor_states(c_pat, n)
-    run, lam = ClosureRun(graph, measured), 0.0
-    if all(run.black):  # A colours: a realization K of Abar with K x = 0 gives X = K + I, with X x = x
-        run, lam = ClosureRun(companion(graph), measured), 1.0
-        if all(run.black):
-            return None
-    white = [not b for b in run.black]
-    if any(white[s] for s in measured):
+    graph, n = run.graph, run.graph.n
+    if not graph.is_symmetric():
+        raise ValueError(f"symmetric state patterns only; position {check_preconditions(graph).asymmetric_at} is unmirrored")
+    if (stuck := run.stuck) is None:
+        return None
+    lam = 0.0 if stuck is run.a_run else 1.0  # else A colours: a realization K of Abar with K x = 0 gives X = K + I
+    white = [not b for b in stuck.black]
+    if any(white[s] for s in run.placement.measured):
         raise AssertionError("measured state left white; closure is broken")
     star_diag = [i for i, loop in enumerate(graph.loops) if loop is Entry.STAR]
 
     rng = np.random.default_rng(seed)
     for _ in range(20):
         x = np.where(white, rng.uniform(1.0, 2.0, n), 0.0)
-        realization = _solve_stuck_rows(run.graph, white, x, lam, rng)
+        realization = _solve_stuck_rows(stuck.graph, white, x, lam, rng)
         if realization is None:
             continue
         realization.flat[::n + 1] += lam

@@ -157,13 +157,13 @@ class PipelineRun:
 
     Each stage is computed on first read and kept, so a caller pays only for
     what it reads. ``graph`` is ``from_pattern(a)`` or ``wdn.state_graph(net)``;
-    every stage reads the graph and never the pattern. ``a_run`` and
-    ``abar_run`` close the graph and its companion from the measured states,
-    and ``certificate`` reads their verdicts and traces; ``output`` serves
-    only the oracle and the paper-timed stages. ``tree`` is the DFS forest
-    whatever the mode: both rules read it. ``mode`` is "cyclic" or "tree"; a
-    ``given`` placement, e.g. a user's proposal, replaces both rules. A run
-    is a computation, not a value: it compares by identity.
+    every stage reads the graph and never the pattern. ``a_run`` and ``abar_run``
+    close the graph and its companion from the measured states; ``certificate``
+    reads their verdicts and traces, ``stuck`` names the one left with a white
+    state. ``output`` serves only the oracle and the paper-timed stages. ``tree``
+    is the DFS forest whatever the mode: both rules read it. ``mode`` is
+    "cyclic" or "tree"; a ``given`` placement, e.g. a user's proposal, replaces
+    both rules. A run is a computation, not a value: it compares by identity.
     """
 
     def __init__(self, graph: StateGraph, mode: str = "cyclic", given: SensorPlacement | None = None):
@@ -192,6 +192,13 @@ class PipelineRun:
     @cached_property
     def abar_run(self) -> ClosureRun:
         return ClosureRun(companion(self.graph), self.placement.measured)
+
+    @cached_property
+    def stuck(self) -> ClosureRun | None:
+        """The closed run that leaves a state white: A's, else Abar's, closed only once A colours; None if both colour."""
+        if not all(self.a_run.black):
+            return self.a_run
+        return None if all(self.abar_run.black) else self.abar_run
 
     @cached_property
     def certificate(self) -> Certificate:

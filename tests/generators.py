@@ -6,8 +6,8 @@ import random
 
 from hypothesis import strategies as st
 
-from strucsense import PatternMatrix, StateGraph, from_pattern
-from strucsense.forcing import ClosureRun, ObservabilityGraph, force_closure_reference
+from strucsense import PatternMatrix, PipelineRun, SensorPlacement, StateGraph, from_pattern
+from strucsense.forcing import ClosureRun, ObservabilityGraph, force_closure_reference, sensor_states
 from strucsense.spanning import SpanningTree
 from strucsense.wdn import _LINK_SECTIONS, _NODE_SECTIONS, WdnNetwork
 
@@ -18,6 +18,12 @@ TRIANGLE_WDN_INC = ((-1, 1, 1, 0), (0, 0, -1, 1), (0, -1, 0, -1), (1, 0, 0, 0))
 def graph_of(a: PatternMatrix) -> StateGraph:
     """The state graph of a square pattern, the only structural input of every stage."""
     return from_pattern(a)
+
+
+def given_run(a: PatternMatrix, c: PatternMatrix) -> PipelineRun:
+    """The pipeline record of ``a``'s graph measured where the output pattern ``c`` measures, in row order."""
+    n = a.rows
+    return PipelineRun(from_pattern(a), given=SensorPlacement(sensor_states(c, n), n, "given"))
 
 
 def edge_set_degrees(t: SpanningTree) -> list:

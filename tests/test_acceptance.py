@@ -44,6 +44,7 @@ from strucsense.oracle import DEFAULT_RANK_TOL, realize_unit_output
 from strucsense.pattern import Entry, PatternMatrix
 from strucsense.wdn import write_incidence_csv
 from generators import (
+    given_run,
     graph_of,
     random_connected_pattern,
     random_sensor_rows,
@@ -180,7 +181,7 @@ def test_criterion_5_cyclic_placements_certify():
         if certify_sso(g, c).sso:
             continue
         failures.append(seed)
-        realization, vector, lam = find_unobservable_realization(pattern, c, seed=seed)
+        realization, vector, lam = find_unobservable_realization(given_run(pattern, c), seed=seed)
         assert is_member(realization, pattern)
         assert np.allclose(realization @ vector, lam * vector)
         assert not observability_rank_test(

@@ -222,6 +222,7 @@ class TestInfo:
             ('{"n": 3, "unknown": null}', '"unknown" must be a list'),
             ('{"n": 3, "star": [[0]]}', "star entry [0] is not a pair of integers"),
             ('{"n": 3, "star": [[0, null]]}', "star entry [0, null] is not a pair"),
+            ('{"n": 3, "star": [[1, 2], [0, 1]], "unknown": [[1, 0]]}', "edge (0, 1) is both star and unknown"),
         ],
     )
     def test_malformed_edge_list_is_input_error(self, capsys, tmp_path, text, message):

@@ -34,6 +34,7 @@ from strucsense.wdn import parse_edge_list, parse_inp, state_graph
 from generators import (
     colors_all,
     cyclic_inp_text,
+    given_run,
     graph_of,
     patterns_with_sensors,
     random_sensor_rows,
@@ -609,7 +610,7 @@ class TestCertificateExactness:
                     assert report.passes == 20, (pattern.star, pattern.unknown, subset)
                     true_count += 1
                 else:
-                    realization, vector, lam = find_unobservable_realization(pattern, c)
+                    realization, vector, lam = find_unobservable_realization(given_run(pattern, c))
                     assert is_member(realization, pattern)
                     assert np.allclose(realization @ vector, lam * vector)
                     assert not observability_rank_test(realization, realize_unit_output(c))

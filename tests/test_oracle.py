@@ -11,6 +11,7 @@ from strucsense import (
     OracleReport,
     PatternMatrix,
     PipelineRun,
+    SensorPlacement,
     StateGraph,
     build_output_pattern,
     certify_sso,
@@ -23,7 +24,6 @@ from strucsense import (
     place_cyclic,
     sample_and_check,
     spanning_tree_dfs,
-    to_pattern,
 )
 import strucsense.oracle
 from strucsense.cli import load_input, main
@@ -40,6 +40,7 @@ from generators import (
     TRIANGLE_WDN_INC,
     colors_all,
     cyclic_inp_text,
+    given_run,
     graph_of,
     patterns_with_sensors,
     random_connected_pattern,
@@ -377,7 +378,7 @@ class TestUnobservableWitness:
     def test_rejected_single_sensor_on_triangle_yields_witness(self):
         c = PatternMatrix(1, 3, frozenset({(0, 0)}), frozenset())
         assert not certify_sso(graph_of(TRIANGLE), c).sso
-        realization, vector, lam = find_unobservable_realization(TRIANGLE, c)
+        realization, vector, lam = find_unobservable_realization(given_run(TRIANGLE, c))
         assert is_member(realization, TRIANGLE)
         assert np.allclose(realization @ vector, lam * vector)
         assert vector[0] == 0.0  # invisible to the sensor on state 0
@@ -390,14 +391,53 @@ class TestUnobservableWitness:
             (["0**", "*0*", "**0"], (0,), 1.0),  # A colours, Abar does not: shifted mode
         ],
     )
-    def test_graph_built_once(self, monkeypatch, rows, measured, lam):
+    def test_a_read_run_is_neither_rebuilt_nor_closed_again(self, monkeypatch, rows, measured, lam):
+        """Once a refused run's certificate is read, as ``place`` leaves it, the witness only solves."""
         a = PatternMatrix.from_rows(rows, symmetric=True)
-        c = PatternMatrix(len(measured), 3, frozenset(enumerate(measured)), frozenset())
-        counts = count_oracle_calls(monkeypatch, "from_pattern", "companion")
-        realization, vector, got_lam = find_unobservable_realization(a, c)
+        run = given_run(a, PatternMatrix(len(measured), 3, frozenset(enumerate(measured)), frozenset()))
+        assert not run.certificate.sso
+        counts = count_oracle_calls(monkeypatch, "ClosureRun", "from_pattern", "companion", "sensor_states")
+        closures = []
+        monkeypatch.setattr(ClosureRun, "__init__", lambda self, *args: closures.append(args))
+        realization, vector, got_lam = find_unobservable_realization(run)
         assert got_lam == lam
         assert np.allclose(realization @ vector, lam * vector)
-        assert counts == {"from_pattern": 1, "companion": int(lam == 1.0)}  # Abar only in shifted mode
+        assert counts == dict.fromkeys(counts, 0) and closures == []
+        assert not hasattr(strucsense.oracle, "from_pattern") and not hasattr(strucsense.oracle, "sensor_states")
+
+    def test_a_stuck_a_run_leaves_abar_unclosed(self):
+        """λ is 0 when A's run is the stuck one, decided without closing Abar."""
+        run = given_run(PatternMatrix.from_rows(["?*0", "*?*", "0*?"], symmetric=True), PatternMatrix(0, 3))
+        assert find_unobservable_realization(run)[2] == 0.0
+        assert "abar_run" not in run.__dict__
+
+    def test_an_asymmetric_graph_is_refused_before_any_solve(self, monkeypatch):
+        counts = count_oracle_calls(monkeypatch, "_solve_stuck_rows")
+        closures = []
+        monkeypatch.setattr(ClosureRun, "__init__", lambda self, *args: closures.append(args))
+        run = given_run(PatternMatrix.from_rows(["0*", "00"]), PatternMatrix(0, 2))
+        with pytest.raises(ValueError) as exc:
+            find_unobservable_realization(run)
+        assert str(exc.value) == "symmetric state patterns only; position (0, 1) is unmirrored"
+        assert counts == {"_solve_stuck_rows": 0} and closures == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(patterns_with_sensors(), st.integers(0, 2**16))
+    def test_the_witness_exists_exactly_when_the_certificate_fails(self, case, seed):
+        """On symmetric graphs: None exactly when the run certifies, λ 0 exactly when A's run is stuck."""
+        a, measured = case
+        run = PipelineRun(from_pattern(a), given=SensorPlacement(tuple(dict.fromkeys(measured)), a.rows, "given"))
+        if not run.graph.is_symmetric():
+            return
+        witness = find_unobservable_realization(run, seed=seed)
+        cert = run.certificate
+        assert (witness is None) == cert.sso
+        if witness is not None:
+            realization, vector, lam = witness
+            assert lam == (1.0 if cert.colorable_a else 0.0)
+            assert is_member(realization, a)
+            assert np.allclose(realization @ vector, lam * vector)
+            assert not vector[list(run.placement.measured)].any()
 
     @pytest.mark.parametrize("name, lam", [("refused33.json", 0.0), ("seed3.inp", 1.0)])
     def test_the_trace_drawing_whites_are_the_witness_support(self, capsys, fixtures_dir, tmp_path, name, lam):
@@ -413,7 +453,7 @@ class TestUnobservableWitness:
         assert main(["export-dot", str(path), "--stage", "trace"]) == 0
         drawn_white = capsys.readouterr().out.count('|white"')
         run = PipelineRun(load_input(str(path)).graph)
-        _, vector, got_lam = find_unobservable_realization(to_pattern(run.graph), run.output)
+        _, vector, got_lam = find_unobservable_realization(run)
         assert got_lam == lam
         assert drawn_white == np.count_nonzero(vector) > 0
 
@@ -422,7 +462,7 @@ class TestUnobservableWitness:
         g = from_pattern(pat)
         c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
         assert certify_sso(g, c).sso
-        assert find_unobservable_realization(pat, c) is None
+        assert find_unobservable_realization(given_run(pat, c)) is None
 
     def test_every_rejected_random_placement_yields_witness(self):
         produced = 0
@@ -433,7 +473,7 @@ class TestUnobservableWitness:
             c = build_output_pattern(p, g.n)
             if certify_sso(g, c).sso:
                 continue
-            realization, vector, lam = find_unobservable_realization(pat, c, seed=seed)
+            realization, vector, lam = find_unobservable_realization(given_run(pat, c), seed=seed)
             assert is_member(realization, pat)
             assert np.allclose(realization @ vector, lam * vector)
             assert all(vector[s] == 0.0 for s in p.measured)

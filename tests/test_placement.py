@@ -347,6 +347,16 @@ class TestPipelineCertificate:
         assert run.abar_run.graph == companion(run.graph)
         assert run.a_run.k == run.abar_run.k == run.placement.n_y
         assert cert.sso is (name not in (REFUSED_1X, "refused33.json"))  # the one fixture the certificate refuses
+        assert (run.stuck is None) is cert.sso
+
+    @pytest.mark.parametrize("name, stuck", [("refused33.json", "a_run"), (REFUSED_1X, "abar_run"), ("cyclic9.json", None)])
+    def test_stuck_is_the_first_run_left_with_a_white_state(self, name, stuck):
+        """A's run when it leaves a state white, Abar then never closed; else Abar's when it does; else None."""
+        run = PipelineRun(pipeline_graph(name))
+        got = run.stuck
+        if stuck == "a_run":
+            assert "abar_run" not in run.__dict__
+        assert got is (run.__dict__[stuck] if stuck else None)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_certify_sso_agrees_with_the_record_on_every_fixture(self, name):

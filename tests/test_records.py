@@ -155,7 +155,7 @@ def test_no_record_copies_its_fields_by_hand(cls):
         (lambda: StateGraph(-1), "negative state count -1"),
         (lambda: StateGraph(2, frozenset({(0, 2)})), "edge (0, 2) outside node range 0..1"),
         (lambda: StateGraph(0, frozenset({(0, 0)})), "edge (0, 0) outside a graph with no states"),
-        (lambda: StateGraph(2, frozenset({(0, 1)}), frozenset({(0, 1)})), "an edge cannot be both star and unknown"),
+        (lambda: StateGraph(2, frozenset({(0, 1)}), frozenset({(0, 1)})), "edge (0, 1) is both star and unknown"),
     ],
 )
 def test_validation_messages(build, message):

@@ -74,7 +74,7 @@ def test_unobservable_witness_at_benchmark_scale():
     a = to_pattern(g)
     tracemalloc.start()
     try:
-        realization, vector, lam = find_unobservable_realization(a, run.output)
+        realization, vector, lam = find_unobservable_realization(run)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
