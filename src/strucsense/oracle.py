@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import islice
 from math import comb
+from random import Random
 from typing import NamedTuple
 
 from .forcing import ClosureRun
@@ -164,36 +165,28 @@ def sample_and_check(a_pat: PatternMatrix, c_pat: PatternMatrix, trials: int, se
     return OracleReport(trials, passes, min_ratio, seed)
 
 
-def _solve_stuck_rows(g: StateGraph, white: list, x, lam: float, rng):
-    """Realize ``g``'s pattern so that the white-supported vector ``x`` is in its kernel.
+def _solve_stuck_rows(g: StateGraph, white: list, x: dict, lam: float, rng: Random):
+    """Realize ``g``'s pattern as ``{(i, j): value}`` with the white-supported ``x`` in its kernel.
 
     Row i's entries are the columns ``g.inn[i]`` and its loop; (i, j) is a star when
-    ``i in g.star_out[j]``. With ``lam`` nonzero, ``g`` is Abar's and its star loops, where
-    A's diagonal is zero, are pinned at ``-lam``. The closure fixpoint leaves each row enough
-    free entries: a row whose only white entry is an unpinned star would have forced. Returns
-    the ``(n, n)`` array X, or None when a star would be driven to zero (redraw ``x``).
+    ``i in g.star_out[j]``. With ``lam`` nonzero, ``g`` is Abar's and its star loops, where A's
+    diagonal is zero, are pinned at ``-lam``. Each row with a white entry sets a free one to cancel
+    the rest; only a row whose one white entry is its pinned loop has none, and on a symmetric graph
+    that state would have forced itself. Returns None when a star would be driven to zero (redraw ``x``).
     """
-    import numpy as np
-
-    n, star_out, inn, loops, star = g.n, g.star_out, g.inn, g.loops, Entry.STAR
-    mat = np.zeros((n, n))
-    for j, rows in enumerate(star_out):
-        for i in rows:
-            mat[i, j] = rng.uniform(*STAR_RANGE)
+    star_out, inn, loops, star = g.star_out, g.inn, g.loops, Entry.STAR
+    mat = {(i, j): rng.uniform(*STAR_RANGE) for j, rows in enumerate(star_out) for i in rows}
     for i, loop in enumerate(loops):
         if loop is star:
             mat[i, i] = -lam if lam else rng.uniform(*STAR_RANGE)
-    for i in range(n):
+    for i in range(g.n):
         wcols = [j for j in inn[i] if white[j]] + ([i] if white[i] and loops[i] is not Entry.ZERO else [])
         if not wcols:
             continue
         free = [j for j in wcols if j != i or not (lam and loops[i] is star)]
-        if not free:  # the pinned diagonal alone: -lam * x[i] cannot vanish
-            return None
         unknown = [j for j in free if (loops[i] is not star if j == i else i not in star_out[j])]
         cancel = unknown[0] if unknown else free[0]
-        mat[i, cancel] = 0.0
-        value = -float(mat[i, wcols] @ x[wcols]) / x[cancel]
+        value = -sum(mat.get((i, j), 0.0) * x[j] for j in wcols if j != cancel) / x[cancel]
         if value == 0.0 and not unknown:
             return None
         mat[i, cancel] = value
@@ -205,15 +198,13 @@ def find_unobservable_realization(run: PipelineRun, seed: int = 0):
 
     When a colorability check fails, its stuck white set supports an
     eigenvector no sensor sees. This builds the realization: a member X of
-    the state pattern class, a vector x with X x = lam * x, and the
-    eigenvalue lam, where x vanishes on every measured state. Returns None
+    the state pattern class as ``{(i, j): value}`` at pattern positions, a
+    vector x as ``{state: value}`` on the white set with X x = lam * x, and
+    the eigenvalue lam, so x vanishes on every measured state. Returns None
     when ``run``'s certificate holds. The rows are solved on the graph of
-    ``run.stuck``, closed once by the run: A's (lam 0), or its companion's
-    when A colours (lam 1). Symmetric graphs only: any other is refused
-    before a closure or a solve.
+    ``run.stuck``: A's (lam 0), or its companion's when A colours (lam 1).
+    Symmetric graphs only: any other is refused before a closure or a solve.
     """
-    import numpy as np
-
     graph, n = run.graph, run.graph.n
     if not graph.is_symmetric():
         raise ValueError(f"symmetric state patterns only; position {check_preconditions(graph).asymmetric_at} is unmirrored")
@@ -225,17 +216,22 @@ def find_unobservable_realization(run: PipelineRun, seed: int = 0):
         raise AssertionError("measured state left white; closure is broken")
     star_diag = [i for i, loop in enumerate(graph.loops) if loop is Entry.STAR]
 
-    rng = np.random.default_rng(seed)
+    rng = Random(seed)
     for _ in range(20):
-        x = np.where(white, rng.uniform(1.0, 2.0, n), 0.0)
+        x = {i: rng.uniform(1.0, 2.0) for i in range(n) if white[i]}
         realization = _solve_stuck_rows(stuck.graph, white, x, lam, rng)
         if realization is None:
             continue
-        realization.flat[::n + 1] += lam
+        for i in range(n):  # X = K + lam I: the loops pinned at -lam, where A's diagonal is zero, drop out at 0
+            if value := realization.pop((i, i), 0.0) + lam:
+                realization[i, i] = value
         # shifting may drive a required-nonzero diagonal to zero; redraw if so
-        if not realization.diagonal()[star_diag].all():
+        if not all((i, i) in realization for i in star_diag):
             continue
-        if not np.allclose(realization @ x, lam * x):
+        sums = [-lam * x.get(i, 0.0) for i in range(n)]
+        for (i, j), value in realization.items():
+            sums[i] += value * x.get(j, 0.0)
+        if not all(abs(r) <= 1e-8 + 1e-5 * lam * x.get(i, 0.0) for i, r in enumerate(sums)):  # X x = lam x, as allclose
             continue
         return realization, x, lam
     raise RuntimeError("could not realize the stuck set; exhausted retries")

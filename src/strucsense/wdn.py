@@ -227,7 +227,10 @@ def parse_edge_list(text: str) -> StateGraph:
     the placement pipeline without going through a water-network file.
     Raises ``ValueError`` naming the first malformed part.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("edge list JSON is nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValueError('edge list must be a JSON object with an integer "n"')
     if "n" not in data:

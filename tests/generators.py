@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from strucsense import PatternMatrix, PipelineRun, SensorPlacement, StateGraph, from_pattern
@@ -24,6 +25,16 @@ def given_run(a: PatternMatrix, c: PatternMatrix) -> PipelineRun:
     """The pipeline record of ``a``'s graph measured where the output pattern ``c`` measures, in row order."""
     n = a.rows
     return PipelineRun(from_pattern(a), given=SensorPlacement(sensor_states(c, n), n, "given"))
+
+
+def dense(X: dict, x: dict, n: int) -> tuple:
+    """A witness's sparse ``X`` and ``x`` as an ``(n, n)`` array and a length-``n`` vector, zero off their keys."""
+    mat, vec = np.zeros((n, n)), np.zeros(n)
+    for (i, j), value in X.items():
+        mat[i, j] = value
+    for i, value in x.items():
+        vec[i] = value
+    return mat, vec
 
 
 def edge_set_degrees(t: SpanningTree) -> list:

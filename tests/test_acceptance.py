@@ -44,6 +44,7 @@ from strucsense.oracle import DEFAULT_RANK_TOL, realize_unit_output
 from strucsense.pattern import Entry, PatternMatrix
 from strucsense.wdn import write_incidence_csv
 from generators import (
+    dense,
     given_run,
     graph_of,
     random_connected_pattern,
@@ -182,6 +183,7 @@ def test_criterion_5_cyclic_placements_certify():
             continue
         failures.append(seed)
         realization, vector, lam = find_unobservable_realization(given_run(pattern, c), seed=seed)
+        realization, vector = dense(realization, vector, pattern.rows)
         assert is_member(realization, pattern)
         assert np.allclose(realization @ vector, lam * vector)
         assert not observability_rank_test(

@@ -223,6 +223,7 @@ class TestInfo:
             ('{"n": 3, "star": [[0]]}', "star entry [0] is not a pair of integers"),
             ('{"n": 3, "star": [[0, null]]}', "star entry [0, null] is not a pair"),
             ('{"n": 3, "star": [[1, 2], [0, 1]], "unknown": [[1, 0]]}', "edge (0, 1) is both star and unknown"),
+            pytest.param('{"n": 2, "star": ' + "[" * 1500 + "]" * 1500 + "}", "nested too deeply to parse", id="nested-1500"),
         ],
     )
     def test_malformed_edge_list_is_input_error(self, capsys, tmp_path, text, message):
@@ -231,7 +232,7 @@ class TestInfo:
         code, out, err = run_cli(capsys, "info", str(bad))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_self_loop_link_is_input_error_with_line(self, capsys, tmp_path):
@@ -1171,6 +1172,19 @@ class TestColdStart:
         argv = ["oracle", str(fixtures_dir / "two_loop.inp"), "--trials", "2"]
         code, loaded = fresh_interpreter(COLD_START, *argv)
         assert code == 0 and "numpy" in loaded
+
+    def test_the_witness_needs_no_numpy(self, fixtures_dir):
+        """With numpy unimportable, refused33's refusal still gets its realization (λ 0)."""
+        code = """
+import json, sys
+sys.modules["numpy"] = None
+from strucsense import PipelineRun, find_unobservable_realization
+from strucsense.cli import load_input
+_, vector, lam = find_unobservable_realization(PipelineRun(load_input(sys.argv[1]).graph))
+print(json.dumps([lam, len(vector)]))
+"""
+        lam, support = fresh_interpreter(code, str(fixtures_dir / "refused33.json"))
+        assert lam == 0.0 and support > 0
 
     def test_only_the_numeric_modules_import_numpy(self):
         """Sparse end to end: of the package's modules, only ``oracle`` and ``pattern`` import numpy, at any depth."""

@@ -34,6 +34,7 @@ from strucsense.wdn import parse_edge_list, parse_inp, state_graph
 from generators import (
     colors_all,
     cyclic_inp_text,
+    dense,
     given_run,
     graph_of,
     patterns_with_sensors,
@@ -611,6 +612,7 @@ class TestCertificateExactness:
                     true_count += 1
                 else:
                     realization, vector, lam = find_unobservable_realization(given_run(pattern, c))
+                    realization, vector = dense(realization, vector, n)
                     assert is_member(realization, pattern)
                     assert np.allclose(realization @ vector, lam * vector)
                     assert not observability_rank_test(realization, realize_unit_output(c))

@@ -40,6 +40,7 @@ from generators import (
     TRIANGLE_WDN_INC,
     colors_all,
     cyclic_inp_text,
+    dense,
     given_run,
     graph_of,
     patterns_with_sensors,
@@ -379,6 +380,7 @@ class TestUnobservableWitness:
         c = PatternMatrix(1, 3, frozenset({(0, 0)}), frozenset())
         assert not certify_sso(graph_of(TRIANGLE), c).sso
         realization, vector, lam = find_unobservable_realization(given_run(TRIANGLE, c))
+        realization, vector = dense(realization, vector, 3)
         assert is_member(realization, TRIANGLE)
         assert np.allclose(realization @ vector, lam * vector)
         assert vector[0] == 0.0  # invisible to the sensor on state 0
@@ -401,6 +403,7 @@ class TestUnobservableWitness:
         monkeypatch.setattr(ClosureRun, "__init__", lambda self, *args: closures.append(args))
         realization, vector, got_lam = find_unobservable_realization(run)
         assert got_lam == lam
+        realization, vector = dense(realization, vector, 3)
         assert np.allclose(realization @ vector, lam * vector)
         assert counts == dict.fromkeys(counts, 0) and closures == []
         assert not hasattr(strucsense.oracle, "from_pattern") and not hasattr(strucsense.oracle, "sensor_states")
@@ -421,6 +424,43 @@ class TestUnobservableWitness:
         assert str(exc.value) == "symmetric state patterns only; position (0, 1) is unmirrored"
         assert counts == {"_solve_stuck_rows": 0} and closures == []
 
+    def test_a_stuck_run_that_left_a_sensor_white_is_refused(self):
+        """The witness checks that the closure blackened every measured state before it solves."""
+        run = given_run(TRIANGLE, PatternMatrix(1, 3, frozenset({(0, 0)}), frozenset()))
+        run.__dict__["stuck"] = ClosureRun(run.graph, ())  # a closure that never saw the sensor on state 0
+        with pytest.raises(AssertionError, match="measured state left white; closure is broken"):
+            find_unobservable_realization(run)
+
+    class Draws:
+        """Stands in for the witness's ``Random``: every entry of x draws 1.0, every star ``star``."""
+
+        def __init__(self, star):
+            self.star = star
+
+        def uniform(self, low, high):
+            return 1.0 if (low, high) == (1.0, 2.0) else self.star
+
+    @pytest.mark.parametrize(
+        "rows, star, nones",
+        [
+            # Abar's row 1: the pinned -x1 cancels the star x2, so the star it solves for would be 0
+            (["0*0", "*0*", "0**"], 1.0, 20),
+            # Abar's row 0 cancels on its unknown loop at -1, so A's star loop shifts to 0
+            (["**", "*0"], 1.0, 0),
+            # stars of 3.3e11: rounding leaves X x - 0 x above allclose's atol on some row
+            (["?0**", "0**0", "****", "*0*0"], 1e12 / 3, 0),
+        ],
+    )
+    def test_draws_that_cannot_realize_are_redrawn_then_refused(self, monkeypatch, rows, star, nones):
+        """Each of the three redraw conditions, met on every draw, ends in the exhausted-retries error."""
+        run = given_run(PatternMatrix.from_rows(rows, symmetric=True), PatternMatrix(0, len(rows)))
+        monkeypatch.setattr(strucsense.oracle, "Random", lambda seed: self.Draws(star))
+        solve, solved = strucsense.oracle._solve_stuck_rows, []
+        monkeypatch.setattr(strucsense.oracle, "_solve_stuck_rows", lambda *args: solved.append(solve(*args)) or solved[-1])
+        with pytest.raises(RuntimeError, match="exhausted retries"):
+            find_unobservable_realization(run)
+        assert len(solved) == 20 and sum(r is None for r in solved) == nones
+
     @settings(max_examples=200, deadline=None)
     @given(patterns_with_sensors(), st.integers(0, 2**16))
     def test_the_witness_exists_exactly_when_the_certificate_fails(self, case, seed):
@@ -435,6 +475,7 @@ class TestUnobservableWitness:
         if witness is not None:
             realization, vector, lam = witness
             assert lam == (1.0 if cert.colorable_a else 0.0)
+            realization, vector = dense(realization, vector, a.rows)
             assert is_member(realization, a)
             assert np.allclose(realization @ vector, lam * vector)
             assert not vector[list(run.placement.measured)].any()
@@ -455,7 +496,7 @@ class TestUnobservableWitness:
         run = PipelineRun(load_input(str(path)).graph)
         _, vector, got_lam = find_unobservable_realization(run)
         assert got_lam == lam
-        assert drawn_white == np.count_nonzero(vector) > 0
+        assert drawn_white == len(vector) > 0 and all(vector.values())
 
     def test_certified_placement_has_no_witness(self):
         pat = structured_pattern(TRIANGLE_WDN_INC)
@@ -474,6 +515,7 @@ class TestUnobservableWitness:
             if certify_sso(g, c).sso:
                 continue
             realization, vector, lam = find_unobservable_realization(given_run(pat, c), seed=seed)
+            realization, vector = dense(realization, vector, pat.rows)
             assert is_member(realization, pat)
             assert np.allclose(realization @ vector, lam * vector)
             assert all(vector[s] == 0.0 for s in p.measured)

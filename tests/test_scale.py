@@ -13,8 +13,6 @@ import statistics
 import time
 import tracemalloc
 
-import numpy as np
-
 from strucsense import (
     PatternMatrix,
     PipelineRun,
@@ -23,7 +21,6 @@ from strucsense import (
     classify_nodes,
     cycle_count,
     find_unobservable_realization,
-    is_member,
     make_abar,
     place_cyclic,
     sample_and_check,
@@ -62,28 +59,53 @@ def test_cyclic_certificate_at_benchmark_scale(tmp_path):
     assert err.getvalue().splitlines()[-1] == cert.to_json()
 
 
+def traced(fn, *args) -> tuple:
+    """``fn(*args)`` and its traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def assert_sparse_witness(run: PipelineRun, witness: tuple) -> None:
+    """X sits on A's positions with every star nonzero, X x = λ x row by row, and x is zero on every sensor."""
+    realization, vector, lam = witness
+    a = to_pattern(run.graph)
+    assert realization.keys() <= a.star | a.unknown
+    assert all(realization.get(p) for p in a.star)
+    sums = dict.fromkeys(range(run.graph.n), 0.0)
+    for (i, j), value in realization.items():
+        sums[i] += value * vector.get(j, 0.0)
+    assert all(abs(s - lam * vector.get(i, 0.0)) <= 1e-8 + 1e-5 * lam * vector.get(i, 0.0) for i, s in sums.items())
+    assert all(vector.values()) and not vector.keys() & set(run.placement.measured)
+
+
 def test_unobservable_witness_at_benchmark_scale():
     """Seed 3's refusal is backed by a realization solved on Abar's stuck run: X in A's class, X x = x.
 
     x vanishes on every sensor and is nonzero on exactly the states Abar's closure leaves white.
-    The solve holds one 1687 x 1687 array (21.7 MiB) and no second one.
+    The witness holds the graph's entries only, no n x n array.
     """
-    g = state_graph(parse_inp(cyclic_inp_text(782, 124, seed=3)))
-    run = PipelineRun(g)
+    run = PipelineRun(state_graph(parse_inp(cyclic_inp_text(782, 124, seed=3))))
     cert = run.certificate
-    a = to_pattern(g)
-    tracemalloc.start()
-    try:
-        realization, vector, lam = find_unobservable_realization(run)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert lam == 1.0
-    assert is_member(realization, a)
-    assert np.allclose(realization @ vector, lam * vector)
-    assert not vector[list(run.placement.measured)].any()
-    assert np.count_nonzero(vector) == g.n - len(cert.trace_abar) == 110
-    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    witness, peak = traced(find_unobservable_realization, run)
+    assert witness[2] == 1.0
+    assert_sparse_witness(run, witness)
+    assert len(witness[1]) == run.graph.n - len(cert.trace_abar) == 110
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_unobservable_witness_at_ten_times_benchmark_scale():
+    """At 10x L-town (16.9k states), where a dense X would take 2.3 GB, the witness fits in tens of MiB."""
+    run = PipelineRun(state_graph(parse_inp(cyclic_inp_text(7820, 1240, seed=1))))
+    witness, peak = traced(find_unobservable_realization, run)
+    assert witness[2] == 1.0
+    assert_sparse_witness(run, witness)
+    assert len(witness[1]) == 252
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_pipeline_at_benchmark_scale():
@@ -106,22 +128,11 @@ def test_pipeline_at_benchmark_scale():
     assert placement.n_y == classify_nodes(g).n_e
 
 
-def traced_load(path) -> tuple:
-    """``load_input(path)`` and its traced peak in bytes."""
-    tracemalloc.start()
-    try:
-        bundle = load_input(str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return bundle, peak
-
-
 def test_load_path_holds_no_dense_matrix(tmp_path):
     """Loading a 4000-node network stays sparse: no 4000 x 3999 float matrix (128 MB)."""
     path = tmp_path / "tree4000.inp"
     path.write_text(tree_inp_text(4000))
-    bundle, peak = traced_load(path)
+    bundle, peak = traced(load_input, str(path))
     assert bundle.graph.n == 7999
     assert peak < 48 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
@@ -130,7 +141,7 @@ def test_load_path_builds_no_state_pattern(tmp_path):
     """Loading reads the graph off the links: no pattern, no edge sets (10.6 MiB when both were built)."""
     path = tmp_path / "tree4000.inp"
     path.write_text(tree_inp_text(4000))
-    bundle, peak = traced_load(path)
+    bundle, peak = traced(load_input, str(path))
     assert bundle.graph.n == 7999
     assert peak < 6 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
