@@ -7,11 +7,6 @@ out-neighbor along a star edge once every other out-neighbor (star and
 unknown alike, self-loops included) is black; the forcer itself may still
 be white. If the closure blackens every state node the graph is colorable.
 
-The certificate (``Certificate.of``) reads one sensor set's closed runs on
-A's graph and on its nonzero-diagonal companion's: the system is strongly
-structurally observable exactly when both colour every state. ``PipelineRun``
-closes its placement's states; ``certify_sso`` decodes an output pattern first.
-
 The state part of that graph is the state graph's own directed lists, so
 a closure runs on a ``StateGraph`` itself, one ``ClosureRun`` per sensor
 set, which the exhaustive search resumes with more sensors; the
@@ -31,7 +26,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import NamedTuple
 
-from .netgraph import StateGraph, companion, outside
+from .netgraph import StateGraph, outside
 from .pattern import Entry, PatternMatrix
 
 # self-loop flags ``_close`` compares against, bound once: an Enum attribute lookup costs
@@ -60,17 +55,17 @@ class ColoringState(NamedTuple):
 
 
 class Certificate(NamedTuple):
-    """Verdicts and traces for both colorability checks."""
+    """One sensor set's verdicts and traces on A and Abar: strongly structurally observable exactly when both colour.
+
+    With no zero on A's diagonal, A and Abar share out-neighbours and every Abar loop is unknown, so an
+    Abar node forces only once black and as A's rule allows: by confluence (``ClosureRun``) Abar's black
+    set lies inside A's, and Abar alone decides. ``PipelineRun.certificate`` builds it.
+    """
 
     colorable_a: bool
     trace_a: tuple
     colorable_abar: bool
     trace_abar: tuple
-
-    @classmethod
-    def of(cls, a_run: ClosureRun, abar_run: ClosureRun) -> Certificate:
-        """The verdicts and traces of one sensor set's closed runs on A and on Abar."""
-        return cls(all(a_run.black), tuple(a_run.trace), all(abar_run.black), tuple(abar_run.trace))
 
     @property
     def sso(self) -> bool:
@@ -282,19 +277,3 @@ def replay_trace(g: ObservabilityGraph, trace) -> frozenset:
             raise ValueError(f"step ({v}, {u}) applied while {others_white[0]} is white")
         black[u] = True
     return frozenset(i for i in range(total) if black[i])
-
-
-def certify_sso(g: StateGraph, c: PatternMatrix) -> Certificate:
-    """Certify strong structural observability of a state graph measured by ``c``.
-
-    Closes the graph and its nonzero-diagonal companion from the states ``c``
-    measures, as ``PipelineRun.certificate`` does from its placement's. Both
-    traces are kept so a verdict can be replayed and rendered step by step.
-
-    With no zero on the diagonal, Abar's black set lies inside A's, so Abar alone decides: A and
-    Abar then have the same out-neighbour sets and every Abar loop is unknown, so an Abar node
-    forces only once black and only as A's rule allows; by confluence (``ClosureRun``) A's closure
-    contains Abar's. A zero on the diagonal breaks this.
-    """
-    measured = sensor_states(c, g.n)
-    return Certificate.of(ClosureRun(g, measured), ClosureRun(companion(g), measured))

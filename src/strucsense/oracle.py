@@ -166,30 +166,28 @@ def sample_and_check(a_pat: PatternMatrix, c_pat: PatternMatrix, trials: int, se
 
 
 def _solve_stuck_rows(g: StateGraph, white: list, x: dict, lam: float, rng: Random):
-    """Realize ``g``'s pattern as ``{(i, j): value}`` with the white-supported ``x`` in its kernel.
+    """Realize ``g``'s pattern as ``{(i, j): value}`` with X x = ``lam`` x for the white-supported ``x``.
 
     Row i's entries are the columns ``g.inn[i]`` and its loop; (i, j) is a star when
-    ``i in g.star_out[j]``. With ``lam`` nonzero, ``g`` is Abar's and its star loops, where A's
-    diagonal is zero, are pinned at ``-lam``. Each row with a white entry sets a free one to cancel
-    the rest; only a row whose one white entry is its pinned loop has none, and on a symmetric graph
-    that state would have forced itself. Returns None when a star would be driven to zero (redraw ``x``).
+    ``i in g.star_out[j]``, and every star draws from ``STAR_RANGE``. Each row with a white entry
+    sets one to meet ``lam`` x_i (0 off the white set): an unknown one if it has one, else its first
+    white column. The white set is a fort of the stuck graph, so on a symmetric graph a row whose
+    white entries are one star alone is a white row with ``lam`` 1, where the star meets x_i.
+    Returns None when a star would be driven to zero (redraw ``x``).
     """
     star_out, inn, loops, star = g.star_out, g.inn, g.loops, Entry.STAR
     mat = {(i, j): rng.uniform(*STAR_RANGE) for j, rows in enumerate(star_out) for i in rows}
-    for i, loop in enumerate(loops):
-        if loop is star:
-            mat[i, i] = -lam if lam else rng.uniform(*STAR_RANGE)
+    mat.update({(i, i): rng.uniform(*STAR_RANGE) for i, loop in enumerate(loops) if loop is star})
     for i in range(g.n):
         wcols = [j for j in inn[i] if white[j]] + ([i] if white[i] and loops[i] is not Entry.ZERO else [])
         if not wcols:
             continue
-        free = [j for j in wcols if j != i or not (lam and loops[i] is star)]
-        unknown = [j for j in free if (loops[i] is not star if j == i else i not in star_out[j])]
-        cancel = unknown[0] if unknown else free[0]
-        value = -sum(mat.get((i, j), 0.0) * x[j] for j in wcols if j != cancel) / x[cancel]
+        unknown = [j for j in wcols if (loops[i] is not star if j == i else i not in star_out[j])]
+        solve = unknown[0] if unknown else wcols[0]
+        value = (lam * x.get(i, 0.0) - sum(mat.get((i, j), 0.0) * x[j] for j in wcols if j != solve)) / x[solve]
         if value == 0.0 and not unknown:
             return None
-        mat[i, cancel] = value
+        mat[i, solve] = value
     return mat
 
 
@@ -201,8 +199,8 @@ def find_unobservable_realization(run: PipelineRun, seed: int = 0):
     the state pattern class as ``{(i, j): value}`` at pattern positions, a
     vector x as ``{state: value}`` on the white set with X x = lam * x, and
     the eigenvalue lam, so x vanishes on every measured state. Returns None
-    when ``run``'s certificate holds. The rows are solved on the graph of
-    ``run.stuck``: A's (lam 0), or its companion's when A colours (lam 1).
+    when ``run``'s certificate holds. ``run.stuck`` gives the white set and
+    lam, 0 if it is A's run and 1 if Abar's; the rows are solved on A's graph.
     Symmetric graphs only: any other is refused before a closure or a solve.
     """
     graph, n = run.graph, run.graph.n
@@ -210,30 +208,22 @@ def find_unobservable_realization(run: PipelineRun, seed: int = 0):
         raise ValueError(f"symmetric state patterns only; position {check_preconditions(graph).asymmetric_at} is unmirrored")
     if (stuck := run.stuck) is None:
         return None
-    lam = 0.0 if stuck is run.a_run else 1.0  # else A colours: a realization K of Abar with K x = 0 gives X = K + I
+    lam = 0.0 if stuck is run.a_run else 1.0
     white = [not b for b in stuck.black]
     if any(white[s] for s in run.placement.measured):
         raise AssertionError("measured state left white; closure is broken")
-    star_diag = [i for i, loop in enumerate(graph.loops) if loop is Entry.STAR]
 
     rng = Random(seed)
     for _ in range(20):
         x = {i: rng.uniform(1.0, 2.0) for i in range(n) if white[i]}
-        realization = _solve_stuck_rows(stuck.graph, white, x, lam, rng)
+        realization = _solve_stuck_rows(graph, white, x, lam, rng)
         if realization is None:
-            continue
-        for i in range(n):  # X = K + lam I: the loops pinned at -lam, where A's diagonal is zero, drop out at 0
-            if value := realization.pop((i, i), 0.0) + lam:
-                realization[i, i] = value
-        # shifting may drive a required-nonzero diagonal to zero; redraw if so
-        if not all((i, i) in realization for i in star_diag):
             continue
         sums = [-lam * x.get(i, 0.0) for i in range(n)]
         for (i, j), value in realization.items():
             sums[i] += value * x.get(j, 0.0)
-        if not all(abs(r) <= 1e-8 + 1e-5 * lam * x.get(i, 0.0) for i, r in enumerate(sums)):  # X x = lam x, as allclose
-            continue
-        return realization, x, lam
+        if all(abs(r) <= 1e-8 + 1e-5 * lam * x.get(i, 0.0) for i, r in enumerate(sums)):  # X x = lam x, as allclose
+            return realization, x, lam
     raise RuntimeError("could not realize the stuck set; exhausted retries")
 
 
@@ -285,7 +275,7 @@ def exhaustive_min_sensors(g: StateGraph, progress=None) -> MinimalPlacementResu
     then the rest of that size is swept so all witnesses (up to
     ``WITNESS_CAP``) are counted. Abar's graph is ``companion(g)``. With no
     zero on the diagonal Abar alone decides, since its black set then lies
-    inside A's (``certify_sso``), and A is never closed; else A is walked
+    inside A's (``forcing.Certificate``), and A is never closed; else A is walked
     and Abar checks only the subsets A colours, none once the witness cap is
     reached. Each graph has one root run and one cache of closures by black
     set and added state, shared by every prefix and size, so a closure is

@@ -202,7 +202,9 @@ class PipelineRun:
 
     @cached_property
     def certificate(self) -> Certificate:
-        return Certificate.of(self.a_run, self.abar_run)
+        """Both closed runs' verdicts and traces: the one place a ``Certificate`` is built."""
+        a, abar = self.a_run, self.abar_run
+        return Certificate(all(a.black), tuple(a.trace), all(abar.black), tuple(abar.trace))
 
     @cached_property
     def counts(self) -> SensorCountReport:

@@ -220,6 +220,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _quoted(value) -> str:
+    """``value``'s JSON text for an error message: its first 60 characters and "…" when longer."""
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:60] + "…"
+
+
 def parse_edge_list(text: str) -> StateGraph:
     """Build a state graph from JSON ``{"n": N, "star": [[i, j], ...], "unknown": ...}``.
 
@@ -237,22 +243,22 @@ def parse_edge_list(text: str) -> StateGraph:
         raise ValueError('edge list has no "n"')
     n = data["n"]
     if not _is_int(n):
-        raise ValueError(f'"n" must be an integer, got {json.dumps(n)}')
+        raise ValueError(f'"n" must be an integer, got {_quoted(n)}')
     if n < 0:
-        raise ValueError(f'"n" must be non-negative, got {n}')
+        raise ValueError(f'"n" must be non-negative, got {_quoted(n)}')
     if n > MAX_EDGE_LIST_STATES:
-        raise ValueError(f'"n" = {n} exceeds the cap of {MAX_EDGE_LIST_STATES} states')
+        raise ValueError(f'"n" = {_quoted(n)} exceeds the cap of {MAX_EDGE_LIST_STATES} states')
     star, unknown = set(), set()
     for key, bucket in (("star", star), ("unknown", unknown)):
         pairs = data.get(key, [])
         if not isinstance(pairs, list):
-            raise ValueError(f'"{key}" must be a list of [i, j] pairs, got {json.dumps(pairs)}')
+            raise ValueError(f'"{key}" must be a list of [i, j] pairs, got {_quoted(pairs)}')
         for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
-                raise ValueError(f"{key} entry {json.dumps(pair)} is not a pair of integers")
+                raise ValueError(f"{key} entry {_quoted(pair)} is not a pair of integers")
             i, j = pair
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(outside(f"{key} pair ({i}, {j})", n))
+                raise ValueError(outside(f"{key} pair ({_quoted(i)}, {_quoted(j)})", n))
             bucket.add((i, j))
             bucket.add((j, i))
     return StateGraph(n, frozenset(star), frozenset(unknown))

@@ -14,8 +14,8 @@ import pytest
 
 from strucsense import (
     PipelineRun,
+    SensorPlacement,
     build_output_pattern,
-    certify_sso,
     classify_nodes,
     count_bounds_ok,
     cycle_count,
@@ -110,7 +110,7 @@ def test_criterion_1_2_benchmark_pipeline(name, bench_dir):
         timings.append(time.perf_counter() - start)
     elapsed = statistics.median(timings)
 
-    cert = certify_sso(g, c)
+    cert = PipelineRun(g, given=p).certificate
     cls = classify_nodes(g)
     cycles = cycle_count(g)
     assert g.n == exp_states, f"{name}: {g.n} state nodes, expected {exp_states}"
@@ -141,7 +141,7 @@ def test_criterion_3_triangle_fixture(fixtures_dir, tmp_path):
     assert diag.count(Entry.STAR) == 4 and diag.count(Entry.UNKNOWN) == 4
     g, t, p, c = run_pipeline(pattern)
     assert p.n_y == 2, f"expected exactly 2 sensors, got {p.measured}"
-    assert certify_sso(g, c).sso
+    assert PipelineRun(g, given=p).certificate.sso
     report = sample_and_check(pattern, c, trials=100, seed=42)
     assert report.passes == 100, f"oracle passes {report.passes}/100"
     elapsed = time.perf_counter() - start
@@ -159,7 +159,7 @@ def test_criterion_4_tree_placements_always_certify():
         assert 2 <= pattern.rows <= 50
         g = from_pattern(pattern)
         p = place_tree(g, spanning_tree_dfs(g))
-        if not certify_sso(g, build_output_pattern(p, g.n)).sso:
+        if not PipelineRun(g, given=p).certificate.sso:
             failures.append(seed)
     assert not failures, f"tree placements failed certification for seeds {failures}"
     print("ACCEPTANCE C4 tree guarantee: PASS: 200/200 certified")
@@ -179,10 +179,11 @@ def test_criterion_5_cyclic_placements_certify():
         pattern = random_connected_pattern(seed)
         assert 2 <= pattern.rows <= 50
         g, t, p, c = run_pipeline(pattern)
-        if certify_sso(g, c).sso:
+        run = PipelineRun(g, given=p)
+        if run.certificate.sso:
             continue
         failures.append(seed)
-        realization, vector, lam = find_unobservable_realization(given_run(pattern, c), seed=seed)
+        realization, vector, lam = find_unobservable_realization(run, seed=seed)
         realization, vector = dense(realization, vector, pattern.rows)
         assert is_member(realization, pattern)
         assert np.allclose(realization @ vector, lam * vector)
@@ -229,7 +230,7 @@ def test_criterion_7_certified_implies_numerically_observable():
         if pattern.rows > 20:
             continue
         g, t, p, c = run_pipeline(pattern)
-        if not certify_sso(g, c).sso:
+        if not PipelineRun(g, given=p).certificate.sso:
             continue
         report = sample_and_check(pattern, c, trials=100, seed=10_000 + seed)
         assert report.passes == 100, (
@@ -256,13 +257,8 @@ def test_criterion_8_exhaustive_baseline_on_fixtures(fixtures_dir):
         )
         assert result.witnesses, f"{name}: no witness found"
         for witness in result.witnesses:
-            c_pat = PatternMatrix(
-                len(witness),
-                pattern.rows,
-                frozenset((r, s) for r, s in enumerate(witness)),
-                frozenset(),
-            )
-            assert certify_sso(g, c_pat).sso, f"{name}: witness {witness} does not certify"
+            run = PipelineRun(g, given=SensorPlacement(witness, pattern.rows, "given"))
+            assert run.certificate.sso, f"{name}: witness {witness} does not certify"
         lines.append(f"{name}: min={result.minimum_size} heuristic={p.n_y} ({elapsed:.2f}s)")
     assert lines, "no fixture small enough for the exhaustive baseline"
     print("ACCEPTANCE C8 exhaustive baseline: PASS: " + "; ".join(lines))
@@ -273,9 +269,9 @@ def test_criterion_9_negative_controls(fixtures_dir):
         pattern = load_fixture_pattern(fixtures_dir / name)
         assert pattern.rows >= 1
         empty = PatternMatrix(0, pattern.rows, frozenset(), frozenset())
-        assert not certify_sso(graph_of(pattern), empty).sso, f"{name}: empty placement certified"
+        assert not given_run(pattern, empty).certificate.sso, f"{name}: empty placement certified"
     scalar = PatternMatrix.from_rows(["*"])
-    cert = certify_sso(graph_of(scalar), PatternMatrix(0, 1, frozenset(), frozenset()))
+    cert = given_run(scalar, PatternMatrix(0, 1, frozenset(), frozenset())).certificate
     assert cert.colorable_a, "scalar star self-loop should color its own graph"
     assert not cert.colorable_abar, "the rewritten-diagonal graph must reject it"
     assert not cert.sso

@@ -13,7 +13,6 @@ from strucsense import (
     PatternMatrix,
     SensorPlacement,
     build_output_pattern,
-    certify_sso,
     is_member,
     make_abar,
     observability_rank_test,
@@ -186,7 +185,7 @@ class TestForceClosure:
         assert len(trace) == 9  # every state forced exactly once
         # a lone sensor passes the plain graph but not the full certificate
         for lone in (0, 2, 6):
-            assert not certify_sso(graph_of(CYCLIC9), sensors([lone], 9)).sso
+            assert not given_run(CYCLIC9, sensors([lone], 9)).certificate.sso
 
     def test_trace_replays_exactly(self):
         for seed in range(20):
@@ -275,8 +274,8 @@ class TestCompanion:
         diag = "".join(data.draw(st.lists(st.sampled_from("*?"), min_size=a.rows, max_size=a.rows)))
         for pattern in (a, without_zero_diagonal(a, diag)):
             assert_companion_is_make_abar(pattern, graph_of(pattern))
-        c = sensors(measured, a.rows)
-        cert = certify_sso(graph_of(a), c)
+        c = sensors(list(dict.fromkeys(measured)), a.rows)  # a placement measures each state once
+        cert = given_run(a, c).certificate
         assert cert.trace_a == force_closure_reference(build_observability_graph(a, c)).trace
         assert cert.trace_abar == force_closure_reference(build_observability_graph(make_abar(a), c)).trace
 
@@ -507,44 +506,44 @@ class TestTraceDot:
 
 class TestCertificate:
     def test_scalar_star_without_sensors(self):
-        cert = certify_sso(graph_of(PatternMatrix.from_rows(["*"])), sensors([], 1))
+        cert = given_run(PatternMatrix.from_rows(["*"]), sensors([], 1)).certificate
         assert cert.colorable_a          # the star self-loop forces itself
         assert not cert.colorable_abar   # the rewritten diagonal is unknown
         assert not cert.sso
 
     def test_tree_placement_certifies(self):
-        cert = certify_sso(graph_of(TREE9), sensors([0, 2], 9))
+        cert = given_run(TREE9, sensors([0, 2], 9)).certificate
         assert cert.sso
 
     def test_cyclic_placement_certifies(self):
-        cert = certify_sso(graph_of(CYCLIC9), sensors([0, 2, 6], 9))
+        cert = given_run(CYCLIC9, sensors([0, 2, 6], 9)).certificate
         assert cert.sso
 
     def test_all_states_sensed_certifies(self):
-        cert = certify_sso(graph_of(CYCLIC9), sensors(list(range(9)), 9))
+        cert = given_run(CYCLIC9, sensors(list(range(9)), 9)).certificate
         assert cert.sso
 
     def test_empty_placement_never_certifies(self):
         for pat in (TRIANGLE, TREE9, CYCLIC9, PatternMatrix.from_rows(["*"])):
-            assert not certify_sso(graph_of(pat), sensors([], pat.rows)).sso
+            assert not given_run(pat, sensors([], pat.rows)).certificate.sso
 
     def test_extra_sensor_preserves_certificate(self):
         for seed in range(20):
             a = random_symmetric_pattern(seed, n_max=20)
             rng = random.Random(seed + 999)
             c = random_sensor_rows(rng, a.rows)
-            if not certify_sso(graph_of(a), c).sso:
+            if not given_run(a, c).certificate.sso:
                 continue
             extra = rng.randrange(a.rows)
             measured = sorted({j for (_, j) in c.star} | {extra})
             bigger = sensors(measured, a.rows)
-            assert certify_sso(graph_of(a), bigger).sso
+            assert given_run(a, bigger).certificate.sso
 
     @settings(max_examples=300, deadline=None)
     @given(patterns_with_sensors())
     def test_to_json_is_json_dumps_byte_for_byte(self, case):
         a, measured = case
-        cert = certify_sso(graph_of(a), sensors(measured, a.rows))
+        cert = given_run(a, sensors(list(dict.fromkeys(measured)), a.rows)).certificate
         assert cert.to_json() == json.dumps(cert.as_dict(), sort_keys=True)
 
     @pytest.mark.parametrize("cert", [
@@ -558,7 +557,7 @@ class TestCertificate:
         assert json.loads(cert.to_json())["sso"] is cert.sso
 
     def test_json_wire_format(self):
-        payload = json.loads(certify_sso(graph_of(TREE9), sensors([0, 2], 9)).to_json())
+        payload = json.loads(given_run(TREE9, sensors([0, 2], 9)).certificate.to_json())
         assert payload["sso"] is True
         assert [g["name"] for g in payload["graphs"]] == ["A", "Abar"]
         for g in payload["graphs"]:
@@ -605,7 +604,7 @@ class TestCertificateExactness:
         for pattern in self.all_symmetric_patterns(n):
             for subset in subsets:
                 c = sensors(list(subset), n)
-                cert = certify_sso(graph_of(pattern), c)
+                cert = given_run(pattern, c).certificate
                 if cert.sso:
                     report = sample_and_check(pattern, c, trials=20, seed=hash((n, subset)) % 10_000)
                     assert report.passes == 20, (pattern.star, pattern.unknown, subset)
@@ -632,7 +631,7 @@ class TestMinimalHeuristicGap:
         )
         # ascending DFS gives the path 4-0-1-2-3, so leaves are 3 and 4
         measured = (3, 4)
-        cert = certify_sso(graph_of(clique_pendant), sensors(list(measured), 5))
+        cert = given_run(clique_pendant, sensors(list(measured), 5)).certificate
         assert cert.colorable_a and not cert.colorable_abar
         assert not cert.sso
 
@@ -662,7 +661,7 @@ class TestKnownHeuristicGap:
 
     def test_certificate_rejects(self):
         a = sym(self.PAIRS, 14, diag=self.DIAG)
-        cert = certify_sso(graph_of(a), sensors(list(self.MEASURED), 14))
+        cert = given_run(a, sensors(list(self.MEASURED), 14)).certificate
         assert cert.colorable_a
         assert not cert.colorable_abar
         assert not cert.sso

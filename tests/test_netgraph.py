@@ -238,17 +238,13 @@ class TestPatternBoundary:
         assert to_pattern(from_pattern(a)) == a
 
     def test_no_function_takes_both_a_state_pattern_and_a_graph(self):
-        """Every stage takes the state graph alone; a pattern enters only through ``from_pattern``.
-
-        The output pattern ``c`` (one row per sensor) is not a state pattern, so
-        ``certify_sso(g, c)`` is the one place a pattern sits beside a graph.
-        """
+        """Every stage takes the state graph alone; a pattern enters only through ``from_pattern``."""
         both = []
         for name, fn in public_functions():
             types = parameter_types(fn)
             graphs = [p for p, kinds in types.items() if StateGraph in kinds]
-            patterns = [p for p, kinds in types.items() if PatternMatrix in kinds and p != "c"]
+            patterns = [p for p, kinds in types.items() if PatternMatrix in kinds]
             if graphs and patterns:
                 both.append(f"{name}{inspect.signature(fn)}")
         assert both == []
-        assert "forcing.certify_sso" in dict(public_functions())  # the walk reaches the stages
+        assert "placement.place_cyclic" in dict(public_functions())  # the walk reaches the stages

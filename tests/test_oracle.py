@@ -14,7 +14,6 @@ from strucsense import (
     SensorPlacement,
     StateGraph,
     build_output_pattern,
-    certify_sso,
     exhaustive_min_sensors,
     find_unobservable_realization,
     from_pattern,
@@ -119,7 +118,7 @@ class TestSampleAndCheck:
         g = from_pattern(pat)
         p = place_cyclic(g, spanning_tree_dfs(g))
         c = build_output_pattern(p, g.n)
-        assert certify_sso(g, c).sso
+        assert PipelineRun(g, given=p).certificate.sso
         report = sample_and_check(pat, c, trials=100, seed=42)
         assert report.passes == report.trials == 100
         assert report.min_sigma_ratio > 1e-9
@@ -148,7 +147,7 @@ class TestSampleAndCheck:
     def test_zero_states_pass_as_they_certify(self):
         a = PatternMatrix(0, 0)
         c = PatternMatrix(0, 0, frozenset(), frozenset())
-        assert certify_sso(graph_of(a), c).sso
+        assert given_run(a, c).certificate.sso
         assert observability_rank_test(np.zeros((0, 0)), np.zeros((0, 0)))
         for c_mode in ("unit", "sampled"):
             report = sample_and_check(a, c, trials=5, seed=3, c_mode=c_mode)
@@ -201,14 +200,14 @@ class TestExhaustiveMinimum:
                 c = PatternMatrix(
                     size, 3, frozenset((r, s) for r, s in enumerate(combo)), frozenset()
                 )
-                assert not certify_sso(graph_of(TRIANGLE), c).sso
+                assert not given_run(TRIANGLE, c).certificate.sso
 
     def test_heuristic_is_an_upper_bound(self):
         for seed in range(20):
             pat = random_connected_pattern(seed, n_max=10)
             g = from_pattern(pat)
             p = place_cyclic(g, spanning_tree_dfs(g))
-            if not certify_sso(g, build_output_pattern(p, g.n)).sso:
+            if not PipelineRun(g, given=p).certificate.sso:
                 continue  # the heuristic has known gaps; minimality is about certified runs
             result = exhaustive_min_sensors(g)
             assert result.minimum_size <= p.n_y
@@ -378,7 +377,7 @@ class TestExhaustiveAgainstNaiveSearch:
 class TestUnobservableWitness:
     def test_rejected_single_sensor_on_triangle_yields_witness(self):
         c = PatternMatrix(1, 3, frozenset({(0, 0)}), frozenset())
-        assert not certify_sso(graph_of(TRIANGLE), c).sso
+        assert not given_run(TRIANGLE, c).certificate.sso
         realization, vector, lam = find_unobservable_realization(given_run(TRIANGLE, c))
         realization, vector = dense(realization, vector, 3)
         assert is_member(realization, TRIANGLE)
@@ -443,16 +442,16 @@ class TestUnobservableWitness:
     @pytest.mark.parametrize(
         "rows, star, nones",
         [
-            # Abar's row 1: the pinned -x1 cancels the star x2, so the star it solves for would be 0
+            # λ = 1; A's row 1: the star on x2 already meets λ x1, so the star it solves for would be 0
             (["0*0", "*0*", "0**"], 1.0, 20),
-            # Abar's row 0 cancels on its unknown loop at -1, so A's star loop shifts to 0
-            (["**", "*0"], 1.0, 0),
+            # λ = 1; A's row 0: its star loop already meets λ x0, so the star it solves for would be 0
+            (["**", "*0"], 1.0, 20),
             # stars of 3.3e11: rounding leaves X x - 0 x above allclose's atol on some row
             (["?0**", "0**0", "****", "*0*0"], 1e12 / 3, 0),
         ],
     )
     def test_draws_that_cannot_realize_are_redrawn_then_refused(self, monkeypatch, rows, star, nones):
-        """Each of the three redraw conditions, met on every draw, ends in the exhausted-retries error."""
+        """Each of the two redraw conditions, met on every draw, ends in the exhausted-retries error."""
         run = given_run(PatternMatrix.from_rows(rows, symmetric=True), PatternMatrix(0, len(rows)))
         monkeypatch.setattr(strucsense.oracle, "Random", lambda seed: self.Draws(star))
         solve, solved = strucsense.oracle._solve_stuck_rows, []
@@ -501,9 +500,9 @@ class TestUnobservableWitness:
     def test_certified_placement_has_no_witness(self):
         pat = structured_pattern(TRIANGLE_WDN_INC)
         g = from_pattern(pat)
-        c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
-        assert certify_sso(g, c).sso
-        assert find_unobservable_realization(given_run(pat, c)) is None
+        run = PipelineRun(g, given=place_cyclic(g, spanning_tree_dfs(g)))
+        assert run.certificate.sso
+        assert find_unobservable_realization(run) is None
 
     def test_every_rejected_random_placement_yields_witness(self):
         produced = 0
@@ -511,10 +510,10 @@ class TestUnobservableWitness:
             pat = random_connected_pattern(seed, n_max=30)
             g = from_pattern(pat)
             p = place_cyclic(g, spanning_tree_dfs(g))
-            c = build_output_pattern(p, g.n)
-            if certify_sso(g, c).sso:
+            run = PipelineRun(g, given=p)
+            if run.certificate.sso:
                 continue
-            realization, vector, lam = find_unobservable_realization(given_run(pat, c), seed=seed)
+            realization, vector, lam = find_unobservable_realization(run, seed=seed)
             realization, vector = dense(realization, vector, pat.rows)
             assert is_member(realization, pat)
             assert np.allclose(realization @ vector, lam * vector)
@@ -535,9 +534,9 @@ class TestCertificateOracleAgreement:
                 continue
             g = from_pattern(pat)
             p = place_cyclic(g, spanning_tree_dfs(g))
-            c = build_output_pattern(p, g.n)
-            if not certify_sso(g, c).sso:
+            if not PipelineRun(g, given=p).certificate.sso:
                 continue
+            c = build_output_pattern(p, g.n)
             report = sample_and_check(pat, c, trials=40, seed=1000 + seed)
             assert report.passes == 40, f"seed {seed - 1}"
             confirmed += 1

@@ -11,12 +11,12 @@ from strucsense import (
     SensorPlacement,
     StateGraph,
     build_output_pattern,
-    certify_sso,
     classify_nodes,
     count_bounds_ok,
     cycle_count,
     from_pattern,
     is_member,
+    make_abar,
     place_cyclic,
     parse_edge_list,
     place_tree,
@@ -25,7 +25,8 @@ from strucsense import (
     spanning_tree_dfs,
 )
 from strucsense.cli import load_input
-from strucsense.netgraph import companion
+from strucsense.forcing import Certificate, build_observability_graph, force_closure_reference
+from strucsense.netgraph import companion, to_pattern
 from strucsense.wdn import parse_inp, state_graph
 from generators import (
     TRIANGLE_WDN_INC,
@@ -67,7 +68,7 @@ class TestPlaceTree:
     def test_star_omits_highest_leaf(self):
         p = place_tree(STAR13, spanning_tree_dfs(STAR13))
         assert p.measured == (0, 1)
-        assert certify_sso(STAR13, build_output_pattern(p, 4)).sso
+        assert PipelineRun(STAR13, given=p).certificate.sso
 
     def test_branched_tree_omits_highest(self):
         assert place_tree(TREE9, spanning_tree_dfs(TREE9)).measured == (0, 2)
@@ -106,8 +107,7 @@ class TestPlaceTree:
             a = random_tree_pattern(seed, n_max=30)
             g = from_pattern(a)
             p = place_tree(g, spanning_tree_dfs(g))
-            c = build_output_pattern(p, g.n)
-            assert certify_sso(g, c).sso, f"seed {seed}"
+            assert PipelineRun(g, given=p).certificate.sso, f"seed {seed}"
 
 
 def tree_rule_by_classification(g: StateGraph) -> SensorPlacement:
@@ -333,8 +333,15 @@ def pipeline_graph(name: str) -> StateGraph:
     return load_input(str(FIXTURES / name)).graph
 
 
+def reference_certificate(run: PipelineRun) -> Certificate:
+    """The record's certificate rebuilt by the slow reference closure, from A's pattern, Abar's and the output pattern."""
+    a, n = to_pattern(run.graph), run.graph.n
+    checks = [force_closure_reference(build_observability_graph(pattern, run.output)) for pattern in (a, make_abar(a))]
+    return Certificate(*[field for check in checks for field in (check.black.issuperset(range(n)), check.trace)])
+
+
 class TestPipelineCertificate:
-    """The record certifies from its own two closed runs, as ``certify_sso`` does from an output pattern."""
+    """The record certifies from its own two closed runs, as the slow reference closure does from the patterns."""
 
     @pytest.mark.parametrize("name", [*FIXTURE_NAMES, REFUSED_1X])
     def test_certificate_reads_the_two_closed_runs(self, name):
@@ -359,19 +366,16 @@ class TestPipelineCertificate:
         assert got is (run.__dict__[stuck] if stuck else None)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
-    def test_certify_sso_agrees_with_the_record_on_every_fixture(self, name):
-        g = pipeline_graph(name)
-        p = PipelineRun(g).placement
-        assert certify_sso(g, build_output_pattern(p, g.n)) == PipelineRun(g, given=p).certificate
+    def test_the_reference_closure_agrees_with_the_record_on_every_fixture(self, name):
+        run = PipelineRun(pipeline_graph(name))
+        assert reference_certificate(run) == run.certificate
 
-    def test_certify_sso_agrees_with_the_record_on_the_cyclic_family(self):
+    def test_the_reference_closure_agrees_with_the_record_on_the_cyclic_family(self):
         """The 200 random connected graphs of acceptance criterion 5, refused placements included."""
         refused = []
         for seed in range(200):
-            g = from_pattern(random_connected_pattern(seed))
-            p = PipelineRun(g).placement
-            cert = PipelineRun(g, given=p).certificate
-            assert certify_sso(g, build_output_pattern(p, g.n)) == cert, f"seed {seed}"
-            if not cert.sso:
+            run = PipelineRun(from_pattern(random_connected_pattern(seed)))
+            assert reference_certificate(run) == run.certificate, f"seed {seed}"
+            if not run.certificate.sso:
                 refused.append(seed)
         assert len(refused) == 5  # the known gaps of the leaf rule: both verdicts are compared

@@ -12,7 +12,9 @@ are compared too.
 
 The tree rule's own placement moves with the order, since the extreme node
 it leaves out is the highest-indexed one; on every tree input and every
-order it still certifies with one sensor fewer than the extreme nodes.
+order it still certifies with one sensor fewer than the extreme nodes. The
+cyclic rule's leaves move too, and its verdict with them: one order in 40
+of the L-town-size networks is refused.
 """
 
 import random
@@ -24,6 +26,7 @@ from strucsense.cli import load_input
 from strucsense.forcing import ClosureRun
 from strucsense.netgraph import StateGraph, classify_nodes, companion
 from strucsense.placement import PipelineRun
+from strucsense.wdn import parse_inp, state_graph
 from generators import cyclic_inp_text, tree_inp_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -33,6 +36,7 @@ INPUTS = sorted(path.name for path in FIXTURES.iterdir()) + list(GENERATED)
 TREE_ORDERS = 20  # seeded relabellings per tree input
 GENERATED_TREE = "tree847.inp"  # tree_inp_text(847): 1693 states
 TREES = ("path4.inp", "star_k13.json", "tree9.json", GENERATED_TREE)
+CYCLIC_SEEDS, CYCLIC_ORDERS = range(4), 10  # cyclic_inp_text(782, 124, seed) x seeded relabellings
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +104,15 @@ def test_the_tree_rule_certifies_under_every_order(name, generated_dir):
         measured = {v for v in range(g.n) if perm[v] in placed}
         omitted |= extreme - measured
     assert len(omitted) > 1
+
+
+def test_the_cyclic_rule_certifies_under_all_but_one_order():
+    """The leaf rule's order rate: 39 of 40 orders certify, and the one refused is seed 3's order 9."""
+    refused = []
+    for seed in CYCLIC_SEEDS:
+        net = parse_inp(cyclic_inp_text(782, 124, seed))
+        g = state_graph(net)
+        for k in range(CYCLIC_ORDERS):
+            if not PipelineRun(relabelled(g, state_order(g.n, net.n_links, random.Random(k)))).certificate.sso:
+                refused.append((seed, k))
+    assert refused == [(3, 9)]

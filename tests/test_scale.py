@@ -17,7 +17,6 @@ from strucsense import (
     PatternMatrix,
     PipelineRun,
     build_output_pattern,
-    certify_sso,
     classify_nodes,
     cycle_count,
     find_unobservable_realization,
@@ -44,8 +43,9 @@ def test_cyclic_certificate_at_benchmark_scale(tmp_path):
     bundle = load_input(str(path))
     g = bundle.graph
     assert (g.n, cycle_count(g)) == (1687, 124)
-    c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
-    cert = certify_sso(g, c)
+    p = place_cyclic(g, spanning_tree_dfs(g))
+    c = build_output_pattern(p, g.n)
+    cert = PipelineRun(g, given=p).certificate
     assert (cert.colorable_a, cert.colorable_abar) == (True, False)
     a = to_pattern(g)
     for pattern, colorable, trace in ((a, cert.colorable_a, cert.trace_a),
@@ -84,7 +84,7 @@ def assert_sparse_witness(run: PipelineRun, witness: tuple) -> None:
 
 
 def test_unobservable_witness_at_benchmark_scale():
-    """Seed 3's refusal is backed by a realization solved on Abar's stuck run: X in A's class, X x = x.
+    """Seed 3's refusal is backed by a realization solved on A's graph over Abar's white set: X in A's class, X x = x.
 
     x vanishes on every sensor and is nonzero on exactly the states Abar's closure leaves white.
     The witness holds the graph's entries only, no n x n array.
@@ -123,7 +123,7 @@ def test_pipeline_at_benchmark_scale():
     # same stages and bound the timed benchmark criteria use
     assert statistics.median(timings) < 1.0
 
-    cert = certify_sso(g, build_output_pattern(placement, g.n))
+    cert = PipelineRun(g, given=placement).certificate
     assert cert.sso
     assert placement.n_y == classify_nodes(g).n_e
 
