@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import dot
 from .netgraph import StateGraph, check_preconditions, cycle_count, to_pattern
-from .oracle import check_state_cap, exhaustive_min_sensors, sample_and_check
+from .oracle import exhaustive_min_sensors, sample_and_check
 from .placement import PipelineRun, SensorPlacement
 from .wdn import (
     ParseError,
@@ -250,11 +250,8 @@ def cmd_certify(args) -> int:
 def cmd_oracle(args) -> int:
     bundle = load_input(args.path)
     given = _resolve_sensors(args.sensors, bundle) if args.sensors is not None else None
-    check_state_cap(bundle.graph.n)  # refuse before any pipeline stage runs
     run = PipelineRun(bundle.graph, given=given)
-    report = sample_and_check(
-        to_pattern(bundle.graph), run.output, trials=args.trials, seed=args.seed, c_mode=args.c_mode
-    )
+    report = sample_and_check(run, trials=args.trials, seed=args.seed)
     payload = {"sensors": list(run.placement.measured), **report._asdict()}
     _dump_json(payload, args.out)
     return EXIT_OK
@@ -383,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--trials", type=int, default=100)
     p_oracle.add_argument("--seed", type=int, default=42)
     p_oracle.add_argument("--sensors", default=None, help="override the computed placement")
-    p_oracle.add_argument("--c-mode", choices=("unit", "sampled"), default="unit", dest="c_mode")
     _add_common(p_oracle, formats=())
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -2,12 +2,12 @@
 
 The colorability certificate is the proof object; these routines are the
 falsification harness. The rank test stacks C, CA, ..., CA^(n-1) and checks
-numerical full column rank; the sampler draws realizations of a pattern
-pair and counts rank-test passes. Sampling approximates the for-all
-quantifier of strong structural observability, so a passing sample never
-proves observability, but a single failure disproves it. The exhaustive
-search is the desk-scale baseline: it tries sensor subsets by increasing
-size until a certified one appears.
+numerical full column rank; the sampler draws realizations of a run's state
+pattern, measures its placement with unit sensors and counts rank-test
+passes. Sampling approximates the for-all quantifier of strong structural
+observability, so a passing sample never proves observability, but a single
+failure disproves it. The exhaustive search is the desk-scale baseline: it
+tries sensor subsets by increasing size until a certified one appears.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from random import Random
 from typing import NamedTuple
 
 from .forcing import ClosureRun
-from .netgraph import StateGraph, check_preconditions, companion
-from .pattern import STAR_RANGE, Entry, PatternMatrix, sample_realizations
+from .netgraph import StateGraph, check_preconditions, companion, to_pattern
+from .pattern import STAR_RANGE, Entry, sample_realizations
 from .placement import PipelineRun
 
 DEFAULT_RANK_TOL = 1e-9
@@ -107,59 +107,43 @@ def observability_rank_test(a, c, max_states: int = DEFAULT_STATE_CAP) -> bool:
     return bool(_sigma_ratios(a[None], c[None])[0] > DEFAULT_RANK_TOL)
 
 
-def realize_unit_output(c_pat: PatternMatrix):
-    """Numeric output matrix, a ``(rows, cols)`` array with exactly 1.0 at stars and 0 elsewhere."""
-    import numpy as np
-
-    mat = np.zeros((c_pat.rows, c_pat.cols))
-    for (i, j) in c_pat.star:
-        mat[i, j] = 1.0
-    return mat
-
-
 def _chunk_trials(n: int, p: int) -> int:
     """Trials per batch: as many as keep A, C and the stacked matrix within ``CHUNK_DOUBLES``."""
     return max(1, CHUNK_DOUBLES // max(1, n * n + p * n + n * p * n))
 
 
-def sample_and_check(a_pat: PatternMatrix, c_pat: PatternMatrix, trials: int, seed: int,
-                     c_mode: str = "unit") -> OracleReport:
-    """Draw realizations of the pattern pair and count rank-test passes against ``DEFAULT_RANK_TOL``.
+def sample_and_check(run: PipelineRun, trials: int, seed: int) -> OracleReport:
+    """Draw realizations of ``run``'s state pattern and count rank-test passes against ``DEFAULT_RANK_TOL``.
 
-    ``c_mode="unit"`` realizes output stars as exactly 1 (single-state
-    sensors); ``c_mode="sampled"`` draws arbitrary nonzero output gains as
-    a robustness variant. Deterministic for a fixed seed: ``seed`` draws
-    two seeds per trial, the first for A and the second for a sampled C.
-    Trials run as stacked arrays, in batches of ``_chunk_trials`` so memory
-    stays bounded whatever ``trials`` is. A 0-state pattern passes every
-    trial with ratio 1.0, as it certifies; zero trials report ratio 0.0.
+    C is the unit output of ``run.placement``, 1.0 at each measured state:
+    nonzero gains would only scale C A^k's rows, which ``_sigma_ratios``
+    normalises. The state cap is checked off ``run.graph`` before any stage
+    runs. Deterministic for a fixed seed: ``seed`` draws two seeds per trial
+    and A takes the first. Trials run in batches of ``_chunk_trials``, each
+    drawing its own seeds, so memory stays bounded whatever ``trials`` is. A
+    0-state graph passes every trial with ratio 1.0, as it certifies; zero
+    trials report ratio 0.0.
     """
     import numpy as np
 
-    if not a_pat.is_square:
-        raise ValueError(f"square state pattern required, got {a_pat.rows}x{a_pat.cols}")
-    if c_pat.cols != a_pat.rows:
-        raise ValueError(f"output pattern has {c_pat.cols} columns, expected {a_pat.rows}")
-    if c_mode not in ("unit", "sampled"):
-        raise ValueError(f"unknown c_mode {c_mode!r}")
+    n = run.graph.n
+    check_state_cap(n)
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    n = a_pat.rows
-    check_state_cap(n)
+    a_pat = to_pattern(run.graph)
+    measured = list(run.placement.measured)
+    unit_c = np.zeros((len(measured), n))
+    unit_c[range(len(measured)), measured] = 1.0
 
-    trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=2 * trials)
-    unit_c = realize_unit_output(c_pat)
-    passes = 0
-    min_ratio = float("inf") if trials else 0.0
-    chunk = _chunk_trials(n, c_pat.rows)
+    rng = np.random.default_rng(seed)
+    passes, min_ratio = 0, float("inf") if trials else 0.0
+    chunk = _chunk_trials(n, len(measured))
     for start in range(0, trials, chunk):
-        seeds = trial_seeds[2 * start:2 * (start + chunk)].tolist()
+        k = min(chunk, trials - start)
+        # two seeds a trial, A taking the even ones: the odd ones keep every recorded report's stream
+        seeds = rng.integers(0, 2**63 - 1, size=2 * k).tolist()
         a = sample_realizations(a_pat, seeds[0::2])
-        if c_mode == "unit":
-            c = np.broadcast_to(unit_c, (len(a), *unit_c.shape))
-        else:
-            c = sample_realizations(c_pat, seeds[1::2])
-        ratios = _sigma_ratios(a, c)
+        ratios = _sigma_ratios(a, np.broadcast_to(unit_c, (k, *unit_c.shape)))
         passes += int(np.count_nonzero(ratios > DEFAULT_RANK_TOL))
         min_ratio = min(min_ratio, float(ratios.min()))
     return OracleReport(trials, passes, min_ratio, seed)

@@ -5,7 +5,7 @@ every node of tree degree below two (leaves and isolated nodes); for trees,
 every extreme node (a leaf with no other neighbour) but one. ``PipelineRun``
 chains these stages for one input and certifies its placement from its own
 two closed runs, on A and Abar. The output pattern (one star per row) is
-built only for the oracle and the paper-timed stages.
+built only for the paper-timed stages.
 """
 
 from __future__ import annotations
@@ -160,10 +160,11 @@ class PipelineRun:
     every stage reads the graph and never the pattern. ``a_run`` and ``abar_run``
     close the graph and its companion from the measured states; ``certificate``
     reads their verdicts and traces, ``stuck`` names the one left with a white
-    state. ``output`` serves only the oracle and the paper-timed stages. ``tree``
-    is the DFS forest whatever the mode: both rules read it. ``mode`` is
-    "cyclic" or "tree"; a ``given`` placement, e.g. a user's proposal, replaces
-    both rules. A run is a computation, not a value: it compares by identity.
+    state. ``output`` serves only the paper-timed stages; the oracle reads
+    the placement. ``tree`` is the DFS forest whatever the mode: both rules
+    read it. ``mode`` is "cyclic" or "tree"; a ``given`` placement, e.g. a
+    user's proposal, replaces both rules. A run is a computation, not a
+    value: it compares by identity.
     """
 
     def __init__(self, graph: StateGraph, mode: str = "cyclic", given: SensorPlacement | None = None):

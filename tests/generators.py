@@ -37,6 +37,14 @@ def dense(X: dict, x: dict, n: int) -> tuple:
     return mat, vec
 
 
+def unit_rows(c: PatternMatrix) -> np.ndarray:
+    """The dense unit output of a one-star-per-row pattern: 1.0 at each star, 0 elsewhere."""
+    mat = np.zeros((c.rows, c.cols))
+    for (i, j) in c.star:
+        mat[i, j] = 1.0
+    return mat
+
+
 def edge_set_degrees(t: SpanningTree) -> list:
     """Tree degree per node counted over the undirected edge set, the reference for ``degrees``."""
     deg = [0] * t.n

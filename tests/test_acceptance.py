@@ -7,7 +7,6 @@ benchmark criteria need user-supplied EPANET files (see
 
 import statistics
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from strucsense import (
     find_unobservable_realization,
     from_pattern,
     is_member,
-    make_abar,
     observability_rank_test,
     parse_edge_list,
     parse_inp,
@@ -40,7 +38,7 @@ from strucsense.forcing import (
     force_closure_reference,
     sensor_states,
 )
-from strucsense.oracle import DEFAULT_RANK_TOL, realize_unit_output
+from strucsense.oracle import DEFAULT_RANK_TOL
 from strucsense.pattern import Entry, PatternMatrix
 from strucsense.wdn import write_incidence_csv
 from generators import (
@@ -52,6 +50,7 @@ from generators import (
     random_symmetric_pattern,
     random_tree_pattern,
     shuffled_closures,
+    unit_rows,
 )
 
 import random
@@ -141,8 +140,9 @@ def test_criterion_3_triangle_fixture(fixtures_dir, tmp_path):
     assert diag.count(Entry.STAR) == 4 and diag.count(Entry.UNKNOWN) == 4
     g, t, p, c = run_pipeline(pattern)
     assert p.n_y == 2, f"expected exactly 2 sensors, got {p.measured}"
-    assert PipelineRun(g, given=p).certificate.sso
-    report = sample_and_check(pattern, c, trials=100, seed=42)
+    run = PipelineRun(g, given=p)
+    assert run.certificate.sso
+    report = sample_and_check(run, trials=100, seed=42)
     assert report.passes == 100, f"oracle passes {report.passes}/100"
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1, f"pipeline took {elapsed:.3f}s, bound is 0.1s"
@@ -188,7 +188,7 @@ def test_criterion_5_cyclic_placements_certify():
         assert is_member(realization, pattern)
         assert np.allclose(realization @ vector, lam * vector)
         assert not observability_rank_test(
-            realization, realize_unit_output(c), max_states=60
+            realization, unit_rows(c), max_states=60
         )
         verified.append((seed, lam, int(np.count_nonzero(vector))))
     if failures:
@@ -229,10 +229,10 @@ def test_criterion_7_certified_implies_numerically_observable():
         seed += 1
         if pattern.rows > 20:
             continue
-        g, t, p, c = run_pipeline(pattern)
-        if not PipelineRun(g, given=p).certificate.sso:
+        run = PipelineRun(from_pattern(pattern))
+        if not run.certificate.sso:
             continue
-        report = sample_and_check(pattern, c, trials=100, seed=10_000 + seed)
+        report = sample_and_check(run, trials=100, seed=10_000 + seed)
         assert report.passes == 100, (
             f"certified placement failed sampling at seed {seed - 1}: "
             f"{report.passes}/100, worst ratio {report.min_sigma_ratio:.2e}"

@@ -40,7 +40,7 @@ def run_cli(capsys, *argv):
 def count_calls(monkeypatch, *names) -> dict:
     """Count calls of library functions wherever the CLI's modules look them up."""
     counts = dict.fromkeys(names, 0)
-    for module in (strucsense.cli, strucsense.netgraph, strucsense.placement, strucsense.forcing):
+    for module in (strucsense.cli, strucsense.netgraph, strucsense.placement, strucsense.forcing, strucsense.oracle):
         for name in names:
             fn = getattr(module, name, None)
             if fn is None:
@@ -1269,8 +1269,9 @@ class TestUsage:
             ["place", "fixtures/path4.inp", "--mode", "loop"],
             ["place"],
             [],
+            ["oracle", "fixtures/path4.inp", "--c-mode", "sampled"],
         ],
-        ids=["unknown-flag", "bad-choice", "missing-path", "no-command"],
+        ids=["unknown-flag", "bad-choice", "missing-path", "no-command", "removed-c-mode"],
     )
     def test_usage_error_exits_1(self, argv):
         err = io.StringIO()

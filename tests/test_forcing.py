@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from strucsense import (
     Entry,
     PatternMatrix,
-    SensorPlacement,
-    build_output_pattern,
     is_member,
     make_abar,
     observability_rank_test,
@@ -40,6 +38,7 @@ from generators import (
     random_sensor_rows,
     random_symmetric_pattern,
     shuffled_closures,
+    unit_rows,
     without_zero_diagonal,
 )
 
@@ -595,7 +594,6 @@ class TestCertificateExactness:
         from itertools import chain, combinations
 
         from strucsense import find_unobservable_realization, sample_and_check
-        from strucsense.oracle import realize_unit_output
 
         subsets = list(
             chain.from_iterable(combinations(range(n), k) for k in range(n + 1))
@@ -604,17 +602,17 @@ class TestCertificateExactness:
         for pattern in self.all_symmetric_patterns(n):
             for subset in subsets:
                 c = sensors(list(subset), n)
-                cert = given_run(pattern, c).certificate
-                if cert.sso:
-                    report = sample_and_check(pattern, c, trials=20, seed=hash((n, subset)) % 10_000)
+                run = given_run(pattern, c)
+                if run.certificate.sso:
+                    report = sample_and_check(run, trials=20, seed=hash((n, subset)) % 10_000)
                     assert report.passes == 20, (pattern.star, pattern.unknown, subset)
                     true_count += 1
                 else:
-                    realization, vector, lam = find_unobservable_realization(given_run(pattern, c))
+                    realization, vector, lam = find_unobservable_realization(run)
                     realization, vector = dense(realization, vector, n)
                     assert is_member(realization, pattern)
                     assert np.allclose(realization @ vector, lam * vector)
-                    assert not observability_rank_test(realization, realize_unit_output(c))
+                    assert not observability_rank_test(realization, unit_rows(c))
                     false_count += 1
         assert true_count and false_count  # both verdicts exercised
 

@@ -3,11 +3,11 @@
 ``golden_outputs.json`` maps each command line to the stdout, stderr and
 exit code it produced when the file was written. The commands cover every
 fixture through ``info`` and both ``place`` modes in every format, plus
-``certify``, ``oracle`` (computed and given sensors, sampled output gains,
-and a trial count past the oracle's batch size), ``minimize`` and each
-``export-dot`` stage (the placement and trace stages in both modes), so a
-refactor that changes any emitted byte fails here, not only a rerun of the
-same version (``test_byte_identical_reruns``).
+``certify``, ``oracle`` (computed and given sensors, and a trial count past
+the oracle's batch size), ``minimize`` and each ``export-dot`` stage (the
+placement and trace stages in both modes), so a refactor that changes any
+emitted byte fails here, not only a rerun of the same version
+(``test_byte_identical_reruns``).
 
 Regenerate the file after a deliberate output change with
 ``PYTHONPATH=src python tests/test_golden_outputs.py --write`` from the
@@ -48,7 +48,6 @@ def commands() -> list:
         out.append(["oracle", path, "--trials", "5"])
         out.append(["oracle", path, "--sensors", "0,1", "--trials", "5"])
         out.append(["oracle", path, "--trials", "16000"])  # more than one batch of trials on every fixture
-        out.append(["oracle", path, "--c-mode", "sampled", "--trials", "5"])
         out.append(["minimize", path])
         for stage in ("graph", "tree", "placement", "trace"):
             out.append(["export-dot", path, "--stage", stage])

@@ -13,7 +13,6 @@ from strucsense import (
     PipelineRun,
     SensorPlacement,
     StateGraph,
-    build_output_pattern,
     exhaustive_min_sensors,
     find_unobservable_realization,
     from_pattern,
@@ -32,7 +31,7 @@ from strucsense.forcing import (
     force_closure_reference,
 )
 from strucsense.netgraph import companion
-from strucsense.oracle import DEFAULT_RANK_TOL, WITNESS_CAP, _chunk_trials, realize_unit_output
+from strucsense.oracle import DEFAULT_RANK_TOL, WITNESS_CAP, _chunk_trials
 from strucsense.pattern import STAR_RANGE, ZERO_PROB, sample_realizations
 from strucsense.wdn import parse_edge_list
 from generators import (
@@ -46,6 +45,7 @@ from generators import (
     random_connected_pattern,
     random_symmetric_pattern,
     structured_pattern,
+    unit_rows,
     without_zero_diagonal,
 )
 
@@ -78,12 +78,16 @@ class TestRankTest:
         with pytest.raises(ValueError, match="cap"):
             observability_rank_test(np.eye(n), np.eye(n))
 
-    def test_rank_test_and_sampler_refuse_in_one_wording(self):
+    def test_rank_test_and_sampler_refuse_in_one_wording(self, monkeypatch):
         refusal = "^31 states exceed the rank-test cap of 30$"
         with pytest.raises(ValueError, match=refusal):
             observability_rank_test(np.eye(31), np.eye(31))
+        counts = count_oracle_calls(monkeypatch, "to_pattern", "sample_realizations")
+        run = PipelineRun(StateGraph(31))
         with pytest.raises(ValueError, match=refusal):
-            sample_and_check(PatternMatrix(31, 31), PatternMatrix(1, 31), trials=1, seed=0)
+            sample_and_check(run, trials=1, seed=0)
+        assert counts == {"to_pattern": 0, "sample_realizations": 0}
+        assert "placement" not in vars(run)  # the sampler refused before any stage of the run
 
     @pytest.mark.parametrize(
         "a, c, message",
@@ -117,58 +121,42 @@ class TestSampleAndCheck:
         pat = structured_pattern(TRIANGLE_WDN_INC)
         g = from_pattern(pat)
         p = place_cyclic(g, spanning_tree_dfs(g))
-        c = build_output_pattern(p, g.n)
-        assert PipelineRun(g, given=p).certificate.sso
-        report = sample_and_check(pat, c, trials=100, seed=42)
+        run = PipelineRun(g, given=p)
+        assert run.certificate.sso
+        report = sample_and_check(run, trials=100, seed=42)
         assert report.passes == report.trials == 100
         assert report.min_sigma_ratio > 1e-9
 
     def test_no_sensors_no_passes(self):
         c = PatternMatrix(0, 3, frozenset(), frozenset())
-        report = sample_and_check(TRIANGLE, c, trials=10, seed=7)
+        report = sample_and_check(given_run(TRIANGLE, c), trials=10, seed=7)
         assert report.passes == 0
         assert report.min_sigma_ratio == 0.0
 
     def test_same_seed_same_report(self):
-        pat = structured_pattern(TRIANGLE_WDN_INC)
-        g = from_pattern(pat)
-        c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
-        a = sample_and_check(pat, c, trials=25, seed=11)
-        assert a == sample_and_check(pat, c, trials=25, seed=11)
-        assert a != sample_and_check(pat, c, trials=25, seed=12)
-
-    def test_sampled_output_gains_variant(self):
-        pat = structured_pattern(TRIANGLE_WDN_INC)
-        g = from_pattern(pat)
-        c = build_output_pattern(place_cyclic(g, spanning_tree_dfs(g)), g.n)
-        report = sample_and_check(pat, c, trials=50, seed=5, c_mode="sampled")
-        assert report.passes == 50  # nonzero gains keep observability intact
+        run = PipelineRun(from_pattern(structured_pattern(TRIANGLE_WDN_INC)))
+        a = sample_and_check(run, trials=25, seed=11)
+        assert a == sample_and_check(run, trials=25, seed=11)
+        assert a != sample_and_check(run, trials=25, seed=12)
 
     def test_zero_states_pass_as_they_certify(self):
         a = PatternMatrix(0, 0)
         c = PatternMatrix(0, 0, frozenset(), frozenset())
         assert given_run(a, c).certificate.sso
         assert observability_rank_test(np.zeros((0, 0)), np.zeros((0, 0)))
-        for c_mode in ("unit", "sampled"):
-            report = sample_and_check(a, c, trials=5, seed=3, c_mode=c_mode)
-            assert (report.passes, report.min_sigma_ratio) == (5, 1.0)
+        report = sample_and_check(given_run(a, c), trials=5, seed=3)
+        assert (report.passes, report.min_sigma_ratio) == (5, 1.0)
 
-    @pytest.mark.parametrize(
-        "a, c, message",
-        [
-            (PatternMatrix(2, 3), PatternMatrix(1, 2), "square state pattern required, got 2x3"),
-            (TRIANGLE, PatternMatrix(1, 2), "output pattern has 2 columns, expected 3"),
-        ],
-        ids=["non-square", "column-count"],
-    )
-    def test_shape_refusals(self, a, c, message):
-        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            sample_and_check(a, c, trials=1, seed=0)
-
-    def test_unknown_c_mode_rejected(self):
-        c = PatternMatrix(1, 3, frozenset({(0, 0)}), frozenset())
-        with pytest.raises(ValueError, match="c_mode"):
-            sample_and_check(TRIANGLE, c, trials=1, seed=0, c_mode="nope")
+    @settings(max_examples=200, deadline=None)
+    @given(patterns_with_sensors(max_states=12), st.integers(0, 2**32 - 1))
+    def test_nonzero_sensor_gains_keep_the_unit_verdict(self, case, seed):
+        """Why the oracle measures unit sensors only: a gain only scales C A^k's rows, which the rank test normalises."""
+        a_pat, measured = case
+        a = sample_realizations(a_pat, [seed])[0]
+        unit = unit_rows(PatternMatrix(len(measured), a_pat.rows, frozenset(enumerate(measured)), frozenset()))
+        rng = np.random.default_rng(seed)
+        gains = rng.uniform(*STAR_RANGE, size=len(measured)) * rng.choice([-1.0, 1.0], size=len(measured))
+        assert observability_rank_test(a, unit) == observability_rank_test(a, gains[:, None] * unit)
 
 
 class TestExhaustiveMinimum:
@@ -383,7 +371,7 @@ class TestUnobservableWitness:
         assert is_member(realization, TRIANGLE)
         assert np.allclose(realization @ vector, lam * vector)
         assert vector[0] == 0.0  # invisible to the sensor on state 0
-        assert not observability_rank_test(realization, realize_unit_output(c))
+        assert not observability_rank_test(realization, unit_rows(c))
 
     @pytest.mark.parametrize(
         "rows, measured, lam",
@@ -532,12 +520,10 @@ class TestCertificateOracleAgreement:
             seed += 1
             if pat.rows > 20:
                 continue
-            g = from_pattern(pat)
-            p = place_cyclic(g, spanning_tree_dfs(g))
-            if not PipelineRun(g, given=p).certificate.sso:
+            run = PipelineRun(from_pattern(pat))
+            if not run.certificate.sso:
                 continue
-            c = build_output_pattern(p, g.n)
-            report = sample_and_check(pat, c, trials=40, seed=1000 + seed)
+            report = sample_and_check(run, trials=40, seed=1000 + seed)
             assert report.passes == 40, f"seed {seed - 1}"
             confirmed += 1
         assert confirmed == 10
@@ -561,17 +547,14 @@ def sample_realization_reference(a: PatternMatrix, seed: int) -> np.ndarray:
     return x
 
 
-def sample_and_check_reference(a_pat, c_pat, trials, seed, c_mode="unit"):
-    """The oracle's contract one trial at a time: scalar draws and one SVD per trial."""
+def sample_and_check_reference(a_pat, c_pat, trials, seed):
+    """The oracle's contract one trial at a time: all seeds in one draw, scalar draws and one SVD per trial."""
     n = a_pat.rows
     trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=2 * trials)
     passes, min_ratio = 0, float("inf")
+    c = unit_rows(c_pat)
     for t in range(trials):
         a = sample_realization_reference(a_pat, int(trial_seeds[2 * t]))
-        if c_mode == "unit":
-            c = realize_unit_output(c_pat)
-        else:
-            c = sample_realization_reference(c_pat, int(trial_seeds[2 * t + 1]))
         if n == 0:
             ratio = 1.0
         elif c.shape[0] == 0:
@@ -593,19 +576,13 @@ def sample_and_check_reference(a_pat, c_pat, trials, seed, c_mode="unit"):
 
 @st.composite
 def oracle_cases(draw):
-    """A state pattern (sometimes with a row of unknowns only) and sensor rows."""
+    """A state pattern (sometimes with a row of unknowns only) and one-star sensor rows."""
     n = draw(st.integers(0, 6))
     rows = [draw(st.text("0*?", min_size=n, max_size=n)) for _ in range(n)]
     if n and draw(st.booleans()):
         rows[draw(st.integers(0, n - 1))] = "?" * n
     measured = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)) if n else []
-    star = frozenset(enumerate(measured))
-    # sampled mode draws every output entry: let some rows carry unknowns too
-    unknown = frozenset(
-        (r, j) for r in range(len(measured)) for j in draw(st.sets(st.integers(0, n - 1), max_size=2))
-        if (r, j) not in star
-    ) if n and draw(st.booleans()) else frozenset()
-    c_pat = PatternMatrix(len(measured), n, star, unknown)
+    c_pat = PatternMatrix(len(measured), n, frozenset(enumerate(measured)), frozenset())
     a_pat = PatternMatrix.from_rows(rows) if n else PatternMatrix(0, 0)
     return a_pat, c_pat
 
@@ -616,28 +593,26 @@ class TestBatchedAgainstPerTrialReference:
     @settings(max_examples=150, deadline=None)
     @given(
         oracle_cases(),
-        st.sampled_from(["unit", "sampled"]),
         # (chunks, extra): 0 or 1 trials, or one chunk minus one, exactly one, plus one
         st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]),
         st.integers(0, 2**32 - 1),
     )
-    def test_same_report(self, case, c_mode, size, seed):
+    def test_same_report(self, case, size, seed):
         a_pat, c_pat = case
         chunks, extra = size
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(strucsense.oracle, "CHUNK_DOUBLES", 200)  # chunks of a few to 200 trials
             trials = chunks * _chunk_trials(a_pat.rows, c_pat.rows) + extra
-            got = sample_and_check(a_pat, c_pat, trials, seed, c_mode=c_mode)
-        assert got == sample_and_check_reference(a_pat, c_pat, trials, seed, c_mode=c_mode)
+            got = sample_and_check(given_run(a_pat, c_pat), trials, seed)
+        assert got == sample_and_check_reference(a_pat, c_pat, trials, seed)
 
-    @pytest.mark.parametrize("c_mode", ["unit", "sampled"])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_thirty_states_across_the_real_chunk(self, c_mode, offset):
+    def test_thirty_states_across_the_real_chunk(self, offset):
         a_pat = random_symmetric_pattern(4, n_min=30, n_max=30)
         c_pat = PatternMatrix(30, 30, frozenset((i, i) for i in range(30)), frozenset())
         trials = _chunk_trials(30, 30) + offset
-        got = sample_and_check(a_pat, c_pat, trials, 8, c_mode=c_mode)
-        assert got == sample_and_check_reference(a_pat, c_pat, trials, 8, c_mode=c_mode)
+        got = sample_and_check(given_run(a_pat, c_pat), trials, 8)
+        assert got == sample_and_check_reference(a_pat, c_pat, trials, 8)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

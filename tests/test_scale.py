@@ -13,6 +13,8 @@ import statistics
 import time
 import tracemalloc
 
+import strucsense.oracle
+
 from strucsense import (
     PatternMatrix,
     PipelineRun,
@@ -20,6 +22,7 @@ from strucsense import (
     classify_nodes,
     cycle_count,
     find_unobservable_realization,
+    from_pattern,
     make_abar,
     place_cyclic,
     sample_and_check,
@@ -30,7 +33,7 @@ from strucsense import (
 from strucsense.cli import load_input, main
 from strucsense.forcing import build_observability_graph, replay_trace
 from strucsense.wdn import parse_inp, write_incidence_csv
-from generators import cyclic_inp_text, random_symmetric_pattern, tree_inp_text
+from generators import cyclic_inp_text, given_run, random_symmetric_pattern, tree_inp_text
 
 
 def test_cyclic_certificate_at_benchmark_scale(tmp_path):
@@ -171,9 +174,25 @@ def test_oracle_holds_one_batch_of_trials():
 
     tracemalloc.start()
     try:
-        report = sample_and_check(a, c, trials=2000, seed=0)
+        report = sample_and_check(given_run(a, c), trials=2000, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.passes == 2000  # every state measured
     assert peak < 24 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_oracle_trial_count_never_sets_the_memory(monkeypatch):
+    """Each batch draws its own seeds: 20,000 trials peak no higher than 2,000 (all seeds at once held 16 B a trial)."""
+    monkeypatch.setattr(strucsense.oracle, "CHUNK_DOUBLES", 1000)  # 30 trials a batch on 3 states and 2 sensors
+    run = PipelineRun(from_pattern(PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)))
+    sample_and_check(run, trials=100, seed=0)  # reads the run's stages before any trace
+    peaks = []
+    for trials in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            assert sample_and_check(run, trials=trials, seed=0).passes == trials
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 4096, f"traced peaks {peaks} B"
