@@ -1,6 +1,8 @@
+import inspect
 import random
 import re
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +32,8 @@ from strucsense.forcing import (
     build_observability_graph,
     force_closure_reference,
 )
-from strucsense.netgraph import companion
-from strucsense.oracle import DEFAULT_RANK_TOL, WITNESS_CAP, _chunk_trials
+from strucsense.netgraph import companion, to_pattern
+from strucsense.oracle import DEFAULT_RANK_TOL, DEFAULT_STATE_CAP, WITNESS_CAP, _chunk_trials
 from strucsense.pattern import STAR_RANGE, ZERO_PROB, sample_realizations
 from strucsense.wdn import parse_edge_list
 from generators import (
@@ -50,6 +52,14 @@ from generators import (
 )
 
 TRIANGLE = PatternMatrix.from_rows(["0**", "*0*", "**0"], symmetric=True)
+FIXTURE_NAMES = sorted(
+    p.name for p in (Path(__file__).resolve().parent.parent / "fixtures").iterdir() if p.suffix in (".inp", ".json")
+)
+
+
+def drawn_gains(rng, k: int) -> np.ndarray:
+    """``k`` nonzero sensor gains, magnitudes from ``STAR_RANGE`` with random signs."""
+    return rng.uniform(*STAR_RANGE, size=k) * rng.choice([-1.0, 1.0], size=k)
 
 
 class TestRankTest:
@@ -154,9 +164,66 @@ class TestSampleAndCheck:
         a_pat, measured = case
         a = sample_realizations(a_pat, [seed])[0]
         unit = unit_rows(PatternMatrix(len(measured), a_pat.rows, frozenset(enumerate(measured)), frozenset()))
-        rng = np.random.default_rng(seed)
-        gains = rng.uniform(*STAR_RANGE, size=len(measured)) * rng.choice([-1.0, 1.0], size=len(measured))
+        gains = drawn_gains(np.random.default_rng(seed), len(measured))
         assert observability_rank_test(a, unit) == observability_rank_test(a, gains[:, None] * unit)
+
+    def test_sampled_output_gains_variant(self):
+        """Drawn nonzero gains on the certified triangle placement pass every trial the unit oracle passes."""
+        run = PipelineRun(from_pattern(structured_pattern(TRIANGLE_WDN_INC)))
+        assert sample_and_check(run, trials=50, seed=5).passes == 50
+        rng = np.random.default_rng(5)
+        unit = unit_rows(run.output)
+        for a in sample_realizations(to_pattern(run.graph), list(range(50))):
+            assert observability_rank_test(a, drawn_gains(rng, unit.shape[0])[:, None] * unit)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_nonzero_sensor_gains_keep_the_oracle_passes(self, fixtures_dir, name):
+        """On each fixture, ``oracle --trials 5``'s realizations pass with drawn gains exactly where they pass with unit sensors."""
+        run = PipelineRun(load_input(str(fixtures_dir / name)).graph)
+        if run.graph.n > DEFAULT_STATE_CAP:  # refused33: the sampler and the rank test refuse in one wording
+            refusal = f"^{run.graph.n} states exceed the rank-test cap of {DEFAULT_STATE_CAP}$"
+            with pytest.raises(ValueError, match=refusal):
+                sample_and_check(run, trials=5, seed=42)
+            with pytest.raises(ValueError, match=refusal):
+                observability_rank_test(np.eye(run.graph.n), np.eye(run.graph.n))
+            return
+        report = sample_and_check(run, trials=5, seed=42)
+        seeds = np.random.default_rng(42).integers(0, 2**63 - 1, size=10).tolist()  # the sampler's stream
+        realizations = sample_realizations(to_pattern(run.graph), seeds[0::2])
+        unit = unit_rows(run.output)
+        assert report.passes == sum(observability_rank_test(a, unit) for a in realizations)
+        gains = [drawn_gains(np.random.default_rng(s), len(unit)) for s in seeds[1::2]]
+        assert report.passes == sum(observability_rank_test(a, g[:, None] * unit) for a, g in zip(realizations, gains))
+
+    @pytest.mark.parametrize(
+        "a, c, message",
+        [
+            (PatternMatrix(2, 3), PatternMatrix(1, 2), "square matrix required, got 2x3"),
+            (TRIANGLE, PatternMatrix(1, 2), "output pattern has 2 columns, expected 3"),
+        ],
+        ids=["non-square", "column-count"],
+    )
+    def test_shape_refusals(self, a, c, message):
+        """The sampler reads a run, so a pattern pair of the wrong shape is refused as the run is built."""
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            sample_and_check(given_run(a, c), trials=1, seed=0)
+
+    def test_unknown_c_mode_rejected(self):
+        """The sampler takes a run, a trial count and a seed: any ``c_mode`` is an unexpected keyword."""
+        assert list(inspect.signature(sample_and_check).parameters) == ["run", "trials", "seed"]
+        with pytest.raises(TypeError, match="c_mode"):
+            sample_and_check(PipelineRun(from_pattern(TRIANGLE)), trials=1, seed=0, c_mode="unit")
+
+    def test_cap_then_trials_refused_before_any_stage(self, monkeypatch):
+        """The state cap is checked first, then the trial count, both before the run's stages or a draw."""
+        counts = count_oracle_calls(monkeypatch, "to_pattern", "sample_realizations")
+        with pytest.raises(ValueError, match="^31 states exceed the rank-test cap of 30$"):
+            sample_and_check(PipelineRun(StateGraph(31)), trials=-1, seed=0)
+        run = PipelineRun(from_pattern(TRIANGLE))
+        with pytest.raises(ValueError, match="^trials must be non-negative, got -1$"):
+            sample_and_check(run, trials=-1, seed=0)
+        assert counts == {"to_pattern": 0, "sample_realizations": 0}
+        assert "placement" not in vars(run)
 
 
 class TestExhaustiveMinimum:
